@@ -13,7 +13,14 @@ batch, S for padded source length, T for padded target length, E for the
 embedding size, and H for the hidden size (annotations are 2H wide).
 
 Weight matrices are stored (input_dim, output_dim), applied as x @ W.
-Row vectors everywhere.
+Row vectors everywhere.  Each GRU keeps its gates fused, as column blocks
+z|r|h of one input matrix, one recurrent matrix and one bias.
+
+Every product that does not depend on the recurrence runs once per batch,
+outside the time loops: the GRU input projections, the attention
+projection of the annotations (annotations @ att_u, as in Bahdanau et al.,
+arXiv 1409.0473), the output layer with its softmax, and every weight
+gradient.  Inside the loops sequences are time-major, (S or T, B, ...).
 """
 
 from __future__ import annotations
@@ -68,40 +75,38 @@ class Hyperparams:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
 
 
+def _gate_block(tensor_name: str, block: int) -> property:
+    def get(self: "GruParams") -> Array:
+        hidden = self.u.shape[0]
+        view = getattr(self, tensor_name)[..., block * hidden : (block + 1) * hidden]
+        view.flags.writeable = False
+        return view
+
+    return property(get, doc=f"Read-only view of gate block {'zrh'[block]} of {tensor_name}.")
+
+
 @dataclass
 class GruParams:
-    """One gated recurrent cell: update gate z, reset gate r, candidate h~."""
+    """One gated recurrent cell: update gate z, reset gate r, candidate h~.
 
-    w_z: Array
-    w_r: Array
-    w_h: Array
-    u_z: Array
-    u_r: Array
-    u_h: Array
-    b_z: Array
-    b_r: Array
-    b_h: Array
+    The gates are fused: w (input, 3H), u (H, 3H) and b (3H,) hold them as
+    column blocks z|r|h.  w_z ... b_h are read-only views of those blocks.
+    """
+
+    w: Array
+    u: Array
+    b: Array
+
+    w_z, w_r, w_h = (_gate_block("w", k) for k in range(3))
+    u_z, u_r, u_h = (_gate_block("u", k) for k in range(3))
+    b_z, b_r, b_h = (_gate_block("b", k) for k in range(3))
 
     def tensors(self) -> Iterator[tuple[str, Array]]:
         for f in fields(self):
             yield f.name, getattr(self, f.name)
 
 
-def _init_gru(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> GruParams:
-    def mat(rows, cols):
-        return rng.uniform(-INIT_SCALE, INIT_SCALE, size=(rows, cols))
-
-    return GruParams(
-        w_z=mat(input_dim, hidden_dim),
-        w_r=mat(input_dim, hidden_dim),
-        w_h=mat(input_dim, hidden_dim),
-        u_z=mat(hidden_dim, hidden_dim),
-        u_r=mat(hidden_dim, hidden_dim),
-        u_h=mat(hidden_dim, hidden_dim),
-        b_z=rng.uniform(-INIT_SCALE, INIT_SCALE, size=hidden_dim),
-        b_r=rng.uniform(-INIT_SCALE, INIT_SCALE, size=hidden_dim),
-        b_h=rng.uniform(-INIT_SCALE, INIT_SCALE, size=hidden_dim),
-    )
+GRU_NAMES = ("enc_fwd", "enc_bwd", "dec")
 
 
 @dataclass
@@ -138,36 +143,25 @@ class ModelParams:
         return self.tgt_emb.shape[0]
 
     def tensors(self) -> dict[str, Array]:
-        """Named views of every tensor, in a stable order."""
-        out: dict[str, Array] = {"src_emb": self.src_emb, "tgt_emb": self.tgt_emb}
-        for prefix in ("enc_fwd", "enc_bwd", "dec"):
-            for name, tensor in getattr(self, prefix).tensors():
-                out[f"{prefix}.{name}"] = tensor
-        out.update(
-            att_w=self.att_w, att_u=self.att_u, att_v=self.att_v,
-            out_w=self.out_w, out_b=self.out_b,
-            init_w=self.init_w, init_b=self.init_b,
-        )
+        """Named views of every tensor, in a stable order (see param_shapes)."""
+        out: dict[str, Array] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, GruParams):
+                out.update((f"{f.name}.{part}", tensor) for part, tensor in value.tensors())
+            else:
+                out[f.name] = value
         return out
 
-    def copy(self) -> "ModelParams":
-        def gru_copy(g: GruParams) -> GruParams:
-            return GruParams(**{name: tensor.copy() for name, tensor in g.tensors()})
+    @classmethod
+    def from_tensors(cls, tensors: dict[str, Array]) -> "ModelParams":
+        """The inverse of tensors(): wraps the given arrays without copying."""
+        grus = {n: GruParams(*(tensors[f"{n}.{part}"] for part in "wub")) for n in GRU_NAMES}
+        return cls(**{f.name: grus[f.name] if f.name in grus else tensors[f.name]
+                      for f in fields(cls)})
 
-        return ModelParams(
-            src_emb=self.src_emb.copy(),
-            tgt_emb=self.tgt_emb.copy(),
-            enc_fwd=gru_copy(self.enc_fwd),
-            enc_bwd=gru_copy(self.enc_bwd),
-            dec=gru_copy(self.dec),
-            att_w=self.att_w.copy(),
-            att_u=self.att_u.copy(),
-            att_v=self.att_v.copy(),
-            out_w=self.out_w.copy(),
-            out_b=self.out_b.copy(),
-            init_w=self.init_w.copy(),
-            init_b=self.init_b.copy(),
-        )
+    def copy(self) -> "ModelParams":
+        return ModelParams.from_tensors({n: t.copy() for n, t in self.tensors().items()})
 
     def assert_finite(self) -> None:
         for name, tensor in self.tensors().items():
@@ -175,31 +169,42 @@ class ModelParams:
                 raise FloatingPointError(f"non-finite values in parameter {name}")
 
 
+def param_shapes(
+    embed_dim: int, hidden_dim: int, src_vocab_size: int, tgt_vocab_size: int
+) -> dict[str, tuple[int, ...]]:
+    """The shape of every tensor, named and ordered as in ModelParams.tensors()."""
+    e, h = embed_dim, hidden_dim
+    shapes = {"src_emb": (src_vocab_size, e), "tgt_emb": (tgt_vocab_size, e)}
+    for prefix, input_dim in zip(GRU_NAMES, (e, e, e + 2 * h)):
+        shapes.update({f"{prefix}.w": (input_dim, 3 * h), f"{prefix}.u": (h, 3 * h),
+                       f"{prefix}.b": (3 * h,)})
+    shapes.update(
+        att_w=(h, h), att_u=(2 * h, h), att_v=(h,),
+        out_w=(h + e + 2 * h, tgt_vocab_size), out_b=(tgt_vocab_size,),
+        init_w=(h, h), init_b=(h,),
+    )
+    return shapes
+
+
 def init_params(hyper: Hyperparams, src_vocab_size: int, tgt_vocab_size: int) -> ModelParams:
-    """Seeded uniform initialization of all parameters."""
+    """Seeded uniform initialization of all parameters.
+
+    Tensors are drawn in tensors() order and each fused GRU tensor one gate
+    block at a time, so every gate gets the values a separate (input, H)
+    tensor per gate would get from the same seed.
+    """
     hyper.validate()
     if src_vocab_size < 1 or tgt_vocab_size < 1:
         raise ValueError("vocabulary sizes must be >= 1")
     rng = np.random.default_rng(hyper.seed)
-    e, h = hyper.embed_dim, hyper.hidden_dim
-
-    def mat(*shape):
-        return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-
-    return ModelParams(
-        src_emb=mat(src_vocab_size, e),
-        tgt_emb=mat(tgt_vocab_size, e),
-        enc_fwd=_init_gru(rng, e, h),
-        enc_bwd=_init_gru(rng, e, h),
-        dec=_init_gru(rng, e + 2 * h, h),
-        att_w=mat(h, h),
-        att_u=mat(2 * h, h),
-        att_v=rng.uniform(-INIT_SCALE, INIT_SCALE, size=h),
-        out_w=mat(h + e + 2 * h, tgt_vocab_size),
-        out_b=rng.uniform(-INIT_SCALE, INIT_SCALE, size=tgt_vocab_size),
-        init_w=mat(h, h),
-        init_b=rng.uniform(-INIT_SCALE, INIT_SCALE, size=h),
-    )
+    shapes = param_shapes(hyper.embed_dim, hyper.hidden_dim, src_vocab_size, tgt_vocab_size)
+    tensors: dict[str, Array] = {}
+    for name, shape in shapes.items():
+        tensors[name] = np.empty(shape)
+        blocks = 3 if name.partition(".")[0] in GRU_NAMES else 1
+        for block in np.split(tensors[name], blocks, axis=-1):
+            block[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=block.shape)
+    return ModelParams.from_tensors(tensors)
 
 
 def zero_gradients(params: ModelParams) -> dict[str, Array]:
@@ -207,96 +212,97 @@ def zero_gradients(params: ModelParams) -> dict[str, Array]:
 
 
 def _sigmoid(x: Array) -> Array:
-    # Split form avoids exp overflow warnings for large |x|.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # The tanh form cannot overflow for any finite x.
+    return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
-def gru_step(p: GruParams, h_prev: Array, x: Array) -> tuple[Array, tuple]:
-    """One GRU step: h = (1 - z) * h_prev + z * h~."""
-    z = _sigmoid(x @ p.w_z + h_prev @ p.u_z + p.b_z)
-    r = _sigmoid(x @ p.w_r + h_prev @ p.u_r + p.b_r)
+def _gru_step(p: GruParams, h_prev: Array, xw: Array) -> tuple[Array, tuple]:
+    """One GRU step, h = (1 - z) * h_prev + z * h~, from xw = x @ w + b (B, 3H)."""
+    n = h_prev.shape[1]
+    zr = _sigmoid(xw[:, : 2 * n] + h_prev @ p.u[:, : 2 * n])
+    z, r = zr[:, :n], zr[:, n:]
     rh = r * h_prev
-    h_cand = np.tanh(x @ p.w_h + rh @ p.u_h + p.b_h)
-    h = (1.0 - z) * h_prev + z * h_cand
-    return h, (x, h_prev, z, r, rh, h_cand)
+    h_cand = np.tanh(xw[:, 2 * n :] + rh @ p.u[:, 2 * n :])
+    return h_prev + z * (h_cand - h_prev), (h_prev, z, r, rh, h_cand)
 
 
-def gru_backward(
-    p: GruParams, cache: tuple, dh: Array, grads: dict[str, Array], prefix: str
-) -> tuple[Array, Array]:
-    """Backprop one GRU step; returns (dx, dh_prev) and accumulates grads."""
-    x, h_prev, z, r, rh, h_cand = cache
-    dz = dh * (h_cand - h_prev)
-    dh_cand = dh * z
-    dh_prev = dh * (1.0 - z)
-
-    da_h = dh_cand * (1.0 - h_cand * h_cand)      # through tanh
-    drh = da_h @ p.u_h.T
-    dr = drh * h_prev
-    dh_prev = dh_prev + drh * r
-    da_z = dz * z * (1.0 - z)                     # through sigmoid
-    da_r = dr * r * (1.0 - r)
-
-    dh_prev = dh_prev + da_z @ p.u_z.T + da_r @ p.u_r.T
-    dx = da_z @ p.w_z.T + da_r @ p.w_r.T + da_h @ p.w_h.T
-
-    grads[f"{prefix}.w_z"] += x.T @ da_z
-    grads[f"{prefix}.w_r"] += x.T @ da_r
-    grads[f"{prefix}.w_h"] += x.T @ da_h
-    grads[f"{prefix}.u_z"] += h_prev.T @ da_z
-    grads[f"{prefix}.u_r"] += h_prev.T @ da_r
-    grads[f"{prefix}.u_h"] += rh.T @ da_h
-    grads[f"{prefix}.b_z"] += da_z.sum(axis=0)
-    grads[f"{prefix}.b_r"] += da_r.sum(axis=0)
-    grads[f"{prefix}.b_h"] += da_h.sum(axis=0)
-    return dx, dh_prev
+def _gru_step_backward(p: GruParams, cache: tuple, dh: Array, d_xw: Array) -> Array:
+    """Backprop one GRU step: writes d(xw) (B, 3H) into d_xw, returns dh_prev."""
+    h_prev, z, r, rh, h_cand = cache
+    n = h_prev.shape[1]
+    da_h = dh * z * (1.0 - h_cand * h_cand)                      # through tanh
+    drh = da_h @ p.u[:, 2 * n :].T
+    d_xw[:, :n] = dh * (h_cand - h_prev) * z * (1.0 - z)         # through sigmoid
+    d_xw[:, n : 2 * n] = drh * h_prev * r * (1.0 - r)
+    d_xw[:, 2 * n :] = da_h
+    return dh * (1.0 - z) + drh * r + d_xw[:, : 2 * n] @ p.u[:, : 2 * n].T
 
 
-def encode_batch(
-    params: ModelParams, src_ids: Array, src_mask: Array
-) -> tuple[Array, dict]:
+def _gru_weight_grads(
+    grads: dict[str, Array], prefix: str, xs: Array, caches: list, d_xw: Array
+) -> None:
+    """Add a chain's w, u and b grads, one GEMM each, from its inputs xs
+    (T, B, input), per-step caches and input-projection grads d_xw (T, B, 3H)."""
+    n = d_xw.shape[2] // 3
+    flat = d_xw.reshape(-1, 3 * n)
+    h_prev = np.concatenate([cache[0] for cache in caches])
+    rh = np.concatenate([cache[3] for cache in caches])
+    grads[f"{prefix}.w"] += xs.reshape(-1, xs.shape[2]).T @ flat
+    grads[f"{prefix}.u"][:, : 2 * n] += h_prev.T @ flat[:, : 2 * n]
+    grads[f"{prefix}.u"][:, 2 * n :] += rh.T @ flat[:, 2 * n :]
+    grads[f"{prefix}.b"] += flat.sum(axis=0)
+
+
+def _gru_chain(p: GruParams, xw: Array, reverse: bool) -> tuple[Array, list]:
+    """Run one GRU over input projections xw (S, B, 3H); returns states (S, B, H), caches."""
+    steps, batch = xw.shape[:2]
+    h = np.zeros((batch, p.u.shape[0]))
+    states = np.empty((steps, batch, h.shape[1]))
+    caches: list = [None] * steps
+    for i in reversed(range(steps)) if reverse else range(steps):
+        h, caches[i] = _gru_step(p, h, xw[i])
+        states[i] = h
+    return states, caches
+
+
+def _gru_chain_backward(p: GruParams, caches: list, d_states: Array, reverse: bool) -> Array:
+    """Backprop a _gru_chain from d_states (S, B, H); returns d(xw) (S, B, 3H)."""
+    steps, batch, n = d_states.shape
+    d_xw = np.empty((steps, batch, 3 * n))
+    dh = np.zeros((batch, n))
+    for i in range(steps) if reverse else reversed(range(steps)):
+        dh = _gru_step_backward(p, caches[i], d_states[i] + dh, d_xw[i])
+    return d_xw
+
+
+def _scatter_rows(grad: Array, ids: Array, rows: Array) -> None:
+    """grad[ids[k]] += rows[k] for every k, as a sorted segment sum."""
+    ids = ids.reshape(-1)
+    order = np.argsort(ids, kind="stable")
+    unique, starts = np.unique(ids[order], return_index=True)
+    grad[unique] += np.add.reduceat(rows.reshape(len(ids), -1)[order], starts, axis=0)
+
+
+def encode_batch(params: ModelParams, src_ids: Array, src_mask: Array) -> tuple[Array, dict]:
     """Bidirectional encoding of a padded batch.
 
     Padded positions pass the recurrent state through unchanged, so extra
-    padding never alters the states at real positions.  Returns the
-    annotations (B, S, 2H) and the cache needed for the backward pass.
+    padding never alters the states at real positions: their update-gate
+    pre-activation is -inf, which makes z exactly 0 there and the gradients
+    through them exact pass-throughs.  Returns the annotations (B, S, 2H)
+    and the cache needed for the backward pass.
     """
-    batch, src_len = src_ids.shape
-    h = params.hidden_dim
-    ex = params.src_emb[src_ids]                       # (B, S, E)
-
-    fwd_caches = []
-    hf = np.zeros((batch, h))
-    fwd_states = np.empty((batch, src_len, h))
-    for i in range(src_len):
-        g, cache = gru_step(params.enc_fwd, hf, ex[:, i])
-        m = src_mask[:, i : i + 1]
-        hf = m * g + (1.0 - m) * hf
-        fwd_states[:, i] = hf
-        fwd_caches.append(cache)
-
-    bwd_caches: list = [None] * src_len
-    hb = np.zeros((batch, h))
-    bwd_states = np.empty((batch, src_len, h))
-    for i in reversed(range(src_len)):
-        g, cache = gru_step(params.enc_bwd, hb, ex[:, i])
-        m = src_mask[:, i : i + 1]
-        hb = m * g + (1.0 - m) * hb
-        bwd_states[:, i] = hb
-        bwd_caches[i] = cache
-
-    annotations = np.concatenate([fwd_states, bwd_states], axis=2)
-    cache = {
-        "src_ids": src_ids,
-        "src_mask": src_mask,
-        "fwd_caches": fwd_caches,
-        "bwd_caches": bwd_caches,
-    }
+    xs = params.src_emb[src_ids.T]                         # (S, B, E), time-major
+    padded = src_mask.T[:, :, None] == 0.0
+    cache = {"src_ids": src_ids, "xs": xs}
+    states = []
+    for prefix in ("enc_fwd", "enc_bwd"):
+        p = getattr(params, prefix)
+        xw = xs @ p.w + p.b
+        np.copyto(xw[:, :, : params.hidden_dim], -np.inf, where=padded)
+        chain, cache[prefix] = _gru_chain(p, xw, prefix == "enc_bwd")
+        states.append(chain)
+    annotations = np.ascontiguousarray(np.concatenate(states, axis=2).transpose(1, 0, 2))
     return annotations, cache
 
 
@@ -304,73 +310,62 @@ def encoder_backward(
     params: ModelParams, cache: dict, d_annotations: Array, grads: dict[str, Array]
 ) -> None:
     """Backprop through both encoder chains into cell and embedding grads."""
-    src_ids = cache["src_ids"]
-    src_mask = cache["src_mask"]
-    batch, src_len = src_ids.shape
     h = params.hidden_dim
-    d_ex = np.zeros((batch, src_len, params.embed_dim))
-
-    carry = np.zeros((batch, h))
-    for i in reversed(range(src_len)):
-        dh = d_annotations[:, i, :h] + carry
-        m = src_mask[:, i : i + 1]
-        dx, dh_prev = gru_backward(params.enc_fwd, cache["fwd_caches"][i], dh * m, grads, "enc_fwd")
-        d_ex[:, i] += dx
-        carry = dh * (1.0 - m) + dh_prev
-
-    carry = np.zeros((batch, h))
-    for i in range(src_len):
-        dh = d_annotations[:, i, h:] + carry
-        m = src_mask[:, i : i + 1]
-        dx, dh_next = gru_backward(params.enc_bwd, cache["bwd_caches"][i], dh * m, grads, "enc_bwd")
-        d_ex[:, i] += dx
-        carry = dh * (1.0 - m) + dh_next
-
-    np.add.at(grads["src_emb"], src_ids, d_ex)
+    xs = cache["xs"]
+    d_states = d_annotations.transpose(1, 0, 2)            # (S, B, 2H)
+    d_xs = np.zeros_like(xs)
+    for prefix, d_chain in (("enc_fwd", d_states[:, :, :h]), ("enc_bwd", d_states[:, :, h:])):
+        p = getattr(params, prefix)
+        d_xw = _gru_chain_backward(p, cache[prefix], d_chain, prefix == "enc_bwd")
+        _gru_weight_grads(grads, prefix, xs, cache[prefix], d_xw)
+        d_xs += d_xw @ p.w.T
+    _scatter_rows(grads["src_emb"], cache["src_ids"].T, d_xs)
 
 
 def attend_batch(
-    params: ModelParams, s_prev: Array, annotations: Array, src_mask: Array
+    params: ModelParams, s_prev: Array, annotations: Array, proj: Array, src_mask: Array
 ) -> tuple[Array, Array, tuple]:
     """Additive attention: scores v . tanh(W s_prev + U annotation).
 
+    proj is the projected context annotations @ att_u (B, S, H), which does
+    not depend on the decoder state and so is computed once per batch.
     Padded source positions get zero weight.  Returns the context vectors
     (B, 2H), the weights (B, S), and the backward cache.
     """
-    query = s_prev @ params.att_w                              # (B, H)
-    pre = query[:, None, :] + annotations @ params.att_u       # (B, S, H)
-    m = np.tanh(pre)
+    m = np.tanh((s_prev @ params.att_w)[:, None, :] + proj)  # (B, S, H)
     scores = m @ params.att_v                                  # (B, S)
-    neg_inf = np.float64(-np.inf)
-    masked = np.where(src_mask > 0.0, scores, neg_inf)
+    masked = np.where(src_mask > 0.0, scores, -np.inf)
     masked = masked - masked.max(axis=1, keepdims=True)
     weights = np.exp(masked)
     weights = weights / weights.sum(axis=1, keepdims=True)     # zeros stay zero
-    context = np.einsum("bs,bso->bo", weights, annotations)
-    return context, weights, (s_prev, annotations, m, weights)
+    context = (weights[:, None, :] @ annotations)[:, 0]
+    return context, weights, (s_prev, m, weights)
 
 
 def attend_backward(
     params: ModelParams,
     cache: tuple,
     d_context: Array,
-    d_annotations: Array,
+    annotations: Array,
+    d_pre_sum: Array,
     grads: dict[str, Array],
 ) -> Array:
-    """Backprop attention; accumulates into d_annotations, returns ds_prev."""
-    s_prev, annotations, m, weights = cache
-    d_weights = np.einsum("bso,bo->bs", annotations, d_context)
-    d_annotations += weights[:, :, None] * d_context[:, None, :]
+    """Backprop attention through the scores; returns ds_prev.
+
+    Adds the gradient of the pre-activation W s_prev + U annotation to
+    d_pre_sum (B, S, H).  The caller takes the att_u and annotation grads
+    from that sum, and the context -> annotations path, once per batch.
+    """
+    s_prev, m, weights = cache
+    d_weights = (annotations @ d_context[:, :, None])[:, :, 0]
     # softmax backward; masked positions have weight 0 and so gradient 0
     dot = (weights * d_weights).sum(axis=1, keepdims=True)
     d_scores = weights * (d_weights - dot)
-    grads["att_v"] += np.einsum("bsh,bs->h", m, d_scores)
-    d_m = d_scores[:, :, None] * params.att_v
-    d_pre = d_m * (1.0 - m * m)
+    grads["att_v"] += (d_scores[:, None, :] @ m).sum(axis=0)[0]
+    d_pre = d_scores[:, :, None] * params.att_v * (1.0 - m * m)
+    d_pre_sum += d_pre
     d_query = d_pre.sum(axis=1)
     grads["att_w"] += s_prev.T @ d_query
-    grads["att_u"] += np.einsum("bso,bsh->oh", annotations, d_pre)
-    d_annotations += d_pre @ params.att_u.T
     return d_query @ params.att_w.T
 
 
@@ -383,8 +378,8 @@ def init_decoder_state_batch(params: ModelParams, annotations: Array) -> tuple[A
 
 
 def _softmax_rows(logits: Array) -> tuple[Array, Array]:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     log_probs = shifted - log_z
     return np.exp(log_probs), log_probs
 
@@ -397,85 +392,89 @@ def loss_forward(
     tgt_mask: Array,
     start_id: int = START_ID,
 ) -> tuple[float, dict]:
-    """Teacher-forced forward pass; mean per-sequence NLL over the batch."""
+    """Teacher-forced forward pass; mean per-sequence NLL over the batch.
+
+    Under teacher forcing the decoder states never depend on the softmax,
+    so the output layer runs once over all T steps after the recurrence.
+    """
     batch, tgt_len = tgt_ids.shape
-    e, h = params.embed_dim, params.hidden_dim
+    e, h, dec = params.embed_dim, params.hidden_dim, params.dec
 
     annotations, enc_cache = encode_batch(params, src_ids, src_mask)
+    proj = annotations @ params.att_u                              # (B, S, H)
     s, init_cache = init_decoder_state_batch(params, annotations)
 
     prev_ids = np.concatenate(
         [np.full((batch, 1), start_id, dtype=tgt_ids.dtype), tgt_ids[:, :-1]], axis=1
     )
-    steps = []
-    total = 0.0
+    ey = params.tgt_emb[prev_ids.T]                                # (T, B, E), time-major
+    ey_w = ey @ dec.w[:e] + dec.b
+    states = np.empty((tgt_len, batch, h))
+    contexts = np.empty((tgt_len, batch, 2 * h))
+    att_caches, gru_caches = [], []
     for t in range(tgt_len):
-        ey = params.tgt_emb[prev_ids[:, t]]                            # (B, E)
-        context, _, att_cache = attend_batch(params, s, annotations, src_mask)
-        gru_in = np.concatenate([ey, context], axis=1)
-        s_new, gru_cache = gru_step(params.dec, s, gru_in)
-        readout = np.concatenate([s_new, ey, context], axis=1)         # (B, H+E+2H)
-        probs, log_probs = _softmax_rows(readout @ params.out_w + params.out_b)
-        gold = tgt_ids[:, t]
-        total += -(log_probs[np.arange(batch), gold] * tgt_mask[:, t]).sum()
-        steps.append((att_cache, gru_cache, readout, probs))
-        s = s_new
+        contexts[t], _, att_cache = attend_batch(params, s, annotations, proj, src_mask)
+        s, gru_cache = _gru_step(dec, s, ey_w[t] + contexts[t] @ dec.w[e:])
+        states[t] = s
+        att_caches.append(att_cache)
+        gru_caches.append(gru_cache)
 
-    loss = total / batch
-    cache = {
-        "annotations": annotations,
-        "enc_cache": enc_cache,
-        "init_cache": init_cache,
-        "src_mask": src_mask,
-        "prev_ids": prev_ids,
-        "tgt_ids": tgt_ids,
-        "tgt_mask": tgt_mask,
-        "steps": steps,
-        "batch": batch,
-    }
+    readout = np.concatenate([states, ey, contexts], axis=2)       # (T, B, H+E+2H)
+    probs, log_probs = _softmax_rows(readout @ params.out_w + params.out_b)
+    gold = np.take_along_axis(log_probs, tgt_ids.T[:, :, None], axis=2)[:, :, 0]
+    loss = -(gold * tgt_mask.T).sum() / batch
+    cache = dict(
+        annotations=annotations, enc_cache=enc_cache, init_cache=init_cache, prev_ids=prev_ids,
+        tgt_ids=tgt_ids, tgt_mask=tgt_mask, readout=readout, probs=probs,
+        att_caches=att_caches, gru_caches=gru_caches,
+    )
     return loss, cache
 
 
 def loss_backward(params: ModelParams, cache: dict) -> dict[str, Array]:
-    """Gradients of the mean per-sequence loss for every parameter."""
+    """Gradients of the mean per-sequence loss for every parameter.
+
+    The output layer's gradients come first, one GEMM each for all steps;
+    the loop over steps carries only the decoder state; the GRU, att_u and
+    annotation gradients then take one GEMM each.
+    """
     grads = zero_gradients(params)
-    annotations = cache["annotations"]
-    src_mask = cache["src_mask"]
-    tgt_ids = cache["tgt_ids"]
-    tgt_mask = cache["tgt_mask"]
-    prev_ids = cache["prev_ids"]
-    batch = cache["batch"]
-    e, h = params.embed_dim, params.hidden_dim
-    tgt_len = tgt_ids.shape[1]
+    annotations, readout = cache["annotations"], cache["readout"]
+    tgt_ids, tgt_mask = cache["tgt_ids"], cache["tgt_mask"]
+    e, h, dec = params.embed_dim, params.hidden_dim, params.dec
+    batch, tgt_len = tgt_ids.shape
 
-    d_annotations = np.zeros_like(annotations)
-    ds_carry = np.zeros((batch, h))
-    rows = np.arange(batch)
+    d_logits = cache["probs"].copy()                               # (T, B, V)
+    d_logits[np.arange(tgt_len)[:, None], np.arange(batch), tgt_ids.T] -= 1.0
+    d_logits *= tgt_mask.T[:, :, None] / batch
+    grads["out_w"] += readout.reshape(-1, readout.shape[2]).T @ d_logits.reshape(
+        -1, d_logits.shape[2]
+    )
+    grads["out_b"] += d_logits.sum(axis=(0, 1))
+    d_readout = d_logits @ params.out_w.T                          # (T, B, H+E+2H)
+
+    d_xw = np.empty((tgt_len, batch, 3 * h))
+    d_contexts = np.empty((tgt_len, batch, 2 * h))
+    d_pre_sum = np.zeros(annotations.shape[:2] + (h,))
+    ds = np.zeros((batch, h))
     for t in reversed(range(tgt_len)):
-        att_cache, gru_cache, readout, probs = cache["steps"][t]
-        d_logits = probs.copy()
-        d_logits[rows, tgt_ids[:, t]] -= 1.0
-        d_logits *= tgt_mask[:, t : t + 1] / batch
+        ds = _gru_step_backward(dec, cache["gru_caches"][t], ds + d_readout[t, :, :h], d_xw[t])
+        d_contexts[t] = d_readout[t, :, h + e :] + d_xw[t] @ dec.w[e:].T
+        ds = ds + attend_backward(
+            params, cache["att_caches"][t], d_contexts[t], annotations, d_pre_sum, grads
+        )
 
-        grads["out_w"] += readout.T @ d_logits
-        grads["out_b"] += d_logits.sum(axis=0)
-        d_readout = d_logits @ params.out_w.T
+    _gru_weight_grads(grads, "dec", readout[:, :, h:], cache["gru_caches"], d_xw)
+    d_ey = d_readout[:, :, h : h + e] + d_xw @ dec.w[:e].T
+    _scatter_rows(grads["tgt_emb"], cache["prev_ids"].T, d_ey)
 
-        ds = ds_carry + d_readout[:, :h]
-        d_ey = d_readout[:, h : h + e].copy()
-        d_context = d_readout[:, h + e :].copy()
-
-        d_gru_in, ds_prev = gru_backward(params.dec, gru_cache, ds, grads, "dec")
-        d_ey += d_gru_in[:, :e]
-        d_context += d_gru_in[:, e:]
-
-        ds_prev = ds_prev + attend_backward(params, att_cache, d_context, d_annotations, grads)
-        np.add.at(grads["tgt_emb"], prev_ids[:, t], d_ey)
-        ds_carry = ds_prev
+    grads["att_u"] += annotations.reshape(-1, 2 * h).T @ d_pre_sum.reshape(-1, h)
+    weights = np.stack([att_cache[2] for att_cache in cache["att_caches"]], axis=2)  # (B, S, T)
+    d_annotations = d_pre_sum @ params.att_u.T + weights @ d_contexts.transpose(1, 0, 2)
 
     # decoder initialization
     hb_first, s0 = cache["init_cache"]
-    da = ds_carry * (1.0 - s0 * s0)
+    da = ds * (1.0 - s0 * s0)
     grads["init_w"] += hb_first.T @ da
     grads["init_b"] += da.sum(axis=0)
     d_annotations[:, 0, h:] += da @ params.init_w.T
@@ -531,9 +530,10 @@ def attend(
     """Context vector and attention weights for one decoder step."""
     if annotations.shape[0] == 0:
         raise ValueError("annotations must be non-empty")
+    ann = annotations[None, :, :]
     mask = np.ones((1, annotations.shape[0]))
     context, weights, _ = attend_batch(
-        params, decoder_prev_state[None, :], annotations[None, :, :], mask
+        params, decoder_prev_state[None, :], ann, ann @ params.att_u, mask
     )
     return context[0], weights[0]
 
@@ -549,10 +549,9 @@ def decoder_step(
     """One decoder step: next state and the distribution over target ids."""
     _check_ids([prev_target_id], params.tgt_vocab_size, "target")
     ey = params.tgt_emb[prev_target_id][None, :]
-    mask = np.ones((1, annotations.shape[0]))
-    context, _, _ = attend_batch(params, prev_state[None, :], annotations[None, :, :], mask)
+    context = attend(prev_state, annotations, params)[0][None, :]
     gru_in = np.concatenate([ey, context], axis=1)
-    s_new, _ = gru_step(params.dec, prev_state[None, :], gru_in)
+    s_new, _ = _gru_step(params.dec, prev_state[None, :], gru_in @ params.dec.w + params.dec.b)
     readout = np.concatenate([s_new, ey, context], axis=1)
     probs, _ = _softmax_rows(readout @ params.out_w + params.out_b)
     return s_new[0], probs[0]

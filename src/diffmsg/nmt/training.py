@@ -4,14 +4,20 @@ Training reshuffles the pairs every epoch with a deterministically derived
 per-epoch RNG, validates by greedy-decode corpus BLEU, saves checkpoints
 on a fixed minibatch schedule, and early-stops when validation BLEU stops
 improving.  Checkpoints are a versioned binary container: one JSON header
-line (dims, vocab sizes, seed, tensor manifest, payload length) followed by
-raw float64 tensor bytes, so identical runs produce identical bytes.
+line (dims, vocab sizes, seed, tensor manifest, payload length, and the
+early-stopping state) followed by raw float64 tensor bytes, so identical
+runs produce identical bytes.  The header carries the best validation BLEU,
+the stall count and the loss window not yet logged, so a resumed run logs,
+checkpoints and stops exactly as an uninterrupted one.  Checkpoints are
+written to a temp file and renamed into place, and loading checks every
+header key and tensor shape before reading the payload.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,16 +29,16 @@ from ..corpus import DatasetSplit, Vocabulary
 from .decoding import greedy_decode
 from .model import (
     Array,
-    GruParams,
     Hyperparams,
     ModelParams,
     init_params,
     loss_backward,
     loss_forward,
     pad_batch,
+    param_shapes,
 )
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 # (accumulated squared gradient, accumulated squared update) per tensor
 OptimizerState = dict[str, tuple[Array, Array]]
@@ -81,9 +87,26 @@ class Checkpoint:
     minibatch_index: int
     validation_bleu: float | None
     seed: int = 0
+    # early-stopping and log state, so a resumed run decides as an unbroken one
+    best_bleu: float = 0.0
+    stall: int = 0
+    window_loss_sum: float = 0.0
+    window_loss_count: int = 0
+
+
+# every header key but "tensors" and "format_version", with its JSON type
+_HEADER_KEYS = {
+    "embed_dim": int, "hidden_dim": int, "src_vocab_size": int, "tgt_vocab_size": int,
+    "seed": int, "minibatch_index": int, "validation_bleu": (float, int, type(None)),
+    "has_optimizer_state": bool, "payload_bytes": int, "best_bleu": (float, int),
+    "stall": int, "window_loss_sum": (float, int), "window_loss_count": int,
+}
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
+    """Write a checkpoint atomically: a hidden temp file next to path,
+    fsynced, then renamed over path, so path never holds a partial file."""
+    path = Path(path)
     params = checkpoint.params
     tensors = dict(params.tensors())
     if checkpoint.optimizer_state is not None:
@@ -105,33 +128,60 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         "validation_bleu": checkpoint.validation_bleu,
         "has_optimizer_state": checkpoint.optimizer_state is not None,
         "payload_bytes": payload_bytes,
+        "best_bleu": checkpoint.best_bleu,
+        "stall": checkpoint.stall,
+        "window_loss_sum": checkpoint.window_loss_sum,
+        "window_loss_count": checkpoint.window_loss_count,
         "tensors": manifest,
     }
-    with open(path, "wb") as handle:
-        handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for tensor in tensors.values():
-            handle.write(np.ascontiguousarray(tensor, dtype=np.float64).tobytes())
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            for tensor in tensors.values():
+                handle.write(np.ascontiguousarray(tensor, dtype=np.float64).tobytes())
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _rebuild_params(header: dict, tensors: dict[str, Array]) -> ModelParams:
-    def gru(prefix: str) -> GruParams:
-        names = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
-        return GruParams(**{name: tensors[f"{prefix}.{name}"] for name in names})
-
-    return ModelParams(
-        src_emb=tensors["src_emb"],
-        tgt_emb=tensors["tgt_emb"],
-        enc_fwd=gru("enc_fwd"),
-        enc_bwd=gru("enc_bwd"),
-        dec=gru("dec"),
-        att_w=tensors["att_w"],
-        att_u=tensors["att_u"],
-        att_v=tensors["att_v"],
-        out_w=tensors["out_w"],
-        out_b=tensors["out_b"],
-        init_w=tensors["init_w"],
-        init_b=tensors["init_b"],
+def _check_header(path: str | Path, header: dict) -> None:
+    """Raise CheckpointError for a missing or mistyped key, or a manifest
+    that disagrees with the dimensions, vocabulary sizes or payload length."""
+    for key, kind in {**_HEADER_KEYS, "tensors": list}.items():
+        if key not in header:
+            raise CheckpointError(f"{path}: header lacks {key!r}")
+        value = header[key]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise CheckpointError(f"{path}: header key {key!r} has a bad value {value!r}")
+    expected = param_shapes(
+        header["embed_dim"], header["hidden_dim"],
+        header["src_vocab_size"], header["tgt_vocab_size"],
     )
+    if header["has_optimizer_state"]:
+        for name, shape in list(expected.items()):
+            expected[f"opt.{name}.grad_sq"] = expected[f"opt.{name}.update_sq"] = shape
+    found = {}
+    for entry in header["tensors"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise CheckpointError(f"{path}: malformed manifest entry {entry!r}")
+        found[entry["name"]] = entry.get("shape")
+    for name, shape in expected.items():
+        if name not in found:
+            raise CheckpointError(f"{path}: manifest lacks tensor {name!r}")
+        if found[name] != list(shape):
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {found[name]}, expected {list(shape)} "
+                f"from embed_dim, hidden_dim and the vocab sizes"
+            )
+    extra = sorted(found.keys() - expected.keys())
+    if extra:
+        raise CheckpointError(f"{path}: unexpected tensor {extra[0]!r} in manifest")
+    if header["payload_bytes"] != 8 * sum(int(np.prod(shape)) for shape in expected.values()):
+        raise CheckpointError(f"{path}: header key 'payload_bytes' disagrees with the manifest")
 
 
 def load_checkpoint(
@@ -139,7 +189,7 @@ def load_checkpoint(
     expected_src_vocab_size: int | None = None,
     expected_tgt_vocab_size: int | None = None,
 ) -> Checkpoint:
-    """Load a checkpoint, verifying version, payload length, and vocab sizes."""
+    """Load a checkpoint, verifying version, header, payload length, and vocab sizes."""
     with open(path, "rb") as handle:
         header_line = handle.readline()
         try:
@@ -153,6 +203,7 @@ def load_checkpoint(
                 f"{path}: format version {header.get('format_version')} "
                 f"!= {CHECKPOINT_FORMAT_VERSION}"
             )
+        _check_header(path, header)
         payload = handle.read()
     if len(payload) != header["payload_bytes"]:
         raise CheckpointError(
@@ -185,7 +236,7 @@ def load_checkpoint(
             .copy()
         )
         offset += count * 8
-    params = _rebuild_params(header, tensors)
+    params = ModelParams.from_tensors(tensors)
     optimizer_state: OptimizerState | None = None
     if header["has_optimizer_state"]:
         optimizer_state = {
@@ -198,6 +249,10 @@ def load_checkpoint(
         minibatch_index=header["minibatch_index"],
         validation_bleu=header["validation_bleu"],
         seed=header["seed"],
+        best_bleu=header["best_bleu"],
+        stall=header["stall"],
+        window_loss_sum=header["window_loss_sum"],
+        window_loss_count=header["window_loss_count"],
     )
 
 
@@ -256,12 +311,15 @@ def train(
         if optimizer_state is None:
             raise ValueError("cannot resume from a checkpoint without optimizer state")
         start_index = resume_from.minibatch_index
-        best_bleu = resume_from.validation_bleu or 0.0
+        best_bleu, stall = resume_from.best_bleu, resume_from.stall
+        window_loss_sum = resume_from.window_loss_sum
+        window_loss_count = resume_from.window_loss_count
     else:
         params = init_params(hyper, len(src_vocab), len(tgt_vocab))
         optimizer_state = init_optimizer_state(params)
         start_index = 0
-        best_bleu = 0.0
+        best_bleu, stall = 0.0, 0
+        window_loss_sum, window_loss_count = 0.0, 0
 
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if ckpt_dir is not None:
@@ -282,6 +340,10 @@ def train(
             minibatch_index=index,
             validation_bleu=validation,
             seed=hyper.seed,
+            best_bleu=best_bleu,
+            stall=stall,
+            window_loss_sum=window_loss_sum,
+            window_loss_count=window_loss_count,
         )
         checkpoints.append(checkpoint)
         if ckpt_dir is not None:
@@ -290,10 +352,7 @@ def train(
     n = len(train_pairs)
     batches_per_epoch = (n + hyper.minibatch_size - 1) // hyper.minibatch_size
     minibatch_index = start_index
-    stall = 0
     last_validation: float | None = resume_from.validation_bleu if resume_from else None
-    window_loss_sum = 0.0
-    window_loss_count = 0
     last_saved_index = -1
     stop = False
 

@@ -1,11 +1,14 @@
 """Tests for Adadelta, the training loop, and checkpoint serialization."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from diffmsg.corpus import EOS_ID, DatasetSplit, PreparedCommit, build_vocab
+from diffmsg.nmt import training
 from diffmsg.nmt import (
     Checkpoint,
     CheckpointError,
@@ -172,6 +175,38 @@ class TestTrain:
         for name, tensor in straight[-1].params.tensors().items():
             np.testing.assert_array_equal(tensor, resumed[-1].params.tensors()[name])
 
+    def test_resume_keeps_early_stopping_state(self, tmp_path):
+        # targets every model can learn: validation BLEU climbs from 0 to 100,
+        # then stalls until patience runs out; validations and checkpoints
+        # fall on different minibatches, so the resume points cut loss windows
+        items = [
+            PreparedCommit(str(i), f"file_{i % 3} changed line".split(),
+                           "fix the broken file path".split())
+            for i in range(12)
+        ]
+        split = DatasetSplit(train=items[:8], valid=items[8:], test=[], seed=0)
+        src, tgt = build_vocabs(split)
+        hyper = toy_hyper(embed_dim=8, hidden_dim=8, validate_every=4, checkpoint_every=3,
+                          patience=3, max_epochs=100)
+        whole = tmp_path / "whole"
+        straight = train(split, src, tgt, hyper, checkpoint_dir=whole, log_path=whole / "log")
+        stop = straight[-1].minibatch_index
+        assert stop < hyper.max_epochs * 2, "patience never triggered"
+        log = (whole / "log").read_text()
+        assert "val_bleu=0.0000" in log and "val_bleu=100.0000" in log
+
+        for cut in range(1, stop):
+            run = tmp_path / f"cut{cut}"
+            first = train(split, src, tgt, dataclasses.replace(hyper, max_minibatches=cut),
+                          checkpoint_dir=run, log_path=run / "log")
+            resumed = train(split, src, tgt, hyper, checkpoint_dir=run, log_path=run / "log",
+                            resume_from=load_checkpoint(run / f"checkpoint_{cut:08d}.ckpt"))
+            assert first[-1].minibatch_index == cut
+            assert resumed[-1].minibatch_index == stop, f"cut at {cut}"
+            assert (run / "log").read_text() == log, f"cut at {cut}"
+            for path in whole.glob("checkpoint_*.ckpt"):
+                assert (run / path.name).read_bytes() == path.read_bytes(), f"cut at {cut}"
+
     def test_validation_skipped_when_valid_empty(self):
         split = toy_split()
         split.valid = []
@@ -179,6 +214,20 @@ class TestTrain:
         checkpoints = train(split, src, tgt, toy_hyper(patience=0, validate_every=1))
         # no validation events, so patience never triggers: run to max_epochs
         assert checkpoints[-1].minibatch_index == 6
+
+
+def saved_checkpoint(tmp_path):
+    params, _ = tiny_params()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(Checkpoint(params, init_optimizer_state(params), 0, None), path)
+    return path
+
+
+def rewrite_header(path, edit):
+    header, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    edit(header)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
 
 
 class TestCheckpointIO:
@@ -210,16 +259,111 @@ class TestCheckpointIO:
             load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
-        params, _ = tiny_params()
-        checkpoint = Checkpoint(params, None, 0, None)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(checkpoint, path)
+        path = saved_checkpoint(tmp_path)
         data = path.read_bytes()
         header, payload = data.split(b"\n", 1)
-        header = header.replace(b'"format_version": 1', b'"format_version": 99')
+        current = f'"format_version": {training.CHECKPOINT_FORMAT_VERSION}'.encode()
+        assert current in header
+        header = header.replace(current, b'"format_version": 99')
         path.write_bytes(header + b"\n" + payload)
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # the layout before the GRU gates were fused: one tensor per gate
+        params, _ = tiny_params()
+        manifest = []
+        for name, tensor in params.tensors().items():
+            prefix, _, part = name.partition(".")
+            if part:
+                manifest += [{"name": f"{prefix}.{part}_{gate}",
+                              "shape": list(tensor.shape[:-1]) + [params.hidden_dim]}
+                             for gate in "zrh"]
+            else:
+                manifest.append({"name": name, "shape": list(tensor.shape)})
+        payload_bytes = 8 * sum(int(np.prod(entry["shape"])) for entry in manifest)
+        header = {
+            "format_version": 1, "embed_dim": params.embed_dim,
+            "hidden_dim": params.hidden_dim, "src_vocab_size": params.src_vocab_size,
+            "tgt_vocab_size": params.tgt_vocab_size, "seed": 3, "minibatch_index": 0,
+            "validation_bleu": None, "has_optimizer_state": False,
+            "payload_bytes": payload_bytes, "tensors": manifest,
+        }
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
+                         + bytes(payload_bytes))
+        with pytest.raises(CheckpointError, match="version 1 "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key", ["payload_bytes", "tensors", "embed_dim", "hidden_dim",
+                "src_vocab_size", "tgt_vocab_size"],
+    )
+    def test_missing_header_key_rejected(self, tmp_path, key):
+        path = saved_checkpoint(tmp_path)
+        rewrite_header(path, lambda header: header.pop(key))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value) and repr(key) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "key, tensor",
+        [("embed_dim", "src_emb"), ("hidden_dim", "enc_fwd.w"),
+         ("src_vocab_size", "src_emb"), ("tgt_vocab_size", "tgt_emb")],
+    )
+    def test_manifest_disagreeing_with_dimensions_rejected(self, tmp_path, key, tensor):
+        path = saved_checkpoint(tmp_path)
+        rewrite_header(path, lambda header: header.update({key: header[key] + 1}))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        message = str(info.value)
+        assert str(path) in message and repr(tensor) in message and "shape" in message
+
+    def test_payload_length_disagreeing_with_manifest_rejected(self, tmp_path):
+        # a consistently shortened file: payload_bytes matches the bytes present
+        path = saved_checkpoint(tmp_path)
+        rewrite_header(path, lambda header: header.update(payload_bytes=header["payload_bytes"] - 8))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CheckpointError, match="'payload_bytes'"):
+            load_checkpoint(path)
+
+    def test_failed_write_leaves_no_checkpoint(self, tmp_path, monkeypatch):
+        params, _ = tiny_params()
+        checkpoint = Checkpoint(params, init_optimizer_state(params), 4, None)
+        kept = tmp_path / "checkpoint_00000004.ckpt"
+        save_checkpoint(checkpoint, kept)
+        good = kept.read_bytes()
+
+        class FailingFile:
+            """Passes the header and the first tensor through, then fails."""
+
+            def __init__(self, handle):
+                self.handle = handle
+                self.writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError("disk full")
+                return self.handle.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+        monkeypatch.setattr(training, "open", lambda *args: FailingFile(open(*args)),
+                            raising=False)
+        checkpoint.minibatch_index = 8
+        for name in (kept.name, "checkpoint_00000008.ckpt"):
+            with pytest.raises(OSError, match="disk full"):
+                save_checkpoint(checkpoint, tmp_path / name)
+        assert [p.name for p in tmp_path.iterdir()] == [kept.name]
+        assert kept.read_bytes() == good
 
     def test_vocab_size_mismatch_rejected(self, tmp_path):
         params, _ = tiny_params(src_vocab=10, tgt_vocab=9)
