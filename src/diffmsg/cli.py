@@ -29,7 +29,7 @@ from .corpus import (
     split_dataset,
     write_split_files,
 )
-from .nmt import Hyperparams, ensemble_decode, load_checkpoint, train
+from .nmt import Hyperparams, beam_search, ensemble_decode, load_checkpoint, train
 from .vdo import default_lexicon, is_vdo, load_lexicon
 
 EXIT_OK = 0
@@ -85,21 +85,7 @@ class PipelineConfig:
 
     def hyperparams(self) -> Hyperparams:
         return Hyperparams(
-            embed_dim=self.embed_dim,
-            hidden_dim=self.hidden_dim,
-            minibatch_size=self.minibatch_size,
-            max_source_len=self.max_source_len,
-            max_target_len=self.max_target_len,
-            adadelta_rho=self.adadelta_rho,
-            adadelta_eps=self.adadelta_eps,
-            validate_every=self.validate_every,
-            checkpoint_every=self.checkpoint_every,
-            max_epochs=self.max_epochs,
-            max_minibatches=self.max_minibatches,
-            patience=self.patience,
-            ensemble_size=self.ensemble_size,
-            beam_width=self.beam_width,
-            seed=self.seed,
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(Hyperparams)}
         )
 
     def filter_config(self) -> FilterConfig:
@@ -295,6 +281,7 @@ def _load_ensemble(config: PipelineConfig, src_vocab: Vocabulary, tgt_vocab: Voc
             path,
             expected_src_vocab_size=len(src_vocab),
             expected_tgt_vocab_size=len(tgt_vocab),
+            params_only=True,
         )
         for path in selected
     ]
@@ -343,14 +330,12 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
     else:
         src_vocab, tgt_vocab = _load_vocabs(config)
         checkpoints = _load_ensemble(config, src_vocab, tgt_vocab)
-        generated = []
-        for item in split.test:
-            source_ids = src_vocab.encode(item.source[: config.max_source_len], add_eos=True)
-            ids = ensemble_decode(
-                checkpoints, source_ids, beam_width=config.beam_width,
-                max_len=config.max_target_len,
-            )
-            generated.append(tgt_vocab.decode(ids))
+        sources = [
+            src_vocab.encode(item.source[: config.max_source_len], add_eos=True)
+            for item in split.test
+        ]
+        decoded = beam_search(checkpoints, sources, config.beam_width, config.max_target_len)
+        generated = [tgt_vocab.decode(ids) for ids in decoded]
         model_name = f"ensemble_{len(checkpoints)}"
 
     pairs = list(zip(generated, references))
@@ -467,10 +452,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {len(paths)} checkpoint(s) to {config.checkpoint_dir}")
             return EXIT_OK
         if args.command == "generate":
-            if args.diff:
-                diff_text = Path(args.diff).read_text(encoding="utf-8")
-            else:
-                diff_text = sys.stdin.read()
+            raw = Path(args.diff).read_bytes() if args.diff else sys.stdin.buffer.read()
+            diff_text = raw.decode("utf-8", errors="replace")
             code, line = cmd_generate(config, diff_text, with_qa=args.with_qa)
             print(line)
             return code

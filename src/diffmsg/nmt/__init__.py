@@ -1,6 +1,6 @@
 """Attentional encoder-decoder: model, training, and decoding."""
 
-from .decoding import ensemble_decode, greedy_decode
+from .decoding import beam_search, ensemble_decode, greedy_decode
 from .model import (
     Hyperparams,
     ModelParams,
@@ -31,6 +31,7 @@ __all__ = [
     "adadelta_update",
     "attend",
     "batch_loss",
+    "beam_search",
     "decoder_step",
     "encode",
     "ensemble_decode",

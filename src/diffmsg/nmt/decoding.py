@@ -1,134 +1,135 @@
-"""Greedy and ensemble beam-search decoding.
+"""Greedy and ensemble beam-search decoding, batched over sources.
 
 Ensemble decoding averages the next-token probabilities of each model
 (arithmetic mean, not log mean) and scores hypotheses by the sum of log
 mean-probabilities, without length normalization.  A hypothesis completes
 when it emits EOS or reaches the maximum length; the best-scoring complete
-hypothesis wins.
+hypothesis wins, the first completed one on a tie.
+
+One search serves every caller: each model encodes a batch of sources once
+and advances the live hypotheses of all of them in one step per token.
+Each source keeps its own beam, takes its top beam-width (hypothesis,
+token) candidates by a stable sort, so ties keep (hypothesis, token) order,
+and leaves the batch when its beam is empty.  Greedy decoding is the case
+of one model and beam width 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..corpus import EOS_ID, START_ID
-from .model import Array, ModelParams, decoder_step, encode, init_decoder_state
+from .model import Array, ModelParams, decoder_step_batch, encode_sources
+
+# Bound on B*K*S*H, the size of one model's attention activations in one
+# decoder step (4 MB in float64); it sets how many sources a batch holds.
+MAX_STEP_ELEMENTS = 1 << 19
 
 
 def greedy_decode(
-    params: ModelParams,
-    source_ids: list[int],
-    max_len: int,
-    start_id: int = START_ID,
+    params: ModelParams, source_ids: list[int], max_len: int, start_id: int = START_ID,
     eos_id: int = EOS_ID,
 ) -> list[int]:
     """Argmax decoding with a single model; EOS is not included."""
-    annotations = encode(source_ids, params)
-    state = init_decoder_state(annotations, params)
-    prev = start_id
-    tokens: list[int] = []
-    for _ in range(max_len):
-        state, dist = decoder_step(state, prev, annotations, params)
-        token = int(np.argmax(dist))
-        if token == eos_id:
-            break
-        tokens.append(token)
-        prev = token
-    return tokens
-
-
-@dataclass
-class _Hypothesis:
-    tokens: tuple[int, ...]
-    score: float
-    states: list[Array]
-    prev_id: int
-
-
-def _check_compatible(models: list[ModelParams]) -> None:
-    first = models[0]
-    for m in models[1:]:
-        if (
-            m.src_vocab_size != first.src_vocab_size
-            or m.tgt_vocab_size != first.tgt_vocab_size
-            or m.embed_dim != first.embed_dim
-            or m.hidden_dim != first.hidden_dim
-        ):
-            raise ValueError("ensemble members must share vocabulary sizes and dimensions")
+    return beam_search([params], [source_ids], 1, max_len, start_id, eos_id)[0]
 
 
 def ensemble_decode(
-    checkpoints: list,
-    source_ids: list[int],
-    beam_width: int,
-    max_len: int,
-    start_id: int = START_ID,
-    eos_id: int = EOS_ID,
+    checkpoints: list, source_ids: list[int], beam_width: int, max_len: int,
+    start_id: int = START_ID, eos_id: int = EOS_ID,
 ) -> list[int]:
+    """Beam search for one source; see beam_search."""
+    return beam_search(checkpoints, [source_ids], beam_width, max_len, start_id, eos_id)[0]
+
+
+def beam_search(
+    checkpoints: list, sources: list[list[int]], beam_width: int, max_len: int,
+    start_id: int = START_ID, eos_id: int = EOS_ID,
+) -> list[list[int]]:
     """Beam search over the mean of per-model next-token distributions.
 
-    checkpoints may be Checkpoint objects or bare ModelParams.  Returns the
-    token ids of the best complete hypothesis (EOS excluded).
+    checkpoints may be Checkpoint objects or bare ModelParams.  Returns, in
+    input order, the token ids of each source's best complete hypothesis
+    (EOS excluded).  Sources are decoded in batches of similar length,
+    sized by MAX_STEP_ELEMENTS.
     """
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     if not checkpoints:
         raise ValueError("ensemble requires at least one checkpoint")
     models = [getattr(c, "params", c) for c in checkpoints]
-    _check_compatible(models)
+    if len({(m.src_vocab_size, m.tgt_vocab_size, m.embed_dim, m.hidden_dim) for m in models}) > 1:
+        raise ValueError("ensemble members must share vocabulary sizes and dimensions")
+    order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
+    longest = max((len(s) for s in sources), default=1)
+    size = max(1, MAX_STEP_ELEMENTS // (beam_width * longest * models[0].hidden_dim))
+    results: list[list[int]] = [[] for _ in sources]
+    for lo in range(0, len(order), size):
+        batch = order[lo : lo + size]
+        found = _search(models, [sources[i] for i in batch], beam_width, max_len, start_id, eos_id)
+        for i, tokens in zip(batch, found):
+            results[i] = tokens
+    return results
 
-    annotations = [encode(source_ids, m) for m in models]
-    beam = [
-        _Hypothesis(
-            tokens=(),
-            score=0.0,
-            states=[init_decoder_state(a, m) for a, m in zip(annotations, models)],
-            prev_id=start_id,
-        )
-    ]
-    completed: list[tuple[float, tuple[int, ...]]] = []
+
+def _pad_rows(rows: list[list], fill) -> Array:
+    width = max(map(len, rows))
+    return np.array([row + [fill] * (width - len(row)) for row in rows])
+
+
+def _search(
+    models: list[ModelParams], sources: list[list[int]], beam_width: int, max_len: int,
+    start_id: int, eos_id: int,
+) -> list[list[int]]:
+    """Beam search for one batch of sources.
+
+    Row b of the batch holds source live[b]: its beam hyps[b] (token tuples)
+    and, padded to the widest beam K, their scores (B, K), last tokens
+    (B, K) and each model's states (B, K, H).  Padding slots score -inf and
+    come after the real ones, so a stable sort never ranks them first.
+    """
+    encoded = [encode_sources(m, sources) for m in models]
+    encodings = [e[:3] for e in encoded]              # annotations, proj, mask
+    states = [e[3][:, None, :] for e in encoded]
+    live = np.arange(len(sources))
+    hyps: list[list[tuple[int, ...]]] = [[()] for _ in sources]
+    scores = np.zeros((len(sources), 1))
+    prev = np.full((len(sources), 1), start_id)
+    completed: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in sources]
 
     for _ in range(max_len):
-        candidates: list[tuple[float, int, int, list[Array]]] = []
-        for hyp_index, hyp in enumerate(beam):
-            new_states = []
-            dists = []
-            for m, model in enumerate(models):
-                state, dist = decoder_step(hyp.states[m], hyp.prev_id, annotations[m], model)
-                new_states.append(state)
-                dists.append(dist)
-            mean_dist = np.mean(np.stack(dists, axis=0), axis=0)
-            with np.errstate(divide="ignore"):
-                log_probs = np.log(mean_dist)
-            for token in range(mean_dist.shape[0]):
-                candidates.append(
-                    (hyp.score + float(log_probs[token]), hyp_index, token, new_states)
-                )
-        # stable sort on score alone keeps (hypothesis, token) order on ties
-        candidates.sort(key=lambda item: -item[0])
-        next_beam: list[_Hypothesis] = []
-        for score, hyp_index, token, new_states in candidates[:beam_width]:
-            parent = beam[hyp_index]
-            if token == eos_id:
-                completed.append((score, parent.tokens))
-            else:
-                next_beam.append(
-                    _Hypothesis(
-                        tokens=parent.tokens + (token,),
-                        score=score,
-                        states=new_states,
-                        prev_id=token,
-                    )
-                )
-        beam = next_beam
-        if not beam:
+        stepped = [decoder_step_batch(m, s, prev, *c) for m, s, c in zip(models, states, encodings)]
+        mean = np.mean(np.stack([probs for _, probs in stepped], axis=0), axis=0)  # (B, K, V)
+        vocab = mean.shape[2]
+        with np.errstate(divide="ignore"):
+            candidates = (scores[:, :, None] + np.log(mean)).reshape(len(hyps), -1)
+        ranked = np.argsort(-candidates, axis=1, kind="stable")
+        rows, beams = [], []
+        for b, beam in enumerate(hyps):
+            kept = []  # (parent, token, score, tokens) of each surviving candidate
+            for flat in ranked[b, : min(beam_width, len(beam) * vocab)]:
+                k, token = divmod(int(flat), vocab)
+                score = float(candidates[b, flat])
+                if token == eos_id:
+                    completed[live[b]].append((score, beam[k]))
+                else:
+                    kept.append((k, token, score, beam[k] + (token,)))
+            if kept:
+                rows.append(b)
+                beams.append(kept)
+        if not rows:
+            hyps = []
             break
+        parent = _pad_rows([[c[0] for c in kept] for kept in beams], 0)
+        states = [new_states[np.array(rows)[:, None], parent] for new_states, _ in stepped]
+        prev = _pad_rows([[c[1] for c in kept] for kept in beams], start_id)
+        scores = _pad_rows([[c[2] for c in kept] for kept in beams], -np.inf)
+        hyps = [[c[3] for c in kept] for kept in beams]
+        if len(rows) < len(live):
+            encodings = [tuple(part[rows] for part in e) for e in encodings]
+            live = live[rows]
 
-    completed.extend((hyp.score, hyp.tokens) for hyp in beam)  # length-capped
-    best_score, best_tokens = completed[0]
-    for score, tokens in completed[1:]:
-        if score > best_score:
-            best_score, best_tokens = score, tokens
-    return list(best_tokens)
+    for b, beam in enumerate(hyps):  # length-capped
+        completed[live[b]].extend(zip(scores[b].tolist(), beam))
+    # max returns the first maximal item
+    return [list(max(found, key=lambda item: item[0])[1]) for found in completed]

@@ -253,16 +253,18 @@ def _gru_weight_grads(
     grads[f"{prefix}.b"] += flat.sum(axis=0)
 
 
-def _gru_chain(p: GruParams, xw: Array, reverse: bool) -> tuple[Array, list]:
-    """Run one GRU over input projections xw (S, B, 3H); returns states (S, B, H), caches."""
+def _gru_chain(p: GruParams, xw: Array, reverse: bool, caches: list | None = None) -> Array:
+    """Run one GRU over input projections xw (S, B, 3H); returns states (S, B, H).
+    Stores step i's backward cache in caches[i] if given a list of S slots."""
     steps, batch = xw.shape[:2]
     h = np.zeros((batch, p.u.shape[0]))
     states = np.empty((steps, batch, h.shape[1]))
-    caches: list = [None] * steps
     for i in reversed(range(steps)) if reverse else range(steps):
-        h, caches[i] = _gru_step(p, h, xw[i])
+        h, step_cache = _gru_step(p, h, xw[i])
+        if caches is not None:
+            caches[i] = step_cache
         states[i] = h
-    return states, caches
+    return states
 
 
 def _gru_chain_backward(p: GruParams, caches: list, d_states: Array, reverse: bool) -> Array:
@@ -283,27 +285,29 @@ def _scatter_rows(grad: Array, ids: Array, rows: Array) -> None:
     grad[unique] += np.add.reduceat(rows.reshape(len(ids), -1)[order], starts, axis=0)
 
 
-def encode_batch(params: ModelParams, src_ids: Array, src_mask: Array) -> tuple[Array, dict]:
-    """Bidirectional encoding of a padded batch.
+def encode_batch(
+    params: ModelParams, src_ids: Array, src_mask: Array, cache: dict | None = None
+) -> Array:
+    """Bidirectional encoding of a padded batch; returns the annotations (B, S, 2H).
 
     Padded positions pass the recurrent state through unchanged, so extra
     padding never alters the states at real positions: their update-gate
     pre-activation is -inf, which makes z exactly 0 there and the gradients
-    through them exact pass-throughs.  Returns the annotations (B, S, 2H)
-    and the cache needed for the backward pass.
+    through them exact pass-throughs.  Fills cache, when given, with what
+    the backward pass needs; inference passes none and keeps no step caches.
     """
     xs = params.src_emb[src_ids.T]                         # (S, B, E), time-major
     padded = src_mask.T[:, :, None] == 0.0
-    cache = {"src_ids": src_ids, "xs": xs}
+    if cache is not None:
+        cache.update(src_ids=src_ids, xs=xs)
     states = []
     for prefix in ("enc_fwd", "enc_bwd"):
         p = getattr(params, prefix)
         xw = xs @ p.w + p.b
         np.copyto(xw[:, :, : params.hidden_dim], -np.inf, where=padded)
-        chain, cache[prefix] = _gru_chain(p, xw, prefix == "enc_bwd")
-        states.append(chain)
-    annotations = np.ascontiguousarray(np.concatenate(states, axis=2).transpose(1, 0, 2))
-    return annotations, cache
+        caches = None if cache is None else cache.setdefault(prefix, [None] * len(xs))
+        states.append(_gru_chain(p, xw, prefix == "enc_bwd", caches))
+    return np.ascontiguousarray(np.concatenate(states, axis=2).transpose(1, 0, 2))
 
 
 def encoder_backward(
@@ -330,15 +334,18 @@ def attend_batch(
     proj is the projected context annotations @ att_u (B, S, H), which does
     not depend on the decoder state and so is computed once per batch.
     Padded source positions get zero weight.  Returns the context vectors
-    (B, 2H), the weights (B, S), and the backward cache.
+    (B, 2H), the weights (B, S), and the backward cache.  For K hypotheses
+    per source, s_prev is (B, K, H) and annotations, proj and src_mask carry
+    a broadcast axis, (B, 1, S, ...); the results then are (B, K, ...).
     """
-    m = np.tanh((s_prev @ params.att_w)[:, None, :] + proj)  # (B, S, H)
+    m = (s_prev @ params.att_w)[..., None, :] + proj
+    np.tanh(m, out=m)                                          # (B, S, H)
     scores = m @ params.att_v                                  # (B, S)
     masked = np.where(src_mask > 0.0, scores, -np.inf)
-    masked = masked - masked.max(axis=1, keepdims=True)
+    masked = masked - masked.max(axis=-1, keepdims=True)
     weights = np.exp(masked)
-    weights = weights / weights.sum(axis=1, keepdims=True)     # zeros stay zero
-    context = (weights[:, None, :] @ annotations)[:, 0]
+    weights = weights / weights.sum(axis=-1, keepdims=True)    # zeros stay zero
+    context = (weights[..., None, :] @ annotations)[..., 0, :]
     return context, weights, (s_prev, m, weights)
 
 
@@ -400,7 +407,8 @@ def loss_forward(
     batch, tgt_len = tgt_ids.shape
     e, h, dec = params.embed_dim, params.hidden_dim, params.dec
 
-    annotations, enc_cache = encode_batch(params, src_ids, src_mask)
+    enc_cache: dict = {}
+    annotations = encode_batch(params, src_ids, src_mask, enc_cache)
     proj = annotations @ params.att_u                              # (B, S, H)
     s, init_cache = init_decoder_state_batch(params, annotations)
 
@@ -483,25 +491,23 @@ def loss_backward(params: ModelParams, cache: dict) -> dict[str, Array]:
     return grads
 
 
+def _pad_sequences(seqs: list[list[int]], pad_id: int = PAD_ID) -> tuple[Array, Array]:
+    """Pad id sequences to a rectangular array with a 0/1 mask."""
+    ids = np.full((len(seqs), max(map(len, seqs))), pad_id, dtype=np.int64)
+    mask = np.zeros(ids.shape)
+    for b, seq in enumerate(seqs):
+        ids[b, : len(seq)] = seq
+        mask[b, : len(seq)] = 1.0
+    return ids, mask
+
+
 def pad_batch(
     sources: list[list[int]], targets: list[list[int]], pad_id: int = PAD_ID
 ) -> tuple[Array, Array, Array, Array]:
-    """Pad id sequences to rectangular arrays with 0/1 masks."""
+    """Pad sources and targets to rectangular arrays with 0/1 masks."""
     if not sources or len(sources) != len(targets):
         raise ValueError("batch must contain the same positive number of sources and targets")
-    src_len = max(len(s) for s in sources)
-    tgt_len = max(len(t) for t in targets)
-    batch = len(sources)
-    src_ids = np.full((batch, src_len), pad_id, dtype=np.int64)
-    tgt_ids = np.full((batch, tgt_len), pad_id, dtype=np.int64)
-    src_mask = np.zeros((batch, src_len))
-    tgt_mask = np.zeros((batch, tgt_len))
-    for b, (s, t) in enumerate(zip(sources, targets)):
-        src_ids[b, : len(s)] = s
-        src_mask[b, : len(s)] = 1.0
-        tgt_ids[b, : len(t)] = t
-        tgt_mask[b, : len(t)] = 1.0
-    return src_ids, src_mask, tgt_ids, tgt_mask
+    return (*_pad_sequences(sources, pad_id), *_pad_sequences(targets, pad_id))
 
 
 def _check_ids(ids: list[int], vocab_size: int, what: str) -> None:
@@ -511,17 +517,52 @@ def _check_ids(ids: list[int], vocab_size: int, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Single-sequence views over the batched kernels.
+# Inference: encode a batch of sources once, then step K hypotheses of each.
+
+def encode_sources(params: ModelParams, sources: list[list[int]]) -> tuple[Array, ...]:
+    """Encode id sequences (EOS appended), padded to the longest, keeping no
+    backward caches: returns the annotations (B, S, 2H), their projection
+    annotations @ att_u (B, S, H), the mask (B, S) and the states s_0 (B, H)."""
+    for ids in sources:
+        if not ids:
+            raise ValueError("source sequence must be non-empty")
+        _check_ids(ids, params.src_vocab_size, "source")
+    src_ids, src_mask = _pad_sequences(sources)
+    annotations = encode_batch(params, src_ids, src_mask)
+    s0, _ = init_decoder_state_batch(params, annotations)
+    return annotations, annotations @ params.att_u, src_mask, s0
+
+
+def decoder_step_batch(
+    params: ModelParams,
+    s_prev: Array,
+    prev_ids: Array,
+    annotations: Array,
+    proj: Array,
+    src_mask: Array,
+) -> tuple[Array, Array]:
+    """One decoder step for K hypotheses of each of B sources: from their
+    states (B, K, H), last tokens (B, K) and encoded sources (see
+    encode_sources), the next states (B, K, H) and distributions (B, K, V)."""
+    batch, width, h = s_prev.shape
+    rows = batch * width
+    ey = params.tgt_emb[prev_ids]                                  # (B, K, E)
+    context, _, _ = attend_batch(
+        params, s_prev, annotations[:, None], proj[:, None], src_mask[:, None]
+    )
+    gru_in = np.concatenate([ey, context], axis=2).reshape(rows, -1)
+    s_new, _ = _gru_step(params.dec, s_prev.reshape(rows, h), gru_in @ params.dec.w + params.dec.b)
+    readout = np.concatenate([s_new, gru_in], axis=1)              # (rows, H+E+2H)
+    probs, _ = _softmax_rows(readout @ params.out_w + params.out_b)
+    return s_new.reshape(batch, width, h), probs.reshape(batch, width, -1)
+
+
+# ---------------------------------------------------------------------------
+# Single-sequence views over the batched kernels, for tests.
 
 def encode(source_ids: list[int], params: ModelParams) -> Array:
     """Annotations (S, 2H) for one source sequence (EOS already appended)."""
-    _check_ids(source_ids, params.src_vocab_size, "source")
-    if not source_ids:
-        raise ValueError("source sequence must be non-empty")
-    ids = np.asarray([source_ids], dtype=np.int64)
-    mask = np.ones_like(ids, dtype=np.float64)
-    annotations, _ = encode_batch(params, ids, mask)
-    return annotations[0]
+    return encode_sources(params, [source_ids])[0][0]
 
 
 def attend(
@@ -548,13 +589,20 @@ def decoder_step(
 ) -> tuple[Array, Array]:
     """One decoder step: next state and the distribution over target ids."""
     _check_ids([prev_target_id], params.tgt_vocab_size, "target")
-    ey = params.tgt_emb[prev_target_id][None, :]
-    context = attend(prev_state, annotations, params)[0][None, :]
-    gru_in = np.concatenate([ey, context], axis=1)
-    s_new, _ = _gru_step(params.dec, prev_state[None, :], gru_in @ params.dec.w + params.dec.b)
-    readout = np.concatenate([s_new, ey, context], axis=1)
-    probs, _ = _softmax_rows(readout @ params.out_w + params.out_b)
-    return s_new[0], probs[0]
+    ann, mask = annotations[None, :, :], np.ones((1, annotations.shape[0]))
+    s_new, probs = decoder_step_batch(
+        params, prev_state[None, None], np.array([[prev_target_id]]), ann, ann @ params.att_u, mask
+    )
+    return s_new[0, 0], probs[0, 0]
+
+
+def _batch_forward(
+    batch: list[tuple[list[int], list[int]]], params: ModelParams, start_id: int
+) -> tuple[float, dict]:
+    if not batch:
+        raise ValueError("batch must be non-empty")
+    padded = pad_batch([s for s, _ in batch], [t for _, t in batch])
+    return loss_forward(params, *padded, start_id=start_id)
 
 
 def sequence_loss(
@@ -566,32 +614,18 @@ def sequence_loss(
     _check_ids(target_ids, params.tgt_vocab_size, "target")
     if not target_ids:
         raise ValueError("target sequence must be non-empty")
-    src, src_mask, tgt, tgt_mask = pad_batch([source_ids], [target_ids])
-    loss, _ = loss_forward(params, src, src_mask, tgt, tgt_mask, start_id=start_id)
-    return loss, len(target_ids)
+    return _batch_forward([pair], params, start_id)[0], len(target_ids)
 
 
 def batch_loss(
     batch: list[tuple[list[int], list[int]]], params: ModelParams, start_id: int = START_ID
 ) -> float:
     """Mean per-sequence loss of a batch (the quantity gradients derive)."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    sources = [s for s, _ in batch]
-    targets = [t for _, t in batch]
-    src, src_mask, tgt, tgt_mask = pad_batch(sources, targets)
-    loss, _ = loss_forward(params, src, src_mask, tgt, tgt_mask, start_id=start_id)
-    return loss
+    return _batch_forward(batch, params, start_id)[0]
 
 
 def gradients(
     batch: list[tuple[list[int], list[int]]], params: ModelParams, start_id: int = START_ID
 ) -> dict[str, Array]:
     """Exact gradients of the mean per-sequence loss over a padded batch."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    sources = [s for s, _ in batch]
-    targets = [t for _, t in batch]
-    src, src_mask, tgt, tgt_mask = pad_batch(sources, targets)
-    _, cache = loss_forward(params, src, src_mask, tgt, tgt_mask, start_id=start_id)
-    return loss_backward(params, cache)
+    return loss_backward(params, _batch_forward(batch, params, start_id)[1])

@@ -26,7 +26,7 @@ import numpy as np
 
 from .. import bleu
 from ..corpus import DatasetSplit, Vocabulary
-from .decoding import greedy_decode
+from .decoding import beam_search
 from .model import (
     Array,
     Hyperparams,
@@ -188,8 +188,14 @@ def load_checkpoint(
     path: str | Path,
     expected_src_vocab_size: int | None = None,
     expected_tgt_vocab_size: int | None = None,
+    params_only: bool = False,
 ) -> Checkpoint:
-    """Load a checkpoint, verifying version, header, payload length, and vocab sizes."""
+    """Load a checkpoint, verifying version, header, payload length, and vocab sizes.
+
+    With params_only, reads the model tensors, which come first in the
+    payload, and not the optimizer state (optimizer_state is then None).
+    The tensors are views into one writable buffer.
+    """
     with open(path, "rb") as handle:
         header_line = handle.readline()
         try:
@@ -204,11 +210,24 @@ def load_checkpoint(
                 f"!= {CHECKPOINT_FORMAT_VERSION}"
             )
         _check_header(path, header)
-        payload = handle.read()
-    if len(payload) != header["payload_bytes"]:
-        raise CheckpointError(
-            f"{path}: truncated payload ({len(payload)} of {header['payload_bytes']} bytes)"
-        )
+        present = os.fstat(handle.fileno()).st_size - len(header_line)
+        if present != header["payload_bytes"]:
+            raise CheckpointError(
+                f"{path}: truncated payload ({present} of {header['payload_bytes']} bytes)"
+            )
+        manifest = header["tensors"]
+        if params_only:
+            names = param_shapes(
+                header["embed_dim"], header["hidden_dim"],
+                header["src_vocab_size"], header["tgt_vocab_size"],
+            ).keys()
+            manifest = manifest[: len(names)]
+            if {entry["name"] for entry in manifest} != names:
+                raise CheckpointError(f"{path}: the payload does not start with the parameters")
+        counts = [int(np.prod(entry["shape"])) for entry in manifest]
+        payload = bytearray(8 * sum(counts))
+        if handle.readinto(payload) != len(payload):
+            raise CheckpointError(f"{path}: truncated payload")
     if (
         expected_src_vocab_size is not None
         and header["src_vocab_size"] != expected_src_vocab_size
@@ -227,18 +246,14 @@ def load_checkpoint(
         )
     tensors: dict[str, Array] = {}
     offset = 0
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        tensors[entry["name"]] = (
-            np.frombuffer(payload, dtype=np.float64, count=count, offset=offset)
-            .reshape(shape)
-            .copy()
-        )
+    for entry, count in zip(manifest, counts):
+        tensors[entry["name"]] = np.frombuffer(
+            payload, dtype=np.float64, count=count, offset=offset
+        ).reshape(entry["shape"])
         offset += count * 8
     params = ModelParams.from_tensors(tensors)
     optimizer_state: OptimizerState | None = None
-    if header["has_optimizer_state"]:
+    if header["has_optimizer_state"] and not params_only:
         optimizer_state = {
             name: (tensors[f"opt.{name}.grad_sq"], tensors[f"opt.{name}.update_sq"])
             for name in params.tensors()
@@ -269,10 +284,8 @@ def _validation_bleu(
     tgt_vocab: Vocabulary,
     max_target_len: int,
 ) -> float:
-    pairs = []
-    for source_ids, ref_tokens in valid_pairs:
-        generated = greedy_decode(params, source_ids, max_len=max_target_len)
-        pairs.append((tgt_vocab.decode(generated), ref_tokens))
+    generated = beam_search([params], [s for s, _ in valid_pairs], 1, max_target_len)
+    pairs = [(tgt_vocab.decode(ids), ref) for ids, (_, ref) in zip(generated, valid_pairs)]
     return bleu.corpus_bleu(pairs).bleu
 
 

@@ -1,6 +1,9 @@
 """End-to-end tests for the pipeline commands and the CLI contract."""
 
+import dataclasses
+import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from diffmsg.cli import (
     cmd_train,
     main,
 )
+from diffmsg.nmt import Hyperparams
 from diffmsg.qa import QaModel, compute_idf, save_qa_model
 
 
@@ -73,6 +77,18 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(PipelineError, match="unknown config keys"):
             PipelineConfig.from_json('{"bogus_knob": 1}')
+
+    def test_every_hyperparameter_is_a_config_field_with_the_same_default(self):
+        config_fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+        for field in dataclasses.fields(Hyperparams):
+            assert field.name in config_fields, field.name
+            assert config_fields[field.name].default == field.default, field.name
+
+    def test_hyperparams_copies_every_field(self):
+        values = {f.name: getattr(Hyperparams(), f.name) for f in dataclasses.fields(Hyperparams)}
+        changed = {name: value * 2 + 1 for name, value in values.items()}
+        config = PipelineConfig(**changed)
+        assert dataclasses.asdict(config.hyperparams()) == changed
 
 
 class TestPrepare:
@@ -327,6 +343,22 @@ class TestMainExitCodes:
         assert main(["--config", str(path), "generate", "--diff", str(diff_file)]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.strip()
+
+    def test_non_utf8_diff_is_decoded_with_replacement(self, tmp_path, capsys, monkeypatch):
+        path, _ = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert main(["--config", str(path), "train"]) == EXIT_OK
+        raw = "+ helper_2 ( caf\u00e9 )".encode("latin-1") + b" \xff\xfe\x00 binary"
+        diff_file = tmp_path / "latin1.diff"
+        diff_file.write_bytes(raw)
+        capsys.readouterr()
+        code = main(["--config", str(path), "generate", "--diff", str(diff_file)])
+        assert code in (EXIT_OK, EXIT_WARNING)
+        from_file = capsys.readouterr()
+        assert from_file.out.strip() and "error" not in from_file.err
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        assert main(["--config", str(path), "generate"]) == code
+        assert capsys.readouterr().out == from_file.out
 
     def test_error_exit_code_and_stderr(self, tmp_path, capsys):
         path, _ = self._config_file(tmp_path)
