@@ -293,7 +293,8 @@ def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple
     Returns (exit_code, output line); never both a message and a warning.
     """
     src_vocab, tgt_vocab = _load_vocabs(config)
-    source_tokens = preprocess_source(diff_text)
+    # The gate featurizes every token; decoding reads only the first max_source_len.
+    source_tokens = preprocess_source(diff_text, None if with_qa else config.max_source_len)
     if with_qa:
         if not config.qa_model_path.is_file():
             raise PipelineError(f"{config.qa_model_path}: QA model not found; run qa train first")

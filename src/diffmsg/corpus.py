@@ -18,6 +18,7 @@ import string
 import subprocess
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 TokenSequence = list[str]
@@ -29,6 +30,12 @@ PUNCTUATION = frozenset(string.punctuation) - {"_"}
 
 # Placeholder substituted for stripped ids; kept atomic by tokenize().
 ID_PLACEHOLDER = "<id>"
+
+# A token is the placeholder, one punctuation character, or a maximal run
+# of anything else that is not whitespace (re's \s is str.isspace, the
+# whitespace str.split() splits on).  The placeholder is tried first.
+_PUNCT_CLASS = re.escape("".join(sorted(PUNCTUATION)))
+_TOKEN_RE = re.compile(rf"{re.escape(ID_PLACEHOLDER)}|[{_PUNCT_CLASS}]|[^\s{_PUNCT_CLASS}]+")
 
 # Sides of a commit pair; selects which id patterns strip_ids applies.
 SOURCE = "source"
@@ -68,12 +75,13 @@ def ingest_jsonl(path: str | Path) -> list[Commit]:
     """Read one commit per line from a JSON-lines file.
 
     Each line must be an object with "id", "diff", and "message" fields.
-    Blank lines are skipped.  Raises CorpusFormatError naming the line
-    number for malformed records and for duplicate ids.
+    Blank lines are skipped; bytes that are not UTF-8 decode to U+FFFD.
+    Raises CorpusFormatError naming the line number for malformed records
+    and for duplicate ids.
     """
     commits: list[Commit] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="replace") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -203,46 +211,21 @@ def is_merge_or_rollback(message_text: str) -> bool:
     return first.startswith(MERGE_ROLLBACK_PREFIXES)
 
 
-def _split_chunk(chunk: str) -> list[str]:
-    tokens: list[str] = []
-    word: list[str] = []
-    i = 0
-    while i < len(chunk):
-        if chunk.startswith(ID_PLACEHOLDER, i):
-            if word:
-                tokens.append("".join(word))
-                word = []
-            tokens.append(ID_PLACEHOLDER)
-            i += len(ID_PLACEHOLDER)
-        elif chunk[i] in PUNCTUATION:
-            if word:
-                tokens.append("".join(word))
-                word = []
-            tokens.append(chunk[i])
-            i += 1
-        else:
-            word.append(chunk[i])
-            i += 1
-    if word:
-        tokens.append("".join(word))
-    return tokens
-
-
-def tokenize(text: str) -> TokenSequence:
+def tokenize(text: str, limit: int | None = None) -> TokenSequence:
     """Split on whitespace, then split punctuation into single tokens.
 
     Identifiers are kept whole (no CamelCase or snake_case splitting) and
-    the id placeholder survives as one token.
+    the id placeholder survives as one token.  With a limit, stops after
+    limit + 1 tokens: enough to tell whether the text exceeds the limit.
     """
-    tokens: TokenSequence = []
-    for chunk in text.split():
-        tokens.extend(_split_chunk(chunk))
-    return tokens
+    if limit is None:
+        return _TOKEN_RE.findall(text)
+    return [match.group() for match in islice(_TOKEN_RE.finditer(text), limit + 1)]
 
 
-def preprocess_source(diff_text: str) -> TokenSequence:
-    """Diff text -> source tokens: strip commit ids, tokenize."""
-    return tokenize(strip_ids(diff_text, SOURCE))
+def preprocess_source(diff_text: str, limit: int | None = None) -> TokenSequence:
+    """Diff text -> source tokens: strip commit ids, tokenize (see tokenize's limit)."""
+    return tokenize(strip_ids(diff_text, SOURCE), limit)
 
 
 def preprocess_target(message_text: str) -> TokenSequence:
@@ -307,7 +290,7 @@ def apply_filters(
         if commit.byte_size > cfg.max_diff_bytes:
             report.removed["diff_too_large"] += 1
             continue
-        source = preprocess_source(commit.diff_text)
+        source = preprocess_source(commit.diff_text, cfg.max_source_len)
         if len(source) > cfg.max_source_len:
             report.removed["source_too_long"] += 1
             continue

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,10 +61,11 @@ class GoldRecord:
 def load_gold_jsonl(path: str | Path) -> list[GoldRecord]:
     """Read gold records ({"id", "diff", "scores"}) from a JSON-lines file.
 
-    Diffs are tokenized with the same source pipeline the generator uses.
+    Diffs are tokenized with the same source pipeline the generator uses;
+    bytes that are not UTF-8 decode to U+FFFD.
     """
     records: list[GoldRecord] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="replace") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -104,14 +106,14 @@ def tfidf(
     diff: TokenSequence, feature_vocab: dict[str, int], idf: np.ndarray
 ) -> dict[int, float]:
     """L2-normalized tf/idf mapping; unknown tokens contribute nothing."""
-    counts: dict[int, int] = {}
-    for token in diff:
+    # Counter keeps first-occurrence order, so the norm sums in the same order.
+    weighted: dict[int, float] = {}
+    for token, count in Counter(diff).items():
         index = feature_vocab.get(token)
         if index is not None:
-            counts[index] = counts.get(index, 0) + 1
-    if not counts:
+            weighted[index] = count * idf[index]
+    if not weighted:
         return {}
-    weighted = {index: count * idf[index] for index, count in counts.items()}
     norm = math.sqrt(sum(value * value for value in weighted.values()))
     return {index: value / norm for index, value in weighted.items()}
 

@@ -360,6 +360,19 @@ class TestMainExitCodes:
         assert main(["--config", str(path), "generate"]) == code
         assert capsys.readouterr().out == from_file.out
 
+    def test_non_utf8_corpus_and_gold_are_decoded_with_replacement(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        lines = [line.encode("utf-8") for line in toy_corpus_lines()]
+        lines[0] = lines[0].replace(b"old_call_0", b"old_caf\xe9_0")
+        corpus.write_bytes(b"\n".join(lines) + b"\n")
+        path, _ = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        gold = tmp_path / "gold.jsonl"
+        write_gold(gold)
+        gold.write_bytes(gold.read_bytes().replace(b"plain_0", b"plain_\xe9"))
+        assert main(["--config", str(path), "qa", "train", "--gold", str(gold)]) == EXIT_OK
+        assert "error" not in capsys.readouterr().err
+
     def test_error_exit_code_and_stderr(self, tmp_path, capsys):
         path, _ = self._config_file(tmp_path)
         code = main(["--config", str(path), "train"])  # prepare never ran

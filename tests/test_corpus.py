@@ -1,7 +1,11 @@
 """Tests for corpus ingestion, preprocessing, filtering, and splitting."""
 
 import json
+import random
+import re
+import string
 import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +41,46 @@ def make_commit(commit_id="c1", diff="diff text", message="Add a thing"):
     return Commit.create(commit_id, diff, message)
 
 
+_ORACLE_PUNCTUATION = frozenset(string.punctuation) - {"_"}
+
+
+def oracle_tokenize(text):
+    """The character-loop tokenizer the compiled regex replaced."""
+    tokens = []
+    for chunk in text.split():
+        word = []
+        i = 0
+        while i < len(chunk):
+            if chunk.startswith(ID_PLACEHOLDER, i):
+                if word:
+                    tokens.append("".join(word))
+                    word = []
+                tokens.append(ID_PLACEHOLDER)
+                i += len(ID_PLACEHOLDER)
+            elif chunk[i] in _ORACLE_PUNCTUATION:
+                if word:
+                    tokens.append("".join(word))
+                    word = []
+                tokens.append(chunk[i])
+                i += 1
+            else:
+                word.append(chunk[i])
+                i += 1
+        if word:
+            tokens.append("".join(word))
+    return tokens
+
+
+# Characters where the tokenizer's cases meet: the placeholder's letters,
+# underscore, punctuation, whitespace of several kinds (ASCII space,
+# no-break space, line separator, the \x1c file separator that
+# str.split() treats as whitespace) and non-ASCII letters.
+_EDGE_TEXT = st.text(
+    alphabet=st.sampled_from(list("<id>_ .,;()#-\u00a0\u2028\x1c\t\néßΩ語a1")),
+    max_size=120,
+)
+
+
 class TestIngestJsonl:
     def test_three_valid_lines_in_order(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -50,6 +94,18 @@ class TestIngestJsonl:
         assert [c.id for c in commits] == ["a", "b", "c"]
         assert commits[0].diff_text == "d1"
         assert commits[0].byte_size == len("d1".encode())
+
+    def test_non_utf8_byte_decodes_to_replacement_character(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(
+            b'{"id": "a", "diff": "+ caf\xe9 ( x )", "message": "Fix caf\xe9"}\n'
+            b'{"id": "b", "diff": "d2", "message": "m2"}\n'
+        )
+        commits = ingest_jsonl(path)
+        assert [c.id for c in commits] == ["a", "b"]
+        assert commits[0].diff_text == "+ caf\ufffd ( x )"
+        assert commits[0].message_text == "Fix caf\ufffd"
+        assert tokenize(commits[0].diff_text) == ["+", "caf\ufffd", "(", "x", ")"]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -228,6 +284,26 @@ class TestTokenize:
         assert tokenize("<identity>") == ["<", "identity", ">"]
 
     @given(st.text(max_size=200))
+    @settings(max_examples=300)
+    def test_matches_character_loop_on_any_text(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
+
+    @given(_EDGE_TEXT)
+    @settings(max_examples=500)
+    def test_matches_character_loop_on_edge_alphabet(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
+
+    def test_regex_whitespace_is_str_isspace(self):
+        # str.split() splits on exactly the characters str.isspace() accepts.
+        everything = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", everything) == [ch for ch in everything if ch.isspace()]
+
+    @given(st.one_of(st.text(max_size=200), _EDGE_TEXT), st.integers(min_value=0, max_value=40))
+    @settings(max_examples=300)
+    def test_limit_is_a_prefix(self, text, limit):
+        assert tokenize(text, limit) == tokenize(text)[: limit + 1]
+
+    @given(st.text(max_size=200))
     @settings(max_examples=200)
     def test_idempotent_under_rejoin(self, text):
         tokens = tokenize(text)
@@ -307,6 +383,48 @@ class TestApplyFilters:
         for item in kept:
             assert len(item.source) <= 5
             assert len(item.target) <= 3
+
+    @pytest.mark.parametrize("count", [99, 100, 101, 102])
+    def test_bounded_funnel_at_the_limit_with_id_stripping(self, count):
+        # "é" + 12 hex chars is one token before id stripping and two after
+        # ("é", "<id>": é is no identifier character to the id pattern);
+        # "x" + 12 hex chars stays one token.  The limit applies to the
+        # stripped count, here exactly `count` for every diff.
+        parts = ["é0123456789ab", "0123456789ab", "x" + "0123456789ab", "a.b"]
+        shapes = [" ".join(parts[i % len(parts)] for i in range(n)) for n in range(40)]
+        commits = []
+        for i, prefix in enumerate(shapes):
+            filler = count - len(oracle_tokenize(strip_ids(prefix, SOURCE)))
+            diff = prefix + " " + " ".join(f"t{j}" for j in range(filler))
+            commits.append(make_commit(f"c{i}", diff=diff, message=f"Fix thing {i}"))
+        commits.append(make_commit("hex", diff=" ".join(["deadbeef1"] * count)))
+        cfg = FilterConfig(max_source_len=100)
+        kept, report = apply_filters(commits, cfg)
+        for commit in commits:
+            assert len(oracle_tokenize(strip_ids(commit.diff_text, SOURCE))) == count
+        assert len(oracle_tokenize(commits[39].diff_text)) < count
+        expected_kept = len(commits) if count <= 100 else 0
+        assert report.kept_count == expected_kept
+        assert report.removed["source_too_long"] == len(commits) - expected_kept
+        for item, commit in zip(kept, commits):
+            assert item.source == oracle_tokenize(strip_ids(commit.diff_text, SOURCE))
+
+    def test_bounded_funnel_matches_full_tokenization(self):
+        rng = random.Random(3)
+        words = ["é0123456789ab", "0123456789abcdef", "foo()", "<id>", "a_b", "x", ";", "\u00a0"]
+        commits = [
+            make_commit(f"c{i}", diff=" ".join(rng.choice(words) for _ in range(rng.randint(60, 140))),
+                        message=f"Fix thing {i}")
+            for i in range(200)
+        ]
+        cfg = FilterConfig(max_source_len=100)
+        kept, report = apply_filters(commits, cfg)
+        full_lengths = [len(oracle_tokenize(strip_ids(c.diff_text, SOURCE))) for c in commits]
+        assert report.removed["source_too_long"] == sum(n > 100 for n in full_lengths)
+        assert 0 < report.kept_count < len(commits)
+        for item in kept:
+            commit = next(c for c in commits if c.id == item.id)
+            assert item.source == oracle_tokenize(strip_ids(commit.diff_text, SOURCE))
 
 
 class TestBuildVocab:

@@ -292,3 +292,27 @@ class TestGoldFile:
         path.write_text('{"id": "a", "diff": "x", "scores": [0]}\n{"id": "b"}\n')
         with pytest.raises(ValueError, match="line 2"):
             load_gold_jsonl(path)
+
+    def test_non_utf8_byte_decodes_to_replacement_character(self, tmp_path):
+        path = tmp_path / "gold.jsonl"
+        path.write_bytes(b'{"id": "a", "diff": "caf\xe9 bug", "scores": [0]}\n')
+        records = load_gold_jsonl(path)
+        assert records[0].diff == ["caf\ufffd", "bug"]
+
+
+class TestPinnedMargins:
+    """Margins of a fixed model, pinned to the bit: featurization may get
+    faster but must sum in the same order."""
+
+    def test_margins_unchanged(self):
+        model = train_svm(separable_gold(80, seed=5))
+        rng = random.Random(11)
+        vocab = [f"tok{i}" for i in range(30)] + MARKERS + ["unseen", "also_unseen"]
+        queries = [[rng.choice(vocab) for _ in range(n)] for n in (1, 7, 40, 500)]
+        assert [model.margin(q) for q in queries] == [
+            -5.455098669648741,
+            28.00699224158405,
+            4.752895100462654,
+            7.7176094505352815,
+        ]
+        assert model.bias == 17.381885821398374
