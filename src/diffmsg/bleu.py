@@ -48,14 +48,6 @@ def _clipped_totals(n: int, pairs: list[Pair]) -> tuple[int, int]:
     return clipped, total
 
 
-def modified_precision(n: int, pairs: list[Pair]) -> float:
-    """Clipped n-gram precision over the corpus, as a fraction in [0, 1]."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    clipped, total = _clipped_totals(n, pairs)
-    return clipped / total if total else 0.0
-
-
 def brevity_penalty(c: int, r: int) -> float:
     """1 if c > r, exp(1 - r/c) otherwise; 0 in the empty-output limit."""
     if c < 0 or r < 0:
@@ -77,6 +69,8 @@ def corpus_bleu(pairs: list[Pair], max_order: int = 4, smoothing: str = "none") 
     """
     if not pairs:
         raise ValueError("corpus_bleu requires a non-empty list of pairs")
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
     if smoothing not in SMOOTHING_MODES:
         raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}, got {smoothing!r}")
     precisions: list[float] = []

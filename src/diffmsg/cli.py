@@ -30,7 +30,7 @@ from .corpus import (
     write_split_files,
 )
 from .nmt import Hyperparams, beam_search, ensemble_decode, load_checkpoint, train
-from .vdo import default_lexicon, is_vdo, load_lexicon
+from .vdo import default_lexicon, filter_corpus, load_lexicon
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -44,17 +44,18 @@ class PipelineError(RuntimeError):
 
 
 @dataclass
-class PipelineConfig:
-    """Every knob of the pipeline; round-trips through JSON."""
+class PipelineConfig(Hyperparams):
+    """Every knob of the pipeline; round-trips through JSON.
+
+    The model and training fields, the length limits and the seed are the
+    inherited Hyperparams fields."""
 
     # input corpus: exactly one of these
     corpus_jsonl: str | None = None
     git_repo: str | None = None
     # artifact directory
     work_dir: str = "work"
-    # preprocessing limits
-    max_source_len: int = 100
-    max_target_len: int = 30
+    # preprocessing limit besides max_source_len and max_target_len
     max_diff_bytes: int = 1_048_576
     # split sizes: int counts or float fractions
     valid_size: float = 0.1
@@ -65,23 +66,9 @@ class PipelineConfig:
     # target-side verb/direct-object filter
     vdo_filter: bool = True
     vdo_lexicon_path: str | None = None
-    # model and training
-    embed_dim: int = 64
-    hidden_dim: int = 128
-    minibatch_size: int = 16
-    adadelta_rho: float = 0.95
-    adadelta_eps: float = 1e-6
-    validate_every: int = 200
-    checkpoint_every: int = 500
-    max_epochs: int = 100
-    max_minibatches: int = 50_000
-    patience: int = 10
-    ensemble_size: int = 4
-    beam_width: int = 5
     # QA gate
     qa_lambda: float = 1e-4
     qa_epochs: int = 20
-    seed: int = 1234
 
     def hyperparams(self) -> Hyperparams:
         return Hyperparams(
@@ -177,10 +164,8 @@ def cmd_prepare(config: PipelineConfig) -> dict:
 
     vdo_removed = 0
     if config.vdo_filter:
-        lexicon = _lexicon(config)
-        before = len(kept)
-        kept = [item for item in kept if is_vdo(item.target, lexicon)]
-        vdo_removed = before - len(kept)
+        kept, vdo_report = filter_corpus(kept, _lexicon(config))
+        vdo_removed = vdo_report.removed
         if not kept:
             raise PipelineError("verb/direct-object filter removed every commit")
 

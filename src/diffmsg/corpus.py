@@ -47,6 +47,8 @@ SPECIALS = (PAD, UNK, START, EOS)
 PAD_ID, UNK_ID, START_ID, EOS_ID = range(4)
 
 _ISSUE_ID_RE = re.compile(r"#\d+")
+# A sentence ends at a newline or at whitespace (str.isspace) after a period.
+_SENTENCE_END_RE = re.compile(r"\n|(?<=\.)\s")
 # Standalone hexadecimal run of >= 7 chars: commit hashes, full or abbreviated.
 _COMMIT_ID_RE = re.compile(r"(?<![0-9A-Za-z_])[0-9a-fA-F]{7,}(?![0-9A-Za-z_])")
 
@@ -181,15 +183,8 @@ def extract_first_sentence(message_text: str) -> str:
     The sentence ends at the earliest of a newline or the whitespace that
     follows a period, so the terminal period itself is retained.
     """
-    end = len(message_text)
-    for i, ch in enumerate(message_text):
-        if ch == "\n":
-            end = i
-            break
-        if ch.isspace() and i > 0 and message_text[i - 1] == ".":
-            end = i
-            break
-    return message_text[:end].strip()
+    end = _SENTENCE_END_RE.search(message_text)
+    return (message_text[: end.start()] if end else message_text).strip()
 
 
 def strip_ids(text: str, kind: str) -> str:

@@ -25,6 +25,7 @@ gradient.  Inside the loops sequences are time-major, (S or T, B, ...).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Iterator
 
@@ -111,8 +112,11 @@ GRU_NAMES = ("enc_fwd", "enc_bwd", "dec")
 
 @dataclass
 class ModelParams:
-    """Every trainable tensor of the encoder-decoder."""
+    """Every trainable tensor of the encoder-decoder, each a view into one
+    float64 buffer, flat, in param_shapes order.  Gradients use the same
+    class; params[name] and iter(params) read it as tensors() does."""
 
+    flat: Array             # (N,), every tensor below is a view into it
     src_emb: Array          # (V_src, E)
     tgt_emb: Array          # (V_tgt, E)
     enc_fwd: GruParams      # input E -> H
@@ -143,9 +147,9 @@ class ModelParams:
         return self.tgt_emb.shape[0]
 
     def tensors(self) -> dict[str, Array]:
-        """Named views of every tensor, in a stable order (see param_shapes)."""
+        """Named views of every tensor, in layout order (see param_shapes)."""
         out: dict[str, Array] = {}
-        for f in fields(self):
+        for f in fields(self)[1:]:
             value = getattr(self, f.name)
             if isinstance(value, GruParams):
                 out.update((f"{f.name}.{part}", tensor) for part, tensor in value.tensors())
@@ -153,26 +157,41 @@ class ModelParams:
                 out[f.name] = value
         return out
 
+    def __getitem__(self, name: str) -> Array:
+        return self.tensors()[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.tensors())
+
     @classmethod
-    def from_tensors(cls, tensors: dict[str, Array]) -> "ModelParams":
-        """The inverse of tensors(): wraps the given arrays without copying."""
-        grus = {n: GruParams(*(tensors[f"{n}.{part}"] for part in "wub")) for n in GRU_NAMES}
-        return cls(**{f.name: grus[f.name] if f.name in grus else tensors[f.name]
-                      for f in fields(cls)})
+    def from_flat(cls, flat: Array, embed_dim: int, hidden_dim: int, src_vocab_size: int,
+                  tgt_vocab_size: int) -> "ModelParams":
+        """Named views into flat (N,), in param_shapes order; no copy."""
+        shapes = param_shapes(embed_dim, hidden_dim, src_vocab_size, tgt_vocab_size)
+        chunks = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1])
+        views = {name: chunk.reshape(shape) for (name, shape), chunk in zip(shapes.items(), chunks)}
+        grus = {n: GruParams(*(views.pop(f"{n}.{part}") for part in "wub")) for n in GRU_NAMES}
+        return cls(flat, **grus, **views)
+
+    def like(self, flat: Array) -> "ModelParams":
+        """This layout over another buffer, such as a gradient or an accumulator."""
+        return ModelParams.from_flat(
+            flat, self.embed_dim, self.hidden_dim, self.src_vocab_size, self.tgt_vocab_size
+        )
 
     def copy(self) -> "ModelParams":
-        return ModelParams.from_tensors({n: t.copy() for n, t in self.tensors().items()})
+        return self.like(self.flat.copy())
 
     def assert_finite(self) -> None:
-        for name, tensor in self.tensors().items():
-            if not np.isfinite(tensor).all():
-                raise FloatingPointError(f"non-finite values in parameter {name}")
+        if not np.isfinite(self.flat).all():
+            name = next(n for n, t in self.tensors().items() if not np.isfinite(t).all())
+            raise FloatingPointError(f"non-finite values in parameter {name}")
 
 
 def param_shapes(
     embed_dim: int, hidden_dim: int, src_vocab_size: int, tgt_vocab_size: int
 ) -> dict[str, tuple[int, ...]]:
-    """The shape of every tensor, named and ordered as in ModelParams.tensors()."""
+    """The shape of every tensor, named and in layout order, as ModelParams.tensors()."""
     e, h = embed_dim, hidden_dim
     shapes = {"src_emb": (src_vocab_size, e), "tgt_emb": (tgt_vocab_size, e)}
     for prefix, input_dim in zip(GRU_NAMES, (e, e, e + 2 * h)):
@@ -189,7 +208,7 @@ def param_shapes(
 def init_params(hyper: Hyperparams, src_vocab_size: int, tgt_vocab_size: int) -> ModelParams:
     """Seeded uniform initialization of all parameters.
 
-    Tensors are drawn in tensors() order and each fused GRU tensor one gate
+    Tensors are drawn in layout order and each fused GRU tensor one gate
     block at a time, so every gate gets the values a separate (input, H)
     tensor per gate would get from the same seed.
     """
@@ -197,18 +216,18 @@ def init_params(hyper: Hyperparams, src_vocab_size: int, tgt_vocab_size: int) ->
     if src_vocab_size < 1 or tgt_vocab_size < 1:
         raise ValueError("vocabulary sizes must be >= 1")
     rng = np.random.default_rng(hyper.seed)
-    shapes = param_shapes(hyper.embed_dim, hyper.hidden_dim, src_vocab_size, tgt_vocab_size)
-    tensors: dict[str, Array] = {}
-    for name, shape in shapes.items():
-        tensors[name] = np.empty(shape)
+    dims = (hyper.embed_dim, hyper.hidden_dim, src_vocab_size, tgt_vocab_size)
+    size = sum(math.prod(shape) for shape in param_shapes(*dims).values())
+    params = ModelParams.from_flat(np.empty(size), *dims)
+    for name, tensor in params.tensors().items():
         blocks = 3 if name.partition(".")[0] in GRU_NAMES else 1
-        for block in np.split(tensors[name], blocks, axis=-1):
+        for block in np.split(tensor, blocks, axis=-1):
             block[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=block.shape)
-    return ModelParams.from_tensors(tensors)
+    return params
 
 
-def zero_gradients(params: ModelParams) -> dict[str, Array]:
-    return {name: np.zeros_like(tensor) for name, tensor in params.tensors().items()}
+def zero_gradients(params: ModelParams) -> ModelParams:
+    return params.like(np.zeros_like(params.flat))
 
 
 def _sigmoid(x: Array) -> Array:
@@ -238,19 +257,17 @@ def _gru_step_backward(p: GruParams, cache: tuple, dh: Array, d_xw: Array) -> Ar
     return dh * (1.0 - z) + drh * r + d_xw[:, : 2 * n] @ p.u[:, : 2 * n].T
 
 
-def _gru_weight_grads(
-    grads: dict[str, Array], prefix: str, xs: Array, caches: list, d_xw: Array
-) -> None:
+def _gru_weight_grads(grads: GruParams, xs: Array, caches: list, d_xw: Array) -> None:
     """Add a chain's w, u and b grads, one GEMM each, from its inputs xs
     (T, B, input), per-step caches and input-projection grads d_xw (T, B, 3H)."""
     n = d_xw.shape[2] // 3
-    flat = d_xw.reshape(-1, 3 * n)
+    rows = d_xw.reshape(-1, 3 * n)
     h_prev = np.concatenate([cache[0] for cache in caches])
     rh = np.concatenate([cache[3] for cache in caches])
-    grads[f"{prefix}.w"] += xs.reshape(-1, xs.shape[2]).T @ flat
-    grads[f"{prefix}.u"][:, : 2 * n] += h_prev.T @ flat[:, : 2 * n]
-    grads[f"{prefix}.u"][:, 2 * n :] += rh.T @ flat[:, 2 * n :]
-    grads[f"{prefix}.b"] += flat.sum(axis=0)
+    grads.w += xs.reshape(-1, xs.shape[2]).T @ rows
+    grads.u[:, : 2 * n] += h_prev.T @ rows[:, : 2 * n]
+    grads.u[:, 2 * n :] += rh.T @ rows[:, 2 * n :]
+    grads.b += rows.sum(axis=0)
 
 
 def _gru_chain(p: GruParams, xw: Array, reverse: bool, caches: list | None = None) -> Array:
@@ -311,7 +328,7 @@ def encode_batch(
 
 
 def encoder_backward(
-    params: ModelParams, cache: dict, d_annotations: Array, grads: dict[str, Array]
+    params: ModelParams, cache: dict, d_annotations: Array, grads: ModelParams
 ) -> None:
     """Backprop through both encoder chains into cell and embedding grads."""
     h = params.hidden_dim
@@ -321,9 +338,9 @@ def encoder_backward(
     for prefix, d_chain in (("enc_fwd", d_states[:, :, :h]), ("enc_bwd", d_states[:, :, h:])):
         p = getattr(params, prefix)
         d_xw = _gru_chain_backward(p, cache[prefix], d_chain, prefix == "enc_bwd")
-        _gru_weight_grads(grads, prefix, xs, cache[prefix], d_xw)
+        _gru_weight_grads(getattr(grads, prefix), xs, cache[prefix], d_xw)
         d_xs += d_xw @ p.w.T
-    _scatter_rows(grads["src_emb"], cache["src_ids"].T, d_xs)
+    _scatter_rows(grads.src_emb, cache["src_ids"].T, d_xs)
 
 
 def attend_batch(
@@ -355,7 +372,7 @@ def attend_backward(
     d_context: Array,
     annotations: Array,
     d_pre_sum: Array,
-    grads: dict[str, Array],
+    grads: ModelParams,
 ) -> Array:
     """Backprop attention through the scores; returns ds_prev.
 
@@ -368,11 +385,11 @@ def attend_backward(
     # softmax backward; masked positions have weight 0 and so gradient 0
     dot = (weights * d_weights).sum(axis=1, keepdims=True)
     d_scores = weights * (d_weights - dot)
-    grads["att_v"] += (d_scores[:, None, :] @ m).sum(axis=0)[0]
+    grads.att_v += (d_scores[:, None, :] @ m).sum(axis=0)[0]
     d_pre = d_scores[:, :, None] * params.att_v * (1.0 - m * m)
     d_pre_sum += d_pre
     d_query = d_pre.sum(axis=1)
-    grads["att_w"] += s_prev.T @ d_query
+    grads.att_w += s_prev.T @ d_query
     return d_query @ params.att_w.T
 
 
@@ -439,7 +456,7 @@ def loss_forward(
     return loss, cache
 
 
-def loss_backward(params: ModelParams, cache: dict) -> dict[str, Array]:
+def loss_backward(params: ModelParams, cache: dict) -> ModelParams:
     """Gradients of the mean per-sequence loss for every parameter.
 
     The output layer's gradients come first, one GEMM each for all steps;
@@ -455,10 +472,10 @@ def loss_backward(params: ModelParams, cache: dict) -> dict[str, Array]:
     d_logits = cache["probs"].copy()                               # (T, B, V)
     d_logits[np.arange(tgt_len)[:, None], np.arange(batch), tgt_ids.T] -= 1.0
     d_logits *= tgt_mask.T[:, :, None] / batch
-    grads["out_w"] += readout.reshape(-1, readout.shape[2]).T @ d_logits.reshape(
+    grads.out_w += readout.reshape(-1, readout.shape[2]).T @ d_logits.reshape(
         -1, d_logits.shape[2]
     )
-    grads["out_b"] += d_logits.sum(axis=(0, 1))
+    grads.out_b += d_logits.sum(axis=(0, 1))
     d_readout = d_logits @ params.out_w.T                          # (T, B, H+E+2H)
 
     d_xw = np.empty((tgt_len, batch, 3 * h))
@@ -472,19 +489,19 @@ def loss_backward(params: ModelParams, cache: dict) -> dict[str, Array]:
             params, cache["att_caches"][t], d_contexts[t], annotations, d_pre_sum, grads
         )
 
-    _gru_weight_grads(grads, "dec", readout[:, :, h:], cache["gru_caches"], d_xw)
+    _gru_weight_grads(grads.dec, readout[:, :, h:], cache["gru_caches"], d_xw)
     d_ey = d_readout[:, :, h : h + e] + d_xw @ dec.w[:e].T
-    _scatter_rows(grads["tgt_emb"], cache["prev_ids"].T, d_ey)
+    _scatter_rows(grads.tgt_emb, cache["prev_ids"].T, d_ey)
 
-    grads["att_u"] += annotations.reshape(-1, 2 * h).T @ d_pre_sum.reshape(-1, h)
+    grads.att_u += annotations.reshape(-1, 2 * h).T @ d_pre_sum.reshape(-1, h)
     weights = np.stack([att_cache[2] for att_cache in cache["att_caches"]], axis=2)  # (B, S, T)
     d_annotations = d_pre_sum @ params.att_u.T + weights @ d_contexts.transpose(1, 0, 2)
 
     # decoder initialization
     hb_first, s0 = cache["init_cache"]
     da = ds * (1.0 - s0 * s0)
-    grads["init_w"] += hb_first.T @ da
-    grads["init_b"] += da.sum(axis=0)
+    grads.init_w += hb_first.T @ da
+    grads.init_b += da.sum(axis=0)
     d_annotations[:, 0, h:] += da @ params.init_w.T
 
     encoder_backward(params, cache["enc_cache"], d_annotations, grads)
@@ -626,6 +643,6 @@ def batch_loss(
 
 def gradients(
     batch: list[tuple[list[int], list[int]]], params: ModelParams, start_id: int = START_ID
-) -> dict[str, Array]:
+) -> ModelParams:
     """Exact gradients of the mean per-sequence loss over a padded batch."""
     return loss_backward(params, _batch_forward(batch, params, start_id)[1])

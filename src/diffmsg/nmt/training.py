@@ -5,8 +5,9 @@ per-epoch RNG, validates by greedy-decode corpus BLEU, saves checkpoints
 on a fixed minibatch schedule, and early-stops when validation BLEU stops
 improving.  Checkpoints are a versioned binary container: one JSON header
 line (dims, vocab sizes, seed, tensor manifest, payload length, and the
-early-stopping state) followed by raw float64 tensor bytes, so identical
-runs produce identical bytes.  The header carries the best validation BLEU,
+early-stopping state) followed by the raw float64 parameter buffer and, for
+training state, the two Adadelta accumulators in the same layout, so
+identical runs produce identical bytes.  The header carries the best validation BLEU,
 the stall count and the loss window not yet logged, so a resumed run logs,
 checkpoints and stops exactly as an uninterrupted one.  Checkpoints are
 written to a temp file and renamed into place, and loading checks every
@@ -15,8 +16,8 @@ header key and tensor shape before reading the payload.
 
 from __future__ import annotations
 
-import copy
 import json
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -38,10 +39,19 @@ from .model import (
     param_shapes,
 )
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
-# (accumulated squared gradient, accumulated squared update) per tensor
-OptimizerState = dict[str, tuple[Array, Array]]
+
+@dataclass
+class OptimizerState:
+    """Adadelta's running averages E[g^2] and E[dx^2], each (N,) in the
+    layout of ModelParams.flat."""
+
+    grad_sq: Array
+    update_sq: Array
+
+    def copy(self) -> "OptimizerState":
+        return OptimizerState(self.grad_sq.copy(), self.update_sq.copy())
 
 
 class CheckpointError(RuntimeError):
@@ -49,34 +59,30 @@ class CheckpointError(RuntimeError):
 
 
 def init_optimizer_state(params: ModelParams) -> OptimizerState:
-    return {
-        name: (np.zeros_like(tensor), np.zeros_like(tensor))
-        for name, tensor in params.tensors().items()
-    }
+    return OptimizerState(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adadelta_update(
     params: ModelParams,
-    grads: dict[str, Array],
+    grads: ModelParams,
     optimizer_state: OptimizerState,
     rho: float,
     eps: float,
 ) -> tuple[ModelParams, OptimizerState]:
-    """One Adadelta step, in place.
+    """One Adadelta step, in place, on the whole parameter buffer.
 
     Per coordinate: E[g^2] <- rho E[g^2] + (1-rho) g^2, the update is
     -(sqrt(E[dx^2]+eps) / sqrt(E[g^2]+eps)) g, and E[dx^2] accumulates the
     squared update with the same decay.
     """
-    for name, tensor in params.tensors().items():
-        g = grads[name]
-        acc_grad_sq, acc_update_sq = optimizer_state[name]
-        acc_grad_sq *= rho
-        acc_grad_sq += (1.0 - rho) * g * g
-        delta = -np.sqrt(acc_update_sq + eps) / np.sqrt(acc_grad_sq + eps) * g
-        acc_update_sq *= rho
-        acc_update_sq += (1.0 - rho) * delta * delta
-        tensor += delta
+    g = grads.flat
+    acc_grad_sq, acc_update_sq = optimizer_state.grad_sq, optimizer_state.update_sq
+    acc_grad_sq *= rho
+    acc_grad_sq += (1.0 - rho) * g * g
+    delta = -np.sqrt(acc_update_sq + eps) / np.sqrt(acc_grad_sq + eps) * g
+    acc_update_sq *= rho
+    acc_update_sq += (1.0 - rho) * delta * delta
+    params.flat += delta
     return params, optimizer_state
 
 
@@ -105,18 +111,19 @@ _HEADER_KEYS = {
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     """Write a checkpoint atomically: a hidden temp file next to path,
-    fsynced, then renamed over path, so path never holds a partial file."""
+    fsynced, then renamed over path, so path never holds a partial file.
+
+    The payload is the parameter buffer, then the optimizer state's two
+    accumulators, each written straight from its array."""
     path = Path(path)
     params = checkpoint.params
-    tensors = dict(params.tensors())
-    if checkpoint.optimizer_state is not None:
-        for name, (acc_g, acc_u) in checkpoint.optimizer_state.items():
-            tensors[f"opt.{name}.grad_sq"] = acc_g
-            tensors[f"opt.{name}.update_sq"] = acc_u
+    blocks = [params.flat]
+    state = checkpoint.optimizer_state
+    if state is not None:
+        blocks += [state.grad_sq, state.update_sq]
     manifest = [
-        {"name": name, "shape": list(tensor.shape)} for name, tensor in tensors.items()
+        {"name": name, "shape": list(tensor.shape)} for name, tensor in params.tensors().items()
     ]
-    payload_bytes = sum(int(np.prod(t.shape)) * 8 for t in tensors.values())
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "embed_dim": params.embed_dim,
@@ -126,8 +133,8 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         "seed": checkpoint.seed,
         "minibatch_index": checkpoint.minibatch_index,
         "validation_bleu": checkpoint.validation_bleu,
-        "has_optimizer_state": checkpoint.optimizer_state is not None,
-        "payload_bytes": payload_bytes,
+        "has_optimizer_state": state is not None,
+        "payload_bytes": sum(block.nbytes for block in blocks),
         "best_bleu": checkpoint.best_bleu,
         "stall": checkpoint.stall,
         "window_loss_sum": checkpoint.window_loss_sum,
@@ -138,8 +145,8 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     try:
         with open(tmp, "wb") as handle:
             handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            for tensor in tensors.values():
-                handle.write(np.ascontiguousarray(tensor, dtype=np.float64).tobytes())
+            for block in blocks:
+                handle.write(block.data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -148,9 +155,10 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         raise
 
 
-def _check_header(path: str | Path, header: dict) -> None:
+def _check_header(path: str | Path, header: dict) -> int:
     """Raise CheckpointError for a missing or mistyped key, or a manifest
-    that disagrees with the dimensions, vocabulary sizes or payload length."""
+    that disagrees with the dimensions, vocabulary sizes, layout order or
+    payload length; return N, the number of parameters."""
     for key, kind in {**_HEADER_KEYS, "tensors": list}.items():
         if key not in header:
             raise CheckpointError(f"{path}: header lacks {key!r}")
@@ -161,27 +169,22 @@ def _check_header(path: str | Path, header: dict) -> None:
         header["embed_dim"], header["hidden_dim"],
         header["src_vocab_size"], header["tgt_vocab_size"],
     )
-    if header["has_optimizer_state"]:
-        for name, shape in list(expected.items()):
-            expected[f"opt.{name}.grad_sq"] = expected[f"opt.{name}.update_sq"] = shape
-    found = {}
-    for entry in header["tensors"]:
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise CheckpointError(f"{path}: malformed manifest entry {entry!r}")
-        found[entry["name"]] = entry.get("shape")
-    for name, shape in expected.items():
-        if name not in found:
-            raise CheckpointError(f"{path}: manifest lacks tensor {name!r}")
-        if found[name] != list(shape):
+    manifest = header["tensors"]
+    if len(manifest) != len(expected):
+        raise CheckpointError(f"{path}: manifest lists {len(manifest)} tensors, not {len(expected)}")
+    for index, (entry, (name, shape)) in enumerate(zip(manifest, expected.items())):
+        if not isinstance(entry, dict) or entry.get("name") != name:
+            raise CheckpointError(f"{path}: manifest entry {index} is not {name!r}; the "
+                                  f"payload must start with the parameters in layout order")
+        if entry.get("shape") != list(shape):
             raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {found[name]}, expected {list(shape)} "
-                f"from embed_dim, hidden_dim and the vocab sizes"
+                f"{path}: tensor {name!r} has shape {entry.get('shape')}, expected "
+                f"{list(shape)} from embed_dim, hidden_dim and the vocab sizes"
             )
-    extra = sorted(found.keys() - expected.keys())
-    if extra:
-        raise CheckpointError(f"{path}: unexpected tensor {extra[0]!r} in manifest")
-    if header["payload_bytes"] != 8 * sum(int(np.prod(shape)) for shape in expected.values()):
+    size = sum(math.prod(shape) for shape in expected.values())
+    if header["payload_bytes"] != 8 * size * (3 if header["has_optimizer_state"] else 1):
         raise CheckpointError(f"{path}: header key 'payload_bytes' disagrees with the manifest")
+    return size
 
 
 def load_checkpoint(
@@ -192,9 +195,9 @@ def load_checkpoint(
 ) -> Checkpoint:
     """Load a checkpoint, verifying version, header, payload length, and vocab sizes.
 
-    With params_only, reads the model tensors, which come first in the
+    With params_only, reads the parameter buffer, which comes first in the
     payload, and not the optimizer state (optimizer_state is then None).
-    The tensors are views into one writable buffer.
+    Every array is a view into one writable buffer read from the file.
     """
     with open(path, "rb") as handle:
         header_line = handle.readline()
@@ -209,23 +212,14 @@ def load_checkpoint(
                 f"{path}: format version {header.get('format_version')} "
                 f"!= {CHECKPOINT_FORMAT_VERSION}"
             )
-        _check_header(path, header)
+        size = _check_header(path, header)
         present = os.fstat(handle.fileno()).st_size - len(header_line)
         if present != header["payload_bytes"]:
             raise CheckpointError(
                 f"{path}: truncated payload ({present} of {header['payload_bytes']} bytes)"
             )
-        manifest = header["tensors"]
-        if params_only:
-            names = param_shapes(
-                header["embed_dim"], header["hidden_dim"],
-                header["src_vocab_size"], header["tgt_vocab_size"],
-            ).keys()
-            manifest = manifest[: len(names)]
-            if {entry["name"] for entry in manifest} != names:
-                raise CheckpointError(f"{path}: the payload does not start with the parameters")
-        counts = [int(np.prod(entry["shape"])) for entry in manifest]
-        payload = bytearray(8 * sum(counts))
+        blocks = 3 if header["has_optimizer_state"] and not params_only else 1
+        payload = bytearray(8 * size * blocks)
         if handle.readinto(payload) != len(payload):
             raise CheckpointError(f"{path}: truncated payload")
     if (
@@ -244,23 +238,14 @@ def load_checkpoint(
             f"{path}: target vocab size {header['tgt_vocab_size']} "
             f"!= expected {expected_tgt_vocab_size}"
         )
-    tensors: dict[str, Array] = {}
-    offset = 0
-    for entry, count in zip(manifest, counts):
-        tensors[entry["name"]] = np.frombuffer(
-            payload, dtype=np.float64, count=count, offset=offset
-        ).reshape(entry["shape"])
-        offset += count * 8
-    params = ModelParams.from_tensors(tensors)
-    optimizer_state: OptimizerState | None = None
-    if header["has_optimizer_state"] and not params_only:
-        optimizer_state = {
-            name: (tensors[f"opt.{name}.grad_sq"], tensors[f"opt.{name}.update_sq"])
-            for name in params.tensors()
-        }
+    flat, *state = (
+        np.frombuffer(payload, dtype=np.float64, count=size, offset=8 * size * k)
+        for k in range(blocks)
+    )
+    dims = (header[key] for key in ("embed_dim", "hidden_dim", "src_vocab_size", "tgt_vocab_size"))
     return Checkpoint(
-        params=params,
-        optimizer_state=optimizer_state,
+        params=ModelParams.from_flat(flat, *dims),
+        optimizer_state=OptimizerState(*state) if state else None,
         minibatch_index=header["minibatch_index"],
         validation_bleu=header["validation_bleu"],
         seed=header["seed"],
@@ -319,10 +304,10 @@ def train(
     ]
 
     if resume_from is not None:
-        params = resume_from.params.copy()
-        optimizer_state = copy.deepcopy(resume_from.optimizer_state)
-        if optimizer_state is None:
+        if resume_from.optimizer_state is None:
             raise ValueError("cannot resume from a checkpoint without optimizer state")
+        params = resume_from.params.copy()
+        optimizer_state = resume_from.optimizer_state.copy()
         start_index = resume_from.minibatch_index
         best_bleu, stall = resume_from.best_bleu, resume_from.stall
         window_loss_sum = resume_from.window_loss_sum
@@ -343,13 +328,16 @@ def train(
 
     checkpoints: list[Checkpoint] = []
 
+    def check_finite(index: int) -> None:
+        try:
+            params.assert_finite()
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"after minibatch {index}: {exc}") from exc
+
     def save(index: int, validation: float | None) -> None:
         checkpoint = Checkpoint(
             params=params.copy(),
-            optimizer_state={
-                name: (acc_g.copy(), acc_u.copy())
-                for name, (acc_g, acc_u) in optimizer_state.items()
-            },
+            optimizer_state=optimizer_state.copy(),
             minibatch_index=index,
             validation_bleu=validation,
             seed=hyper.seed,
@@ -370,6 +358,7 @@ def train(
     stop = False
 
     try:
+        check_finite(start_index)
         for epoch in range(hyper.max_epochs):
             if stop:
                 break
@@ -387,9 +376,10 @@ def train(
                 src, src_mask, tgt, tgt_mask = pad_batch(sources, targets)
                 loss, cache = loss_forward(params, src, src_mask, tgt, tgt_mask)
                 grads = loss_backward(params, cache)
+                del cache  # free the activations before the update's buffers
                 adadelta_update(params, grads, optimizer_state, hyper.adadelta_rho, hyper.adadelta_eps)
-                params.assert_finite()
                 minibatch_index = global_index + 1
+                check_finite(minibatch_index)
                 window_loss_sum += loss
                 window_loss_count += 1
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import PUNCTUATION, TokenSequence
+from .corpus import PUNCTUATION, PreparedCommit, TokenSequence
 
 # Inflection rules tried in order; the first rule whose stem is a known
 # base verb wins ("applies"->"apply", "fixes"->"fix", "removed"->"remove").
@@ -144,8 +144,8 @@ class VdoReport:
 
 
 def filter_corpus(
-    pairs: list[tuple[TokenSequence, TokenSequence]], lexicon: VerbLexicon
-) -> tuple[list[tuple[TokenSequence, TokenSequence]], VdoReport]:
-    """Keep exactly the pairs whose target message satisfies is_vdo."""
-    kept = [pair for pair in pairs if is_vdo(pair[1], lexicon)]
-    return kept, VdoReport(total=len(pairs), kept=len(kept), removed=len(pairs) - len(kept))
+    items: list[PreparedCommit], lexicon: VerbLexicon
+) -> tuple[list[PreparedCommit], VdoReport]:
+    """Keep exactly the commits whose target message satisfies is_vdo, in order."""
+    kept = [item for item in items if is_vdo(item.target, lexicon)]
+    return kept, VdoReport(total=len(items), kept=len(kept), removed=len(items) - len(kept))

@@ -18,7 +18,6 @@ from diffmsg.bleu import (
     bucketed_bleu,
     corpus_bleu,
     format_report_table,
-    modified_precision,
     nearest_neighbors,
     retrieval_baseline,
 )
@@ -65,21 +64,25 @@ def random_corpus(rng, max_pairs=10, max_len=12, vocab=8):
 
 
 class TestModifiedPrecision:
+    """The clipped n-gram precisions corpus_bleu reports, in percent."""
+
     def test_identity_pairs(self):
         pairs = [(list("abcd"), list("abcd")), (list("xyzt"), list("xyzt"))]
         for n in range(1, 5):
-            assert modified_precision(n, pairs) == 1.0
+            assert corpus_bleu(pairs).precisions[n - 1] == 100.0
 
     def test_clipping(self):
         # "a a a" against "a": only one of the three unigrams is credited
-        assert modified_precision(1, [(["a", "a", "a"], ["a"])]) == pytest.approx(1 / 3)
+        report = corpus_bleu([(["a", "a", "a"], ["a"])], max_order=1)
+        assert report.precisions[0] == pytest.approx(100 / 3)
 
     def test_generated_shorter_than_n(self):
-        assert modified_precision(3, [(["a", "b"], ["a", "b", "c"])]) == 0.0
+        assert corpus_bleu([(["a", "b"], ["a", "b", "c"])], max_order=3).precisions[2] == 0.0
 
     def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            modified_precision(0, [(["a"], ["a"])])
+        for max_order in (0, -1):
+            with pytest.raises(ValueError):
+                corpus_bleu([(["a"], ["a"])], max_order=max_order)
 
 
 class TestBrevityPenalty:

@@ -193,7 +193,30 @@ class TestIngestGit:
             ingest_git(tmp_path / "nope")
 
 
+def oracle_first_sentence(message_text):
+    """The character loop the sentence-end regex replaced."""
+    end = len(message_text)
+    for i, ch in enumerate(message_text):
+        if ch == "\n":
+            end = i
+            break
+        if ch.isspace() and i > 0 and message_text[i - 1] == ".":
+            end = i
+            break
+    return message_text[:end].strip()
+
+
+# Where sentence ends meet: periods, newlines, other whitespace (ASCII
+# space, tab, carriage return, U+00A0, U+2028, \x1c) and plain letters.
+_SENTENCE_TEXT = st.text(alphabet=st.sampled_from(list(".\n \t\r\xa0\u2028\x1cab")), max_size=40)
+
+
 class TestExtractFirstSentence:
+    @given(st.one_of(st.text(max_size=120), _SENTENCE_TEXT))
+    @settings(max_examples=500)
+    def test_matches_character_loop(self, text):
+        assert extract_first_sentence(text) == oracle_first_sentence(text)
+
     def test_period_then_blank_line(self):
         assert extract_first_sentence("Fix NPE in parser.\n\nLong body...") == "Fix NPE in parser."
 

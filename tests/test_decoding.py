@@ -275,9 +275,8 @@ class TestBatchEqualsAlone:
 def full_checkpoint(tmp_path):
     params = make_params(seed=3)
     state = init_optimizer_state(params)
-    for acc_g, acc_u in state.values():
-        acc_g += 0.25
-        acc_u += 0.5
+    state.grad_sq += 0.25
+    state.update_sq += 0.5
     path = tmp_path / "model.ckpt"
     save_checkpoint(Checkpoint(params, state, 7, 12.5, seed=3, best_bleu=20.0, stall=2), path)
     return path

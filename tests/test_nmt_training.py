@@ -3,9 +3,13 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffmsg.corpus import EOS_ID, DatasetSplit, PreparedCommit, build_vocab
 from diffmsg.nmt import training
@@ -29,6 +33,12 @@ def tiny_params(seed=3, src_vocab=10, tgt_vocab=9):
     return init_params(hyper, src_vocab, tgt_vocab), hyper
 
 
+def per_tensor(params, state):
+    """The accumulators by tensor name, as (grad_sq, update_sq) views."""
+    grad_sq, update_sq = params.like(state.grad_sq), params.like(state.update_sq)
+    return {name: (grad_sq[name], update_sq[name]) for name in params}
+
+
 class TestAdadelta:
     def test_zero_gradient_leaves_params_and_decays_accumulators(self):
         params, _ = tiny_params()
@@ -37,21 +47,22 @@ class TestAdadelta:
         batch = [([4, EOS_ID], [4, EOS_ID])]
         adadelta_update(params, gradients(batch, params), state, 0.95, 1e-6)
         before = {k: v.copy() for k, v in params.tensors().items()}
-        acc_before = {k: (g.copy(), u.copy()) for k, (g, u) in state.items()}
+        acc_before = {k: (g.copy(), u.copy()) for k, (g, u) in per_tensor(params, state).items()}
 
-        zeros = {k: np.zeros_like(v) for k, v in params.tensors().items()}
+        zeros = params.like(np.zeros_like(params.flat))
         adadelta_update(params, zeros, state, 0.95, 1e-6)
+        by_name = per_tensor(params, state)
         for name, tensor in params.tensors().items():
             np.testing.assert_array_equal(tensor, before[name])
-            np.testing.assert_allclose(state[name][0], 0.95 * acc_before[name][0], atol=1e-300)
-            np.testing.assert_allclose(state[name][1], 0.95 * acc_before[name][1], atol=1e-300)
+            np.testing.assert_allclose(by_name[name][0], 0.95 * acc_before[name][0], atol=1e-300)
+            np.testing.assert_allclose(by_name[name][1], 0.95 * acc_before[name][1], atol=1e-300)
 
     def test_first_step_closed_form(self):
         # fresh accumulators, g = 1, rho = 0.95, eps = 1e-6:
         # delta = -sqrt(eps) / sqrt((1 - rho) + eps)
         params, _ = tiny_params()
         state = init_optimizer_state(params)
-        ones = {k: np.ones_like(v) for k, v in params.tensors().items()}
+        ones = params.like(np.ones_like(params.flat))
         before = {k: v.copy() for k, v in params.tensors().items()}
         adadelta_update(params, ones, state, 0.95, 1e-6)
         expected_delta = -math.sqrt(1e-6) / math.sqrt(0.05 + 1e-6)
@@ -61,7 +72,7 @@ class TestAdadelta:
     def test_equal_gradients_equal_updates(self):
         params, _ = tiny_params()
         state = init_optimizer_state(params)
-        grads = {k: np.full_like(v, 0.37) for k, v in params.tensors().items()}
+        grads = params.like(np.full_like(params.flat, 0.37))
         before = {k: v.copy() for k, v in params.tensors().items()}
         adadelta_update(params, grads, state, 0.9, 1e-6)
         deltas = [np.unique(np.round(t - before[k], 15)) for k, t in params.tensors().items()]
@@ -244,9 +255,10 @@ class TestCheckpointIO:
         assert loaded.validation_bleu == 12.5
         assert loaded.seed == 3
         assert batch_loss(batch, loaded.params) == batch_loss(batch, params)
+        loaded_state = per_tensor(loaded.params, loaded.optimizer_state)
         for name, tensor in params.tensors().items():
             np.testing.assert_array_equal(loaded.params.tensors()[name], tensor)
-            np.testing.assert_array_equal(loaded.optimizer_state[name][0], state[name][0])
+            np.testing.assert_array_equal(loaded_state[name][0], per_tensor(params, state)[name][0])
 
     def test_truncated_file_rejected(self, tmp_path):
         params, _ = tiny_params()
@@ -294,6 +306,28 @@ class TestCheckpointIO:
                          + bytes(payload_bytes))
         with pytest.raises(CheckpointError, match="version 1 "):
             load_checkpoint(path)
+
+    def test_version_2_file_rejected(self, tmp_path):
+        # the per-tensor layout: every parameter, then each one's accumulators
+        params, _ = tiny_params()
+        manifest = [{"name": name, "shape": list(t.shape)} for name, t in params.tensors().items()]
+        manifest += [{"name": f"opt.{entry['name']}.{acc}", "shape": entry["shape"]}
+                     for entry in list(manifest) for acc in ("grad_sq", "update_sq")]
+        header = {
+            "format_version": 2, "embed_dim": params.embed_dim,
+            "hidden_dim": params.hidden_dim, "src_vocab_size": params.src_vocab_size,
+            "tgt_vocab_size": params.tgt_vocab_size, "seed": 3, "minibatch_index": 0,
+            "validation_bleu": None, "has_optimizer_state": True,
+            "payload_bytes": 3 * params.flat.nbytes, "best_bleu": 0.0, "stall": 0,
+            "window_loss_sum": 0.0, "window_loss_count": 0, "tensors": manifest,
+        }
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
+                         + bytes(header["payload_bytes"]))
+        for params_only in (False, True):
+            with pytest.raises(CheckpointError, match="version 2 ") as info:
+                load_checkpoint(path, params_only=params_only)
+            assert str(path) in str(info.value)
 
     @pytest.mark.parametrize(
         "key", ["payload_bytes", "tensors", "embed_dim", "hidden_dim",
@@ -380,3 +414,81 @@ class TestCheckpointIO:
         path.write_bytes(b"\x00\x01\x02 not a checkpoint\n more bytes")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+class TestNonFiniteState:
+    def test_nan_in_resumed_checkpoint_names_minibatch_and_tensor(self, tmp_path):
+        split = toy_split()
+        src, tgt = build_vocabs(split)
+        train(split, src, tgt, toy_hyper(max_minibatches=4), checkpoint_dir=tmp_path)
+        path = tmp_path / "checkpoint_00000004.ckpt"
+        checkpoint = load_checkpoint(path)
+        checkpoint.params.att_v[2] = np.nan
+        save_checkpoint(checkpoint, path)
+        with pytest.raises(FloatingPointError, match=r"after minibatch 4: .* parameter att_v$"):
+            train(split, src, tgt, toy_hyper(max_minibatches=8),
+                  resume_from=load_checkpoint(path))
+
+    def test_nan_gradient_names_minibatch_and_tensor(self, monkeypatch):
+        split = toy_split()
+        src, tgt = build_vocabs(split)
+        backward, calls = training.loss_backward, []
+
+        def poisoned(params, cache):
+            grads = backward(params, cache)
+            calls.append(1)
+            if len(calls) == 3:
+                grads.dec.b[0] = np.nan
+            return grads
+
+        monkeypatch.setattr(training, "loss_backward", poisoned)
+        with pytest.raises(FloatingPointError, match=r"after minibatch 3: .* parameter dec\.b$"):
+            train(split, src, tgt, toy_hyper())
+
+
+checkpoint_dims = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6),
+                            st.integers(1, 6))
+
+
+class TestCheckpointRoundTripProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(dims=checkpoint_dims, with_state=st.booleans(), data=st.data())
+    def test_bits_round_trip_and_every_cut_fails(self, dims, with_state, data):
+        embed, hidden, src_vocab, tgt_vocab = dims
+        params = init_params(Hyperparams(embed_dim=embed, hidden_dim=hidden), src_vocab, tgt_vocab)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params.flat[:] = rng.standard_normal(params.flat.size) * 10.0 ** rng.integers(
+            -300, 300, params.flat.size)
+        state = None
+        if with_state:
+            state = init_optimizer_state(params)
+            state.grad_sq[:] = rng.random(params.flat.size)
+            state.update_sq[:] = rng.random(params.flat.size)
+        checkpoint = Checkpoint(params, state, data.draw(st.integers(0, 10**6), label="index"),
+                                data.draw(st.none() | st.floats(0, 100), label="bleu"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            save_checkpoint(checkpoint, path)
+            full = load_checkpoint(path)
+            light = load_checkpoint(path, params_only=True)
+            for loaded in (full, light):
+                assert loaded.params.flat.tobytes() == params.flat.tobytes()
+                assert (loaded.minibatch_index, loaded.validation_bleu) == (
+                    checkpoint.minibatch_index, checkpoint.validation_bleu)
+            assert light.optimizer_state is None
+            if with_state:
+                assert full.optimizer_state.grad_sq.tobytes() == state.grad_sq.tobytes()
+                assert full.optimizer_state.update_sq.tobytes() == state.update_sq.tobytes()
+            else:
+                assert full.optimizer_state is None
+
+            blob = path.read_bytes()
+            block = 8 * params.flat.size
+            start = blob.index(b"\n") + 1
+            cuts = {0, start - 1, start, start + block - 1, start + block, start + 2 * block,
+                    len(blob) - 1, data.draw(st.integers(0, len(blob) - 1), label="cut")}
+            for cut in sorted(c for c in cuts if 0 <= c < len(blob)):
+                path.write_bytes(blob[:cut])
+                for params_only in (False, True):
+                    with pytest.raises(CheckpointError):
+                        load_checkpoint(path, params_only=params_only)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffmsg.corpus import tokenize
+from diffmsg.corpus import PreparedCommit, tokenize
 from diffmsg.vdo import (
     VerbLexicon,
     default_lexicon,
@@ -122,7 +122,7 @@ class TestIsVdo:
 
 class TestFilterCorpus:
     def _pairs(self, subjects):
-        return [([f"src{i}"], tokenize(s)) for i, s in enumerate(subjects)]
+        return [PreparedCommit(str(i), [f"src{i}"], tokenize(s)) for i, s in enumerate(subjects)]
 
     def test_all_vdo_ratio_one(self):
         pairs = self._pairs(["Fix the race condition", "add missing tests now"])
@@ -151,7 +151,7 @@ class TestFilterCorpus:
 
     def test_per_pair_independence(self):
         pairs = self._pairs([s for s, _ in VDO_FIXTURE[:10]])
-        full_verdicts = {id(p): is_vdo(p[1], LEX) for p in pairs}
+        full_verdicts = {id(p): is_vdo(p.target, LEX) for p in pairs}
         for drop in range(len(pairs)):
             subset = [p for i, p in enumerate(pairs) if i != drop]
             kept, _ = filter_corpus(subset, LEX)
