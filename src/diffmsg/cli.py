@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,17 +87,41 @@ class PipelineConfig(Hyperparams):
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "PipelineConfig":
-        data = json.loads(text)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+    def from_json(cls, text: str, source: str = "config") -> "PipelineConfig":
+        """Parse a config object; a key that is unknown, mistyped or out of
+        range is a PipelineError naming source and the key.
+
+        A value must match its field's annotation, except that an int may
+        stand for a float (split sizes may be counts) and a bool is not an int."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise PipelineError(f"{source}: not valid JSON ({exc})") from exc
+        if not isinstance(data, dict):
+            raise PipelineError(f"{source}: a config must be a JSON object")
+        declared = {f.name: f.type for f in dataclasses.fields(cls)}
+        hints = typing.get_type_hints(cls)
+        unknown = set(data) - set(declared)
         if unknown:
-            raise PipelineError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        return cls(**data)
+            raise PipelineError(f"{source}: unknown config keys: {', '.join(sorted(unknown))}")
+        for key, value in data.items():
+            kinds = typing.get_args(hints[key]) or (hints[key],)
+            if float in kinds:
+                kinds += (int,)
+            if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+                raise PipelineError(
+                    f"{source}: config key {key!r} must be {declared[key]}, got {value!r}"
+                )
+        config = cls(**data)
+        try:
+            config.validate()
+        except ValueError as exc:  # the message names the key
+            raise PipelineError(f"{source}: {exc}") from exc
+        return config
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(Path(path).read_text(encoding="utf-8"), source=str(path))
 
     # derived paths
     @property
@@ -435,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if args.command == "train":
             paths = cmd_train(config, resume=args.resume)
-            print(f"wrote {len(paths)} checkpoint(s) to {config.checkpoint_dir}")
+            print(f"{len(paths)} checkpoint(s) in {config.checkpoint_dir}")
             return EXIT_OK
         if args.command == "generate":
             raw = Path(args.diff).read_bytes() if args.diff else sys.stdin.buffer.read()

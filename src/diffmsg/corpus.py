@@ -328,11 +328,17 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
+        """Read a file written by save; a token listed twice, or spelled like
+        a special symbol, is a CorpusFormatError naming the line."""
         id_to_token = list(SPECIALS)
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                id_to_token.append(line.rstrip("\n"))
         token_to_id = {token: i for i, token in enumerate(id_to_token)}
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                token = line.rstrip("\n")
+                if token in token_to_id:
+                    raise CorpusFormatError(f"{path}: line {lineno}: duplicate token {token!r}")
+                token_to_id[token] = len(id_to_token)
+                id_to_token.append(token)
         return cls(token_to_id, id_to_token)
 
 

@@ -3,7 +3,8 @@
 Training reshuffles the pairs every epoch with a deterministically derived
 per-epoch RNG, validates by greedy-decode corpus BLEU, saves checkpoints
 on a fixed minibatch schedule, and early-stops when validation BLEU stops
-improving.  Checkpoints are a versioned binary container: one JSON header
+improving.  A Checkpoint is the whole training state: train updates one
+in place and writes it as it stands.  Checkpoints are a versioned binary container: one JSON header
 line (dims, vocab sizes, seed, tensor manifest, payload length, and the
 early-stopping state) followed by the raw float64 parameter buffer and, for
 training state, the two Adadelta accumulators in the same layout, so
@@ -16,6 +17,7 @@ header key and tensor shape before reading the payload.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -88,24 +90,32 @@ def adadelta_update(
 
 @dataclass
 class Checkpoint:
+    """The training state: what a resumed run needs to train, log,
+    checkpoint and stop exactly as an unbroken one."""
+
     params: ModelParams
     optimizer_state: OptimizerState | None
     minibatch_index: int
     validation_bleu: float | None
     seed: int = 0
-    # early-stopping and log state, so a resumed run decides as an unbroken one
     best_bleu: float = 0.0
     stall: int = 0
+    # the loss of the minibatches since the last validation, not yet logged
     window_loss_sum: float = 0.0
     window_loss_count: int = 0
 
 
-# every header key but "tensors" and "format_version", with its JSON type
-_HEADER_KEYS = {
-    "embed_dim": int, "hidden_dim": int, "src_vocab_size": int, "tgt_vocab_size": int,
-    "seed": int, "minibatch_index": int, "validation_bleu": (float, int, type(None)),
-    "has_optimizer_state": bool, "payload_bytes": int, "best_bleu": (float, int),
-    "stall": int, "window_loss_sum": (float, int), "window_loss_count": int,
+# The header is one JSON object: these Checkpoint fields, with their JSON
+# types, then the keys that describe the payload, and "format_version".
+_STATE_KEYS = {
+    "minibatch_index": int, "validation_bleu": (float, int, type(None)), "seed": int,
+    "best_bleu": (float, int), "stall": int, "window_loss_sum": (float, int),
+    "window_loss_count": int,
+}
+_DIM_KEYS = ("embed_dim", "hidden_dim", "src_vocab_size", "tgt_vocab_size")
+_PAYLOAD_KEYS = {
+    **dict.fromkeys(_DIM_KEYS, int), "has_optimizer_state": bool, "payload_bytes": int,
+    "tensors": list,
 }
 
 
@@ -121,25 +131,16 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     state = checkpoint.optimizer_state
     if state is not None:
         blocks += [state.grad_sq, state.update_sq]
-    manifest = [
-        {"name": name, "shape": list(tensor.shape)} for name, tensor in params.tensors().items()
-    ]
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "embed_dim": params.embed_dim,
-        "hidden_dim": params.hidden_dim,
-        "src_vocab_size": params.src_vocab_size,
-        "tgt_vocab_size": params.tgt_vocab_size,
-        "seed": checkpoint.seed,
-        "minibatch_index": checkpoint.minibatch_index,
-        "validation_bleu": checkpoint.validation_bleu,
+        **{key: getattr(checkpoint, key) for key in _STATE_KEYS},
+        **{key: getattr(params, key) for key in _DIM_KEYS},
         "has_optimizer_state": state is not None,
         "payload_bytes": sum(block.nbytes for block in blocks),
-        "best_bleu": checkpoint.best_bleu,
-        "stall": checkpoint.stall,
-        "window_loss_sum": checkpoint.window_loss_sum,
-        "window_loss_count": checkpoint.window_loss_count,
-        "tensors": manifest,
+        "tensors": [
+            {"name": name, "shape": list(tensor.shape)}
+            for name, tensor in params.tensors().items()
+        ],
     }
     tmp = path.with_name(f".{path.name}.tmp")
     try:
@@ -159,16 +160,13 @@ def _check_header(path: str | Path, header: dict) -> int:
     """Raise CheckpointError for a missing or mistyped key, or a manifest
     that disagrees with the dimensions, vocabulary sizes, layout order or
     payload length; return N, the number of parameters."""
-    for key, kind in {**_HEADER_KEYS, "tensors": list}.items():
+    for key, kind in {**_STATE_KEYS, **_PAYLOAD_KEYS}.items():
         if key not in header:
             raise CheckpointError(f"{path}: header lacks {key!r}")
         value = header[key]
         if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
             raise CheckpointError(f"{path}: header key {key!r} has a bad value {value!r}")
-    expected = param_shapes(
-        header["embed_dim"], header["hidden_dim"],
-        header["src_vocab_size"], header["tgt_vocab_size"],
-    )
+    expected = param_shapes(*(header[key] for key in _DIM_KEYS))
     manifest = header["tensors"]
     if len(manifest) != len(expected):
         raise CheckpointError(f"{path}: manifest lists {len(manifest)} tensors, not {len(expected)}")
@@ -242,17 +240,10 @@ def load_checkpoint(
         np.frombuffer(payload, dtype=np.float64, count=size, offset=8 * size * k)
         for k in range(blocks)
     )
-    dims = (header[key] for key in ("embed_dim", "hidden_dim", "src_vocab_size", "tgt_vocab_size"))
     return Checkpoint(
-        params=ModelParams.from_flat(flat, *dims),
+        params=ModelParams.from_flat(flat, *(header[key] for key in _DIM_KEYS)),
         optimizer_state=OptimizerState(*state) if state else None,
-        minibatch_index=header["minibatch_index"],
-        validation_bleu=header["validation_bleu"],
-        seed=header["seed"],
-        best_bleu=header["best_bleu"],
-        stall=header["stall"],
-        window_loss_sum=header["window_loss_sum"],
-        window_loss_count=header["window_loss_count"],
+        **{key: header[key] for key in _STATE_KEYS},
     )
 
 
@@ -283,12 +274,15 @@ def train(
     log_path: str | Path | None = None,
     resume_from: Checkpoint | None = None,
 ) -> list[Checkpoint]:
-    """Minibatch Adadelta training; returns every checkpoint saved, in order.
+    """Minibatch Adadelta training; returns [state], the final training state.
 
-    Validation runs every hyper.validate_every minibatches on greedy
-    decodes of the validation split (skipped if it is empty); training
-    stops after hyper.patience consecutive non-improving validations, or at
-    the epoch/minibatch limits.  A final checkpoint is always saved.
+    The state is one Checkpoint, updated in place and written every
+    hyper.checkpoint_every minibatches and when training stops.  Validation
+    runs every hyper.validate_every minibatches on greedy decodes of the
+    validation split (skipped if it is empty); training stops after
+    hyper.patience consecutive non-improving validations, or at the
+    epoch/minibatch limits.  Resuming a run that has already stopped trains
+    and writes nothing.
     """
     hyper.validate()
     if not split.train:
@@ -303,21 +297,18 @@ def train(
         for item in split.valid
     ]
 
-    if resume_from is not None:
-        if resume_from.optimizer_state is None:
-            raise ValueError("cannot resume from a checkpoint without optimizer state")
-        params = resume_from.params.copy()
-        optimizer_state = resume_from.optimizer_state.copy()
-        start_index = resume_from.minibatch_index
-        best_bleu, stall = resume_from.best_bleu, resume_from.stall
-        window_loss_sum = resume_from.window_loss_sum
-        window_loss_count = resume_from.window_loss_count
-    else:
+    if resume_from is None:
         params = init_params(hyper, len(src_vocab), len(tgt_vocab))
-        optimizer_state = init_optimizer_state(params)
-        start_index = 0
-        best_bleu, stall = 0.0, 0
-        window_loss_sum, window_loss_count = 0.0, 0
+        state = Checkpoint(params, init_optimizer_state(params), 0, None, seed=hyper.seed)
+    elif resume_from.optimizer_state is None:
+        raise ValueError("cannot resume from a checkpoint without optimizer state")
+    else:
+        state = dataclasses.replace(
+            resume_from,
+            params=resume_from.params.copy(),
+            optimizer_state=resume_from.optimizer_state.copy(),
+            seed=hyper.seed,
+        )
 
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if ckpt_dir is not None:
@@ -326,94 +317,57 @@ def train(
     log_mode = "a" if resume_from is not None else "w"
     log_handle = open(log_path, log_mode, encoding="utf-8") if log_path is not None else None
 
-    checkpoints: list[Checkpoint] = []
-
-    def check_finite(index: int) -> None:
+    def check_finite() -> None:
         try:
-            params.assert_finite()
+            state.params.assert_finite()
         except FloatingPointError as exc:
-            raise FloatingPointError(f"after minibatch {index}: {exc}") from exc
+            raise FloatingPointError(f"after minibatch {state.minibatch_index}: {exc}") from exc
 
-    def save(index: int, validation: float | None) -> None:
-        checkpoint = Checkpoint(
-            params=params.copy(),
-            optimizer_state=optimizer_state.copy(),
-            minibatch_index=index,
-            validation_bleu=validation,
-            seed=hyper.seed,
-            best_bleu=best_bleu,
-            stall=stall,
-            window_loss_sum=window_loss_sum,
-            window_loss_count=window_loss_count,
-        )
-        checkpoints.append(checkpoint)
-        if ckpt_dir is not None:
-            save_checkpoint(checkpoint, ckpt_dir / f"checkpoint_{index:08d}.ckpt")
-
-    n = len(train_pairs)
-    batches_per_epoch = (n + hyper.minibatch_size - 1) // hyper.minibatch_size
-    minibatch_index = start_index
-    last_validation: float | None = resume_from.validation_bleu if resume_from else None
-    last_saved_index = -1
-    stop = False
+    n, size = len(train_pairs), hyper.minibatch_size
+    batches_per_epoch = (n + size - 1) // size
+    limit = min(hyper.max_epochs * batches_per_epoch, hyper.max_minibatches)
+    order: list[int] = []
 
     try:
-        check_finite(start_index)
-        for epoch in range(hyper.max_epochs):
-            if stop:
+        check_finite()
+        for index in range(state.minibatch_index, limit):
+            if state.stall > hyper.patience:
                 break
-            if (epoch + 1) * batches_per_epoch <= start_index:
-                continue  # fully consumed before the resume point
-            order = _epoch_order(hyper.seed, epoch, n)
-            for b in range(batches_per_epoch):
-                global_index = epoch * batches_per_epoch + b
-                if global_index < start_index:
-                    continue
-                chunk = order[b * hyper.minibatch_size : (b + 1) * hyper.minibatch_size]
-                batch = [train_pairs[i] for i in chunk]
-                sources = [s for s, _ in batch]
-                targets = [t for _, t in batch]
-                src, src_mask, tgt, tgt_mask = pad_batch(sources, targets)
-                loss, cache = loss_forward(params, src, src_mask, tgt, tgt_mask)
-                grads = loss_backward(params, cache)
-                del cache  # free the activations before the update's buffers
-                adadelta_update(params, grads, optimizer_state, hyper.adadelta_rho, hyper.adadelta_eps)
-                minibatch_index = global_index + 1
-                check_finite(minibatch_index)
-                window_loss_sum += loss
-                window_loss_count += 1
+            epoch, b = divmod(index, batches_per_epoch)
+            if b == 0 or not order:
+                order = _epoch_order(hyper.seed, epoch, n)
+            batch = [train_pairs[i] for i in order[b * size : (b + 1) * size]]
+            src, src_mask, tgt, tgt_mask = pad_batch([s for s, _ in batch], [t for _, t in batch])
+            loss, cache = loss_forward(state.params, src, src_mask, tgt, tgt_mask)
+            grads = loss_backward(state.params, cache)
+            del cache  # free the activations before the update's buffers
+            adadelta_update(state.params, grads, state.optimizer_state,
+                            hyper.adadelta_rho, hyper.adadelta_eps)
+            state.minibatch_index = index + 1
+            check_finite()
+            state.window_loss_sum += loss
+            state.window_loss_count += 1
 
-                if valid_pairs and minibatch_index % hyper.validate_every == 0:
-                    score = _validation_bleu(params, valid_pairs, tgt_vocab, hyper.max_target_len)
-                    last_validation = score
-                    mean_loss = window_loss_sum / max(window_loss_count, 1)
-                    if log_handle is not None:
-                        log_handle.write(
-                            f"minibatch={minibatch_index} loss={mean_loss:.6f} "
-                            f"val_bleu={score:.4f}\n"
-                        )
-                    window_loss_sum = 0.0
-                    window_loss_count = 0
-                    if score > best_bleu:
-                        best_bleu = score
-                        stall = 0
-                    else:
-                        stall += 1
-                        if stall > hyper.patience:
-                            stop = True
+            if valid_pairs and state.minibatch_index % hyper.validate_every == 0:
+                score = _validation_bleu(state.params, valid_pairs, tgt_vocab, hyper.max_target_len)
+                state.validation_bleu = score
+                if log_handle is not None:
+                    mean_loss = state.window_loss_sum / state.window_loss_count
+                    log_handle.write(
+                        f"minibatch={state.minibatch_index} loss={mean_loss:.6f} "
+                        f"val_bleu={score:.4f}\n"
+                    )
+                state.window_loss_sum, state.window_loss_count = 0.0, 0
+                if score > state.best_bleu:
+                    state.best_bleu, state.stall = score, 0
+                else:
+                    state.stall += 1
 
-                if minibatch_index % hyper.checkpoint_every == 0:
-                    save(minibatch_index, last_validation)
-                    last_saved_index = minibatch_index
-
-                if minibatch_index >= hyper.max_minibatches or stop:
-                    stop = True
-                    break
-
-        if minibatch_index != last_saved_index:
-            save(minibatch_index, last_validation)
+            last = state.minibatch_index == limit or state.stall > hyper.patience
+            if ckpt_dir is not None and (last or state.minibatch_index % hyper.checkpoint_every == 0):
+                save_checkpoint(state, ckpt_dir / f"checkpoint_{state.minibatch_index:08d}.ckpt")
     finally:
         if log_handle is not None:
             log_handle.close()
 
-    return checkpoints
+    return [state]

@@ -308,18 +308,61 @@ def save_qa_model(model: QaModel, path: str | Path) -> None:
         handle.write("\n")
 
 
+class QaModelError(ValueError):
+    """Unreadable or inconsistent QA model file."""
+
+
+# every key of a saved QA model and of its "hyper" object, with its JSON
+# type; no value is a bool
+_MODEL_KEYS = {"format_version": int, "feature_vocab": dict, "idf": list, "weights": list,
+               "bias": (float, int), "hyper": dict}
+_HYPER_KEYS = {"l2_lambda": (float, int), "epochs": int, "seed": int}
+
+
 def load_qa_model(path: str | Path) -> QaModel:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+    """Load a model written by save_qa_model.
+
+    Checks every key and its type, and that feature_vocab, idf and weights
+    agree: one idf and one weight per feature, with the feature indices
+    exactly 0..n-1.  Any mismatch is a QaModelError naming the file and key.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except ValueError as exc:  # bad JSON or undecodable bytes
+        raise QaModelError(f"{path}: unreadable QA model ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise QaModelError(f"{path}: a QA model must be a JSON object")
     if payload.get("format_version") != QA_MODEL_FORMAT_VERSION:
-        raise ValueError(
+        raise QaModelError(
             f"{path}: format version {payload.get('format_version')} "
             f"!= {QA_MODEL_FORMAT_VERSION}"
         )
+    for prefix, obj, keys in (("", payload, _MODEL_KEYS),
+                              ("hyper.", payload.get("hyper"), _HYPER_KEYS)):
+        for key, kind in keys.items():
+            if key not in obj:
+                raise QaModelError(f"{path}: QA model lacks {prefix + key!r}")
+            value = obj[key]
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise QaModelError(f"{path}: key {prefix + key!r} has a bad value {value!r}")
+    vocab, idf, weights = payload["feature_vocab"], payload["idf"], payload["weights"]
+    if not {type(index) for index in vocab.values()} <= {int}:
+        raise QaModelError(f"{path}: key 'feature_vocab' maps a token to a non-integer index")
+    for key in ("idf", "weights"):
+        if not {type(value) for value in payload[key]} <= {float, int}:
+            raise QaModelError(f"{path}: key {key!r} holds a value that is not a number")
+    if not len(vocab) == len(idf) == len(weights):
+        raise QaModelError(
+            f"{path}: keys 'feature_vocab', 'idf' and 'weights' hold {len(vocab)}, {len(idf)} "
+            f"and {len(weights)} entries, not one per feature"
+        )
+    if sorted(vocab.values()) != list(range(len(vocab))):
+        raise QaModelError(f"{path}: key 'feature_vocab' indices are not exactly 0..{len(vocab) - 1}")
     return QaModel(
-        feature_vocab={str(k): int(v) for k, v in payload["feature_vocab"].items()},
-        idf=np.asarray(payload["idf"], dtype=np.float64),
-        weights=np.asarray(payload["weights"], dtype=np.float64),
+        feature_vocab=vocab,
+        idf=np.asarray(idf, dtype=np.float64),
+        weights=np.asarray(weights, dtype=np.float64),
         bias=float(payload["bias"]),
-        hyper=QaHyper(**payload["hyper"]),
+        hyper=QaHyper(**{key: payload["hyper"][key] for key in _HYPER_KEYS}),
     )

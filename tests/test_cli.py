@@ -403,3 +403,31 @@ class TestMainExitCodes:
         assert main(["--config", str(path), "--seed", "99", "prepare"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["seed"] == 99
+
+    def test_resuming_a_finished_run_reports_and_writes_nothing_new(self, tmp_path, capsys):
+        path, config = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert main(["--config", str(path), "train"]) == EXIT_OK
+        before = {p: p.read_bytes() for p in Path(config.work_dir).rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["--config", str(path), "train", "--resume"]) == EXIT_OK
+        assert capsys.readouterr().out == f"2 checkpoint(s) in {config.checkpoint_dir}\n"
+        assert {p: p.read_bytes() for p in Path(config.work_dir).rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("text, named", [
+        ("[1]", "JSON object"),
+        ('{"embed_dim": true}', "'embed_dim' must be int, got True"),
+        ('{"ensemble_size": 0}', "ensemble_size must be >= 1, got 0"),
+    ], ids=["not_an_object", "bool_for_int", "fails_validate"])
+    def test_bad_config_is_a_named_error(self, tmp_path, capsys, text, named):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and named in err
+
+    def test_int_accepted_where_a_float_is(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"valid_size": 4, "adadelta_eps": 1, "src_vocab_cap": null}')
+        config = PipelineConfig.load(path)
+        assert (config.valid_size, config.adadelta_eps, config.src_vocab_cap) == (4, 1, None)

@@ -23,6 +23,7 @@ from diffmsg.corpus import (
     Commit,
     CorpusFormatError,
     FilterConfig,
+    Vocabulary,
     apply_filters,
     build_vocab,
     extract_first_sentence,
@@ -506,6 +507,17 @@ class TestBuildVocab:
         loaded = type(vocab).load(path)
         assert loaded.id_to_token == vocab.id_to_token
         assert loaded.token_to_id == vocab.token_to_id
+
+    @pytest.mark.parametrize("lines, lineno, token", [
+        (["a", "b", "a"], 3, "a"),
+        (["a", UNK], 2, UNK),
+    ], ids=["listed_twice", "special_lookalike"])
+    def test_load_rejects_duplicate_token(self, tmp_path, lines, lineno, token):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as info:
+            Vocabulary.load(path)
+        assert str(info.value) == f"{path}: line {lineno}: duplicate token {token!r}"
 
 
 def _pairs(n):

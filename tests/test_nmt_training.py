@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,48 @@ class TestTrain:
         checkpoints = train(split, src, tgt, toy_hyper(patience=0, validate_every=1))
         # no validation events, so patience never triggers: run to max_epochs
         assert checkpoints[-1].minibatch_index == 6
+
+    @pytest.mark.parametrize("stop", ["minibatch_limit", "early_stopping"])
+    def test_resuming_a_finished_run_writes_nothing(self, tmp_path, stop):
+        # patience 1 with validate_every 2: the untrained model scores BLEU 0
+        # at minibatches 2 and 4, so it early-stops at 4 of 100
+        split = toy_split()
+        src, tgt = build_vocabs(split)
+        if stop == "minibatch_limit":
+            hyper = toy_hyper(max_minibatches=3)
+        else:
+            hyper = toy_hyper(patience=1, max_epochs=50)
+        log = tmp_path / "train.log"
+        first = train(split, src, tgt, hyper, checkpoint_dir=tmp_path, log_path=log)[-1]
+        assert first.minibatch_index == (3 if stop == "minibatch_limit" else 4)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        last = tmp_path / f"checkpoint_{first.minibatch_index:08d}.ckpt"
+        resumed = train(split, src, tgt, hyper, checkpoint_dir=tmp_path, log_path=log,
+                        resume_from=load_checkpoint(last))[-1]
+        assert resumed.minibatch_index == first.minibatch_index
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_checkpoint_every_minibatch_keeps_no_state_per_checkpoint(self, tmp_path):
+        split = toy_split()
+        src, tgt = build_vocabs(split)
+
+        def traced_peak(checkpoint_every):
+            hyper = toy_hyper(embed_dim=16, hidden_dim=32, checkpoint_every=checkpoint_every,
+                              max_minibatches=6)
+            tracemalloc.start()
+            try:
+                state = train(split, src, tgt, hyper,
+                              checkpoint_dir=tmp_path / str(checkpoint_every))[-1]
+                return tracemalloc.get_traced_memory()[1], state
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(6)  # the first run pays one-time costs, such as lazy imports
+        every_peak, state = traced_peak(1)
+        once_peak, _ = traced_peak(6)
+        assert state.minibatch_index == 6 and len(list((tmp_path / "1").iterdir())) == 6
+        model_state = 3 * state.params.flat.nbytes  # parameters and both accumulators
+        assert every_peak - once_peak < model_state
 
 
 def saved_checkpoint(tmp_path):

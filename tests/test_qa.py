@@ -1,5 +1,6 @@
 """Tests for the quality-assurance classifier."""
 
+import json
 import math
 import random
 
@@ -12,6 +13,7 @@ from diffmsg.qa import (
     GoldRecord,
     QaHyper,
     QaModel,
+    QaModelError,
     compute_idf,
     cross_validate,
     floor_median,
@@ -274,6 +276,37 @@ class TestModelIO:
         path.write_text('{"format_version": 99}')
         with pytest.raises(ValueError, match="version"):
             load_qa_model(path)
+
+    @staticmethod
+    def _edited(tmp_path, edit):
+        vocab, idf = compute_idf([["a", "b"], ["b", "c"]])
+        path = tmp_path / "qa.json"
+        save_qa_model(QaModel(vocab, idf, np.ones(len(vocab)), 0.5), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.pop("feature_vocab"), "lacks 'feature_vocab'"),
+        (lambda m: m["hyper"].pop("epochs"), "lacks 'hyper.epochs'"),
+        (lambda m: m.update(bias="0.5"), "key 'bias' has a bad value '0.5'"),
+        (lambda m: m["weights"].__setitem__(1, None), "key 'weights' holds a value that is not"),
+        (lambda m: m["feature_vocab"].update(a=True), "key 'feature_vocab' maps a token to a non"),
+        (lambda m: m["idf"].pop(), "hold 3, 2 and 3 entries"),
+        (lambda m: m["feature_vocab"].update(a=3), r"'feature_vocab' indices are not exactly 0\.\.2"),
+    ], ids=["missing_key", "missing_hyper_key", "bad_type", "bad_element", "bool_index",
+            "lengths_disagree", "indices_not_a_range"])
+    def test_inconsistent_model_is_a_named_error(self, tmp_path, edit, message):
+        path = self._edited(tmp_path, edit)
+        with pytest.raises(QaModelError, match=message) as info:
+            load_qa_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_edited_but_consistent_model_loads(self, tmp_path):
+        path = self._edited(tmp_path, lambda m: m.update(bias=1, idf=[1, 2, 3]))
+        model = load_qa_model(path)
+        assert model.bias == 1.0 and model.idf.tolist() == [1.0, 2.0, 3.0]
 
 
 class TestGoldFile:
