@@ -7,6 +7,7 @@ implementation under test.
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -238,6 +239,42 @@ class TestRetrievalBaseline:
     def test_k_validated(self):
         with pytest.raises(ValueError):
             nearest_neighbors([["a"]], ["a"], k=0)
+
+
+def brute_force_neighbors(train_sources, source, k):
+    """Cosine of unigram counts against every training diff, recounted with
+    Counters: the exact integer dot product over the product of the norms,
+    0.0 when either norm is zero; ties go to the lower index."""
+    query = Counter(source)
+    query_norm = math.sqrt(sum(c * c for c in query.values()))
+    scored = []
+    for index, tokens in enumerate(train_sources):
+        counts = Counter(tokens)
+        norm = math.sqrt(sum(c * c for c in counts.values()))
+        dot = sum(c * counts[token] for token, c in query.items())
+        scored.append((index, dot / (query_norm * norm) if query_norm and norm else 0.0))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored[:k]
+
+
+# a small alphabet makes repeated diffs and tied scores common; "unseen"
+# tokens appear only in queries
+_train_diff = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6)
+_query_diff = st.lists(st.sampled_from(["a", "b", "c", "d", "unseen", "also_unseen"]), max_size=6)
+
+
+class TestNeighborsAgainstBruteForce:
+    @given(st.lists(_train_diff, min_size=1, max_size=12), _query_diff, st.integers(1, 14))
+    @settings(max_examples=300, deadline=None)
+    def test_nearest_neighbors_equals_recount(self, train_sources, source, k):
+        assert nearest_neighbors(train_sources, source, k) == brute_force_neighbors(train_sources, source, k)
+
+    @given(st.lists(_train_diff, min_size=1, max_size=12), st.lists(_query_diff, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_retrieval_copies_the_first_recounted_neighbor(self, train_sources, test_sources):
+        train_pairs = [(source, [f"msg{i}"]) for i, source in enumerate(train_sources)]
+        expected = [[f"msg{brute_force_neighbors(train_sources, s, 1)[0][0]}"] for s in test_sources]
+        assert retrieval_baseline(train_pairs, test_sources) == expected
 
 
 class TestReportTable:

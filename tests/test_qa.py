@@ -349,3 +349,62 @@ class TestPinnedMargins:
             7.7176094505352815,
         ]
         assert model.bias == 17.381885821398374
+
+
+def noisy_gold(n=40, seed=7):
+    """Overlapping classes, a token unique to each record and some records
+    with no token or with only their unique one, so every held-out fold
+    meets unseen tokens and diffs without a known feature."""
+    rng = random.Random(seed)
+    vocab = [f"tok{i}" for i in range(12)]
+    records = []
+    for i in range(n):
+        bad = i < 2 or rng.random() < 0.4
+        if i % 13 == 5:
+            diff = []
+        elif i % 11 == 3:
+            diff = [f"only{i}"]
+        else:
+            diff = [rng.choice(vocab) for _ in range(rng.randint(1, 12))] + [f"only{i}"]
+            if bad and rng.random() < 0.7:
+                diff.insert(rng.randrange(len(diff)), rng.choice(MARKERS))
+        scores = (rng.randint(0, 1),) if bad else (rng.randint(2, 7), rng.randint(0, 7))
+        records.append(GoldRecord(diff=diff, scores=scores))
+    return records
+
+
+class TestCrossValidatePinned:
+    """Cross-validation may share work between folds but must give each
+    fold exactly the model train_svm fits on that fold's records."""
+
+    def test_margins_and_predictions_pinned(self):
+        result = cross_validate(noisy_gold(), k=5, seed=4, hyper=QaHyper(seed=2))
+        assert [float.hex(m) for m in result.margins] == PINNED_CV_MARGINS
+        assert result.predictions == [m > 0.0 for m in result.margins]
+
+    @pytest.mark.parametrize("n, k, seed, epochs", [(40, 5, 4, 20), (23, 4, 1, 3), (31, 10, 8, 2)])
+    def test_each_fold_is_train_svm_then_predict(self, n, k, seed, epochs):
+        gold = noisy_gold(n, seed=seed)
+        hyper = QaHyper(epochs=epochs, seed=seed + 1)
+        result = cross_validate(gold, k=k, seed=seed, hyper=hyper)
+        for f, held_out in enumerate(result.fold_indices):
+            # folds are slices of one shuffled order; training keeps that order
+            train = [gold[i] for g, fold in enumerate(result.fold_indices) if g != f for i in fold]
+            model = train_svm(train, hyper)
+            for i in held_out:
+                assert predict(gold[i].diff, model) == (result.predictions[i], result.margins[i])
+
+
+# cross_validate(noisy_gold(), k=5, seed=4, hyper=QaHyper(seed=2)).margins, as float.hex
+PINNED_CV_MARGINS = [
+    '0x1.6fe09229e1080p-1', '0x1.9bd77ba9c5450p+3', '-0x1.22760f14b1bfbp+5', '-0x1.ef800368c5110p+5',
+    '-0x1.4056c4d2f5868p+3', '-0x1.b96064f93d6a4p+4', '0x1.c3c2b641abe76p+4', '0x1.717f5b608b478p+4',
+    '0x1.52dba05126310p+3', '0x1.9e2fc80cda8f8p+3', '0x1.02f97e07e0cb4p+4', '-0x1.6de420e51e2f4p+4',
+    '0x1.7ef264173cdb0p+1', '-0x1.1ea4595a11bc0p+5', '-0x1.1ae0615a89ec6p+6', '-0x1.2ef5716ce873fp+4',
+    '-0x1.19c2413646ef8p+2', '-0x1.1b4016aafaa94p+3', '-0x1.4228f3ee6cdcfp+6', '0x1.33c6867e5df72p+4',
+    '-0x1.b9c62bf4127dcp+4', '0x1.e253290c48e90p+3', '0x1.8a9efcd94e77cp+4', '0x1.34f9935fa2df4p+5',
+    '0x1.8fca0a163857cp+3', '-0x1.b96064f93d6a4p+4', '0x1.cbca700daf690p+2', '0x1.0a9a888606a00p+3',
+    '-0x1.2106362434d10p+2', '-0x1.16d61ec22b888p+2', '0x1.e92a973925f88p+2', '-0x1.0f7f654c02642p+5',
+    '-0x1.5fcef9ece3360p+4', '-0x1.aa39965c315b0p+3', '0x1.3ab9817d60996p+4', '-0x1.9c282edfa36a8p+3',
+    '-0x1.0f7f654c02642p+5', '-0x1.ea2493e44d8fcp+3', '-0x1.e22eca711e160p+4', '-0x1.2000afe92b68ap+4',
+]
