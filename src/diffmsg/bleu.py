@@ -12,6 +12,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
+from .bow import BagOfWords, row_sums
 from .corpus import TokenSequence
 
 Pair = tuple[TokenSequence, TokenSequence]  # (generated, reference)
@@ -86,7 +89,10 @@ def corpus_bleu(pairs: list[Pair], max_order: int = 4, smoothing: str = "none") 
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:
-        score = 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / max_order)
+        log_sum = 0.0  # left to right: sum() compensates float sums from Python 3.12 on
+        for p in precisions:
+            log_sum += math.log(p)
+        score = 100.0 * bp * math.exp(log_sum / max_order)
     return BleuReport(
         bleu=score,
         precisions=tuple(100.0 * p for p in precisions),
@@ -134,13 +140,31 @@ def bucketed_bleu(
     return buckets
 
 
-def _cosine(a: Counter, a_norm: float, b: Counter, b_norm: float) -> float:
-    if a_norm == 0.0 or b_norm == 0.0:
-        return 0.0
-    if len(b) < len(a):
-        a, b = b, a
-    dot = sum(count * b[token] for token, count in a.items())
-    return dot / (a_norm * b_norm)
+def _top_k(
+    train: BagOfWords, queries: list[TokenSequence], k: int
+) -> list[list[tuple[int, float]]]:
+    """For each query, the top-k training documents by cosine of unigram counts.
+
+    The cosine is the exact integer dot product over q_norm * norm, and 0.0
+    where either norm is zero; ties break toward the lower training index.
+    """
+    norms = np.sqrt(row_sums(train.counts * train.counts, train.indptr))
+    bags = BagOfWords(queries)
+    query_norms = np.sqrt(row_sums(bags.counts * bags.counts, bags.indptr))
+    train_term = bags.lookup(train.ids)
+    ranked = []
+    for start, end, query_norm in zip(bags.indptr[:-1], bags.indptr[1:], query_norms):
+        # one slot past the training vocabulary takes the unseen tokens (term -1)
+        query = np.zeros(len(train.ids) + 1, dtype=np.int64)
+        query[train_term[bags.terms[start:end]]] = bags.counts[start:end]
+        dots = np.bincount(
+            train.rows, weights=query[train.terms] * train.counts, minlength=train.n_docs
+        )
+        denominator = query_norm * norms
+        scores = np.divide(dots, denominator, out=np.zeros(train.n_docs), where=denominator > 0.0)
+        top = np.argsort(-scores, kind="stable")[:k]
+        ranked.append([(int(i), float(scores[i])) for i in top])
+    return ranked
 
 
 def nearest_neighbors(
@@ -152,33 +176,18 @@ def nearest_neighbors(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    query = Counter(source)
-    query_norm = math.sqrt(sum(c * c for c in query.values()))
-    scored = []
-    for index, tokens in enumerate(train_sources):
-        counts = Counter(tokens)
-        norm = math.sqrt(sum(c * c for c in counts.values()))
-        scored.append((index, _cosine(query, query_norm, counts, norm)))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored[:k]
+    return _top_k(BagOfWords(train_sources), [source], k)[0]
 
 
 def retrieval_baseline(
-    train_pairs: list[Pair], test_sources: list[TokenSequence], k: int = 1
+    train_pairs: list[Pair], test_sources: list[TokenSequence]
 ) -> list[TokenSequence]:
-    """For each test source, copy the message of the most similar training diff.
-
-    k bounds the neighborhood retrieved per source; the returned message is
-    always the best match (lowest index on ties).
-    """
+    """For each test source, copy the message of the most similar training diff
+    (see nearest_neighbors; the lowest index wins a tie)."""
     if not train_pairs:
         raise ValueError("retrieval baseline requires a non-empty training set")
-    train_sources = [source for source, _ in train_pairs]
-    generated = []
-    for source in test_sources:
-        best_index, _ = nearest_neighbors(train_sources, source, k)[0]
-        generated.append(list(train_pairs[best_index][1]))
-    return generated
+    train = BagOfWords([source for source, _ in train_pairs])
+    return [list(train_pairs[hits[0][0]][1]) for hits in _top_k(train, test_sources, 1)]
 
 
 def format_report_table(rows: list[tuple[str, BleuReport]]) -> str:

@@ -71,6 +71,16 @@ class PipelineConfig(Hyperparams):
     qa_lambda: float = 1e-4
     qa_epochs: int = 20
 
+    def validate(self) -> None:
+        """Hyperparams.validate, plus the ranges of the pipeline-only fields."""
+        super().validate()
+        for name in ("max_diff_bytes", "qa_epochs", "src_vocab_cap", "tgt_vocab_cap"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if not self.qa_lambda > 0.0:
+            raise ValueError(f"qa_lambda must be > 0, got {self.qa_lambda}")
+
     def hyperparams(self) -> Hyperparams:
         return Hyperparams(
             **{f.name: getattr(self, f.name) for f in dataclasses.fields(Hyperparams)}

@@ -51,6 +51,10 @@ _ISSUE_ID_RE = re.compile(r"#\d+")
 _SENTENCE_END_RE = re.compile(r"\n|(?<=\.)\s")
 # Standalone hexadecimal run of >= 7 chars: commit hashes, full or abbreviated.
 _COMMIT_ID_RE = re.compile(r"(?<![0-9A-Za-z_])[0-9a-fA-F]{7,}(?![0-9A-Za-z_])")
+_SPACE_RE = re.compile(r"\s")
+# First prefix preprocess_source tries per token it needs; diff tokens
+# average 5-6 characters with their whitespace.
+_PREFIX_CHARS_PER_TOKEN = 8
 
 MERGE_ROLLBACK_PREFIXES = ("merge", "revert", "rollback", "roll back")
 
@@ -219,8 +223,23 @@ def tokenize(text: str, limit: int | None = None) -> TokenSequence:
 
 
 def preprocess_source(diff_text: str, limit: int | None = None) -> TokenSequence:
-    """Diff text -> source tokens: strip commit ids, tokenize (see tokenize's limit)."""
-    return tokenize(strip_ids(diff_text, SOURCE), limit)
+    """Diff text -> source tokens: strip commit ids, tokenize (see tokenize's limit).
+
+    With a limit, only a prefix of the text is processed.  It ends before a
+    whitespace character, which no id or token spans, so its tokens are the
+    first tokens of the whole text; it doubles until it yields limit + 1
+    tokens or holds the whole text.
+    """
+    if limit is None:
+        return tokenize(strip_ids(diff_text, SOURCE))
+    size = _PREFIX_CHARS_PER_TOKEN * (limit + 1)
+    while True:
+        space = _SPACE_RE.search(diff_text, size)
+        end = space.start() if space else len(diff_text)
+        tokens = tokenize(strip_ids(diff_text[:end], SOURCE), limit)
+        if len(tokens) > limit or end == len(diff_text):
+            return tokens
+        size = 2 * end
 
 
 def preprocess_target(message_text: str) -> TokenSequence:

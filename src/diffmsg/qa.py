@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .bow import BagOfWords, row_sums
 from .corpus import TokenSequence, preprocess_source
 
 QA_MODEL_FORMAT_VERSION = 1
@@ -82,40 +83,58 @@ def load_gold_jsonl(path: str | Path) -> list[GoldRecord]:
     return records
 
 
+def _idf(n_docs: int, doc_freq: np.ndarray) -> np.ndarray:
+    """ln((1 + D) / (1 + df)) + 1 for each document frequency, by math.log."""
+    return np.array([math.log((1 + n_docs) / (1 + df)) + 1.0 for df in doc_freq.tolist()])
+
+
 def compute_idf(diffs: list[TokenSequence]) -> tuple[dict[str, int], np.ndarray]:
     """Feature vocabulary and smoothed idf over a diff corpus.
 
     idf(t) = ln((1 + D) / (1 + df(t))) + 1, which stays positive even for
-    tokens present in every document.
+    tokens present in every document.  Features are numbered in sorted
+    token order.
     """
     if not diffs:
         raise ValueError("idf requires a non-empty corpus")
-    doc_freq: dict[str, int] = {}
-    for diff in diffs:
-        for token in set(diff):
-            doc_freq[token] = doc_freq.get(token, 0) + 1
-    vocab = {token: i for i, token in enumerate(sorted(doc_freq))}
-    n_docs = len(diffs)
-    idf = np.empty(len(vocab))
-    for token, index in vocab.items():
-        idf[index] = math.log((1 + n_docs) / (1 + doc_freq[token])) + 1.0
-    return vocab, idf
+    index = BagOfWords(diffs)
+    return index.ids, _idf(len(diffs), np.bincount(index.terms, minlength=len(index.ids)))
+
+
+# L2-normalized tf/idf rows as CSR arrays: (indptr, features, values)
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _tfidf_rows(index: BagOfWords, feature: np.ndarray, idf: np.ndarray) -> Rows:
+    """The L2-normalized tf/idf row of every document of index.
+
+    feature maps a term id to its feature, or to -1 for a term outside the
+    feature vocabulary, which contributes nothing.  Rows keep
+    first-occurrence order, and each norm sums left to right in it.
+    """
+    mapped = feature[index.terms]
+    known = mapped >= 0
+    features = mapped[known]
+    rows = index.rows[known]
+    weighted = index.counts[known] * idf[features]
+    indptr = np.searchsorted(rows, np.arange(index.n_docs + 1))
+    norms = np.sqrt(row_sums(weighted * weighted, indptr))
+    return indptr, features, weighted / norms[rows]
+
+
+def _margins(weights: np.ndarray, bias: float, rows: Rows) -> np.ndarray:
+    """w . x + b for each row, the dot product summed left to right."""
+    indptr, features, values = rows
+    return row_sums(weights[features] * values, indptr) + bias
 
 
 def tfidf(
     diff: TokenSequence, feature_vocab: dict[str, int], idf: np.ndarray
 ) -> dict[int, float]:
     """L2-normalized tf/idf mapping; unknown tokens contribute nothing."""
-    # Counter keeps first-occurrence order, so the norm sums in the same order.
-    weighted: dict[int, float] = {}
-    for token, count in Counter(diff).items():
-        index = feature_vocab.get(token)
-        if index is not None:
-            weighted[index] = count * idf[index]
-    if not weighted:
-        return {}
-    norm = math.sqrt(sum(value * value for value in weighted.values()))
-    return {index: value / norm for index, value in weighted.items()}
+    index = BagOfWords([diff])
+    _, features, values = _tfidf_rows(index, index.lookup(feature_vocab), idf)
+    return dict(zip(features.tolist(), values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -133,12 +152,73 @@ class QaModel:
     bias: float
     hyper: QaHyper = field(default_factory=QaHyper)
 
-    def featurize(self, diff: TokenSequence) -> dict[int, float]:
-        return tfidf(diff, self.feature_vocab, self.idf)
-
     def margin(self, diff: TokenSequence) -> float:
-        features = self.featurize(diff)
-        return sum(self.weights[i] * v for i, v in features.items()) + self.bias
+        index = BagOfWords([diff])
+        rows = _tfidf_rows(index, index.lookup(self.feature_vocab), self.idf)
+        return float(_margins(self.weights, self.bias, rows)[0])
+
+
+# SGD steps: the position of each step's example in the training list, and
+# each step's eta and decay (arrays of doubles: a quarter of the memory of
+# lists of floats)
+Schedule = tuple[list[int], array, array]
+
+
+def _schedule(n: int, hyper: QaHyper) -> Schedule:
+    """The steps of SGD over n examples, which depend only on n and hyper.
+
+    The example order is reshuffled each epoch with the seeded RNG; step t
+    has eta = 1/(lambda * t) and shrinks the weights by 1 - eta * lambda.
+    """
+    if hyper.epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {hyper.epochs}")
+    if not hyper.l2_lambda > 0.0:
+        raise ValueError(f"l2_lambda must be > 0, got {hyper.l2_lambda}")
+    rng = random.Random(hyper.seed)
+    order = list(range(n))
+    positions: list[int] = []
+    for _ in range(hyper.epochs):
+        rng.shuffle(order)
+        positions += order
+    etas = 1.0 / (hyper.l2_lambda * np.arange(1, len(positions) + 1))
+    decays = 1.0 - etas * hyper.l2_lambda
+    return positions, array("d", etas.tobytes()), array("d", decays.tobytes())
+
+
+def _fit(
+    index: BagOfWords, train: list[int], labels: list[float], schedule: Schedule
+) -> tuple[np.ndarray, np.ndarray, float, Rows]:
+    """Hinge-loss SGD on the documents `train` of index, in that order.
+
+    The features are the terms those documents hold, in sorted order, as
+    compute_idf numbers them.  Returns (idf, weights, bias) and the tf/idf
+    rows of every document of index under those features.
+    """
+    if len({labels[d] for d in train}) < 2:
+        raise ValueError("training requires both bad and not-bad records")
+    in_train = np.zeros(index.n_docs, dtype=bool)
+    in_train[train] = True
+    doc_freq = np.bincount(index.terms[in_train[index.rows]], minlength=len(index.ids))
+    present = doc_freq > 0
+    feature = np.where(present, np.cumsum(present) - 1, -1)
+    idf = _idf(len(train), doc_freq[present])
+    rows = _tfidf_rows(index, feature, idf)
+    indptr, features, row_values = rows
+    examples = [
+        (features[indptr[d] : indptr[d + 1]], row_values[indptr[d] : indptr[d + 1]], labels[d])
+        for d in train
+    ]
+
+    weights = np.zeros(len(idf))
+    bias = 0.0
+    for i, eta, decay in zip(*schedule):
+        indices, values, y = examples[i]
+        margin = y * (weights[indices] @ values + bias)
+        weights *= decay
+        if margin < 1.0:
+            weights[indices] += eta * y * values
+            bias += eta * y
+    return idf, weights, bias, rows
 
 
 def train_svm(gold: list[GoldRecord], hyper: QaHyper = QaHyper()) -> QaModel:
@@ -148,35 +228,10 @@ def train_svm(gold: list[GoldRecord], hyper: QaHyper = QaHyper()) -> QaModel:
     each epoch with the seeded RNG, so training is deterministic.  The bias
     is trained but not regularized.
     """
+    index = BagOfWords([record.diff for record in gold])
     labels = [1.0 if record.is_bad else -1.0 for record in gold]
-    if len(set(labels)) < 2:
-        raise ValueError("training requires both bad and not-bad records")
-    feature_vocab, idf = compute_idf([record.diff for record in gold])
-    examples = []
-    for record in gold:
-        features = tfidf(record.diff, feature_vocab, idf)
-        indices = np.fromiter(features.keys(), dtype=np.int64, count=len(features))
-        values = np.fromiter(features.values(), dtype=np.float64, count=len(features))
-        examples.append((indices, values))
-
-    weights = np.zeros(len(feature_vocab))
-    bias = 0.0
-    rng = random.Random(hyper.seed)
-    order = list(range(len(gold)))
-    step = 0
-    for _ in range(hyper.epochs):
-        rng.shuffle(order)
-        for i in order:
-            step += 1
-            eta = 1.0 / (hyper.l2_lambda * step)
-            indices, values = examples[i]
-            y = labels[i]
-            margin = y * (weights[indices] @ values + bias)
-            weights *= 1.0 - eta * hyper.l2_lambda
-            if margin < 1.0:
-                weights[indices] += eta * y * values
-                bias += eta * y
-    return QaModel(feature_vocab, idf, weights, bias, hyper)
+    idf, weights, bias, _ = _fit(index, list(range(len(gold))), labels, _schedule(len(gold), hyper))
+    return QaModel(index.ids, idf, weights, bias, hyper)
 
 
 def predict(diff: TokenSequence, model: QaModel) -> tuple[bool, float]:
@@ -210,8 +265,10 @@ def cross_validate(
     """Shuffled k-fold cross-validation; every record predicted exactly once.
 
     Folds are contiguous slices of the shuffled order with sizes differing
-    by at most one.  Precision and recall treat "bad" as the positive
-    class.
+    by at most one.  Each fold's model is the one train_svm fits on the
+    other folds' records in shuffled order; the token counts and the SGD
+    schedules are shared between folds.  Precision and recall treat "bad"
+    as the positive class.
     """
     if len(gold) < k:
         raise ValueError(f"need at least k={k} records, got {len(gold)}")
@@ -228,22 +285,22 @@ def cross_validate(
         folds.append(order[offset : offset + size])
         offset += size
 
-    predictions: list[bool | None] = [None] * len(gold)
-    margins: list[float] = [0.0] * len(gold)
+    index = BagOfWords([record.diff for record in gold])
+    labels = [1.0 if record.is_bad else -1.0 for record in gold]
+    # by training-set size, of which the folds have at most two
+    schedules = {n: _schedule(n, hyper) for n in {len(gold) - size for size in fold_sizes}}
+    margins = np.zeros(len(gold))
     for held_out in folds:
         held_set = set(held_out)
-        train_records = [gold[i] for i in order if i not in held_set]
-        model = train_svm(train_records, hyper)
-        for i in held_out:
-            is_bad, margin = predict(gold[i].diff, model)
-            predictions[i] = is_bad
-            margins[i] = margin
+        train = [i for i in order if i not in held_set]
+        _, weights, bias, rows = _fit(index, train, labels, schedules[len(train)])
+        margins[held_out] = _margins(weights, bias, rows)[held_out]
 
-    assert all(p is not None for p in predictions)
-    precision, recall = _precision_recall(gold, predictions)  # type: ignore[arg-type]
+    predictions = [margin > 0.0 for margin in margins.tolist()]
+    precision, recall = _precision_recall(gold, predictions)
     return CrossValResult(
-        predictions=list(predictions),  # type: ignore[arg-type]
-        margins=margins,
+        predictions=predictions,
+        margins=margins.tolist(),
         precision=precision,
         recall=recall,
         fold_sizes=fold_sizes,

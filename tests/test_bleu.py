@@ -179,6 +179,15 @@ class TestCorpusBleu:
         assert 0.0 <= report.bleu <= 100.0
 
 
+    def test_log_precisions_sum_left_to_right(self):
+        # the four log precisions sum to -5.300101488341538 left to right and
+        # to -5.3001014883415385 correctly rounded; the score must not depend
+        # on whether the Python version compensates float sums
+        pairs = [("abdbbabb", "bbbbdcb"), ("daacddcab", "bddcacbd")]
+        report = corpus_bleu([(list(gen), list(ref)) for gen, ref in pairs])
+        assert report.bleu == 26.579621519910678
+
+
 class TestBucketedBleu:
     def _pair(self, length):
         return (length, ["a", "b", "c", "d"], ["a", "b", "c", "d"])

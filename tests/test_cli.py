@@ -418,7 +418,15 @@ class TestMainExitCodes:
         ("[1]", "JSON object"),
         ('{"embed_dim": true}', "'embed_dim' must be int, got True"),
         ('{"ensemble_size": 0}', "ensemble_size must be >= 1, got 0"),
-    ], ids=["not_an_object", "bool_for_int", "fails_validate"])
+        ('{"qa_epochs": 0}', "qa_epochs must be >= 1, got 0"),
+        ('{"qa_lambda": 0}', "qa_lambda must be > 0, got 0"),
+        ('{"qa_lambda": -1e-4}', "qa_lambda must be > 0, got -0.0001"),
+        ('{"max_diff_bytes": 0}', "max_diff_bytes must be >= 1, got 0"),
+        ('{"src_vocab_cap": 0}', "src_vocab_cap must be >= 1, got 0"),
+        ('{"tgt_vocab_cap": -3}', "tgt_vocab_cap must be >= 1, got -3"),
+    ], ids=["not_an_object", "bool_for_int", "fails_validate", "qa_epochs_zero", "qa_lambda_zero",
+            "qa_lambda_negative", "max_diff_bytes_zero", "src_vocab_cap_zero",
+            "tgt_vocab_cap_negative"])
     def test_bad_config_is_a_named_error(self, tmp_path, capsys, text, named):
         path = tmp_path / "config.json"
         path.write_text(text)

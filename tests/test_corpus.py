@@ -30,6 +30,7 @@ from diffmsg.corpus import (
     ingest_git,
     ingest_jsonl,
     is_merge_or_rollback,
+    preprocess_source,
     read_sequences,
     split_dataset,
     strip_ids,
@@ -262,6 +263,32 @@ class TestStripIds:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             strip_ids("text", "sideways")
+
+
+# Hex runs below, at and above the 7-character id threshold, next to ASCII
+# and non-ASCII letters, digits, underscores, punctuation and whitespace
+# (U+00A0, U+2028 and U+3000 among it), so a bounded prefix cut lands
+# inside, before and after every kind of run.
+_ID_TEXT = st.lists(
+    st.sampled_from([
+        "cafe12", "deadbee", "0123456789abcdef", "ABCDEF0", "x", "\xe9", "\u65e5", "_",
+        "9", "(", ".", "<id>", " ", "\n", "\t", "\xa0", "\u2028", "\u3000", "+ foo",
+    ]),
+    max_size=120,
+).map("".join)
+
+
+class TestPreprocessSource:
+    @given(_ID_TEXT, st.integers(min_value=0, max_value=40))
+    @settings(max_examples=400)
+    def test_limit_is_a_prefix(self, text, limit):
+        assert preprocess_source(text, limit) == preprocess_source(text)[: limit + 1]
+
+    def test_cut_moves_to_whitespace_and_the_prefix_grows(self):
+        # with limit 1 the first prefix is 16 characters: it would end inside
+        # the id, and then hold one token where two are needed
+        assert preprocess_source("x" * 10 + " deadbeefcafe tail", 1) == ["x" * 10, ID_PLACEHOLDER]
+        assert preprocess_source("y" * 40 + " z w", 1) == ["y" * 40, "z"]
 
 
 class TestMergeRollback:
