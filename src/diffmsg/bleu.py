@@ -147,6 +147,8 @@ def _top_k(
 
     The cosine is the exact integer dot product over q_norm * norm, and 0.0
     where either norm is zero; ties break toward the lower training index.
+    Each query takes one vectorized pass over the index, so memory stays
+    that of the index however many queries there are.
     """
     norms = np.sqrt(row_sums(train.counts * train.counts, train.indptr))
     bags = BagOfWords(queries)
