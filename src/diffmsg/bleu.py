@@ -19,8 +19,6 @@ from .corpus import TokenSequence
 
 Pair = tuple[TokenSequence, TokenSequence]  # (generated, reference)
 
-SMOOTHING_MODES = ("none", "add_one_counts")
-
 DEFAULT_BUCKET_BOUNDARIES = (25, 50, 75)
 
 
@@ -31,7 +29,6 @@ class BleuReport:
     len_gen: int                     # c: total generated length
     len_ref: int                     # r: total reference length
     brevity_penalty: float
-    smoothing: str = "none"
 
 
 def ngram_counts(tokens: TokenSequence, n: int) -> Counter:
@@ -62,27 +59,19 @@ def brevity_penalty(c: int, r: int) -> float:
     return math.exp(1.0 - r / c)
 
 
-def corpus_bleu(pairs: list[Pair], max_order: int = 4, smoothing: str = "none") -> BleuReport:
+def corpus_bleu(pairs: list[Pair], max_order: int = 4) -> BleuReport:
     """Corpus BLEU combining p_1..p_max_order with uniform log-space weights.
 
-    Unsmoothed, any zero precision makes the score 0.  The
-    "add_one_counts" mode adds one to each precision's numerator and
-    denominator so tiny corpora stay comparable; the report carries the
-    mode used.
+    Unsmoothed: any zero precision makes the score 0.
     """
     if not pairs:
         raise ValueError("corpus_bleu requires a non-empty list of pairs")
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
-    if smoothing not in SMOOTHING_MODES:
-        raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}, got {smoothing!r}")
     precisions: list[float] = []
     for n in range(1, max_order + 1):
         clipped, total = _clipped_totals(n, pairs)
-        if smoothing == "add_one_counts":
-            precisions.append((clipped + 1) / (total + 1))
-        else:
-            precisions.append(clipped / total if total else 0.0)
+        precisions.append(clipped / total if total else 0.0)
     c = sum(len(generated) for generated, _ in pairs)
     r = sum(len(reference) for _, reference in pairs)
     bp = brevity_penalty(c, r)
@@ -99,7 +88,6 @@ def corpus_bleu(pairs: list[Pair], max_order: int = 4, smoothing: str = "none") 
         len_gen=c,
         len_ref=r,
         brevity_penalty=bp,
-        smoothing=smoothing,
     )
 
 
@@ -121,7 +109,6 @@ def bucketed_bleu(
     pairs_with_lengths: list[tuple[int, TokenSequence, TokenSequence]],
     boundaries: tuple[int, ...] = DEFAULT_BUCKET_BOUNDARIES,
     max_order: int = 4,
-    smoothing: str = "none",
 ) -> list[BleuBucket]:
     """Split pairs by source length and score each bucket independently.
 
@@ -135,7 +122,7 @@ def bucketed_bleu(
         groups[index].append((generated, reference))
     buckets = []
     for label, group in zip(bucket_labels(tuple(boundaries)), groups):
-        report = corpus_bleu(group, max_order, smoothing) if group else None
+        report = corpus_bleu(group, max_order) if group else None
         buckets.append(BleuBucket(label=label, count=len(group), report=report))
     return buckets
 

@@ -19,14 +19,13 @@ from . import bleu, qa
 from .corpus import (
     DatasetSplit,
     FilterConfig,
-    PreparedCommit,
     Vocabulary,
     apply_filters,
     build_vocab,
     ingest_git,
     ingest_jsonl,
     preprocess_source,
-    read_sequences,
+    read_split_files,
     split_dataset,
     write_split_files,
 )
@@ -80,11 +79,6 @@ class PipelineConfig(Hyperparams):
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if not self.qa_lambda > 0.0:
             raise ValueError(f"qa_lambda must be > 0, got {self.qa_lambda}")
-
-    def hyperparams(self) -> Hyperparams:
-        return Hyperparams(
-            **{f.name: getattr(self, f.name) for f in dataclasses.fields(Hyperparams)}
-        )
 
     def filter_config(self) -> FilterConfig:
         return FilterConfig(
@@ -182,13 +176,9 @@ def cmd_prepare(config: PipelineConfig) -> dict:
     """
     if bool(config.corpus_jsonl) == bool(config.git_repo):
         raise PipelineError("config must set exactly one of corpus_jsonl or git_repo")
-    if config.corpus_jsonl:
-        commits = ingest_jsonl(config.corpus_jsonl)
-        skipped = 0
-    else:
-        ingest = ingest_git(config.git_repo)
-        commits = ingest.commits
-        skipped = ingest.skipped
+    commits = (
+        ingest_jsonl(config.corpus_jsonl) if config.corpus_jsonl else ingest_git(config.git_repo)
+    )
     if not commits:
         raise PipelineError("ingest produced no commits")
 
@@ -217,7 +207,6 @@ def cmd_prepare(config: PipelineConfig) -> dict:
 
     report = {
         "ingested": len(commits),
-        "ingest_skipped": skipped,
         "removed": dict(filter_report.removed),
         "after_filters": filter_report.kept_count,
         "vdo_filter_enabled": config.vdo_filter,
@@ -237,20 +226,9 @@ def cmd_prepare(config: PipelineConfig) -> dict:
 
 
 def _load_split(config: PipelineConfig) -> DatasetSplit:
-    split_dir = config.split_dir
-    if not split_dir.is_dir():
-        raise PipelineError(f"{split_dir}: splits not found; run prepare first")
-    parts = {}
-    for part in ("train", "valid", "test"):
-        sources = read_sequences(split_dir / f"{part}.src.txt")
-        targets = read_sequences(split_dir / f"{part}.tgt.txt")
-        if len(sources) != len(targets):
-            raise PipelineError(f"{part} source/target files are not line-aligned")
-        parts[part] = [
-            PreparedCommit(f"{part}-{i}", src, tgt)
-            for i, (src, tgt) in enumerate(zip(sources, targets))
-        ]
-    return DatasetSplit(parts["train"], parts["valid"], parts["test"], seed=config.seed)
+    if not config.split_dir.is_dir():
+        raise PipelineError(f"{config.split_dir}: splits not found; run prepare first")
+    return read_split_files(config.split_dir, config.seed)
 
 
 def _load_vocabs(config: PipelineConfig) -> tuple[Vocabulary, Vocabulary]:
@@ -277,7 +255,7 @@ def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
         split,
         src_vocab,
         tgt_vocab,
-        config.hyperparams(),
+        config,
         checkpoint_dir=config.checkpoint_dir,
         log_path=config.train_log_path,
         resume_from=resume_from,

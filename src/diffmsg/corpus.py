@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 TokenSequence = list[str]
 
@@ -77,108 +78,115 @@ class Commit:
         return cls(commit_id, diff_text, message_text, len(diff_text.encode("utf-8")))
 
 
-def ingest_jsonl(path: str | Path) -> list[Commit]:
-    """Read one commit per line from a JSON-lines file.
+def read_jsonl(path: str | Path, keys: tuple[str, ...]) -> Iterator[tuple[str, dict]]:
+    """Yield ("<path>: line <n>", object) for each non-blank line of a JSON-lines file.
 
-    Each line must be an object with "id", "diff", and "message" fields.
-    Blank lines are skipped; bytes that are not UTF-8 decode to U+FFFD.
-    Raises CorpusFormatError naming the line number for malformed records
-    and for duplicate ids.
+    Bytes that are not UTF-8 decode to U+FFFD.  A line that is not a JSON
+    object holding every key in keys is a CorpusFormatError naming the line.
     """
-    commits: list[Commit] = []
-    seen: set[str] = set()
     with open(path, encoding="utf-8", errors="replace") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+                raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
-                raise CorpusFormatError(f"{path}: line {lineno}: record is not an object")
-            missing = [key for key in ("id", "diff", "message") if key not in record]
+                raise CorpusFormatError(f"{where}: record is not an object")
+            missing = [key for key in keys if key not in record]
             if missing:
+                raise CorpusFormatError(f"{where}: missing field(s) {', '.join(missing)}")
+            yield where, record
+
+
+def ingest_jsonl(path: str | Path) -> list[Commit]:
+    """Read one commit per line from a JSON-lines file (see read_jsonl).
+
+    Each line must be an object whose "diff" and "message" are strings and
+    whose "id" is a non-empty string or an integer.  Raises
+    CorpusFormatError naming the line and the key for a malformed record,
+    and for a duplicate id.
+    """
+    commits: list[Commit] = []
+    seen: set[str] = set()
+    for where, record in read_jsonl(path, ("id", "diff", "message")):
+        commit_id, diff, message = record["id"], record["diff"], record["message"]
+        if isinstance(commit_id, bool) or not isinstance(commit_id, (str, int)):
+            raise CorpusFormatError(
+                f"{where}: key 'id' must be a string or an integer, got {type(commit_id).__name__}"
+            )
+        for key, value in (("diff", diff), ("message", message)):
+            if not isinstance(value, str):
                 raise CorpusFormatError(
-                    f"{path}: line {lineno}: missing field(s) {', '.join(missing)}"
+                    f"{where}: key {key!r} must be a string, got {type(value).__name__}"
                 )
-            commit_id = str(record["id"])
-            if not commit_id:
-                raise CorpusFormatError(f"{path}: line {lineno}: empty id")
-            if commit_id in seen:
-                raise CorpusFormatError(f"{path}: line {lineno}: duplicate id {commit_id!r}")
-            seen.add(commit_id)
-            commits.append(Commit.create(commit_id, str(record["diff"]), str(record["message"])))
+        commit_id = str(commit_id)
+        if not commit_id:
+            raise CorpusFormatError(f"{where}: empty id")
+        if commit_id in seen:
+            raise CorpusFormatError(f"{where}: duplicate id {commit_id!r}")
+        seen.add(commit_id)
+        commits.append(Commit.create(commit_id, diff, message))
     return commits
 
 
-@dataclass
-class GitIngest:
-    """Commits read from a repository plus a count of skipped revisions."""
-
-    commits: list[Commit]
-    skipped: int = 0
-    warnings: list[str] = field(default_factory=list)
-
-
-def _run_git(repo: Path, *args: str) -> str:
-    proc = subprocess.run(
-        ["git", "-C", str(repo), *args],
-        capture_output=True,
-        text=True,
-    )
-    if proc.returncode != 0:
-        raise CorpusFormatError(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
-    return proc.stdout
+# A commit's header in the ingest_git stream: NUL, hash (SHA-1 or SHA-256),
+# parents and raw message between \x01s, NUL.  A text diff may hold NUL
+# bytes, but not this pattern.
+_GIT_HEADER_RE = re.compile(
+    r"\x00([0-9a-f]{40}(?:[0-9a-f]{24})?)\x01([0-9a-f ]*)\x01([^\x00]*)\x00"
+)
 
 
-def ingest_git(repo_path: str | Path) -> GitIngest:
-    """Read every non-initial revision of a local git repository.
+def _git(repo: Path, *args: str) -> subprocess.CompletedProcess:
+    # Text mode reads \r\n and a lone \r as \n.
+    try:
+        return subprocess.run(
+            ["git", "-C", str(repo), *args],
+            capture_output=True,
+            encoding="utf-8",
+            errors="replace",
+        )
+    except FileNotFoundError as exc:
+        raise CorpusFormatError(f"{repo}: git is not installed or not on PATH") from exc
 
-    The diff is taken against the first parent, so merge commits are
-    ingested too (they are filtered out later by apply_filters).
-    Unreadable revisions are skipped and counted in the result.
+
+def ingest_git(repo_path: str | Path) -> list[Commit]:
+    """Read every non-root commit of a local git repository, oldest first.
+
+    One `git log -p` stream gives each commit's raw message and its diff
+    against its first parent, so merges are ingested too (apply_filters
+    drops them later).  Output that is not UTF-8 decodes to U+FFFD.  A
+    repository with no commits gives []; a revision git cannot read fails
+    the whole ingest as a CorpusFormatError carrying git's stderr.
     """
     repo = Path(repo_path)
     if not repo.is_dir():
         raise CorpusFormatError(f"{repo}: not a directory")
-    probe = subprocess.run(
-        ["git", "-C", str(repo), "rev-parse", "--git-dir"],
-        capture_output=True,
-        text=True,
-    )
-    if probe.returncode != 0:
+    head = _git(repo, "rev-parse", "--verify", "-q", "HEAD")
+    if head.returncode == 1:  # a repository with no commits yet
+        return []
+    if head.returncode != 0:
         raise CorpusFormatError(f"{repo}: not a git repository")
-    head = subprocess.run(
-        ["git", "-C", str(repo), "rev-parse", "--verify", "HEAD"],
-        capture_output=True,
-        text=True,
+    log = _git(
+        repo, "log", "--reverse", "-p", "--diff-merges=first-parent",
+        "--format=%x00%H%x01%P%x01%B%x00",
     )
-    if head.returncode != 0:  # repository with no commits yet
-        return GitIngest([])
-
-    # One record per commit: hash \x01 parents \x01 raw message, NUL-terminated.
-    log = _run_git(repo, "log", "--reverse", "-z", "--format=%H%x01%P%x01%B")
-    result = GitIngest([])
-    for record in log.split("\0"):
-        if not record:
-            continue
-        commit_hash, parents, message = record.split("\x01", 2)
-        parent_list = parents.split()
-        if not parent_list:  # initial commit has no parent diff
-            continue
-        diff_proc = subprocess.run(
-            ["git", "-C", str(repo), "diff", parent_list[0], commit_hash],
-            capture_output=True,
-            text=True,
-            errors="replace",
-        )
-        if diff_proc.returncode != 0:
-            result.skipped += 1
-            result.warnings.append(f"{commit_hash}: {diff_proc.stderr.strip()}")
-            continue
-        result.commits.append(Commit.create(commit_hash, diff_proc.stdout, message))
-    return result
+    if log.returncode != 0:
+        raise CorpusFormatError(f"{repo}: git log failed: {log.stderr.strip()}")
+    stream = log.stdout
+    headers = list(_GIT_HEADER_RE.finditer(stream))
+    ends = [header.start() for header in headers[1:]] + [len(stream)]
+    commits: list[Commit] = []
+    for header, end in zip(headers, ends):
+        commit_hash, parents, message = header.groups()
+        if parents:  # a root commit has no parent to diff against
+            # Newlines separate a header from its diff; no diff starts with one.
+            diff = stream[header.end() : end].lstrip("\n")
+            commits.append(Commit.create(commit_hash, diff, message))
+    return commits
 
 
 def extract_first_sentence(message_text: str) -> str:
@@ -383,6 +391,9 @@ def build_vocab(sequences: list[TokenSequence], cap: int | None = None) -> Vocab
     return Vocabulary(token_to_id, id_to_token)
 
 
+SPLIT_PARTS = ("train", "valid", "test")
+
+
 @dataclass
 class DatasetSplit:
     train: list[PreparedCommit]
@@ -444,27 +455,34 @@ def read_sequences(path: str | Path) -> list[TokenSequence]:
     return sequences
 
 
-SPLIT_FILE_NAMES = {
-    ("train", SOURCE): "train.src.txt",
-    ("train", TARGET): "train.tgt.txt",
-    ("valid", SOURCE): "valid.src.txt",
-    ("valid", TARGET): "valid.tgt.txt",
-    ("test", SOURCE): "test.src.txt",
-    ("test", TARGET): "test.tgt.txt",
-}
+def _split_paths(split_dir: Path, part: str) -> tuple[Path, Path]:
+    return split_dir / f"{part}.src.txt", split_dir / f"{part}.tgt.txt"
 
 
-def write_split_files(split: DatasetSplit, out_dir: str | Path) -> dict[str, Path]:
-    """Write the three line-aligned source/target file pairs."""
+def write_split_files(split: DatasetSplit, out_dir: str | Path) -> None:
+    """Write the three line-aligned {part}.src.txt / {part}.tgt.txt file pairs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-    for part_name in ("train", "valid", "test"):
-        part: list[PreparedCommit] = getattr(split, part_name)
-        src_path = out / SPLIT_FILE_NAMES[(part_name, SOURCE)]
-        tgt_path = out / SPLIT_FILE_NAMES[(part_name, TARGET)]
-        write_sequences(src_path, [item.source for item in part])
-        write_sequences(tgt_path, [item.target for item in part])
-        paths[f"{part_name}.src"] = src_path
-        paths[f"{part_name}.tgt"] = tgt_path
-    return paths
+    for part in SPLIT_PARTS:
+        items: list[PreparedCommit] = getattr(split, part)
+        src_path, tgt_path = _split_paths(out, part)
+        write_sequences(src_path, [item.source for item in items])
+        write_sequences(tgt_path, [item.target for item in items])
+
+
+def read_split_files(split_dir: str | Path, seed: int) -> DatasetSplit:
+    """Read the files write_split_files wrote; ids are "<part>-<line index>".
+
+    A source/target pair that is not line-aligned is a CorpusFormatError.
+    """
+    parts: dict[str, list[PreparedCommit]] = {}
+    for part in SPLIT_PARTS:
+        src_path, tgt_path = _split_paths(Path(split_dir), part)
+        sources, targets = read_sequences(src_path), read_sequences(tgt_path)
+        if len(sources) != len(targets):
+            raise CorpusFormatError(f"{src_path}, {tgt_path}: files are not line-aligned")
+        parts[part] = [
+            PreparedCommit(f"{part}-{i}", src, tgt)
+            for i, (src, tgt) in enumerate(zip(sources, targets))
+        ]
+    return DatasetSplit(**parts, seed=seed)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bow import BagOfWords, row_sums
-from .corpus import TokenSequence, preprocess_source
+from .corpus import CorpusFormatError, TokenSequence, preprocess_source, read_jsonl
 
 QA_MODEL_FORMAT_VERSION = 1
 
@@ -62,24 +62,29 @@ class GoldRecord:
 def load_gold_jsonl(path: str | Path) -> list[GoldRecord]:
     """Read gold records ({"id", "diff", "scores"}) from a JSON-lines file.
 
-    Diffs are tokenized with the same source pipeline the generator uses;
-    bytes that are not UTF-8 decode to U+FFFD.
+    "diff" must be a string and "scores" a list of integers; a bad record
+    is a CorpusFormatError naming the line and the key.  Diffs are
+    tokenized with the same source pipeline the generator uses; bytes that
+    are not UTF-8 decode to U+FFFD.
     """
     records: list[GoldRecord] = []
-    with open(path, encoding="utf-8", errors="replace") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                records.append(
-                    GoldRecord(
-                        diff=preprocess_source(str(raw["diff"])),
-                        scores=tuple(int(s) for s in raw["scores"]),
-                    )
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+    for where, raw in read_jsonl(path, ("diff", "scores")):
+        diff, scores = raw["diff"], raw["scores"]
+        if not isinstance(diff, str):
+            raise CorpusFormatError(
+                f"{where}: key 'diff' must be a string, got {type(diff).__name__}"
+            )
+        if not isinstance(scores, list) or any(
+            isinstance(score, bool) or not isinstance(score, int) for score in scores
+        ):
+            raise CorpusFormatError(
+                f"{where}: key 'scores' must be a list of integers, got {scores!r}"
+            )
+        tokens = preprocess_source(diff)
+        try:
+            records.append(GoldRecord(diff=tokens, scores=tuple(scores)))
+        except ValueError as exc:  # a score count or range
+            raise CorpusFormatError(f"{where}: key 'scores': {exc}") from exc
     return records
 
 

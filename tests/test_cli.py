@@ -3,6 +3,8 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,12 +86,6 @@ class TestConfig:
             assert field.name in config_fields, field.name
             assert config_fields[field.name].default == field.default, field.name
 
-    def test_hyperparams_copies_every_field(self):
-        values = {f.name: getattr(Hyperparams(), f.name) for f in dataclasses.fields(Hyperparams)}
-        changed = {name: value * 2 + 1 for name, value in values.items()}
-        config = PipelineConfig(**changed)
-        assert dataclasses.asdict(config.hyperparams()) == changed
-
 
 class TestPrepare:
     def test_funnel_reconciles(self, tmp_path):
@@ -118,6 +114,46 @@ class TestPrepare:
         ]:
             a = (Path(config_a.work_dir) / rel).read_bytes()
             b = (Path(config_b.work_dir) / rel).read_bytes()
+            assert a == b, rel
+
+    def test_git_repo_prepares_the_same_files_as_its_jsonl_corpus(self, tmp_path):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+
+        def git(*args):
+            env = dict(os.environ, GIT_AUTHOR_NAME="t", GIT_AUTHOR_EMAIL="t@example.com",
+                       GIT_COMMITTER_NAME="t", GIT_COMMITTER_EMAIL="t@example.com")
+            return subprocess.run(["git", "-C", str(repo), *args], check=True,
+                                  capture_output=True, encoding="utf-8", env=env).stdout
+
+        git("init", "-q")
+        lines = []
+        for i in range(25):
+            (repo / f"file_{i % 5}.java").write_text(f"helper_{i} ( x )\n")
+            git("add", "-A")
+            git("commit", "-q", "-m", f"add helper_{i} to file_{i % 5}")
+            if i:  # the root commit has no diff to learn from
+                record = {
+                    "id": git("rev-parse", "HEAD").strip(),
+                    "diff": git("diff", "HEAD~1", "HEAD"),
+                    "message": git("log", "-1", "--format=format:%B"),
+                }
+                lines.append(json.dumps(record))
+        write_corpus(tmp_path / "repo.jsonl", lines)
+        from_git = toy_config(tmp_path, name="from_git", corpus_jsonl=None, git_repo=str(repo))
+        from_jsonl = toy_config(
+            tmp_path, name="from_jsonl", corpus_jsonl=str(tmp_path / "repo.jsonl")
+        )
+        report = cmd_prepare(from_git)
+        assert report == cmd_prepare(from_jsonl)
+        assert report["ingested"] == 24 and report["train"] == 16
+        for rel in [
+            "splits/train.src.txt", "splits/train.tgt.txt", "splits/valid.src.txt",
+            "splits/valid.tgt.txt", "splits/test.src.txt", "splits/test.tgt.txt",
+            "vocab.src.txt", "vocab.tgt.txt", "prepare_report.json",
+        ]:
+            a = (Path(from_git.work_dir) / rel).read_bytes()
+            b = (Path(from_jsonl.work_dir) / rel).read_bytes()
             assert a == b, rel
 
     def test_vdo_on_keeps_no_more_than_off(self, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffmsg.corpus import CorpusFormatError
 from diffmsg.qa import (
     GoldRecord,
     QaHyper,
@@ -335,6 +336,22 @@ class TestGoldFile:
         path = tmp_path / "gold.jsonl"
         path.write_text('{"id": "a", "diff": "x", "scores": [0]}\n{"id": "b"}\n')
         with pytest.raises(ValueError, match="line 2"):
+            load_gold_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "field, key",
+        [
+            ('"diff": "x", "scores": "35"', "scores"),
+            ('"diff": "x", "scores": [2.9]', "scores"),
+            ('"diff": "x", "scores": [true]', "scores"),
+            ('"diff": null, "scores": [0]', "diff"),
+        ],
+        ids=["string_scores", "float_score", "bool_score", "null_diff"],
+    )
+    def test_wrong_type_names_line_and_key(self, tmp_path, field, key):
+        path = tmp_path / "gold.jsonl"
+        path.write_text('{"id": "a", "diff": "x", "scores": [0]}\n{"id": "b", ' + field + "}\n")
+        with pytest.raises(CorpusFormatError, match=f"gold.jsonl: line 2: key '{key}' must be"):
             load_gold_jsonl(path)
 
     def test_non_utf8_byte_decodes_to_replacement_character(self, tmp_path):
