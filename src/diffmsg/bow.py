@@ -10,10 +10,15 @@ baseline's cosine ranking both read this one structure.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 
 from .corpus import TokenSequence
+
+# A document is its tokens, or their counts in first-occurrence order (as
+# corpus.source_counts gives them): Counter(doc) is the same for both.
+Document = TokenSequence | Mapping[str, int]
 
 
 class BagOfWords:
@@ -24,7 +29,7 @@ class BagOfWords:
     rows gives each entry's document.
     """
 
-    def __init__(self, docs: list[TokenSequence]) -> None:
+    def __init__(self, docs: list[Document]) -> None:
         tokens: list[str] = []
         counts: list[int] = []
         lengths = np.zeros(len(docs), dtype=np.int64)

@@ -26,6 +26,7 @@ from .corpus import (
     ingest_jsonl,
     preprocess_source,
     read_split_files,
+    source_counts,
     split_dataset,
     write_split_files,
 )
@@ -228,7 +229,10 @@ def cmd_prepare(config: PipelineConfig) -> dict:
 def _load_split(config: PipelineConfig) -> DatasetSplit:
     if not config.split_dir.is_dir():
         raise PipelineError(f"{config.split_dir}: splits not found; run prepare first")
-    return read_split_files(config.split_dir, config.seed)
+    try:
+        return read_split_files(config.split_dir, config.seed)
+    except FileNotFoundError as exc:
+        raise PipelineError(f"{exc.filename}: split file not found; run prepare again") from exc
 
 
 def _load_vocabs(config: PipelineConfig) -> tuple[Vocabulary, Vocabulary]:
@@ -291,16 +295,15 @@ def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple
     Returns (exit_code, output line); never both a message and a warning.
     """
     src_vocab, tgt_vocab = _load_vocabs(config)
-    # The gate featurizes every token; decoding reads only the first max_source_len.
-    source_tokens = preprocess_source(diff_text, None if with_qa else config.max_source_len)
     if with_qa:
         if not config.qa_model_path.is_file():
             raise PipelineError(f"{config.qa_model_path}: QA model not found; run qa train first")
         model = qa.load_qa_model(config.qa_model_path)
-        is_bad, _ = qa.predict(source_tokens, model)
+        is_bad, _ = qa.predict(source_counts(diff_text), model)
         if is_bad:
             return EXIT_WARNING, WARNING_TEXT
     checkpoints = _load_ensemble(config, src_vocab, tgt_vocab)
+    source_tokens = preprocess_source(diff_text, config.max_source_len)
     source_ids = src_vocab.encode(source_tokens[: config.max_source_len], add_eos=True)
     generated = ensemble_decode(
         checkpoints,

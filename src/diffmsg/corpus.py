@@ -244,10 +244,30 @@ def preprocess_source(diff_text: str, limit: int | None = None) -> TokenSequence
     while True:
         space = _SPACE_RE.search(diff_text, size)
         end = space.start() if space else len(diff_text)
-        tokens = tokenize(strip_ids(diff_text[:end], SOURCE), limit)
+        tokens = _TOKEN_RE.findall(strip_ids(diff_text[:end], SOURCE))
         if len(tokens) > limit or end == len(diff_text):
-            return tokens
+            return tokens[: limit + 1]
         size = 2 * end
+
+
+def source_counts(diff_text: str) -> Counter[str]:
+    """Counter(preprocess_source(diff_text)), keys in first-occurrence order.
+
+    Each distinct whitespace-separated chunk of the diff is stripped and
+    tokenized once, and a chunk that occurs n times adds its tokens n - 1
+    more times.  No id or token spans whitespace, so the counts are exact,
+    and the distinct chunks keep first-occurrence order, so the tokens do.
+    """
+    chunks = Counter(diff_text.split())
+    # "\n" is whitespace, as each chunk's neighbours in the diff are, so the
+    # id pattern's boundary checks read the same
+    stripped = strip_ids("\n".join(chunks), SOURCE)
+    counts = Counter(_TOKEN_RE.findall(stripped))
+    for chunk, repeats in zip(stripped.split("\n"), chunks.values()):
+        if repeats > 1:
+            for token in _TOKEN_RE.findall(chunk):
+                counts[token] += repeats - 1
+    return counts
 
 
 def preprocess_target(message_text: str) -> TokenSequence:

@@ -217,8 +217,8 @@ def load_checkpoint(
                 f"{path}: truncated payload ({present} of {header['payload_bytes']} bytes)"
             )
         blocks = 3 if header["has_optimizer_state"] and not params_only else 1
-        payload = bytearray(8 * size * blocks)
-        if handle.readinto(payload) != len(payload):
+        payload = np.empty(size * blocks, dtype=np.float64)
+        if handle.readinto(payload) != payload.nbytes:
             raise CheckpointError(f"{path}: truncated payload")
     if (
         expected_src_vocab_size is not None
@@ -236,10 +236,7 @@ def load_checkpoint(
             f"{path}: target vocab size {header['tgt_vocab_size']} "
             f"!= expected {expected_tgt_vocab_size}"
         )
-    flat, *state = (
-        np.frombuffer(payload, dtype=np.float64, count=size, offset=8 * size * k)
-        for k in range(blocks)
-    )
+    flat, *state = (payload[size * k : size * (k + 1)] for k in range(blocks))
     return Checkpoint(
         params=ModelParams.from_flat(flat, *(header[key] for key in _DIM_KEYS)),
         optimizer_state=OptimizerState(*state) if state else None,

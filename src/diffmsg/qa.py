@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bow import BagOfWords, row_sums
+from .bow import BagOfWords, Document, row_sums
 from .corpus import CorpusFormatError, TokenSequence, preprocess_source, read_jsonl
 
 QA_MODEL_FORMAT_VERSION = 1
@@ -134,7 +134,7 @@ def _margins(weights: np.ndarray, bias: float, rows: Rows) -> np.ndarray:
 
 
 def tfidf(
-    diff: TokenSequence, feature_vocab: dict[str, int], idf: np.ndarray
+    diff: Document, feature_vocab: dict[str, int], idf: np.ndarray
 ) -> dict[int, float]:
     """L2-normalized tf/idf mapping; unknown tokens contribute nothing."""
     index = BagOfWords([diff])
@@ -157,7 +157,7 @@ class QaModel:
     bias: float
     hyper: QaHyper = field(default_factory=QaHyper)
 
-    def margin(self, diff: TokenSequence) -> float:
+    def margin(self, diff: Document) -> float:
         index = BagOfWords([diff])
         rows = _tfidf_rows(index, index.lookup(self.feature_vocab), self.idf)
         return float(_margins(self.weights, self.bias, rows)[0])
@@ -239,8 +239,12 @@ def train_svm(gold: list[GoldRecord], hyper: QaHyper = QaHyper()) -> QaModel:
     return QaModel(index.ids, idf, weights, bias, hyper)
 
 
-def predict(diff: TokenSequence, model: QaModel) -> tuple[bool, float]:
-    """(is_bad, margin); a margin of exactly zero resolves to not-bad."""
+def predict(diff: Document, model: QaModel) -> tuple[bool, float]:
+    """(is_bad, margin); a margin of exactly zero resolves to not-bad.
+
+    diff is a token sequence or its counts (see bow.Document); both give
+    the same margin to the bit.
+    """
     margin = model.margin(diff)
     return margin > 0.0, margin
 

@@ -25,6 +25,7 @@ from diffmsg.cli import (
     cmd_train,
     main,
 )
+from diffmsg.corpus import ID_PLACEHOLDER
 from diffmsg.nmt import Hyperparams
 from diffmsg.qa import QaModel, compute_idf, save_qa_model
 
@@ -248,6 +249,19 @@ class TestGenerate:
         with pytest.raises(PipelineError, match="QA model"):
             cmd_generate(config, "diff", with_qa=True)
 
+    def test_gate_counts_tokens_past_the_decoded_prefix(self, tmp_path):
+        config = toy_config(tmp_path)
+        cmd_prepare(config)
+        cmd_train(config)
+        vocab, idf = compute_idf([[ID_PLACEHOLDER]])
+        # bad exactly when the diff holds a commit id
+        save_qa_model(QaModel(vocab, idf, np.full(len(vocab), 2.0), bias=-1.0), config.qa_model_path)
+        prefix = " ".join(["+ helper_1 ( x )"] * config.max_source_len)
+        assert cmd_generate(config, prefix + " 7807cb6", with_qa=True) == (EXIT_WARNING, WARNING_TEXT)
+        code, line = cmd_generate(config, prefix + " helper_2", with_qa=True)
+        assert code == EXIT_OK
+        assert (code, line) == cmd_generate(config, prefix, with_qa=False)
+
     def test_missing_checkpoints_error(self, tmp_path):
         config = toy_config(tmp_path)
         cmd_prepare(config)
@@ -415,6 +429,17 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert code == EXIT_ERROR
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize("command", [["train"], ["evaluate", "--smoke-identity"]])
+    def test_missing_split_file_is_a_named_error(self, tmp_path, capsys, command):
+        path, config = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        missing = config.split_dir / "test.tgt.txt"
+        missing.unlink()
+        capsys.readouterr()
+        assert main(["--config", str(path), *command]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {missing}: split file not found; run prepare again\n")
 
     def test_warning_exit_code(self, tmp_path, capsys):
         path, config = self._config_file(tmp_path)

@@ -8,6 +8,7 @@ import re
 import string
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,7 @@ from diffmsg.corpus import (
     preprocess_source,
     read_sequences,
     read_split_files,
+    source_counts,
     split_dataset,
     strip_ids,
     tokenize,
@@ -465,6 +467,37 @@ class TestPreprocessSource:
         # the id, and then hold one token where two are needed
         assert preprocess_source("x" * 10 + " deadbeefcafe tail", 1) == ["x" * 10, ID_PLACEHOLDER]
         assert preprocess_source("y" * 40 + " z w", 1) == ["y" * 40, "z"]
+
+
+# Pieces heavy in the separators and id boundaries source_counts relies
+# on: whitespace str.split() and re's \s agree on (U+00A0, U+2028, \x1c,
+# \n), hex runs next to ASCII and non-ASCII letters, underscores and
+# punctuation, and the literal placeholder.
+_CHUNK_TEXT = st.lists(
+    st.sampled_from([
+        "deadbee", "cafe12", "0123456789abcdef", "ABCDEF0", "\xe9", "\u65e5deadbeef", "_",
+        "<id>", "<id", "(", ".", "#", "-", "\xa0", "\u2028", "\x1c", "\n", " ", "x", "\xdf",
+    ]),
+    max_size=60,
+).map("".join)
+
+
+class TestSourceCounts:
+    @given(_CHUNK_TEXT, st.integers(min_value=1, max_value=3), st.sampled_from([" ", "\n", "\xa0"]))
+    @settings(max_examples=500)
+    def test_equals_counting_the_tokens(self, text, repeats, sep):
+        text = sep.join([text] * repeats)
+        assert list(source_counts(text).items()) == list(Counter(preprocess_source(text)).items())
+
+    def test_repeated_chunks_and_ids(self):
+        text = "b a.b\na.b c deadbeef\xa0deadbeef_x\u2028deadbeef"
+        assert list(source_counts(text).items()) == [
+            ("b", 3), ("a", 2), (".", 2), ("c", 1), (ID_PLACEHOLDER, 2), ("deadbeef_x", 1),
+        ]
+
+    def test_empty(self):
+        assert source_counts("") == Counter()
+        assert source_counts(" \n\xa0") == Counter()
 
 
 class TestMergeRollback:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffmsg.corpus import CorpusFormatError
+from diffmsg.corpus import CorpusFormatError, preprocess_source, source_counts
 from diffmsg.qa import (
     GoldRecord,
     QaHyper,
@@ -377,6 +377,27 @@ class TestPinnedMargins:
             7.7176094505352815,
         ]
         assert model.bias == 17.381885821398374
+
+
+class TestGateOnCounts:
+    """The gate featurizes a diff's token counts (corpus.source_counts), not
+    its tokens: the margin must not move by a bit."""
+
+    LINES = ["+ deadlock ( tok1 )", "- tok2 . refit", "tok3 7807cb6..ca7a229", "qqq_tok4 #1",
+             "\u00e9tok5\u00a0tok1", "zork-tok6\u2028tok7", "unseen ; tok8 deadbeef"]
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return train_svm(separable_gold(80, seed=5))
+
+    @given(diff=st.lists(st.sampled_from(LINES), min_size=1, max_size=80).map("\n".join))
+    @settings(max_examples=200)
+    def test_margin_is_bit_identical(self, model, diff):
+        tokens = preprocess_source(diff)
+        (_, counted), (_, expected) = predict(source_counts(diff), model), predict(tokens, model)
+        assert float.hex(counted) == float.hex(expected)
+        assert tfidf(source_counts(diff), model.feature_vocab, model.idf) == tfidf(
+            tokens, model.feature_vocab, model.idf)
 
 
 def noisy_gold(n=40, seed=7):
