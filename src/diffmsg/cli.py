@@ -18,9 +18,9 @@ from pathlib import Path
 from . import bleu, qa
 from .corpus import (
     DatasetSplit,
-    FilterConfig,
     Vocabulary,
     apply_filters,
+    atomic_write,
     build_vocab,
     ingest_git,
     ingest_jsonl,
@@ -44,11 +44,15 @@ class PipelineError(RuntimeError):
     """A pipeline stage could not run or produced an empty corpus."""
 
 
+def _in_work_dir(name: str) -> property:
+    return property(lambda self: Path(self.work_dir) / name, doc=f"work_dir / {name!r}")
+
+
 @dataclass
 class PipelineConfig(Hyperparams):
     """Every knob of the pipeline; round-trips through JSON.
 
-    The model and training fields, the length limits and the seed are the
+    The model and training fields, the filter limits and the seed are the
     inherited Hyperparams fields."""
 
     # input corpus: exactly one of these
@@ -56,8 +60,6 @@ class PipelineConfig(Hyperparams):
     git_repo: str | None = None
     # artifact directory
     work_dir: str = "work"
-    # preprocessing limit besides max_source_len and max_target_len
-    max_diff_bytes: int = 1_048_576
     # split sizes: int counts or float fractions
     valid_size: float = 0.1
     test_size: float = 0.1
@@ -74,19 +76,12 @@ class PipelineConfig(Hyperparams):
     def validate(self) -> None:
         """Hyperparams.validate, plus the ranges of the pipeline-only fields."""
         super().validate()
-        for name in ("max_diff_bytes", "qa_epochs", "src_vocab_cap", "tgt_vocab_cap"):
+        for name in ("qa_epochs", "src_vocab_cap", "tgt_vocab_cap"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if not self.qa_lambda > 0.0:
             raise ValueError(f"qa_lambda must be > 0, got {self.qa_lambda}")
-
-    def filter_config(self) -> FilterConfig:
-        return FilterConfig(
-            max_source_len=self.max_source_len,
-            max_target_len=self.max_target_len,
-            max_diff_bytes=self.max_diff_bytes,
-        )
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
@@ -129,37 +124,14 @@ class PipelineConfig(Hyperparams):
         return cls.from_json(Path(path).read_text(encoding="utf-8"), source=str(path))
 
     # derived paths
-    @property
-    def split_dir(self) -> Path:
-        return Path(self.work_dir) / "splits"
-
-    @property
-    def src_vocab_path(self) -> Path:
-        return Path(self.work_dir) / "vocab.src.txt"
-
-    @property
-    def tgt_vocab_path(self) -> Path:
-        return Path(self.work_dir) / "vocab.tgt.txt"
-
-    @property
-    def prepare_report_path(self) -> Path:
-        return Path(self.work_dir) / "prepare_report.json"
-
-    @property
-    def checkpoint_dir(self) -> Path:
-        return Path(self.work_dir) / "checkpoints"
-
-    @property
-    def train_log_path(self) -> Path:
-        return Path(self.work_dir) / "train.log"
-
-    @property
-    def eval_report_path(self) -> Path:
-        return Path(self.work_dir) / "eval_report.txt"
-
-    @property
-    def qa_model_path(self) -> Path:
-        return Path(self.work_dir) / "qa_model.json"
+    split_dir = _in_work_dir("splits")
+    src_vocab_path = _in_work_dir("vocab.src.txt")
+    tgt_vocab_path = _in_work_dir("vocab.tgt.txt")
+    prepare_report_path = _in_work_dir("prepare_report.json")
+    checkpoint_dir = _in_work_dir("checkpoints")
+    train_log_path = _in_work_dir("train.log")
+    eval_report_path = _in_work_dir("eval_report.txt")
+    qa_model_path = _in_work_dir("qa_model.json")
 
 
 def _lexicon(config: PipelineConfig):
@@ -183,7 +155,7 @@ def cmd_prepare(config: PipelineConfig) -> dict:
     if not commits:
         raise PipelineError("ingest produced no commits")
 
-    kept, filter_report = apply_filters(commits, config.filter_config())
+    kept, filter_report = apply_filters(commits, config)
     if not kept:
         reasons = ", ".join(f"{k}={v}" for k, v in filter_report.removed.items() if v)
         raise PipelineError(f"preprocessing filters removed every commit ({reasons})")
@@ -199,7 +171,6 @@ def cmd_prepare(config: PipelineConfig) -> dict:
     if not split.train:
         raise PipelineError("split left an empty training set")
 
-    Path(config.work_dir).mkdir(parents=True, exist_ok=True)
     write_split_files(split, config.split_dir)
     src_vocab = build_vocab([item.source for item in split.train], cap=config.src_vocab_cap)
     tgt_vocab = build_vocab([item.target for item in split.train], cap=config.tgt_vocab_cap)
@@ -220,9 +191,7 @@ def cmd_prepare(config: PipelineConfig) -> dict:
         "tgt_vocab_size": len(tgt_vocab),
         "seed": config.seed,
     }
-    config.prepare_report_path.write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    atomic_write(config.prepare_report_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return report
 
 
@@ -364,7 +333,7 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
                 f"  {bucket.label:<14} n={bucket.count:<6d} BLEU={bucket.report.bleu:.2f}"
             )
     report_text = "\n".join(lines) + "\n"
-    config.eval_report_path.write_text(report_text, encoding="utf-8")
+    atomic_write(config.eval_report_path, report_text)
     return report_text
 
 
@@ -376,7 +345,6 @@ def cmd_qa(config: PipelineConfig, subaction: str, gold_path: str) -> str:
     hyper = qa.QaHyper(l2_lambda=config.qa_lambda, epochs=config.qa_epochs, seed=config.seed)
     if subaction == "train":
         model = qa.train_svm(gold, hyper)
-        Path(config.work_dir).mkdir(parents=True, exist_ok=True)
         qa.save_qa_model(model, config.qa_model_path)
         return f"saved QA model for {len(gold)} records to {config.qa_model_path}\n"
     result = qa.cross_validate(gold, k=10, seed=config.seed, hyper=hyper)

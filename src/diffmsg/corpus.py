@@ -6,21 +6,23 @@ first sentence of each message, replaces issue/commit ids with a
 placeholder, drops merge/rollback commits and oversized diffs, tokenizes
 on whitespace and punctuation (CamelCase is never split), enforces
 maximum sequence lengths, and finally produces seeded train/valid/test
-splits and frequency-capped vocabularies.
+splits and frequency-capped vocabularies.  It also holds what the other
+stages share: read_jsonl, the schema_problem key/type check, and
+atomic_write, the one writer of every artifact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 import string
 import subprocess
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 TokenSequence = list[str]
 
@@ -76,6 +78,41 @@ class Commit:
     @classmethod
     def create(cls, commit_id: str, diff_text: str, message_text: str) -> "Commit":
         return cls(commit_id, diff_text, message_text, len(diff_text.encode("utf-8")))
+
+
+def atomic_write(path: str | Path, data: str | Iterable[bytes]) -> None:
+    """Write data, text as UTF-8 or byte buffers one by one, so that path
+    holds its old bytes or all of data: the parent directory is created,
+    and a hidden temp file next to path is fsynced and renamed over path,
+    or removed on any exception."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    blocks = [data.encode("utf-8")] if isinstance(data, str) else data
+    try:
+        with open(tmp, "wb") as handle:
+            for block in blocks:
+                handle.write(block)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def schema_problem(obj: dict, schema: dict, prefix: str = "") -> str | None:
+    """Describe the first key of schema ({key: type or tuple of types}) that
+    obj lacks or holds with a value of another type, or return None; a bool
+    passes only where the schema names bool."""
+    for key, kind in schema.items():
+        if key not in obj:
+            return f"lacks {prefix + key!r}"
+        value = obj[key]
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            return f"key {prefix + key!r} has a bad value {value!r}"
+    return None
 
 
 def read_jsonl(path: str | Path, keys: tuple[str, ...]) -> Iterator[tuple[str, dict]]:
@@ -218,25 +255,23 @@ def is_merge_or_rollback(message_text: str) -> bool:
     return first.startswith(MERGE_ROLLBACK_PREFIXES)
 
 
-def tokenize(text: str, limit: int | None = None) -> TokenSequence:
+def tokenize(text: str) -> TokenSequence:
     """Split on whitespace, then split punctuation into single tokens.
 
     Identifiers are kept whole (no CamelCase or snake_case splitting) and
-    the id placeholder survives as one token.  With a limit, stops after
-    limit + 1 tokens: enough to tell whether the text exceeds the limit.
+    the id placeholder survives as one token.
     """
-    if limit is None:
-        return _TOKEN_RE.findall(text)
-    return [match.group() for match in islice(_TOKEN_RE.finditer(text), limit + 1)]
+    return _TOKEN_RE.findall(text)
 
 
 def preprocess_source(diff_text: str, limit: int | None = None) -> TokenSequence:
-    """Diff text -> source tokens: strip commit ids, tokenize (see tokenize's limit).
+    """Diff text -> source tokens: strip commit ids, tokenize.
 
-    With a limit, only a prefix of the text is processed.  It ends before a
-    whitespace character, which no id or token spans, so its tokens are the
-    first tokens of the whole text; it doubles until it yields limit + 1
-    tokens or holds the whole text.
+    With a limit, stops after limit + 1 tokens: enough to tell whether the
+    text exceeds the limit.  Only a prefix of the text is processed.  It
+    ends before a whitespace character, which no id or token spans, so its
+    tokens are the first tokens of the whole text; it doubles until it
+    yields limit + 1 tokens or holds the whole text.
     """
     if limit is None:
         return tokenize(strip_ids(diff_text, SOURCE))
@@ -275,8 +310,10 @@ def preprocess_target(message_text: str) -> TokenSequence:
     return tokenize(strip_ids(extract_first_sentence(message_text), TARGET))
 
 
-@dataclass(frozen=True)
+@dataclass
 class FilterConfig:
+    """The limits apply_filters enforces; Hyperparams inherits them."""
+
     max_source_len: int = 100
     max_target_len: int = 30
     max_diff_bytes: int = 1_048_576
@@ -369,9 +406,7 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         # Specials are implicit; line number = id - len(SPECIALS).
-        with open(path, "w", encoding="utf-8") as handle:
-            for token in self.id_to_token[len(SPECIALS):]:
-                handle.write(token + "\n")
+        atomic_write(path, "".join(token + "\n" for token in self.id_to_token[len(SPECIALS):]))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
@@ -461,9 +496,7 @@ def split_dataset(
 
 
 def write_sequences(path: str | Path, sequences: list[TokenSequence]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for seq in sequences:
-            handle.write(" ".join(seq) + "\n")
+    atomic_write(path, (f"{' '.join(seq)}\n".encode("utf-8") for seq in sequences))
 
 
 def read_sequences(path: str | Path) -> list[TokenSequence]:
@@ -481,11 +514,9 @@ def _split_paths(split_dir: Path, part: str) -> tuple[Path, Path]:
 
 def write_split_files(split: DatasetSplit, out_dir: str | Path) -> None:
     """Write the three line-aligned {part}.src.txt / {part}.tgt.txt file pairs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for part in SPLIT_PARTS:
         items: list[PreparedCommit] = getattr(split, part)
-        src_path, tgt_path = _split_paths(out, part)
+        src_path, tgt_path = _split_paths(Path(out_dir), part)
         write_sequences(src_path, [item.source for item in items])
         write_sequences(tgt_path, [item.target for item in items])
 

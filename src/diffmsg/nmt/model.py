@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..corpus import PAD_ID, START_ID
+from ..corpus import PAD_ID, START_ID, FilterConfig
 
 Array = np.ndarray
 
@@ -39,8 +39,9 @@ INIT_SCALE = 0.08  # parameters start uniform in [-INIT_SCALE, INIT_SCALE]
 
 
 @dataclass
-class Hyperparams:
-    """Model and training configuration.
+class Hyperparams(FilterConfig):
+    """Model and training configuration; the filter limits are the
+    inherited FilterConfig fields.
 
     Desk-scale defaults; the configuration the setup was derived from used
     embed 512 / hidden 1024 / minibatch 80 and remains reachable here.
@@ -49,8 +50,6 @@ class Hyperparams:
     embed_dim: int = 64
     hidden_dim: int = 128
     minibatch_size: int = 16
-    max_source_len: int = 100
-    max_target_len: int = 30
     adadelta_rho: float = 0.95
     adadelta_eps: float = 1e-6
     validate_every: int = 200
@@ -63,8 +62,8 @@ class Hyperparams:
     seed: int = 1234
 
     def validate(self) -> None:
-        for name in ("embed_dim", "hidden_dim", "minibatch_size", "max_source_len",
-                     "max_target_len", "validate_every", "checkpoint_every",
+        for name in ("max_source_len", "max_target_len", "max_diff_bytes", "embed_dim",
+                     "hidden_dim", "minibatch_size", "validate_every", "checkpoint_every",
                      "max_epochs", "max_minibatches", "ensemble_size", "beam_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -11,8 +11,8 @@ training state, the two Adadelta accumulators in the same layout, so
 identical runs produce identical bytes.  The header carries the best validation BLEU,
 the stall count and the loss window not yet logged, so a resumed run logs,
 checkpoints and stops exactly as an uninterrupted one.  Checkpoints are
-written to a temp file and renamed into place, and loading checks every
-header key and tensor shape before reading the payload.
+written through corpus.atomic_write, and loading checks every header key
+and tensor shape before reading the payload.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ import json
 import math
 import os
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .. import bleu
-from ..corpus import DatasetSplit, Vocabulary
+from ..corpus import DatasetSplit, Vocabulary, atomic_write, schema_problem
 from .decoding import beam_search
 from .model import (
     Array,
@@ -120,12 +121,11 @@ _PAYLOAD_KEYS = {
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
-    """Write a checkpoint atomically: a hidden temp file next to path,
-    fsynced, then renamed over path, so path never holds a partial file.
+    """Write a checkpoint through atomic_write, so path never holds a
+    partial file.
 
     The payload is the parameter buffer, then the optimizer state's two
     accumulators, each written straight from its array."""
-    path = Path(path)
     params = checkpoint.params
     blocks = [params.flat]
     state = checkpoint.optimizer_state
@@ -142,30 +142,17 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
             for name, tensor in params.tensors().items()
         ],
     }
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            for block in blocks:
-                handle.write(block.data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    atomic_write(path, [header_line, *(block.data for block in blocks)])
 
 
 def _check_header(path: str | Path, header: dict) -> int:
     """Raise CheckpointError for a missing or mistyped key, or a manifest
     that disagrees with the dimensions, vocabulary sizes, layout order or
     payload length; return N, the number of parameters."""
-    for key, kind in {**_STATE_KEYS, **_PAYLOAD_KEYS}.items():
-        if key not in header:
-            raise CheckpointError(f"{path}: header lacks {key!r}")
-        value = header[key]
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise CheckpointError(f"{path}: header key {key!r} has a bad value {value!r}")
+    problem = schema_problem(header, {**_STATE_KEYS, **_PAYLOAD_KEYS})
+    if problem is not None:
+        raise CheckpointError(f"{path}: header {problem}")
     expected = param_shapes(*(header[key] for key in _DIM_KEYS))
     manifest = header["tensors"]
     if len(manifest) != len(expected):
@@ -220,28 +207,34 @@ def load_checkpoint(
         payload = np.empty(size * blocks, dtype=np.float64)
         if handle.readinto(payload) != payload.nbytes:
             raise CheckpointError(f"{path}: truncated payload")
-    if (
-        expected_src_vocab_size is not None
-        and header["src_vocab_size"] != expected_src_vocab_size
-    ):
-        raise CheckpointError(
-            f"{path}: source vocab size {header['src_vocab_size']} "
-            f"!= expected {expected_src_vocab_size}"
-        )
-    if (
-        expected_tgt_vocab_size is not None
-        and header["tgt_vocab_size"] != expected_tgt_vocab_size
-    ):
-        raise CheckpointError(
-            f"{path}: target vocab size {header['tgt_vocab_size']} "
-            f"!= expected {expected_tgt_vocab_size}"
-        )
+    for side, key, expected in (("source", "src_vocab_size", expected_src_vocab_size),
+                                ("target", "tgt_vocab_size", expected_tgt_vocab_size)):
+        if expected is not None and header[key] != expected:
+            raise CheckpointError(f"{path}: {side} vocab size {header[key]} != expected {expected}")
     flat, *state = (payload[size * k : size * (k + 1)] for k in range(blocks))
     return Checkpoint(
         params=ModelParams.from_flat(flat, *(header[key] for key in _DIM_KEYS)),
         optimizer_state=OptimizerState(*state) if state else None,
         **{key: header[key] for key in _STATE_KEYS},
     )
+
+
+# one validation line of the training log
+_LOG_LINE_RE = re.compile(rb"minibatch=(\d+) [^\n]*\n")
+
+
+def _truncate_log(path: Path, minibatch_index: int) -> None:
+    """Cut a training log after its last whole line at or before
+    minibatch_index, the checkpoint a run resumes from; rewrite it only if
+    anything follows that line."""
+    if not path.is_file():
+        return
+    data = path.read_bytes()
+    end = 0
+    while (line := _LOG_LINE_RE.match(data, end)) and int(line[1]) <= minibatch_index:
+        end = line.end()
+    if end < len(data):
+        atomic_write(path, [data[:end]])
 
 
 def _epoch_order(seed: int, epoch: int, n: int) -> list[int]:
@@ -278,8 +271,10 @@ def train(
     runs every hyper.validate_every minibatches on greedy decodes of the
     validation split (skipped if it is empty); training stops after
     hyper.patience consecutive non-improving validations, or at the
-    epoch/minibatch limits.  Resuming a run that has already stopped trains
-    and writes nothing.
+    epoch/minibatch limits.  Before each checkpoint the log is flushed to
+    disk.  On resume, the log lines past the checkpoint are dropped first,
+    so the log ends as an unbroken run's does.  Resuming a run that has
+    already stopped trains and writes nothing.
     """
     hyper.validate()
     if not split.train:
@@ -308,11 +303,12 @@ def train(
         )
 
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    if ckpt_dir is not None:
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
-    # append only when resuming, so a rerun reproduces identical artifacts
-    log_mode = "a" if resume_from is not None else "w"
-    log_handle = open(log_path, log_mode, encoding="utf-8") if log_path is not None else None
+    log_handle = None
+    if log_path is not None:
+        Path(log_path).parent.mkdir(parents=True, exist_ok=True)
+        if resume_from is not None:  # append, so a rerun reproduces identical artifacts
+            _truncate_log(Path(log_path), state.minibatch_index)
+        log_handle = open(log_path, "a" if resume_from is not None else "w", encoding="utf-8")
 
     def check_finite() -> None:
         try:
@@ -362,6 +358,9 @@ def train(
 
             last = state.minibatch_index == limit or state.stall > hyper.patience
             if ckpt_dir is not None and (last or state.minibatch_index % hyper.checkpoint_every == 0):
+                if log_handle is not None:  # the log must hold what the checkpoint does
+                    log_handle.flush()
+                    os.fsync(log_handle.fileno())
                 save_checkpoint(state, ckpt_dir / f"checkpoint_{state.minibatch_index:08d}.ckpt")
     finally:
         if log_handle is not None:

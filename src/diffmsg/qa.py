@@ -19,7 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .bow import BagOfWords, Document, row_sums
-from .corpus import CorpusFormatError, TokenSequence, preprocess_source, read_jsonl
+from .corpus import (
+    CorpusFormatError,
+    TokenSequence,
+    atomic_write,
+    preprocess_source,
+    read_jsonl,
+    schema_problem,
+)
 
 QA_MODEL_FORMAT_VERSION = 1
 
@@ -369,9 +376,7 @@ def save_qa_model(model: QaModel, path: str | Path) -> None:
             "seed": model.hyper.seed,
         },
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.write("\n")
+    atomic_write(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 class QaModelError(ValueError):
@@ -404,14 +409,10 @@ def load_qa_model(path: str | Path) -> QaModel:
             f"{path}: format version {payload.get('format_version')} "
             f"!= {QA_MODEL_FORMAT_VERSION}"
         )
-    for prefix, obj, keys in (("", payload, _MODEL_KEYS),
-                              ("hyper.", payload.get("hyper"), _HYPER_KEYS)):
-        for key, kind in keys.items():
-            if key not in obj:
-                raise QaModelError(f"{path}: QA model lacks {prefix + key!r}")
-            value = obj[key]
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise QaModelError(f"{path}: key {prefix + key!r} has a bad value {value!r}")
+    problem = (schema_problem(payload, _MODEL_KEYS)
+               or schema_problem(payload["hyper"], _HYPER_KEYS, prefix="hyper."))
+    if problem is not None:
+        raise QaModelError(f"{path}: QA model {problem}")
     vocab, idf, weights = payload["feature_vocab"], payload["idf"], payload["weights"]
     if not {type(index) for index in vocab.values()} <= {int}:
         raise QaModelError(f"{path}: key 'feature_vocab' maps a token to a non-integer index")

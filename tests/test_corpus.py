@@ -558,11 +558,6 @@ class TestTokenize:
         everything = "".join(map(chr, range(sys.maxunicode + 1)))
         assert re.findall(r"\s", everything) == [ch for ch in everything if ch.isspace()]
 
-    @given(st.one_of(st.text(max_size=200), _EDGE_TEXT), st.integers(min_value=0, max_value=40))
-    @settings(max_examples=300)
-    def test_limit_is_a_prefix(self, text, limit):
-        assert tokenize(text, limit) == tokenize(text)[: limit + 1]
-
     @given(st.text(max_size=200))
     @settings(max_examples=200)
     def test_idempotent_under_rejoin(self, text):

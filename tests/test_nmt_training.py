@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffmsg import corpus
 from diffmsg.corpus import EOS_ID, DatasetSplit, PreparedCommit, build_vocab
 from diffmsg.nmt import training
 from diffmsg.nmt import (
@@ -219,6 +220,70 @@ class TestTrain:
             for path in whole.glob("checkpoint_*.ckpt"):
                 assert (run / path.name).read_bytes() == path.read_bytes(), f"cut at {cut}"
 
+    def test_resume_after_a_crash_between_checkpoints_rewrites_the_log(self, tmp_path,
+                                                                       monkeypatch):
+        split = toy_split()
+        src, tgt = build_vocabs(split)
+        hyper = toy_hyper(validate_every=1, checkpoint_every=4, max_minibatches=6)
+        whole = tmp_path / "whole"
+        train(split, src, tgt, hyper, checkpoint_dir=whole, log_path=whole / "log")
+
+        forward, calls = training.loss_forward, []
+
+        def crashing(*args):
+            calls.append(1)
+            if len(calls) == 6:
+                raise RuntimeError("killed")
+            return forward(*args)
+
+        run = tmp_path / "run"
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "loss_forward", crashing)
+            with pytest.raises(RuntimeError, match="killed"):
+                train(split, src, tgt, hyper, checkpoint_dir=run, log_path=run / "log")
+        assert "minibatch=5 " in (run / "log").read_text()
+        train(split, src, tgt, hyper, checkpoint_dir=run, log_path=run / "log",
+              resume_from=load_checkpoint(run / "checkpoint_00000004.ckpt"))
+        assert (run / "log").read_bytes() == (whole / "log").read_bytes()
+        assert sorted(p.name for p in run.iterdir()) == sorted(p.name for p in whole.iterdir())
+
+    def test_resume_drops_a_torn_last_log_line(self, tmp_path):
+        split = toy_split()
+        src, tgt = build_vocabs(split)
+        hyper = toy_hyper(validate_every=1, checkpoint_every=4, max_minibatches=6)
+        whole = tmp_path / "whole"
+        train(split, src, tgt, hyper, checkpoint_dir=whole, log_path=whole / "log")
+        run = tmp_path / "run"
+        train(split, src, tgt, dataclasses.replace(hyper, max_minibatches=4),
+              checkpoint_dir=run, log_path=run / "log")
+        with open(run / "log", "a", encoding="utf-8") as handle:
+            handle.write("minibatch=5 loss=1.2")
+        train(split, src, tgt, hyper, checkpoint_dir=run, log_path=run / "log",
+              resume_from=load_checkpoint(run / "checkpoint_00000004.ckpt"))
+        assert (run / "log").read_bytes() == (whole / "log").read_bytes()
+
+    def test_log_on_disk_holds_every_line_before_each_checkpoint(self, tmp_path, monkeypatch):
+        split = toy_split()
+        src, tgt = build_vocabs(split)
+        hyper = toy_hyper(validate_every=3, checkpoint_every=2, max_epochs=6, max_minibatches=12)
+        log = tmp_path / "log"
+        train(split, src, tgt, hyper, log_path=log)
+        lines = log.read_text().splitlines(keepends=True)
+
+        save, seen = training.save_checkpoint, []
+
+        def checking(checkpoint, path):
+            upto = [line for line in lines
+                    if int(line.split()[0].removeprefix("minibatch=")) <= checkpoint.minibatch_index]
+            assert log.read_text() == "".join(upto)
+            seen.append(checkpoint.minibatch_index)
+            save(checkpoint, path)
+
+        monkeypatch.setattr(training, "save_checkpoint", checking)
+        train(split, src, tgt, hyper, checkpoint_dir=tmp_path / "ckpt", log_path=log)
+        assert seen == [2, 4, 6, 8, 10, 12]
+        assert log.read_text() == "".join(lines)
+
     def test_validation_skipped_when_valid_empty(self):
         split = toy_split()
         split.valid = []
@@ -396,6 +461,16 @@ class TestCheckpointIO:
         message = str(info.value)
         assert str(path) in message and repr(tensor) in message and "shape" in message
 
+    @pytest.mark.parametrize("key, value", [
+        ("best_bleu", True), ("validation_bleu", False), ("window_loss_sum", True),
+    ])
+    def test_bool_in_a_number_key_rejected(self, tmp_path, key, value):
+        path = saved_checkpoint(tmp_path)
+        rewrite_header(path, lambda header: header.update({key: value}))
+        with pytest.raises(CheckpointError, match=f"header key {key!r} has a bad value") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
     def test_payload_length_disagreeing_with_manifest_rejected(self, tmp_path):
         # a consistently shortened file: payload_bytes matches the bytes present
         path = saved_checkpoint(tmp_path)
@@ -433,7 +508,7 @@ class TestCheckpointIO:
             def __exit__(self, *exc):
                 self.handle.close()
 
-        monkeypatch.setattr(training, "open", lambda *args: FailingFile(open(*args)),
+        monkeypatch.setattr(corpus, "open", lambda *args: FailingFile(open(*args)),
                             raising=False)
         checkpoint.minibatch_index = 8
         for name in (kept.name, "checkpoint_00000008.ckpt"):
