@@ -306,8 +306,9 @@ def train(
     log_handle = None
     if log_path is not None:
         Path(log_path).parent.mkdir(parents=True, exist_ok=True)
-        if resume_from is not None:  # append, so a rerun reproduces identical artifacts
+        if resume_from is not None:
             _truncate_log(Path(log_path), state.minibatch_index)
+        # append only when resuming, so a rerun reproduces identical artifacts
         log_handle = open(log_path, "a" if resume_from is not None else "w", encoding="utf-8")
 
     def check_finite() -> None:

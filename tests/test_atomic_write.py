@@ -14,8 +14,6 @@ from diffmsg.corpus import (
     build_vocab,
     write_split_files,
 )
-from diffmsg.nmt import Hyperparams, init_params
-from diffmsg.nmt.training import Checkpoint, init_optimizer_state, save_checkpoint
 from diffmsg.qa import QaModel, compute_idf, save_qa_model
 
 OLD = b"the previous artifact\n"
@@ -31,12 +29,6 @@ class TestAtomicWrite:
         atomic_write(path, "naïve\n")
         assert path.read_bytes() == "naïve\n".encode("utf-8")
         assert leftovers(tmp_path) == []
-
-    def test_blocks_are_written_in_order(self, tmp_path):
-        path = tmp_path / "out.bin"
-        array = np.arange(3, dtype=np.float64)
-        atomic_write(path, [b"head\n", array.data, b""])
-        assert path.read_bytes() == b"head\n" + array.tobytes()
 
     def test_replaces_the_old_file(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -77,13 +69,6 @@ def toy_config(tmp_path: Path) -> PipelineConfig:
                           valid_size=2, test_size=2, seed=3)
 
 
-def write_checkpoint(tmp_path):
-    params = init_params(Hyperparams(embed_dim=2, hidden_dim=3), 6, 5)
-    path = tmp_path / "checkpoint_00000004.ckpt"
-    return path, lambda: save_checkpoint(Checkpoint(params, init_optimizer_state(params), 4, None),
-                                         path)
-
-
 def write_vocabulary(tmp_path):
     path = tmp_path / "vocab.src.txt"
     return path, lambda: build_vocab([["a", "b"], ["b"]]).save(path)
@@ -111,9 +96,9 @@ def write_eval_report(tmp_path):
     return config.eval_report_path, lambda: cmd_evaluate(config, smoke_identity=True)
 
 
+# save_checkpoint has its own case: TestCheckpointIO.test_failed_write_leaves_no_checkpoint
 @pytest.mark.parametrize("writer", [
-    write_checkpoint, write_vocabulary, write_splits, write_qa_model, write_prepare_report,
-    write_eval_report,
+    write_vocabulary, write_splits, write_qa_model, write_prepare_report, write_eval_report,
 ])
 def test_a_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, writer):
     path, write = writer(tmp_path)
