@@ -113,10 +113,7 @@ class PipelineConfig(Hyperparams):
                     f"{source}: config key {key!r} must be {declared[key]}, got {value!r}"
                 )
         config = cls(**data)
-        try:
-            config.validate()
-        except ValueError as exc:  # the message names the key
-            raise PipelineError(f"{source}: {exc}") from exc
+        _check(config, source)
         return config
 
     @classmethod
@@ -134,6 +131,16 @@ class PipelineConfig(Hyperparams):
     qa_model_path = _in_work_dir("qa_model.json")
 
 
+def _check(config: PipelineConfig, source: str = "config") -> None:
+    """config.validate() as a PipelineError naming source and the key.
+
+    from_json runs it; every cmd_* runs it too, for configs built in code."""
+    try:
+        config.validate()
+    except ValueError as exc:  # the message names the key
+        raise PipelineError(f"{source}: {exc}") from exc
+
+
 def _lexicon(config: PipelineConfig):
     if config.vdo_lexicon_path:
         return load_lexicon(config.vdo_lexicon_path)
@@ -147,6 +154,7 @@ def cmd_prepare(config: PipelineConfig) -> dict:
     the report.  Raises PipelineError naming the stage that emptied the
     corpus.
     """
+    _check(config)
     if bool(config.corpus_jsonl) == bool(config.git_repo):
         raise PipelineError("config must set exactly one of corpus_jsonl or git_repo")
     commits = (
@@ -213,6 +221,7 @@ def _load_vocabs(config: PipelineConfig) -> tuple[Vocabulary, Vocabulary]:
 
 def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
     """Train on the prepared splits; write checkpoints and the training log."""
+    _check(config)
     split = _load_split(config)
     src_vocab, tgt_vocab = _load_vocabs(config)
     resume_from = None
@@ -263,6 +272,7 @@ def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple
 
     Returns (exit_code, output line); never both a message and a warning.
     """
+    _check(config)
     src_vocab, tgt_vocab = _load_vocabs(config)
     if with_qa:
         if not config.qa_model_path.is_file():
@@ -289,6 +299,7 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
     smoke_identity scores the references against themselves (pipeline
     sanity: BLEU must be exactly 100).  Writes and returns the report.
     """
+    _check(config)
     split = _load_split(config)
     if not split.test:
         raise PipelineError("test split is empty")
@@ -339,6 +350,7 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
 
 def cmd_qa(config: PipelineConfig, subaction: str, gold_path: str) -> str:
     """QA gate actions: fit and save a model, cross-validate, or report."""
+    _check(config)
     gold = qa.load_gold_jsonl(gold_path)
     if not gold:
         raise PipelineError(f"{gold_path}: gold set is empty")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -140,15 +139,6 @@ def _margins(weights: np.ndarray, bias: float, rows: Rows) -> np.ndarray:
     return row_sums(weights[features] * values, indptr) + bias
 
 
-def tfidf(
-    diff: Document, feature_vocab: dict[str, int], idf: np.ndarray
-) -> dict[int, float]:
-    """L2-normalized tf/idf mapping; unknown tokens contribute nothing."""
-    index = BagOfWords([diff])
-    _, features, values = _tfidf_rows(index, index.lookup(feature_vocab), idf)
-    return dict(zip(features.tolist(), values.tolist()))
-
-
 @dataclass(frozen=True)
 class QaHyper:
     l2_lambda: float = 1e-4
@@ -170,18 +160,10 @@ class QaModel:
         return float(_margins(self.weights, self.bias, rows)[0])
 
 
-# SGD steps: the position of each step's example in the training list, and
-# each step's eta and decay (arrays of doubles: a quarter of the memory of
-# lists of floats)
-Schedule = tuple[list[int], array, array]
-
-
-def _schedule(n: int, hyper: QaHyper) -> Schedule:
-    """The steps of SGD over n examples, which depend only on n and hyper.
-
-    The example order is reshuffled each epoch with the seeded RNG; step t
-    has eta = 1/(lambda * t) and shrinks the weights by 1 - eta * lambda.
-    """
+def _schedule(n: int, hyper: QaHyper) -> list[int]:
+    """The position in the training list of each SGD step's example, which
+    depends only on n and hyper: the order is reshuffled each epoch with
+    the seeded RNG."""
     if hyper.epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {hyper.epochs}")
     if not hyper.l2_lambda > 0.0:
@@ -192,19 +174,23 @@ def _schedule(n: int, hyper: QaHyper) -> Schedule:
     for _ in range(hyper.epochs):
         rng.shuffle(order)
         positions += order
-    etas = 1.0 / (hyper.l2_lambda * np.arange(1, len(positions) + 1))
-    decays = 1.0 - etas * hyper.l2_lambda
-    return positions, array("d", etas.tobytes()), array("d", decays.tobytes())
+    return positions
 
 
 def _fit(
-    index: BagOfWords, train: list[int], labels: list[float], schedule: Schedule
+    index: BagOfWords, train: list[int], labels: list[float], positions: list[int],
+    l2_lambda: float,
 ) -> tuple[np.ndarray, np.ndarray, float, Rows]:
     """Hinge-loss SGD on the documents `train` of index, in that order.
 
     The features are the terms those documents hold, in sorted order, as
     compute_idf numbers them.  Returns (idf, weights, bias) and the tf/idf
     rows of every document of index under those features.
+
+    Step t has eta = 1/(lambda * t), so it shrinks the weights by 1 - 1/t
+    and the weights after step t are scaled/t (Pegasos' scaled-vector
+    form).  Only a margin violation moves scaled, by (y/lambda) * x, and
+    the bias, by y/(lambda * t).
     """
     if len({labels[d] for d in train}) < 2:
         raise ValueError("training requires both bad and not-bad records")
@@ -216,21 +202,20 @@ def _fit(
     idf = _idf(len(train), doc_freq[present])
     rows = _tfidf_rows(index, feature, idf)
     indptr, features, row_values = rows
-    examples = [
-        (features[indptr[d] : indptr[d + 1]], row_values[indptr[d] : indptr[d + 1]], labels[d])
-        for d in train
-    ]
+    examples = []
+    for d in train:
+        values = row_values[indptr[d] : indptr[d + 1]]
+        examples.append((features[indptr[d] : indptr[d + 1]], values,
+                         (labels[d] / l2_lambda) * values, labels[d]))
 
-    weights = np.zeros(len(idf))
+    scaled = np.zeros(len(idf))
     bias = 0.0
-    for i, eta, decay in zip(*schedule):
-        indices, values, y = examples[i]
-        margin = y * (weights[indices] @ values + bias)
-        weights *= decay
-        if margin < 1.0:
-            weights[indices] += eta * y * values
-            bias += eta * y
-    return idf, weights, bias, rows
+    for done, i in enumerate(positions):  # the weights are scaled / done, or 0
+        indices, values, step, y = examples[i]
+        if y * (values.dot(scaled[indices]) / (done or 1) + bias) < 1.0:
+            scaled[indices] += step
+            bias += y / (l2_lambda * (done + 1))
+    return idf, scaled / len(positions), bias, rows
 
 
 def train_svm(gold: list[GoldRecord], hyper: QaHyper = QaHyper()) -> QaModel:
@@ -242,7 +227,8 @@ def train_svm(gold: list[GoldRecord], hyper: QaHyper = QaHyper()) -> QaModel:
     """
     index = BagOfWords([record.diff for record in gold])
     labels = [1.0 if record.is_bad else -1.0 for record in gold]
-    idf, weights, bias, _ = _fit(index, list(range(len(gold))), labels, _schedule(len(gold), hyper))
+    positions = _schedule(len(gold), hyper)
+    idf, weights, bias, _ = _fit(index, list(range(len(gold))), labels, positions, hyper.l2_lambda)
     return QaModel(index.ids, idf, weights, bias, hyper)
 
 
@@ -309,7 +295,7 @@ def cross_validate(
     for held_out in folds:
         held_set = set(held_out)
         train = [i for i in order if i not in held_set]
-        _, weights, bias, rows = _fit(index, train, labels, schedules[len(train)])
+        _, weights, bias, rows = _fit(index, train, labels, schedules[len(train)], hyper.l2_lambda)
         margins[held_out] = _margins(weights, bias, rows)[held_out]
 
     predictions = [margin > 0.0 for margin in margins.tolist()]

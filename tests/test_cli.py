@@ -87,6 +87,19 @@ class TestConfig:
             assert field.name in config_fields, field.name
             assert config_fields[field.name].default == field.default, field.name
 
+    @pytest.mark.parametrize("command", [
+        cmd_prepare,
+        cmd_train,
+        lambda config: cmd_generate(config, "diff", with_qa=True),
+        cmd_evaluate,
+        lambda config: cmd_qa(config, "crossval", "gold.jsonl"),
+    ], ids=["prepare", "train", "generate", "evaluate", "qa"])
+    def test_every_command_checks_a_config_built_in_code(self, tmp_path, command):
+        config = dataclasses.replace(toy_config(tmp_path), qa_epochs=0)
+        with pytest.raises(PipelineError, match="^config: qa_epochs must be >= 1, got 0$"):
+            command(config)
+        assert not Path(config.work_dir).exists()
+
 
 class TestPrepare:
     def test_funnel_reconciles(self, tmp_path):
@@ -206,10 +219,10 @@ class TestTrainCommand:
             cmd_train(config)
 
     def test_zero_max_minibatches_rejected(self, tmp_path):
-        config = toy_config(tmp_path, max_minibatches=0)
+        config = toy_config(tmp_path)
         cmd_prepare(config)
-        with pytest.raises(ValueError, match="max_minibatches"):
-            cmd_train(config)
+        with pytest.raises(PipelineError, match="max_minibatches must be >= 1, got 0"):
+            cmd_train(dataclasses.replace(config, max_minibatches=0))
 
     def test_resume_extends_training(self, tmp_path):
         config = toy_config(tmp_path, max_minibatches=2, checkpoint_every=2)
@@ -261,6 +274,14 @@ class TestGenerate:
         code, line = cmd_generate(config, prefix + " helper_2", with_qa=True)
         assert code == EXIT_OK
         assert (code, line) == cmd_generate(config, prefix, with_qa=False)
+
+    def test_zero_ensemble_size_is_a_named_error(self, tmp_path):
+        # a config built in code skips from_json; paths[-0:] took every checkpoint
+        config = toy_config(tmp_path)
+        cmd_prepare(config)
+        cmd_train(config)
+        with pytest.raises(PipelineError, match="^config: ensemble_size must be >= 1, got 0$"):
+            cmd_generate(dataclasses.replace(config, ensemble_size=0), "+ helper_1 ( x )", False)
 
     def test_missing_checkpoints_error(self, tmp_path):
         config = toy_config(tmp_path)

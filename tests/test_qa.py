@@ -6,9 +6,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from diffmsg.bow import BagOfWords
 from diffmsg.corpus import CorpusFormatError, preprocess_source, source_counts
 from diffmsg.qa import (
     GoldRecord,
@@ -22,8 +23,8 @@ from diffmsg.qa import (
     load_qa_model,
     predict,
     reduction_report,
+    _tfidf_rows,
     save_qa_model,
-    tfidf,
     train_svm,
 )
 
@@ -44,6 +45,42 @@ def separable_gold(n=60, seed=0):
             scores = (rng.randint(2, 7),)
         records.append(GoldRecord(diff=diff, scores=scores))
     return records
+
+
+def tfidf(diff, feature_vocab, idf):
+    """L2-normalized tf/idf mapping {feature: value} of one diff, as the
+    gate featurizes it; unknown tokens contribute nothing."""
+    index = BagOfWords([diff])
+    _, features, values = _tfidf_rows(index, index.lookup(feature_vocab), idf)
+    return dict(zip(features.tolist(), values.tolist()))
+
+
+def oracle_train_svm(gold, hyper):
+    """The SGD loop that the scaled-vector form replaced: every step shrinks
+    the whole weight vector by 1 - eta * lambda, eta = 1/(lambda * t)."""
+    vocab, idf = compute_idf([record.diff for record in gold])
+    examples = []
+    for record in gold:
+        row = tfidf(record.diff, vocab, idf)
+        examples.append((np.array(list(row), dtype=np.intp), np.array(list(row.values())),
+                         1.0 if record.is_bad else -1.0))
+    rng = random.Random(hyper.seed)
+    order = list(range(len(gold)))
+    weights = np.zeros(len(idf))
+    bias = 0.0
+    t = 0
+    for _ in range(hyper.epochs):
+        rng.shuffle(order)
+        for i in order:
+            t += 1
+            eta = 1.0 / (hyper.l2_lambda * t)
+            indices, values, y = examples[i]
+            margin = y * (weights[indices] @ values + bias)
+            weights *= 1.0 - eta * hyper.l2_lambda
+            if margin < 1.0:
+                weights[indices] += eta * y * values
+                bias += eta * y
+    return QaModel(vocab, idf, weights, bias, hyper)
 
 
 class TestMedianAndLabels:
@@ -371,10 +408,10 @@ class TestPinnedMargins:
         vocab = [f"tok{i}" for i in range(30)] + MARKERS + ["unseen", "also_unseen"]
         queries = [[rng.choice(vocab) for _ in range(n)] for n in (1, 7, 40, 500)]
         assert [model.margin(q) for q in queries] == [
-            -5.455098669648741,
-            28.00699224158405,
-            4.752895100462654,
-            7.7176094505352815,
+            -5.455098669648695,
+            28.006992241584086,
+            4.752895100462666,
+            7.717609450535294,
         ]
         assert model.bias == 17.381885821398374
 
@@ -431,6 +468,25 @@ class TestCrossValidatePinned:
         assert [float.hex(m) for m in result.margins] == PINNED_CV_MARGINS
         assert result.predictions == [m > 0.0 for m in result.margins]
 
+    @given(n=st.integers(10, 60), k=st.integers(5, 10), epochs=st.integers(1, 5),
+           l2_lambda=st.sampled_from([1e-4, 1e-2, 1.0]), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_margins_match_the_shrinking_loop(self, n, k, epochs, l2_lambda, seed):
+        # a third of the records bad and a third not, so every fold trains on both
+        gold = [GoldRecord(r.diff, (0,) if i % 3 == 0 else (7,) if i % 3 == 1 else r.scores)
+                for i, r in enumerate(noisy_gold(n, seed=seed))]
+        hyper = QaHyper(l2_lambda=l2_lambda, epochs=epochs, seed=seed + 1)
+        result = cross_validate(gold, k=k, seed=seed, hyper=hyper)
+        oracle = np.zeros(n)
+        for f, held_out in enumerate(result.fold_indices):
+            train = [gold[i] for g, fold in enumerate(result.fold_indices) if g != f for i in fold]
+            model = oracle_train_svm(train, hyper)
+            oracle[held_out] = [model.margin(gold[i].diff) for i in held_out]
+        assume(np.all(np.abs(oracle) > 1e-9))
+        largest = np.max(np.abs(oracle))
+        assert np.max(np.abs(np.array(result.margins) - oracle)) <= 1e-12 * largest
+        assert result.predictions == (oracle > 0.0).tolist()
+
     @pytest.mark.parametrize("n, k, seed, epochs", [(40, 5, 4, 20), (23, 4, 1, 3), (31, 10, 8, 2)])
     def test_each_fold_is_train_svm_then_predict(self, n, k, seed, epochs):
         gold = noisy_gold(n, seed=seed)
@@ -446,14 +502,14 @@ class TestCrossValidatePinned:
 
 # cross_validate(noisy_gold(), k=5, seed=4, hyper=QaHyper(seed=2)).margins, as float.hex
 PINNED_CV_MARGINS = [
-    '0x1.6fe09229e1080p-1', '0x1.9bd77ba9c5450p+3', '-0x1.22760f14b1bfbp+5', '-0x1.ef800368c5110p+5',
-    '-0x1.4056c4d2f5868p+3', '-0x1.b96064f93d6a4p+4', '0x1.c3c2b641abe76p+4', '0x1.717f5b608b478p+4',
-    '0x1.52dba05126310p+3', '0x1.9e2fc80cda8f8p+3', '0x1.02f97e07e0cb4p+4', '-0x1.6de420e51e2f4p+4',
-    '0x1.7ef264173cdb0p+1', '-0x1.1ea4595a11bc0p+5', '-0x1.1ae0615a89ec6p+6', '-0x1.2ef5716ce873fp+4',
-    '-0x1.19c2413646ef8p+2', '-0x1.1b4016aafaa94p+3', '-0x1.4228f3ee6cdcfp+6', '0x1.33c6867e5df72p+4',
-    '-0x1.b9c62bf4127dcp+4', '0x1.e253290c48e90p+3', '0x1.8a9efcd94e77cp+4', '0x1.34f9935fa2df4p+5',
-    '0x1.8fca0a163857cp+3', '-0x1.b96064f93d6a4p+4', '0x1.cbca700daf690p+2', '0x1.0a9a888606a00p+3',
-    '-0x1.2106362434d10p+2', '-0x1.16d61ec22b888p+2', '0x1.e92a973925f88p+2', '-0x1.0f7f654c02642p+5',
-    '-0x1.5fcef9ece3360p+4', '-0x1.aa39965c315b0p+3', '0x1.3ab9817d60996p+4', '-0x1.9c282edfa36a8p+3',
-    '-0x1.0f7f654c02642p+5', '-0x1.ea2493e44d8fcp+3', '-0x1.e22eca711e160p+4', '-0x1.2000afe92b68ap+4',
+    '0x1.6fe09229e0f80p-1', '0x1.9bd77ba9c544cp+3', '-0x1.22760f14b1bf4p+5', '-0x1.ef800368c5110p+5',
+    '-0x1.4056c4d2f5860p+3', '-0x1.b96064f93d6a4p+4', '0x1.c3c2b641abe68p+4', '0x1.717f5b608b47ap+4',
+    '0x1.52dba051262e0p+3', '0x1.9e2fc80cda8f0p+3', '0x1.02f97e07e0cc8p+4', '-0x1.6de420e51e2e6p+4',
+    '0x1.7ef264173cdc0p+1', '-0x1.1ea4595a11bcbp+5', '-0x1.1ae0615a89ec6p+6', '-0x1.2ef5716ce873bp+4',
+    '-0x1.19c2413646f10p+2', '-0x1.1b4016aafaa90p+3', '-0x1.4228f3ee6cdcfp+6', '0x1.33c6867e5df74p+4',
+    '-0x1.b9c62bf4127e4p+4', '0x1.e253290c48e88p+3', '0x1.8a9efcd94e77cp+4', '0x1.34f9935fa2df4p+5',
+    '0x1.8fca0a163857cp+3', '-0x1.b96064f93d6a4p+4', '0x1.cbca700daf6a0p+2', '0x1.0a9a888606a10p+3',
+    '-0x1.2106362434ce0p+2', '-0x1.16d61ec22b848p+2', '0x1.e92a973925f70p+2', '-0x1.0f7f654c02642p+5',
+    '-0x1.5fcef9ece3368p+4', '-0x1.aa39965c315acp+3', '0x1.3ab9817d60990p+4', '-0x1.9c282edfa36e0p+3',
+    '-0x1.0f7f654c02642p+5', '-0x1.ea2493e44d908p+3', '-0x1.e22eca711e164p+4', '-0x1.2000afe92b68cp+4',
 ]
