@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -82,6 +83,8 @@ class PipelineConfig(Hyperparams):
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if not self.qa_lambda > 0.0:
             raise ValueError(f"qa_lambda must be > 0, got {self.qa_lambda}")
+        if self.qa_lambda == math.inf:
+            raise ValueError("qa_lambda must be finite, got inf")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"

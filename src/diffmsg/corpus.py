@@ -14,6 +14,7 @@ atomic_write, the one writer of every artifact.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import re
@@ -104,13 +105,14 @@ def atomic_write(path: str | Path, data: str | Iterable[bytes]) -> None:
 def schema_problem(obj: dict, schema: dict, prefix: str = "") -> str | None:
     """Describe the first key of schema ({key: type or tuple of types}) that
     obj lacks or holds with a value of another type, or return None; a bool
-    passes only where the schema names bool."""
+    passes only where the schema names bool, a float only if it is finite."""
     for key, kind in schema.items():
         if key not in obj:
             return f"lacks {prefix + key!r}"
         value = obj[key]
         kinds = kind if isinstance(kind, tuple) else (kind,)
-        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        if (not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds)
+                or (isinstance(value, float) and not math.isfinite(value))):
             return f"key {prefix + key!r} has a bad value {value!r}"
     return None
 
@@ -346,10 +348,6 @@ class FilterReport:
     removed: dict[str, int] = field(
         default_factory=lambda: {reason: 0 for reason in REMOVAL_REASONS}
     )
-
-    @property
-    def removed_total(self) -> int:
-        return sum(self.removed.values())
 
 
 def apply_filters(

@@ -4,14 +4,12 @@ from .decoding import beam_search, ensemble_decode, greedy_decode
 from .model import (
     Hyperparams,
     ModelParams,
-    attend,
     batch_loss,
     decoder_step,
     encode,
     gradients,
     init_decoder_state,
     init_params,
-    sequence_loss,
 )
 from .training import (
     Checkpoint,
@@ -29,7 +27,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "adadelta_update",
-    "attend",
     "batch_loss",
     "beam_search",
     "decoder_step",
@@ -42,6 +39,5 @@ __all__ = [
     "init_params",
     "load_checkpoint",
     "save_checkpoint",
-    "sequence_loss",
     "train",
 ]

@@ -69,20 +69,10 @@ class Hyperparams(FilterConfig):
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.adadelta_rho < 1.0:
             raise ValueError(f"adadelta_rho must be in (0, 1), got {self.adadelta_rho}")
-        if self.adadelta_eps <= 0.0:
-            raise ValueError(f"adadelta_eps must be positive, got {self.adadelta_eps}")
+        if not 0.0 < self.adadelta_eps < math.inf:
+            raise ValueError(f"adadelta_eps must be positive and finite, got {self.adadelta_eps}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
-
-
-def _gate_block(tensor_name: str, block: int) -> property:
-    def get(self: "GruParams") -> Array:
-        hidden = self.u.shape[0]
-        view = getattr(self, tensor_name)[..., block * hidden : (block + 1) * hidden]
-        view.flags.writeable = False
-        return view
-
-    return property(get, doc=f"Read-only view of gate block {'zrh'[block]} of {tensor_name}.")
 
 
 @dataclass
@@ -90,16 +80,11 @@ class GruParams:
     """One gated recurrent cell: update gate z, reset gate r, candidate h~.
 
     The gates are fused: w (input, 3H), u (H, 3H) and b (3H,) hold them as
-    column blocks z|r|h.  w_z ... b_h are read-only views of those blocks.
-    """
+    column blocks z|r|h."""
 
     w: Array
     u: Array
     b: Array
-
-    w_z, w_r, w_h = (_gate_block("w", k) for k in range(3))
-    u_z, u_r, u_h = (_gate_block("u", k) for k in range(3))
-    b_z, b_r, b_h = (_gate_block("b", k) for k in range(3))
 
     def tensors(self) -> Iterator[tuple[str, Array]]:
         for f in fields(self):
@@ -223,10 +208,6 @@ def init_params(hyper: Hyperparams, src_vocab_size: int, tgt_vocab_size: int) ->
         for block in np.split(tensor, blocks, axis=-1):
             block[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=block.shape)
     return params
-
-
-def zero_gradients(params: ModelParams) -> ModelParams:
-    return params.like(np.zeros_like(params.flat))
 
 
 def _sigmoid(x: Array) -> Array:
@@ -462,7 +443,7 @@ def loss_backward(params: ModelParams, cache: dict) -> ModelParams:
     the loop over steps carries only the decoder state; the GRU, att_u and
     annotation gradients then take one GEMM each.
     """
-    grads = zero_gradients(params)
+    grads = params.like(np.zeros_like(params.flat))
     annotations, readout = cache["annotations"], cache["readout"]
     tgt_ids, tgt_mask = cache["tgt_ids"], cache["tgt_mask"]
     e, h, dec = params.embed_dim, params.hidden_dim, params.dec
@@ -507,9 +488,11 @@ def loss_backward(params: ModelParams, cache: dict) -> ModelParams:
     return grads
 
 
-def _pad_sequences(seqs: list[list[int]], pad_id: int = PAD_ID) -> tuple[Array, Array]:
-    """Pad id sequences to a rectangular array with a 0/1 mask."""
-    ids = np.full((len(seqs), max(map(len, seqs))), pad_id, dtype=np.int64)
+def _pad_sequences(seqs: list[list[int]], what: str) -> tuple[Array, Array]:
+    """Pad non-empty id sequences to a rectangular array with a 0/1 mask."""
+    if min(map(len, seqs)) == 0:
+        raise ValueError(f"{what} sequence must be non-empty")
+    ids = np.full((len(seqs), max(map(len, seqs))), PAD_ID, dtype=np.int64)
     mask = np.zeros(ids.shape)
     for b, seq in enumerate(seqs):
         ids[b, : len(seq)] = seq
@@ -517,13 +500,12 @@ def _pad_sequences(seqs: list[list[int]], pad_id: int = PAD_ID) -> tuple[Array, 
     return ids, mask
 
 
-def pad_batch(
-    sources: list[list[int]], targets: list[list[int]], pad_id: int = PAD_ID
-) -> tuple[Array, Array, Array, Array]:
-    """Pad sources and targets to rectangular arrays with 0/1 masks."""
+def pad_batch(sources: list[list[int]], targets: list[list[int]]) -> tuple[Array, ...]:
+    """Pad sources and targets to rectangular arrays with 0/1 masks; every
+    sequence must be non-empty."""
     if not sources or len(sources) != len(targets):
         raise ValueError("batch must contain the same positive number of sources and targets")
-    return (*_pad_sequences(sources, pad_id), *_pad_sequences(targets, pad_id))
+    return (*_pad_sequences(sources, "source"), *_pad_sequences(targets, "target"))
 
 
 def _check_ids(ids: list[int], vocab_size: int, what: str) -> None:
@@ -540,10 +522,8 @@ def encode_sources(params: ModelParams, sources: list[list[int]]) -> tuple[Array
     backward caches: returns the annotations (B, S, 2H), their projection
     annotations @ att_u (B, S, H), the mask (B, S) and the states s_0 (B, H)."""
     for ids in sources:
-        if not ids:
-            raise ValueError("source sequence must be non-empty")
         _check_ids(ids, params.src_vocab_size, "source")
-    src_ids, src_mask = _pad_sequences(sources)
+    src_ids, src_mask = _pad_sequences(sources, "source")
     annotations = encode_batch(params, src_ids, src_mask)
     s0, _ = init_decoder_state_batch(params, annotations)
     return annotations, annotations @ params.att_u, src_mask, s0
@@ -581,20 +561,6 @@ def encode(source_ids: list[int], params: ModelParams) -> Array:
     return encode_sources(params, [source_ids])[0][0]
 
 
-def attend(
-    decoder_prev_state: Array, annotations: Array, params: ModelParams
-) -> tuple[Array, Array]:
-    """Context vector and attention weights for one decoder step."""
-    if annotations.shape[0] == 0:
-        raise ValueError("annotations must be non-empty")
-    ann = annotations[None, :, :]
-    mask = np.ones((1, annotations.shape[0]))
-    context, weights, _ = attend_batch(
-        params, decoder_prev_state[None, :], ann, ann @ params.att_u, mask
-    )
-    return context[0], weights[0]
-
-
 def init_decoder_state(annotations: Array, params: ModelParams) -> Array:
     s0, _ = init_decoder_state_batch(params, annotations[None, :, :])
     return s0[0]
@@ -615,22 +581,8 @@ def decoder_step(
 def _batch_forward(
     batch: list[tuple[list[int], list[int]]], params: ModelParams, start_id: int
 ) -> tuple[float, dict]:
-    if not batch:
-        raise ValueError("batch must be non-empty")
     padded = pad_batch([s for s, _ in batch], [t for _, t in batch])
     return loss_forward(params, *padded, start_id=start_id)
-
-
-def sequence_loss(
-    pair: tuple[list[int], list[int]], params: ModelParams, start_id: int = START_ID
-) -> tuple[float, int]:
-    """Teacher-forced negative log-likelihood of one pair, plus token count."""
-    source_ids, target_ids = pair
-    _check_ids(source_ids, params.src_vocab_size, "source")
-    _check_ids(target_ids, params.tgt_vocab_size, "target")
-    if not target_ids:
-        raise ValueError("target sequence must be non-empty")
-    return _batch_forward([pair], params, start_id)[0], len(target_ids)
 
 
 def batch_loss(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -356,11 +356,7 @@ def save_qa_model(model: QaModel, path: str | Path) -> None:
         "idf": model.idf.tolist(),
         "weights": model.weights.tolist(),
         "bias": model.bias,
-        "hyper": {
-            "l2_lambda": model.hyper.l2_lambda,
-            "epochs": model.hyper.epochs,
-            "seed": model.hyper.seed,
-        },
+        "hyper": asdict(model.hyper),
     }
     atomic_write(path, json.dumps(payload, sort_keys=True) + "\n")
 
@@ -379,9 +375,10 @@ _HYPER_KEYS = {"l2_lambda": (float, int), "epochs": int, "seed": int}
 def load_qa_model(path: str | Path) -> QaModel:
     """Load a model written by save_qa_model.
 
-    Checks every key and its type, and that feature_vocab, idf and weights
-    agree: one idf and one weight per feature, with the feature indices
-    exactly 0..n-1.  Any mismatch is a QaModelError naming the file and key.
+    Checks every key and its type, that every number is finite, and that
+    feature_vocab, idf and weights agree: one idf and one weight per
+    feature, with the feature indices exactly 0..n-1.  Any mismatch is a
+    QaModelError naming the file and key.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -399,12 +396,16 @@ def load_qa_model(path: str | Path) -> QaModel:
                or schema_problem(payload["hyper"], _HYPER_KEYS, prefix="hyper."))
     if problem is not None:
         raise QaModelError(f"{path}: QA model {problem}")
-    vocab, idf, weights = payload["feature_vocab"], payload["idf"], payload["weights"]
+    vocab = payload["feature_vocab"]
     if not {type(index) for index in vocab.values()} <= {int}:
         raise QaModelError(f"{path}: key 'feature_vocab' maps a token to a non-integer index")
     for key in ("idf", "weights"):
         if not {type(value) for value in payload[key]} <= {float, int}:
             raise QaModelError(f"{path}: key {key!r} holds a value that is not a number")
+        payload[key] = np.asarray(payload[key], dtype=np.float64)
+        if not np.isfinite(payload[key]).all():
+            raise QaModelError(f"{path}: key {key!r} holds a value that is not finite")
+    idf, weights = payload["idf"], payload["weights"]
     if not len(vocab) == len(idf) == len(weights):
         raise QaModelError(
             f"{path}: keys 'feature_vocab', 'idf' and 'weights' hold {len(vocab)}, {len(idf)} "
@@ -414,8 +415,8 @@ def load_qa_model(path: str | Path) -> QaModel:
         raise QaModelError(f"{path}: key 'feature_vocab' indices are not exactly 0..{len(vocab) - 1}")
     return QaModel(
         feature_vocab=vocab,
-        idf=np.asarray(idf, dtype=np.float64),
-        weights=np.asarray(weights, dtype=np.float64),
+        idf=idf,
+        weights=weights,
         bias=float(payload["bias"]),
         hyper=QaHyper(**{key: payload["hyper"][key] for key in _HYPER_KEYS}),
     )

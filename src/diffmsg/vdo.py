@@ -137,11 +137,6 @@ class VdoReport:
     kept: int
     removed: int
 
-    @property
-    def kept_ratio(self) -> float | None:
-        # Undefined on an empty corpus.
-        return self.kept / self.total if self.total else None
-
 
 def filter_corpus(
     items: list[PreparedCommit], lexicon: VerbLexicon

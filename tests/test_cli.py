@@ -503,11 +503,16 @@ class TestMainExitCodes:
         ('{"qa_epochs": 0}', "qa_epochs must be >= 1, got 0"),
         ('{"qa_lambda": 0}', "qa_lambda must be > 0, got 0"),
         ('{"qa_lambda": -1e-4}', "qa_lambda must be > 0, got -0.0001"),
+        ('{"qa_lambda": Infinity}', "qa_lambda must be finite, got inf"),
+        ('{"qa_lambda": NaN}', "qa_lambda must be > 0, got nan"),
+        ('{"adadelta_eps": NaN}', "adadelta_eps must be positive and finite, got nan"),
+        ('{"adadelta_eps": Infinity}', "adadelta_eps must be positive and finite, got inf"),
         ('{"max_diff_bytes": 0}', "max_diff_bytes must be >= 1, got 0"),
         ('{"src_vocab_cap": 0}', "src_vocab_cap must be >= 1, got 0"),
         ('{"tgt_vocab_cap": -3}', "tgt_vocab_cap must be >= 1, got -3"),
     ], ids=["not_an_object", "bool_for_int", "fails_validate", "qa_epochs_zero", "qa_lambda_zero",
-            "qa_lambda_negative", "max_diff_bytes_zero", "src_vocab_cap_zero",
+            "qa_lambda_negative", "qa_lambda_infinite", "qa_lambda_nan", "adadelta_eps_nan",
+            "adadelta_eps_infinite", "max_diff_bytes_zero", "src_vocab_cap_zero",
             "tgt_vocab_cap_negative"])
     def test_bad_config_is_a_named_error(self, tmp_path, capsys, text, named):
         path = tmp_path / "config.json"

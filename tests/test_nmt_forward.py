@@ -12,13 +12,14 @@ import pytest
 from diffmsg.corpus import EOS_ID, START_ID
 from diffmsg.nmt import (
     Hyperparams,
-    attend,
+    batch_loss,
     decoder_step,
     encode,
+    gradients,
     init_decoder_state,
     init_params,
-    sequence_loss,
 )
+from diffmsg.nmt.model import attend_batch
 
 
 def tiny_params(embed=2, hidden=3, src_vocab=6, tgt_vocab=5, seed=11):
@@ -33,9 +34,13 @@ def oracle_sigmoid(x):
 
 
 def oracle_gru(p, h_prev, x):
-    z = oracle_sigmoid(x @ p.w_z + h_prev @ p.u_z + p.b_z)
-    r = oracle_sigmoid(x @ p.w_r + h_prev @ p.u_r + p.b_r)
-    cand = np.tanh(x @ p.w_h + (r * h_prev) @ p.u_h + p.b_h)
+    # the fused tensors hold the gates as column blocks z|r|h
+    w_z, w_r, w_h = np.split(p.w, 3, axis=1)
+    u_z, u_r, u_h = np.split(p.u, 3, axis=1)
+    b_z, b_r, b_h = np.split(p.b, 3)
+    z = oracle_sigmoid(x @ w_z + h_prev @ u_z + b_z)
+    r = oracle_sigmoid(x @ w_r + h_prev @ u_r + b_r)
+    cand = np.tanh(x @ w_h + (r * h_prev) @ u_h + b_h)
     return (1.0 - z) * h_prev + z * cand
 
 
@@ -123,14 +128,22 @@ class TestEncode:
             encode([], tiny_params())
 
 
-# --- attend ----------------------------------------------------------------
+# --- attend_batch ----------------------------------------------------------
+
+def attend_one(state, annotations, params, mask=None):
+    """attend_batch over a batch of one source: context (2H,), weights (S,)."""
+    ann = annotations[None]
+    mask = np.ones((1, len(annotations))) if mask is None else mask[None]
+    context, weights, _ = attend_batch(params, state[None], ann, ann @ params.att_u, mask)
+    return context[0], weights[0]
+
 
 class TestAttend:
     def test_single_annotation_weight_one(self):
         params = tiny_params()
         annotations = encode([EOS_ID], params)
         state = init_decoder_state(annotations, params)
-        context, weights = attend(state, annotations, params)
+        context, weights = attend_one(state, annotations, params)
         assert weights.shape == (1,)
         assert weights[0] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(context, annotations[0], atol=1e-12)
@@ -140,14 +153,14 @@ class TestAttend:
         one = encode([EOS_ID], params)
         annotations = np.vstack([one, one])
         state = init_decoder_state(annotations, params)
-        _, weights = attend(state, annotations, params)
+        _, weights = attend_one(state, annotations, params)
         np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-12)
 
     def test_matches_oracle(self):
         params = tiny_params(embed=3, hidden=4)
         annotations = encode([4, 5, EOS_ID], params)
         state = init_decoder_state(annotations, params)
-        context, weights = attend(state, annotations, params)
+        context, weights = attend_one(state, annotations, params)
         want_context, want_weights = oracle_attend(params, state, annotations)
         np.testing.assert_allclose(weights, want_weights, atol=1e-10)
         np.testing.assert_allclose(context, want_context, atol=1e-10)
@@ -156,9 +169,20 @@ class TestAttend:
         params = tiny_params()
         annotations = encode([4, 5, 4, EOS_ID], params)
         state = init_decoder_state(annotations, params)
-        _, weights = attend(state, annotations, params)
+        _, weights = attend_one(state, annotations, params)
         assert weights.min() >= 0.0
         assert abs(weights.sum() - 1.0) < 1e-6
+
+    def test_padded_position_gets_zero_weight(self):
+        params = tiny_params(embed=3, hidden=4)
+        annotations = encode([4, 5, EOS_ID], params)
+        state = init_decoder_state(annotations, params)
+        padded = np.vstack([annotations, np.full(2 * params.hidden_dim, 5.0)])
+        context, weights = attend_one(state, padded, params, mask=np.array([1.0, 1.0, 1.0, 0.0]))
+        want_context, want_weights = oracle_attend(params, state, annotations)
+        assert weights[3] == 0.0
+        np.testing.assert_allclose(weights[:3], want_weights, atol=1e-10)
+        np.testing.assert_allclose(context, want_context, atol=1e-10)
 
 
 # --- decoder_step ----------------------------------------------------------
@@ -197,32 +221,41 @@ class TestDecoderStep:
             decoder_step(state, 5, annotations, params)
 
 
-# --- sequence_loss ---------------------------------------------------------
+# --- batch_loss of one pair ------------------------------------------------
 
 class TestSequenceLoss:
     def test_certain_model_has_zero_loss(self):
         # a one-token vocabulary leaves softmax no choice: p = 1, loss = 0
         params = tiny_params(tgt_vocab=1)
-        loss, count = sequence_loss(([4, EOS_ID], [0, 0, 0]), params, start_id=0)
+        loss = batch_loss([([4, EOS_ID], [0, 0, 0])], params, start_id=0)
         assert loss == pytest.approx(0.0, abs=1e-15)
-        assert count == 3
 
     def test_uniform_model_analytic_loss(self):
         params = tiny_params(tgt_vocab=5)
         params.out_w[:] = 0.0
         params.out_b[:] = 0.0
         target = [4, 4, EOS_ID]
-        loss, count = sequence_loss(([4, EOS_ID], target), params)
-        assert count == 3
+        loss = batch_loss([([4, EOS_ID], target)], params)
         assert loss == pytest.approx(len(target) * math.log(5), rel=1e-12)
 
     def test_matches_step_by_step_oracle(self):
         params = tiny_params(embed=2, hidden=3, src_vocab=7, tgt_vocab=5)
         source = [4, 6, 5, EOS_ID]
         target = [4, 3, 4, EOS_ID]
-        loss, _ = sequence_loss((source, target), params)
+        loss = batch_loss([(source, target)], params)
         assert loss == pytest.approx(oracle_loss(params, source, target), abs=1e-9)
 
     def test_empty_target_rejected(self):
-        with pytest.raises(ValueError):
-            sequence_loss(([EOS_ID], []), tiny_params())
+        with pytest.raises(ValueError, match="target sequence must be non-empty"):
+            batch_loss([([EOS_ID], [])], tiny_params())
+
+    @pytest.mark.parametrize("batch, side", [
+        ([([4, EOS_ID], [4, EOS_ID]), ([EOS_ID], [])], "target"),
+        ([([4, EOS_ID], [4, EOS_ID]), ([], [4, EOS_ID])], "source"),
+        ([([], []), ([], [])], "source"),
+    ], ids=["one_empty_target", "one_empty_source", "all_empty"])
+    def test_empty_sequence_in_a_batch_rejected(self, batch, side):
+        # unchecked, an empty target would add 0 loss to the batch mean
+        for kernel in (batch_loss, gradients):
+            with pytest.raises(ValueError, match=f"{side} sequence must be non-empty"):
+                kernel(batch, tiny_params())

@@ -471,6 +471,16 @@ class TestCheckpointIO:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("best_bleu", math.nan), ("validation_bleu", math.inf), ("window_loss_sum", -math.inf),
+    ])
+    def test_non_finite_number_key_rejected(self, tmp_path, key, value):
+        path = saved_checkpoint(tmp_path)
+        rewrite_header(path, lambda header: header.update({key: value}))
+        with pytest.raises(CheckpointError, match=f"header key {key!r} has a bad value") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
     def test_payload_length_disagreeing_with_manifest_rejected(self, tmp_path):
         # a consistently shortened file: payload_bytes matches the bytes present
         path = saved_checkpoint(tmp_path)

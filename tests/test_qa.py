@@ -344,8 +344,13 @@ class TestModelIO:
         (lambda m: m["feature_vocab"].update(a=True), "key 'feature_vocab' maps a token to a non"),
         (lambda m: m["idf"].pop(), "hold 3, 2 and 3 entries"),
         (lambda m: m["feature_vocab"].update(a=3), r"'feature_vocab' indices are not exactly 0\.\.2"),
+        (lambda m: m["weights"].__setitem__(1, math.nan), "key 'weights' holds a value that is not finite"),
+        (lambda m: m["idf"].__setitem__(0, math.inf), "key 'idf' holds a value that is not finite"),
+        (lambda m: m.update(bias=-math.inf), "key 'bias' has a bad value -inf"),
+        (lambda m: m["hyper"].update(l2_lambda=math.nan), "key 'hyper.l2_lambda' has a bad value nan"),
     ], ids=["missing_key", "missing_hyper_key", "bad_type", "bad_element", "bool_index",
-            "lengths_disagree", "indices_not_a_range"])
+            "lengths_disagree", "indices_not_a_range", "nan_weight", "infinite_idf",
+            "infinite_bias", "nan_hyper"])
     def test_inconsistent_model_is_a_named_error(self, tmp_path, edit, message):
         path = self._edited(tmp_path, edit)
         with pytest.raises(QaModelError, match=message) as info:

@@ -128,13 +128,12 @@ class TestFilterCorpus:
         pairs = self._pairs(["Fix the race condition", "add missing tests now"])
         kept, report = filter_corpus(pairs, LEX)
         assert kept == pairs
-        assert report.kept_ratio == 1.0
+        assert report.kept == report.total == 2
 
     def test_empty_corpus(self):
         kept, report = filter_corpus([], LEX)
         assert kept == []
-        assert report.total == 0
-        assert report.kept_ratio is None
+        assert report.total == report.kept == report.removed == 0
 
     def test_mixed_corpus(self):
         pairs = self._pairs(["adds support for 9 inch tablet screens", "7807cb6 ca7a229"])
