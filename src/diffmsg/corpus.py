@@ -13,17 +13,21 @@ atomic_write, the one writer of every artifact.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import random
 import re
+import reprlib
 import string
 import subprocess
+import types
+import typing
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 TokenSequence = list[str]
 
@@ -55,7 +59,9 @@ _ISSUE_ID_RE = re.compile(r"#\d+")
 _SENTENCE_END_RE = re.compile(r"\n|(?<=\.)\s")
 # Standalone hexadecimal run of >= 7 chars: commit hashes, full or abbreviated.
 _COMMIT_ID_RE = re.compile(r"(?<![0-9A-Za-z_])[0-9a-fA-F]{7,}(?![0-9A-Za-z_])")
-_SPACE_RE = re.compile(r"\s")
+# Where a bounded preprocess_source may end its prefix, as no token or id
+# goes on there: before whitespace, or punctuation but the placeholder's ">".
+_CUT_RE = re.compile(rf"\s|(?<!<id)[{_PUNCT_CLASS}]")
 # First prefix preprocess_source tries per token it needs; diff tokens
 # average 5-6 characters with their whitespace.
 _PREFIX_CHARS_PER_TOKEN = 8
@@ -102,26 +108,65 @@ def atomic_write(path: str | Path, data: str | Iterable[bytes]) -> None:
         raise
 
 
+# The JSON types of the values each scalar annotation admits: a bool is
+# not an int, and an int may stand for a float
+_JSON_TYPES = {int: {int}, float: {int, float}, str: {str}, bool: {bool},
+               type(None): {type(None)}, list: {list}, dict: {dict}}
+
+# {name: resolved annotation} of a dataclass's fields: its schema (one
+# dict per class, shared by every caller, so read-only)
+field_types = functools.cache(typing.get_type_hints)
+
+
+def _finite(values: Iterable) -> bool:
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+@functools.cache
+def _admits(annotation: object) -> Callable[[object], bool]:
+    """The test that a value matches annotation: a key of _JSON_TYPES, a
+    union of them (float only in float | None), or list[X] or dict[str, X]
+    of one (a JSON object's keys are strings)."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin in (list, dict):
+        kinds = _JSON_TYPES[args[-1]]
+
+        def each(value: object) -> bool:
+            if type(value) is not origin:
+                return False
+            items = value.values() if origin is dict else value
+            return set(map(type, items)) <= kinds and (float not in kinds or _finite(items))
+        return each
+    members = args if origin in (types.UnionType, typing.Union) else (annotation,)
+    kinds = set().union(*(_JSON_TYPES[member] for member in members))
+    if float not in kinds:
+        return lambda value: type(value) in kinds
+    return lambda value: type(value) in kinds and (value is None or _finite((value,)))
+
+
 def schema_problem(obj: dict, schema: dict, prefix: str = "") -> str | None:
-    """Describe the first key of schema ({key: type or tuple of types}) that
-    obj lacks or holds with a value of another type, or return None; a bool
-    passes only where the schema names bool, a float only if it is finite."""
-    for key, kind in schema.items():
+    """Describe the first key of schema ({key: annotation}) that obj lacks or
+    holds with a value its annotation does not admit (see _JSON_TYPES; a
+    float must be finite), or return None."""
+    for key, annotation in schema.items():
         if key not in obj:
             return f"lacks {prefix + key!r}"
         value = obj[key]
-        kinds = kind if isinstance(kind, tuple) else (kind,)
-        if (not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds)
-                or (isinstance(value, float) and not math.isfinite(value))):
-            return f"key {prefix + key!r} has a bad value {value!r}"
+        if not _admits(annotation)(value):
+            name = annotation.__name__ if isinstance(annotation, type) else annotation
+            return f"key {prefix + key!r} must be {name}, got {reprlib.repr(value)}"
     return None
 
 
-def read_jsonl(path: str | Path, keys: tuple[str, ...]) -> Iterator[tuple[str, dict]]:
+def read_jsonl(path: str | Path, schema: dict) -> Iterator[tuple[str, dict]]:
     """Yield ("<path>: line <n>", object) for each non-blank line of a JSON-lines file.
 
     Bytes that are not UTF-8 decode to U+FFFD.  A line that is not a JSON
-    object holding every key in keys is a CorpusFormatError naming the line.
+    object matching schema (see schema_problem) is a CorpusFormatError
+    naming the line and the key.
     """
     with open(path, encoding="utf-8", errors="replace") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -134,9 +179,9 @@ def read_jsonl(path: str | Path, keys: tuple[str, ...]) -> Iterator[tuple[str, d
                 raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise CorpusFormatError(f"{where}: record is not an object")
-            missing = [key for key in keys if key not in record]
-            if missing:
-                raise CorpusFormatError(f"{where}: missing field(s) {', '.join(missing)}")
+            problem = schema_problem(record, schema)
+            if problem is not None:
+                raise CorpusFormatError(f"{where}: {problem}")
             yield where, record
 
 
@@ -150,24 +195,14 @@ def ingest_jsonl(path: str | Path) -> list[Commit]:
     """
     commits: list[Commit] = []
     seen: set[str] = set()
-    for where, record in read_jsonl(path, ("id", "diff", "message")):
-        commit_id, diff, message = record["id"], record["diff"], record["message"]
-        if isinstance(commit_id, bool) or not isinstance(commit_id, (str, int)):
-            raise CorpusFormatError(
-                f"{where}: key 'id' must be a string or an integer, got {type(commit_id).__name__}"
-            )
-        for key, value in (("diff", diff), ("message", message)):
-            if not isinstance(value, str):
-                raise CorpusFormatError(
-                    f"{where}: key {key!r} must be a string, got {type(value).__name__}"
-                )
-        commit_id = str(commit_id)
+    for where, record in read_jsonl(path, {"id": str | int, "diff": str, "message": str}):
+        commit_id = str(record["id"])
         if not commit_id:
             raise CorpusFormatError(f"{where}: empty id")
         if commit_id in seen:
             raise CorpusFormatError(f"{where}: duplicate id {commit_id!r}")
         seen.add(commit_id)
-        commits.append(Commit.create(commit_id, diff, message))
+        commits.append(Commit.create(commit_id, record["diff"], record["message"]))
     return commits
 
 
@@ -271,16 +306,16 @@ def preprocess_source(diff_text: str, limit: int | None = None) -> TokenSequence
 
     With a limit, stops after limit + 1 tokens: enough to tell whether the
     text exceeds the limit.  Only a prefix of the text is processed.  It
-    ends before a whitespace character, which no id or token spans, so its
-    tokens are the first tokens of the whole text; it doubles until it
-    yields limit + 1 tokens or holds the whole text.
+    ends before whitespace or punctuation (see _CUT_RE), where no id or
+    token continues, so its tokens are the first tokens of the whole text;
+    it doubles until it yields limit + 1 tokens or holds the whole text.
     """
     if limit is None:
         return tokenize(strip_ids(diff_text, SOURCE))
     size = _PREFIX_CHARS_PER_TOKEN * (limit + 1)
     while True:
-        space = _SPACE_RE.search(diff_text, size)
-        end = space.start() if space else len(diff_text)
+        cut = _CUT_RE.search(diff_text, size)
+        end = cut.start() if cut else len(diff_text)
         tokens = _TOKEN_RE.findall(strip_ids(diff_text[:end], SOURCE))
         if len(tokens) > limit or end == len(diff_text):
             return tokens[: limit + 1]
@@ -456,8 +491,6 @@ class DatasetSplit:
 
 
 def _part_size(requested: int | float, total: int, name: str) -> int:
-    if isinstance(requested, bool) or requested is None:
-        raise ValueError(f"{name} must be an int count or float fraction")
     if isinstance(requested, float):
         if not 0.0 <= requested <= 1.0:
             raise ValueError(f"{name} fraction must be in [0, 1], got {requested}")

@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..corpus import PAD_ID, START_ID, FilterConfig
+from ..corpus import PAD_ID, START_ID, FilterConfig, field_types, schema_problem
 
 Array = np.ndarray
 
@@ -62,6 +62,10 @@ class Hyperparams(FilterConfig):
     seed: int = 1234
 
     def validate(self) -> None:
+        """Raise ValueError naming a field of the wrong type (see schema_problem) or range."""
+        problem = schema_problem(vars(self), field_types(type(self)))
+        if problem is not None:
+            raise ValueError(problem)
         for name in ("max_source_len", "max_target_len", "max_diff_bytes", "embed_dim",
                      "hidden_dim", "minibatch_size", "validate_every", "checkpoint_every",
                      "max_epochs", "max_minibatches", "ensemble_size", "beam_width"):
@@ -69,8 +73,8 @@ class Hyperparams(FilterConfig):
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.adadelta_rho < 1.0:
             raise ValueError(f"adadelta_rho must be in (0, 1), got {self.adadelta_rho}")
-        if not 0.0 < self.adadelta_eps < math.inf:
-            raise ValueError(f"adadelta_eps must be positive and finite, got {self.adadelta_eps}")
+        if not self.adadelta_eps > 0.0:
+            raise ValueError(f"adadelta_eps must be > 0, got {self.adadelta_eps}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
 
@@ -581,6 +585,9 @@ def decoder_step(
 def _batch_forward(
     batch: list[tuple[list[int], list[int]]], params: ModelParams, start_id: int
 ) -> tuple[float, dict]:
+    for source, target in batch:
+        _check_ids(source, params.src_vocab_size, "source")
+        _check_ids([start_id, *target], params.tgt_vocab_size, "target")
     padded = pad_batch([s for s, _ in batch], [t for _, t in batch])
     return loss_forward(params, *padded, start_id=start_id)
 

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import bleu
-from ..corpus import DatasetSplit, Vocabulary, atomic_write, schema_problem
+from ..corpus import DatasetSplit, Vocabulary, atomic_write, field_types, schema_problem
 from .decoding import beam_search
 from .model import (
     Array,
@@ -106,18 +106,13 @@ class Checkpoint:
     window_loss_count: int = 0
 
 
-# The header is one JSON object: these Checkpoint fields, with their JSON
-# types, then the keys that describe the payload, and "format_version".
-_STATE_KEYS = {
-    "minibatch_index": int, "validation_bleu": (float, int, type(None)), "seed": int,
-    "best_bleu": (float, int), "stall": int, "window_loss_sum": (float, int),
-    "window_loss_count": int,
-}
+# The header is one JSON object: the Checkpoint fields but the buffers,
+# then the keys that describe the payload, and "format_version".
+_STATE_KEYS = {key: kind for key, kind in field_types(Checkpoint).items()
+               if key not in ("params", "optimizer_state")}
 _DIM_KEYS = ("embed_dim", "hidden_dim", "src_vocab_size", "tgt_vocab_size")
-_PAYLOAD_KEYS = {
-    **dict.fromkeys(_DIM_KEYS, int), "has_optimizer_state": bool, "payload_bytes": int,
-    "tensors": list,
-}
+_PAYLOAD_KEYS = {**dict.fromkeys(_DIM_KEYS, int), "has_optimizer_state": bool,
+                 "payload_bytes": int, "tensors": list[dict]}
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
@@ -158,7 +153,7 @@ def _check_header(path: str | Path, header: dict) -> int:
     if len(manifest) != len(expected):
         raise CheckpointError(f"{path}: manifest lists {len(manifest)} tensors, not {len(expected)}")
     for index, (entry, (name, shape)) in enumerate(zip(manifest, expected.items())):
-        if not isinstance(entry, dict) or entry.get("name") != name:
+        if entry.get("name") != name:
             raise CheckpointError(f"{path}: manifest entry {index} is not {name!r}; the "
                                   f"payload must start with the parameters in layout order")
         if entry.get("shape") != list(shape):

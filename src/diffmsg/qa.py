@@ -22,6 +22,7 @@ from .corpus import (
     CorpusFormatError,
     TokenSequence,
     atomic_write,
+    field_types,
     preprocess_source,
     read_jsonl,
     schema_problem,
@@ -74,21 +75,10 @@ def load_gold_jsonl(path: str | Path) -> list[GoldRecord]:
     are not UTF-8 decode to U+FFFD.
     """
     records: list[GoldRecord] = []
-    for where, raw in read_jsonl(path, ("diff", "scores")):
-        diff, scores = raw["diff"], raw["scores"]
-        if not isinstance(diff, str):
-            raise CorpusFormatError(
-                f"{where}: key 'diff' must be a string, got {type(diff).__name__}"
-            )
-        if not isinstance(scores, list) or any(
-            isinstance(score, bool) or not isinstance(score, int) for score in scores
-        ):
-            raise CorpusFormatError(
-                f"{where}: key 'scores' must be a list of integers, got {scores!r}"
-            )
-        tokens = preprocess_source(diff)
+    for where, raw in read_jsonl(path, {"diff": str, "scores": list[int]}):
+        tokens = preprocess_source(raw["diff"])
         try:
-            records.append(GoldRecord(diff=tokens, scores=tuple(scores)))
+            records.append(GoldRecord(diff=tokens, scores=tuple(raw["scores"])))
         except ValueError as exc:  # a score count or range
             raise CorpusFormatError(f"{where}: key 'scores': {exc}") from exc
     return records
@@ -365,17 +355,15 @@ class QaModelError(ValueError):
     """Unreadable or inconsistent QA model file."""
 
 
-# every key of a saved QA model and of its "hyper" object, with its JSON
-# type; no value is a bool
-_MODEL_KEYS = {"format_version": int, "feature_vocab": dict, "idf": list, "weights": list,
-               "bias": (float, int), "hyper": dict}
-_HYPER_KEYS = {"l2_lambda": (float, int), "epochs": int, "seed": int}
+# every key of a saved QA model; "hyper" holds the fields of QaHyper
+_MODEL_KEYS = {"format_version": int, "feature_vocab": dict[str, int], "idf": list[float],
+               "weights": list[float], "bias": float, "hyper": dict}
 
 
 def load_qa_model(path: str | Path) -> QaModel:
     """Load a model written by save_qa_model.
 
-    Checks every key and its type, that every number is finite, and that
+    Checks every key and its type (see corpus.schema_problem), and that
     feature_vocab, idf and weights agree: one idf and one weight per
     feature, with the feature indices exactly 0..n-1.  Any mismatch is a
     QaModelError naming the file and key.
@@ -392,20 +380,12 @@ def load_qa_model(path: str | Path) -> QaModel:
             f"{path}: format version {payload.get('format_version')} "
             f"!= {QA_MODEL_FORMAT_VERSION}"
         )
+    hyper_keys = field_types(QaHyper)
     problem = (schema_problem(payload, _MODEL_KEYS)
-               or schema_problem(payload["hyper"], _HYPER_KEYS, prefix="hyper."))
+               or schema_problem(payload["hyper"], hyper_keys, prefix="hyper."))
     if problem is not None:
         raise QaModelError(f"{path}: QA model {problem}")
-    vocab = payload["feature_vocab"]
-    if not {type(index) for index in vocab.values()} <= {int}:
-        raise QaModelError(f"{path}: key 'feature_vocab' maps a token to a non-integer index")
-    for key in ("idf", "weights"):
-        if not {type(value) for value in payload[key]} <= {float, int}:
-            raise QaModelError(f"{path}: key {key!r} holds a value that is not a number")
-        payload[key] = np.asarray(payload[key], dtype=np.float64)
-        if not np.isfinite(payload[key]).all():
-            raise QaModelError(f"{path}: key {key!r} holds a value that is not finite")
-    idf, weights = payload["idf"], payload["weights"]
+    vocab, idf, weights = payload["feature_vocab"], payload["idf"], payload["weights"]
     if not len(vocab) == len(idf) == len(weights):
         raise QaModelError(
             f"{path}: keys 'feature_vocab', 'idf' and 'weights' hold {len(vocab)}, {len(idf)} "
@@ -415,8 +395,8 @@ def load_qa_model(path: str | Path) -> QaModel:
         raise QaModelError(f"{path}: key 'feature_vocab' indices are not exactly 0..{len(vocab) - 1}")
     return QaModel(
         feature_vocab=vocab,
-        idf=idf,
-        weights=weights,
+        idf=np.asarray(idf, dtype=np.float64),
+        weights=np.asarray(weights, dtype=np.float64),
         bias=float(payload["bias"]),
-        hyper=QaHyper(**{key: payload["hyper"][key] for key in _HYPER_KEYS}),
+        hyper=QaHyper(**{key: payload["hyper"][key] for key in hyper_keys}),
     )

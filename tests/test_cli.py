@@ -100,6 +100,11 @@ class TestConfig:
             command(config)
         assert not Path(config.work_dir).exists()
 
+    def test_mistyped_config_built_in_code_is_a_named_error(self, tmp_path):
+        config = dataclasses.replace(toy_config(tmp_path), embed_dim="64")
+        with pytest.raises(PipelineError, match="^config: key 'embed_dim' must be int, got '64'$"):
+            cmd_prepare(config)
+
 
 class TestPrepare:
     def test_funnel_reconciles(self, tmp_path):
@@ -503,10 +508,10 @@ class TestMainExitCodes:
         ('{"qa_epochs": 0}', "qa_epochs must be >= 1, got 0"),
         ('{"qa_lambda": 0}', "qa_lambda must be > 0, got 0"),
         ('{"qa_lambda": -1e-4}', "qa_lambda must be > 0, got -0.0001"),
-        ('{"qa_lambda": Infinity}', "qa_lambda must be finite, got inf"),
-        ('{"qa_lambda": NaN}', "qa_lambda must be > 0, got nan"),
-        ('{"adadelta_eps": NaN}', "adadelta_eps must be positive and finite, got nan"),
-        ('{"adadelta_eps": Infinity}', "adadelta_eps must be positive and finite, got inf"),
+        ('{"qa_lambda": Infinity}', "key 'qa_lambda' must be float, got inf"),
+        ('{"qa_lambda": NaN}', "key 'qa_lambda' must be float, got nan"),
+        ('{"adadelta_eps": NaN}', "key 'adadelta_eps' must be float, got nan"),
+        ('{"adadelta_eps": Infinity}', "key 'adadelta_eps' must be float, got inf"),
         ('{"max_diff_bytes": 0}', "max_diff_bytes must be >= 1, got 0"),
         ('{"src_vocab_cap": 0}', "src_vocab_cap must be >= 1, got 0"),
         ('{"tgt_vocab_cap": -3}', "tgt_vocab_cap must be >= 1, got -3"),

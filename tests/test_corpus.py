@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import math
 import os
 import random
 import re
 import string
 import subprocess
 import sys
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -39,6 +41,7 @@ from diffmsg.corpus import (
     preprocess_source,
     read_sequences,
     read_split_files,
+    schema_problem,
     source_counts,
     split_dataset,
     strip_ids,
@@ -173,6 +176,59 @@ class TestIngestJsonl:
         path.write_text(json.dumps({"id": "a", "diff": "café", "message": "m"}) + "\n")
         (commit,) = ingest_jsonl(path)
         assert commit.byte_size == 5  # e-acute is two bytes
+
+
+# Every kind of annotation schema_problem supports.
+_ANNOTATIONS = [int, float, str, bool, int | None, float | None, str | None, str | int,
+                list[int], list[float], dict[str, int], list, dict]
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -10**400])
+                 | st.floats() | st.text(max_size=4))
+_JSON_VALUES = (_JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=4)
+                | st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=3))
+
+
+def oracle_admits(value, annotation):
+    """The value rule, written out: a bool is not an int, an int may stand
+    for a float it converts to, and a float must be finite."""
+    if annotation is bool:
+        return isinstance(value, bool)
+    if annotation is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if annotation is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        try:
+            return math.isfinite(float(value))
+        except OverflowError:
+            return False
+    if annotation in (str, list, dict):
+        return isinstance(value, annotation)
+    if annotation == str | int:
+        return oracle_admits(value, str) or oracle_admits(value, int)
+    if annotation in (list[int], list[float]):
+        (item,) = typing.get_args(annotation)
+        return isinstance(value, list) and all(oracle_admits(v, item) for v in value)
+    if annotation == dict[str, int]:
+        return isinstance(value, dict) and all(oracle_admits(v, int) for v in value.values())
+    (kind, _) = typing.get_args(annotation)  # X | None
+    return value is None or oracle_admits(value, kind)
+
+
+class TestSchemaProblem:
+    @given(st.sampled_from(_ANNOTATIONS), _JSON_VALUES)
+    @settings(max_examples=600)
+    def test_agrees_with_the_rule(self, annotation, value):
+        problem = schema_problem({"k": value}, {"k": annotation})
+        assert (problem is None) == oracle_admits(value, annotation), problem
+        if problem is not None:
+            assert problem.startswith("key 'k' must be ")
+
+    def test_names_the_first_bad_key_with_a_short_value(self):
+        schema = {"a": int, "b": list[float], "c": str}
+        assert schema_problem({"a": 1, "b": [0.5] * 100, "c": "x"}, schema) is None
+        assert schema_problem({"a": 1, "c": 2}, schema, prefix="p.") == "lacks 'p.b'"
+        problem = schema_problem({"a": 1, "b": [math.nan] * 100, "c": 2}, schema)
+        assert problem == "key 'b' must be list[float], got [nan, nan, nan, nan, nan, nan, ...]"
 
 
 def _git(repo, *args, input=None):
@@ -451,6 +507,7 @@ _ID_TEXT = st.lists(
     st.sampled_from([
         "cafe12", "deadbee", "0123456789abcdef", "ABCDEF0", "x", "\xe9", "\u65e5", "_",
         "9", "(", ".", "<id>", " ", "\n", "\t", "\xa0", "\u2028", "\u3000", "+ foo",
+        "<id", "<i", ">", "=========", "+ab/cd",
     ]),
     max_size=120,
 ).map("".join)
@@ -467,6 +524,16 @@ class TestPreprocessSource:
         # the id, and then hold one token where two are needed
         assert preprocess_source("x" * 10 + " deadbeefcafe tail", 1) == ["x" * 10, ID_PLACEHOLDER]
         assert preprocess_source("y" * 40 + " z w", 1) == ["y" * 40, "z"]
+
+    def test_cut_moves_to_punctuation_but_not_into_the_placeholder(self):
+        # a cut before the ">" would split the literal placeholder
+        assert preprocess_source("x" * 13 + "<id>.", 1) == ["x" * 13, ID_PLACEHOLDER]
+        assert preprocess_source("x" * 13 + " deadbeef>", 1) == ["x" * 13, ID_PLACEHOLDER]
+
+    def test_megabyte_without_whitespace_is_cut_at_punctuation(self):
+        # the prefix ends inside the run, so only its head is tokenized
+        assert preprocess_source("=" * 1_000_000, 100) == ["="] * 101
+        assert preprocess_source("+ab/cd+ef" * 111_112, 4) == ["+", "ab", "/", "cd", "+"]
 
 
 # Pieces heavy in the separators and id boundaries source_counts relies

@@ -259,3 +259,18 @@ class TestSequenceLoss:
         for kernel in (batch_loss, gradients):
             with pytest.raises(ValueError, match=f"{side} sequence must be non-empty"):
                 kernel(batch, tiny_params())
+
+    @pytest.mark.parametrize("pair, start_id, named", [
+        (([4, EOS_ID], [-1, EOS_ID]), START_ID, r"target id -1 out of range \[0, 5\)"),
+        (([4, EOS_ID], [5, EOS_ID]), START_ID, r"target id 5 out of range \[0, 5\)"),
+        (([-1, EOS_ID], [4, EOS_ID]), START_ID, r"source id -1 out of range \[0, 6\)"),
+        (([6, EOS_ID], [4, EOS_ID]), START_ID, r"source id 6 out of range \[0, 6\)"),
+        (([4, EOS_ID], [4, EOS_ID]), -1, r"target id -1 out of range \[0, 5\)"),
+    ], ids=["negative_target", "target_of_vocab_size", "negative_source", "source_of_vocab_size",
+            "negative_start"])
+    def test_out_of_range_id_rejected(self, pair, start_id, named):
+        # unchecked, -1 would read the last embedding row and V would be a
+        # bare IndexError
+        for kernel in (batch_loss, gradients):
+            with pytest.raises(ValueError, match=named):
+                kernel([pair], tiny_params(), start_id=start_id)

@@ -467,7 +467,7 @@ class TestCheckpointIO:
     def test_bool_in_a_number_key_rejected(self, tmp_path, key, value):
         path = saved_checkpoint(tmp_path)
         rewrite_header(path, lambda header: header.update({key: value}))
-        with pytest.raises(CheckpointError, match=f"header key {key!r} has a bad value") as info:
+        with pytest.raises(CheckpointError, match=f"header key {key!r} must be float") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
@@ -477,9 +477,16 @@ class TestCheckpointIO:
     def test_non_finite_number_key_rejected(self, tmp_path, key, value):
         path = saved_checkpoint(tmp_path)
         rewrite_header(path, lambda header: header.update({key: value}))
-        with pytest.raises(CheckpointError, match=f"header key {key!r} has a bad value") as info:
+        with pytest.raises(CheckpointError, match=f"header key {key!r} must be float") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
+
+    def test_int_beyond_float_range_rejected(self, tmp_path):
+        # valid JSON, but the loss sum it resumes would overflow
+        path = saved_checkpoint(tmp_path)
+        rewrite_header(path, lambda header: header.update(window_loss_sum=10**400))
+        with pytest.raises(CheckpointError, match="header key 'window_loss_sum' must be float"):
+            load_checkpoint(path)
 
     def test_payload_length_disagreeing_with_manifest_rejected(self, tmp_path):
         # a consistently shortened file: payload_bytes matches the bytes present

@@ -339,18 +339,19 @@ class TestModelIO:
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.pop("feature_vocab"), "lacks 'feature_vocab'"),
         (lambda m: m["hyper"].pop("epochs"), "lacks 'hyper.epochs'"),
-        (lambda m: m.update(bias="0.5"), "key 'bias' has a bad value '0.5'"),
-        (lambda m: m["weights"].__setitem__(1, None), "key 'weights' holds a value that is not"),
-        (lambda m: m["feature_vocab"].update(a=True), "key 'feature_vocab' maps a token to a non"),
+        (lambda m: m.update(bias="0.5"), "key 'bias' must be float, got '0.5'"),
+        (lambda m: m["weights"].__setitem__(1, None), r"key 'weights' must be list\[float\], got \[1\.0, None"),
+        (lambda m: m["feature_vocab"].update(a=True), r"key 'feature_vocab' must be dict\[str, int\], got \{'a'"),
         (lambda m: m["idf"].pop(), "hold 3, 2 and 3 entries"),
         (lambda m: m["feature_vocab"].update(a=3), r"'feature_vocab' indices are not exactly 0\.\.2"),
-        (lambda m: m["weights"].__setitem__(1, math.nan), "key 'weights' holds a value that is not finite"),
-        (lambda m: m["idf"].__setitem__(0, math.inf), "key 'idf' holds a value that is not finite"),
-        (lambda m: m.update(bias=-math.inf), "key 'bias' has a bad value -inf"),
-        (lambda m: m["hyper"].update(l2_lambda=math.nan), "key 'hyper.l2_lambda' has a bad value nan"),
+        (lambda m: m["weights"].__setitem__(1, math.nan), r"key 'weights' must be list\[float\], got \[1\.0, nan"),
+        (lambda m: m["idf"].__setitem__(0, math.inf), r"key 'idf' must be list\[float\], got \[inf, "),
+        (lambda m: m.update(bias=-math.inf), "key 'bias' must be float, got -inf"),
+        (lambda m: m["hyper"].update(l2_lambda=math.nan), "key 'hyper.l2_lambda' must be float, got nan"),
+        (lambda m: m["weights"].__setitem__(1, 10**400), r"key 'weights' must be list\[float\]"),
     ], ids=["missing_key", "missing_hyper_key", "bad_type", "bad_element", "bool_index",
             "lengths_disagree", "indices_not_a_range", "nan_weight", "infinite_idf",
-            "infinite_bias", "nan_hyper"])
+            "infinite_bias", "nan_hyper", "weight_beyond_float_range"])
     def test_inconsistent_model_is_a_named_error(self, tmp_path, edit, message):
         path = self._edited(tmp_path, edit)
         with pytest.raises(QaModelError, match=message) as info:
