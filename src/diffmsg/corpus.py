@@ -156,7 +156,7 @@ def schema_problem(obj: dict, schema: dict, prefix: str = "") -> str | None:
             return f"lacks {prefix + key!r}"
         value = obj[key]
         if not _admits(annotation)(value):
-            name = annotation.__name__ if isinstance(annotation, type) else annotation
+            name = annotation.__name__ if annotation in _JSON_TYPES else annotation
             return f"key {prefix + key!r} must be {name}, got {reprlib.repr(value)}"
     return None
 
@@ -179,8 +179,7 @@ def read_jsonl(path: str | Path, schema: dict) -> Iterator[tuple[str, dict]]:
                 raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise CorpusFormatError(f"{where}: record is not an object")
-            problem = schema_problem(record, schema)
-            if problem is not None:
+            if (problem := schema_problem(record, schema)) is not None:
                 raise CorpusFormatError(f"{where}: {problem}")
             yield where, record
 
@@ -491,6 +490,8 @@ class DatasetSplit:
 
 
 def _part_size(requested: int | float, total: int, name: str) -> int:
+    if isinstance(requested, bool) or requested is None:
+        raise ValueError(f"{name} must be an int count or float fraction")
     if isinstance(requested, float):
         if not 0.0 <= requested <= 1.0:
             raise ValueError(f"{name} fraction must be in [0, 1], got {requested}")

@@ -63,8 +63,7 @@ class Hyperparams(FilterConfig):
 
     def validate(self) -> None:
         """Raise ValueError naming a field of the wrong type (see schema_problem) or range."""
-        problem = schema_problem(vars(self), field_types(type(self)))
-        if problem is not None:
+        if (problem := schema_problem(vars(self), field_types(type(self)))) is not None:
             raise ValueError(problem)
         for name in ("max_source_len", "max_target_len", "max_diff_bytes", "embed_dim",
                      "hidden_dim", "minibatch_size", "validate_every", "checkpoint_every",

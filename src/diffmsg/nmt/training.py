@@ -145,8 +145,7 @@ def _check_header(path: str | Path, header: dict) -> int:
     """Raise CheckpointError for a missing or mistyped key, or a manifest
     that disagrees with the dimensions, vocabulary sizes, layout order or
     payload length; return N, the number of parameters."""
-    problem = schema_problem(header, {**_STATE_KEYS, **_PAYLOAD_KEYS})
-    if problem is not None:
+    if (problem := schema_problem(header, {**_STATE_KEYS, **_PAYLOAD_KEYS})) is not None:
         raise CheckpointError(f"{path}: header {problem}")
     expected = param_shapes(*(header[key] for key in _DIM_KEYS))
     manifest = header["tensors"]

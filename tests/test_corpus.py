@@ -835,6 +835,11 @@ class TestSplitDataset:
         with pytest.raises(ValueError):
             split_dataset(_pairs(3), valid=2, test=2, seed=0)
 
+    @pytest.mark.parametrize("size", [True, None])
+    def test_bool_or_none_size_rejected(self, size):
+        with pytest.raises(ValueError, match="valid must be an int count or float fraction"):
+            split_dataset(_pairs(3), valid=size, test=0, seed=0)
+
     def test_fractions(self):
         split = split_dataset(_pairs(100), valid=0.1, test=0.1, seed=1)
         assert (len(split.train), len(split.valid), len(split.test)) == (80, 10, 10)
