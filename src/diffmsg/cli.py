@@ -21,6 +21,7 @@ from .corpus import (
     apply_filters,
     atomic_write,
     build_vocab,
+    check_part_size,
     field_types,
     ingest_git,
     ingest_jsonl,
@@ -82,6 +83,8 @@ class PipelineConfig(Hyperparams):
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if not self.qa_lambda > 0.0:
             raise ValueError(f"qa_lambda must be > 0, got {self.qa_lambda}")
+        for name in ("valid_size", "test_size"):
+            check_part_size(getattr(self, name), name)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"

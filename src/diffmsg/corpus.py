@@ -489,16 +489,21 @@ class DatasetSplit:
     seed: int
 
 
-def _part_size(requested: int | float, total: int, name: str) -> int:
+def check_part_size(requested: int | float, name: str) -> None:
+    """Raise ValueError naming name unless requested is a float fraction in
+    [0, 1] or an int count >= 0."""
     if isinstance(requested, bool) or requested is None:
         raise ValueError(f"{name} must be an int count or float fraction")
     if isinstance(requested, float):
         if not 0.0 <= requested <= 1.0:
             raise ValueError(f"{name} fraction must be in [0, 1], got {requested}")
-        return int(requested * total + 1e-9)
-    if requested < 0:
+    elif requested < 0:
         raise ValueError(f"{name} count must be >= 0, got {requested}")
-    return requested
+
+
+def _part_size(requested: int | float, total: int, name: str) -> int:
+    check_part_size(requested, name)
+    return int(requested * total + 1e-9) if isinstance(requested, float) else requested
 
 
 def split_dataset(

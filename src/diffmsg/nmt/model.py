@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -213,67 +213,111 @@ def init_params(hyper: Hyperparams, src_vocab_size: int, tgt_vocab_size: int) ->
     return params
 
 
-def _sigmoid(x: Array) -> Array:
-    # The tanh form cannot overflow for any finite x.
-    return 0.5 * (np.tanh(0.5 * x) + 1.0)
+class _Chain(NamedTuple):
+    """The time-major buffers of one GRU chain over S steps, allocated once;
+    each step writes its row of each, and the backward pass reads them.
+    States are in position order: row 0 of h, or row S for a reversed
+    chain, is the state it starts from (0 for the encoder, s_0 for the
+    decoder)."""
+
+    h: Array        # (S+1, B, H)
+    zr: Array       # (S, B, 2H), the gates z|r
+    h_cand: Array   # (S, B, H), the candidate h~
+    reverse: bool
+
+    @classmethod
+    def start(cls, steps: int, boundary: Array, reverse: bool = False) -> "_Chain":
+        batch, n = boundary.shape
+        h = np.empty((steps + 1, batch, n))
+        h[steps if reverse else 0] = boundary
+        return cls(h, np.empty((steps, batch, 2 * n)), np.empty((steps, batch, n)), reverse)
+
+    @property
+    def h_prev(self) -> Array:
+        """(S, B, H): the state each step starts from."""
+        return self.h[1:] if self.reverse else self.h[:-1]
+
+    @property
+    def states(self) -> Array:
+        """(S, B, H): the state each step ends in."""
+        return self.h[:-1] if self.reverse else self.h[1:]
 
 
-def _gru_step(p: GruParams, h_prev: Array, xw: Array) -> tuple[Array, tuple]:
-    """One GRU step, h = (1 - z) * h_prev + z * h~, from xw = x @ w + b (B, 3H)."""
+def _gate_blocks(u: Array) -> tuple[Array, Array]:
+    """Contiguous copies of u's z|r and h~ column blocks: per-step products
+    run faster on them than on strided slices, to the same bits."""
+    return np.ascontiguousarray(u[:, : 2 * len(u)]), np.ascontiguousarray(u[:, 2 * len(u) :])
+
+
+def _gru_step(
+    u_zr: Array, u_h: Array, h_prev: Array, zr: Array, h_cand: Array, h: Array, xw: Array
+) -> None:
+    """One GRU step, h = (1 - z) * h_prev + z * h~, from xw = x @ w + b
+    (B, 3H) and u's z|r and h~ blocks; writes z|r, h~ and h (B, ...)."""
     n = h_prev.shape[1]
-    zr = _sigmoid(xw[:, : 2 * n] + h_prev @ p.u[:, : 2 * n])
+    np.add(xw[:, : 2 * n], np.matmul(h_prev, u_zr, out=zr), out=zr)
+    zr *= 0.5                  # sigmoid in the tanh form, which cannot overflow
+    np.tanh(zr, out=zr)
+    zr += 1.0
+    zr *= 0.5
+    rh = zr[:, n:] * h_prev
+    np.tanh(np.add(xw[:, 2 * n :], np.matmul(rh, u_h, out=h_cand), out=h_cand), out=h_cand)
+    np.subtract(h_cand, h_prev, out=h)
+    h *= zr[:, :n]
+    h += h_prev
+
+
+def _gru_step_backward(
+    u_zr: Array, u_h: Array, h_prev: Array, zr: Array, h_cand: Array, dh: Array, d_xw: Array
+) -> Array:
+    """Backprop one _gru_step: writes d(xw) (B, 3H) into d_xw, returns dh_prev."""
+    n = h_prev.shape[1]
     z, r = zr[:, :n], zr[:, n:]
-    rh = r * h_prev
-    h_cand = np.tanh(xw[:, 2 * n :] + rh @ p.u[:, 2 * n :])
-    return h_prev + z * (h_cand - h_prev), (h_prev, z, r, rh, h_cand)
-
-
-def _gru_step_backward(p: GruParams, cache: tuple, dh: Array, d_xw: Array) -> Array:
-    """Backprop one GRU step: writes d(xw) (B, 3H) into d_xw, returns dh_prev."""
-    h_prev, z, r, rh, h_cand = cache
-    n = h_prev.shape[1]
     da_h = dh * z * (1.0 - h_cand * h_cand)                      # through tanh
-    drh = da_h @ p.u[:, 2 * n :].T
-    d_xw[:, :n] = dh * (h_cand - h_prev) * z * (1.0 - z)         # through sigmoid
-    d_xw[:, n : 2 * n] = drh * h_prev * r * (1.0 - r)
     d_xw[:, 2 * n :] = da_h
-    return dh * (1.0 - z) + drh * r + d_xw[:, : 2 * n] @ p.u[:, : 2 * n].T
+    drh = da_h @ u_h.T
+    # through the sigmoids: dh (h~ - h_prev) z (1 - z) | drh h_prev r (1 - r)
+    d_zr = np.concatenate([dh * (h_cand - h_prev), drh * h_prev], axis=1)
+    d_zr *= zr
+    one_minus = 1.0 - zr
+    d_zr *= one_minus
+    d_xw[:, : 2 * n] = d_zr
+    dh_prev = d_zr @ u_zr.T
+    dh_prev += dh * one_minus[:, :n] + drh * r
+    return dh_prev
 
 
-def _gru_weight_grads(grads: GruParams, xs: Array, caches: list, d_xw: Array) -> None:
+def _gru_weight_grads(grads: GruParams, xs: Array, chain: _Chain, d_xw: Array) -> None:
     """Add a chain's w, u and b grads, one GEMM each, from its inputs xs
-    (T, B, input), per-step caches and input-projection grads d_xw (T, B, 3H)."""
+    (S, B, input), its buffers and input-projection grads d_xw (S, B, 3H);
+    r * h_prev is recomputed here, not kept by each step."""
     n = d_xw.shape[2] // 3
     rows = d_xw.reshape(-1, 3 * n)
-    h_prev = np.concatenate([cache[0] for cache in caches])
-    rh = np.concatenate([cache[3] for cache in caches])
+    rh = chain.zr[:, :, n:] * chain.h_prev
     grads.w += xs.reshape(-1, xs.shape[2]).T @ rows
-    grads.u[:, : 2 * n] += h_prev.T @ rows[:, : 2 * n]
-    grads.u[:, 2 * n :] += rh.T @ rows[:, 2 * n :]
+    grads.u[:, : 2 * n] += chain.h_prev.reshape(-1, n).T @ rows[:, : 2 * n]
+    grads.u[:, 2 * n :] += rh.reshape(-1, n).T @ rows[:, 2 * n :]
     grads.b += rows.sum(axis=0)
 
 
-def _gru_chain(p: GruParams, xw: Array, reverse: bool, caches: list | None = None) -> Array:
-    """Run one GRU over input projections xw (S, B, 3H); returns states (S, B, H).
-    Stores step i's backward cache in caches[i] if given a list of S slots."""
-    steps, batch = xw.shape[:2]
-    h = np.zeros((batch, p.u.shape[0]))
-    states = np.empty((steps, batch, h.shape[1]))
-    for i in reversed(range(steps)) if reverse else range(steps):
-        h, step_cache = _gru_step(p, h, xw[i])
-        if caches is not None:
-            caches[i] = step_cache
-        states[i] = h
-    return states
+def _gru_chain(p: GruParams, xw: Array, chain: _Chain) -> None:
+    """Run one GRU over input projections xw (S, B, 3H) into chain's buffers."""
+    u_zr, u_h = _gate_blocks(p.u)
+    h_prev, states = chain.h_prev, chain.states
+    for i in reversed(range(len(xw))) if chain.reverse else range(len(xw)):
+        _gru_step(u_zr, u_h, h_prev[i], chain.zr[i], chain.h_cand[i], states[i], xw[i])
 
 
-def _gru_chain_backward(p: GruParams, caches: list, d_states: Array, reverse: bool) -> Array:
+def _gru_chain_backward(p: GruParams, chain: _Chain, d_states: Array) -> Array:
     """Backprop a _gru_chain from d_states (S, B, H); returns d(xw) (S, B, 3H)."""
     steps, batch, n = d_states.shape
+    u_zr, u_h = _gate_blocks(p.u)
     d_xw = np.empty((steps, batch, 3 * n))
     dh = np.zeros((batch, n))
-    for i in range(steps) if reverse else reversed(range(steps)):
-        dh = _gru_step_backward(p, caches[i], d_states[i] + dh, d_xw[i])
+    h_prev = chain.h_prev
+    for i in range(steps) if chain.reverse else reversed(range(steps)):
+        dh = _gru_step_backward(u_zr, u_h, h_prev[i], chain.zr[i], chain.h_cand[i],
+                                d_states[i] + dh, d_xw[i])
     return d_xw
 
 
@@ -293,21 +337,28 @@ def encode_batch(
     Padded positions pass the recurrent state through unchanged, so extra
     padding never alters the states at real positions: their update-gate
     pre-activation is -inf, which makes z exactly 0 there and the gradients
-    through them exact pass-throughs.  Fills cache, when given, with what
-    the backward pass needs; inference passes none and keeps no step caches.
+    through them exact pass-throughs.  Training and inference run the same
+    chains; cache, when given, keeps the inputs and the two chains' buffers
+    for the backward pass.
     """
     xs = params.src_emb[src_ids.T]                         # (S, B, E), time-major
     padded = src_mask.T[:, :, None] == 0.0
     if cache is not None:
         cache.update(src_ids=src_ids, xs=xs)
-    states = []
-    for prefix in ("enc_fwd", "enc_bwd"):
+    h = params.hidden_dim
+    zeros = np.zeros((len(src_ids), h))
+    annotations = np.empty((len(src_ids), len(xs), 2 * h))
+    for prefix, columns in (("enc_fwd", slice(0, h)), ("enc_bwd", slice(h, 2 * h))):
         p = getattr(params, prefix)
-        xw = xs @ p.w + p.b
-        np.copyto(xw[:, :, : params.hidden_dim], -np.inf, where=padded)
-        caches = None if cache is None else cache.setdefault(prefix, [None] * len(xs))
-        states.append(_gru_chain(p, xw, prefix == "enc_bwd", caches))
-    return np.ascontiguousarray(np.concatenate(states, axis=2).transpose(1, 0, 2))
+        xw = xs @ p.w
+        xw += p.b
+        np.copyto(xw[:, :, :h], -np.inf, where=padded)
+        chain = _Chain.start(len(xs), zeros, reverse=prefix == "enc_bwd")
+        _gru_chain(p, xw, chain)
+        if cache is not None:
+            cache[prefix] = chain
+        annotations[:, :, columns] = chain.states.transpose(1, 0, 2)
+    return annotations
 
 
 def encoder_backward(
@@ -320,7 +371,7 @@ def encoder_backward(
     d_xs = np.zeros_like(xs)
     for prefix, d_chain in (("enc_fwd", d_states[:, :, :h]), ("enc_bwd", d_states[:, :, h:])):
         p = getattr(params, prefix)
-        d_xw = _gru_chain_backward(p, cache[prefix], d_chain, prefix == "enc_bwd")
+        d_xw = _gru_chain_backward(p, cache[prefix], d_chain)
         _gru_weight_grads(getattr(grads, prefix), xs, cache[prefix], d_xw)
         d_xs += d_xw @ p.w.T
     _scatter_rows(grads.src_emb, cache["src_ids"].T, d_xs)
@@ -369,7 +420,10 @@ def attend_backward(
     dot = (weights * d_weights).sum(axis=1, keepdims=True)
     d_scores = weights * (d_weights - dot)
     grads.att_v += (d_scores[:, None, :] @ m).sum(axis=0)[0]
-    d_pre = d_scores[:, :, None] * params.att_v * (1.0 - m * m)
+    tanh_grad = m * m
+    np.subtract(1.0, tanh_grad, out=tanh_grad)
+    d_pre = d_scores[:, :, None] * params.att_v
+    d_pre *= tanh_grad
     d_pre_sum += d_pre
     d_query = d_pre.sum(axis=1)
     grads.att_w += s_prev.T @ d_query
@@ -410,31 +464,32 @@ def loss_forward(
     enc_cache: dict = {}
     annotations = encode_batch(params, src_ids, src_mask, enc_cache)
     proj = annotations @ params.att_u                              # (B, S, H)
-    s, init_cache = init_decoder_state_batch(params, annotations)
+    s0, init_cache = init_decoder_state_batch(params, annotations)
 
     prev_ids = np.concatenate(
         [np.full((batch, 1), start_id, dtype=tgt_ids.dtype), tgt_ids[:, :-1]], axis=1
     )
     ey = params.tgt_emb[prev_ids.T]                                # (T, B, E), time-major
-    ey_w = ey @ dec.w[:e] + dec.b
-    states = np.empty((tgt_len, batch, h))
+    xw = ey @ dec.w[:e]                                            # each step adds its context
+    xw += dec.b
+    chain = _Chain.start(tgt_len, s0)
+    u_zr, u_h = _gate_blocks(dec.u)
     contexts = np.empty((tgt_len, batch, 2 * h))
-    att_caches, gru_caches = [], []
+    att_caches = []
     for t in range(tgt_len):
-        contexts[t], _, att_cache = attend_batch(params, s, annotations, proj, src_mask)
-        s, gru_cache = _gru_step(dec, s, ey_w[t] + contexts[t] @ dec.w[e:])
-        states[t] = s
+        contexts[t], _, att_cache = attend_batch(params, chain.h[t], annotations, proj, src_mask)
+        xw[t] += contexts[t] @ dec.w[e:]
+        _gru_step(u_zr, u_h, chain.h[t], chain.zr[t], chain.h_cand[t], chain.h[t + 1], xw[t])
         att_caches.append(att_cache)
-        gru_caches.append(gru_cache)
 
-    readout = np.concatenate([states, ey, contexts], axis=2)       # (T, B, H+E+2H)
+    readout = np.concatenate([chain.states, ey, contexts], axis=2)  # (T, B, H+E+2H)
     probs, log_probs = _softmax_rows(readout @ params.out_w + params.out_b)
     gold = np.take_along_axis(log_probs, tgt_ids.T[:, :, None], axis=2)[:, :, 0]
     loss = -(gold * tgt_mask.T).sum() / batch
     cache = dict(
         annotations=annotations, enc_cache=enc_cache, init_cache=init_cache, prev_ids=prev_ids,
         tgt_ids=tgt_ids, tgt_mask=tgt_mask, readout=readout, probs=probs,
-        att_caches=att_caches, gru_caches=gru_caches,
+        att_caches=att_caches, dec_chain=chain,
     )
     return loss, cache
 
@@ -444,7 +499,9 @@ def loss_backward(params: ModelParams, cache: dict) -> ModelParams:
 
     The output layer's gradients come first, one GEMM each for all steps;
     the loop over steps carries only the decoder state; the GRU, att_u and
-    annotation gradients then take one GEMM each.
+    annotation gradients then take one GEMM each.  The loop drops each
+    step's attention activations from cache once used, so a cache is
+    backpropagated once.
     """
     grads = params.like(np.zeros_like(params.flat))
     annotations, readout = cache["annotations"], cache["readout"]
@@ -464,21 +521,25 @@ def loss_backward(params: ModelParams, cache: dict) -> ModelParams:
     d_xw = np.empty((tgt_len, batch, 3 * h))
     d_contexts = np.empty((tgt_len, batch, 2 * h))
     d_pre_sum = np.zeros(annotations.shape[:2] + (h,))
+    chain = cache["dec_chain"]
+    u_zr, u_h = _gate_blocks(dec.u)
+    att_caches = cache.pop("att_caches")  # each step's (B, S, H) activations go once used
+    weights = np.stack([att_cache[2] for att_cache in att_caches], axis=2)  # (B, S, T)
     ds = np.zeros((batch, h))
     for t in reversed(range(tgt_len)):
-        ds = _gru_step_backward(dec, cache["gru_caches"][t], ds + d_readout[t, :, :h], d_xw[t])
+        ds = _gru_step_backward(u_zr, u_h, chain.h[t], chain.zr[t], chain.h_cand[t],
+                                ds + d_readout[t, :, :h], d_xw[t])
         d_contexts[t] = d_readout[t, :, h + e :] + d_xw[t] @ dec.w[e:].T
-        ds = ds + attend_backward(
-            params, cache["att_caches"][t], d_contexts[t], annotations, d_pre_sum, grads
-        )
+        ds = ds + attend_backward(params, att_caches.pop(), d_contexts[t], annotations,
+                                  d_pre_sum, grads)
 
-    _gru_weight_grads(grads.dec, readout[:, :, h:], cache["gru_caches"], d_xw)
+    _gru_weight_grads(grads.dec, readout[:, :, h:], chain, d_xw)
     d_ey = d_readout[:, :, h : h + e] + d_xw @ dec.w[:e].T
     _scatter_rows(grads.tgt_emb, cache["prev_ids"].T, d_ey)
 
     grads.att_u += annotations.reshape(-1, 2 * h).T @ d_pre_sum.reshape(-1, h)
-    weights = np.stack([att_cache[2] for att_cache in cache["att_caches"]], axis=2)  # (B, S, T)
-    d_annotations = d_pre_sum @ params.att_u.T + weights @ d_contexts.transpose(1, 0, 2)
+    d_annotations = d_pre_sum @ params.att_u.T
+    d_annotations += weights @ d_contexts.transpose(1, 0, 2)
 
     # decoder initialization
     hb_first, s0 = cache["init_cache"]
@@ -521,9 +582,9 @@ def _check_ids(ids: list[int], vocab_size: int, what: str) -> None:
 # Inference: encode a batch of sources once, then step K hypotheses of each.
 
 def encode_sources(params: ModelParams, sources: list[list[int]]) -> tuple[Array, ...]:
-    """Encode id sequences (EOS appended), padded to the longest, keeping no
-    backward caches: returns the annotations (B, S, 2H), their projection
-    annotations @ att_u (B, S, H), the mask (B, S) and the states s_0 (B, H)."""
+    """Encode id sequences (EOS appended), padded to the longest: returns the
+    annotations (B, S, 2H), their projection annotations @ att_u (B, S, H),
+    the mask (B, S) and the states s_0 (B, H)."""
     for ids in sources:
         _check_ids(ids, params.src_vocab_size, "source")
     src_ids, src_mask = _pad_sequences(sources, "source")
@@ -550,7 +611,11 @@ def decoder_step_batch(
         params, s_prev, annotations[:, None], proj[:, None], src_mask[:, None]
     )
     gru_in = np.concatenate([ey, context], axis=2).reshape(rows, -1)
-    s_new, _ = _gru_step(params.dec, s_prev.reshape(rows, h), gru_in @ params.dec.w + params.dec.b)
+    s_new = np.empty((rows, h))
+    # one step does not repay the contiguous copies of the gate blocks
+    xw = gru_in @ params.dec.w + params.dec.b
+    _gru_step(*np.split(params.dec.u, [2 * h], axis=1), s_prev.reshape(rows, h),
+              np.empty((rows, 2 * h)), np.empty((rows, h)), s_new, xw)
     readout = np.concatenate([s_new, gru_in], axis=1)              # (rows, H+E+2H)
     probs, _ = _softmax_rows(readout @ params.out_w + params.out_b)
     return s_new.reshape(batch, width, h), probs.reshape(batch, width, -1)

@@ -44,6 +44,8 @@ from .model import (
 
 CHECKPOINT_FORMAT_VERSION = 3
 
+ADADELTA_BLOCK = 1 << 15  # coordinates per block of adadelta_update, 256 KB each
+
 
 @dataclass
 class OptimizerState:
@@ -76,16 +78,19 @@ def adadelta_update(
 
     Per coordinate: E[g^2] <- rho E[g^2] + (1-rho) g^2, the update is
     -(sqrt(E[dx^2]+eps) / sqrt(E[g^2]+eps)) g, and E[dx^2] accumulates the
-    squared update with the same decay.
+    squared update with the same decay.  The buffer is updated in blocks of
+    ADADELTA_BLOCK coordinates, so each temporary stays in cache.
     """
-    g = grads.flat
-    acc_grad_sq, acc_update_sq = optimizer_state.grad_sq, optimizer_state.update_sq
-    acc_grad_sq *= rho
-    acc_grad_sq += (1.0 - rho) * g * g
-    delta = -np.sqrt(acc_update_sq + eps) / np.sqrt(acc_grad_sq + eps) * g
-    acc_update_sq *= rho
-    acc_update_sq += (1.0 - rho) * delta * delta
-    params.flat += delta
+    for lo in range(0, params.flat.size, ADADELTA_BLOCK):
+        block = slice(lo, lo + ADADELTA_BLOCK)
+        g, acc_grad_sq, acc_update_sq = (
+            a[block] for a in (grads.flat, optimizer_state.grad_sq, optimizer_state.update_sq))
+        acc_grad_sq *= rho
+        acc_grad_sq += (1.0 - rho) * g * g
+        delta = -np.sqrt(acc_update_sq + eps) / np.sqrt(acc_grad_sq + eps) * g
+        acc_update_sq *= rho
+        acc_update_sq += (1.0 - rho) * delta * delta
+        params.flat[block] += delta
     return params, optimizer_state
 
 

@@ -515,10 +515,14 @@ class TestMainExitCodes:
         ('{"max_diff_bytes": 0}', "max_diff_bytes must be >= 1, got 0"),
         ('{"src_vocab_cap": 0}', "src_vocab_cap must be >= 1, got 0"),
         ('{"tgt_vocab_cap": -3}', "tgt_vocab_cap must be >= 1, got -3"),
+        ('{"valid_size": 4.0}', "valid_size fraction must be in [0, 1], got 4.0"),
+        ('{"test_size": -1}', "test_size count must be >= 0, got -1"),
+        ('{"valid_size": 1.5}', "valid_size fraction must be in [0, 1], got 1.5"),
     ], ids=["not_an_object", "bool_for_int", "fails_validate", "qa_epochs_zero", "qa_lambda_zero",
             "qa_lambda_negative", "qa_lambda_infinite", "qa_lambda_nan", "adadelta_eps_nan",
             "adadelta_eps_infinite", "max_diff_bytes_zero", "src_vocab_cap_zero",
-            "tgt_vocab_cap_negative"])
+            "tgt_vocab_cap_negative", "valid_fraction_above_one", "test_count_negative",
+            "valid_fraction_one_and_a_half"])
     def test_bad_config_is_a_named_error(self, tmp_path, capsys, text, named):
         path = tmp_path / "config.json"
         path.write_text(text)

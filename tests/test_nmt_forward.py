@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffmsg.corpus import EOS_ID, START_ID
 from diffmsg.nmt import (
@@ -19,7 +21,8 @@ from diffmsg.nmt import (
     init_decoder_state,
     init_params,
 )
-from diffmsg.nmt.model import attend_batch
+from diffmsg.nmt import model
+from diffmsg.nmt.model import GruParams, attend_batch
 
 
 def tiny_params(embed=2, hidden=3, src_vocab=6, tgt_vocab=5, seed=11):
@@ -126,6 +129,95 @@ class TestEncode:
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError):
             encode([], tiny_params())
+
+
+# --- GRU chain kernels against the per-step form ---------------------------
+#
+# The reference keeps a tuple of arrays per step and concatenates them for
+# the weight gradients, with the same float operations in the same order as
+# the chain kernels: their time-major buffers must give the same floats to
+# the bit.
+
+def per_step_gru_step(p, h_prev, xw):
+    n = h_prev.shape[1]
+    zr = 0.5 * (np.tanh(0.5 * (xw[:, : 2 * n] + h_prev @ p.u[:, : 2 * n])) + 1.0)
+    z, r = zr[:, :n], zr[:, n:]
+    rh = r * h_prev
+    h_cand = np.tanh(xw[:, 2 * n :] + rh @ p.u[:, 2 * n :])
+    return h_prev + z * (h_cand - h_prev), (h_prev, z, r, rh, h_cand)
+
+
+def per_step_gru_step_backward(p, cache, dh, d_xw):
+    h_prev, z, r, rh, h_cand = cache
+    n = h_prev.shape[1]
+    da_h = dh * z * (1.0 - h_cand * h_cand)
+    drh = da_h @ p.u[:, 2 * n :].T
+    d_xw[:, :n] = dh * (h_cand - h_prev) * z * (1.0 - z)
+    d_xw[:, n : 2 * n] = drh * h_prev * r * (1.0 - r)
+    d_xw[:, 2 * n :] = da_h
+    return dh * (1.0 - z) + drh * r + d_xw[:, : 2 * n] @ p.u[:, : 2 * n].T
+
+
+def per_step_gru_weight_grads(grads, xs, caches, d_xw):
+    n = d_xw.shape[2] // 3
+    rows = d_xw.reshape(-1, 3 * n)
+    h_prev = np.concatenate([cache[0] for cache in caches])
+    rh = np.concatenate([cache[3] for cache in caches])
+    grads.w += xs.reshape(-1, xs.shape[2]).T @ rows
+    grads.u[:, : 2 * n] += h_prev.T @ rows[:, : 2 * n]
+    grads.u[:, 2 * n :] += rh.T @ rows[:, 2 * n :]
+    grads.b += rows.sum(axis=0)
+
+
+def per_step_gru_chain(p, xw, reverse, caches, h):
+    states = np.empty(xw.shape[:2] + (h.shape[1],))
+    for i in reversed(range(len(xw))) if reverse else range(len(xw)):
+        h, caches[i] = per_step_gru_step(p, h, xw[i])
+        states[i] = h
+    return states
+
+
+def per_step_gru_chain_backward(p, caches, d_states, reverse):
+    steps, batch, n = d_states.shape
+    d_xw = np.empty((steps, batch, 3 * n))
+    dh = np.zeros((batch, n))
+    for i in range(steps) if reverse else reversed(range(steps)):
+        dh = per_step_gru_step_backward(p, caches[i], d_states[i] + dh, d_xw[i])
+    return d_xw
+
+
+class TestChainKernels:
+    @given(batch=st.integers(1, 5), steps=st.integers(1, 8), hidden=st.integers(1, 6),
+           inputs=st.integers(1, 4), reverse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_buffers_match_per_step_tuples_to_the_bit(self, batch, steps, hidden, inputs,
+                                                      reverse, seed):
+        rng = np.random.default_rng(seed)
+        p = GruParams(rng.uniform(-1, 1, (inputs, 3 * hidden)),
+                      rng.uniform(-1, 1, (hidden, 3 * hidden)), rng.uniform(-1, 1, 3 * hidden))
+        xs = rng.standard_normal((steps, batch, inputs))
+        xw = xs @ p.w + p.b
+        # padded rows: the update gate's pre-activation is -inf there
+        np.copyto(xw[:, :, :hidden], -np.inf, where=rng.random((steps, batch, 1)) < 0.3)
+        boundary = rng.standard_normal((batch, hidden))
+        d_states = rng.standard_normal((steps, batch, hidden))
+
+        caches = [None] * steps
+        want_states = per_step_gru_chain(p, xw, reverse, caches, boundary)
+        want_d_xw = per_step_gru_chain_backward(p, caches, d_states, reverse)
+        want = GruParams(*(np.zeros_like(t) for t in (p.w, p.u, p.b)))
+        per_step_gru_weight_grads(want, xs, caches, want_d_xw)
+
+        chain = model._Chain.start(steps, boundary, reverse)
+        model._gru_chain(p, xw, chain)
+        d_xw = model._gru_chain_backward(p, chain, d_states)
+        got = GruParams(*(np.zeros_like(t) for t in (p.w, p.u, p.b)))
+        model._gru_weight_grads(got, xs, chain, d_xw)
+
+        assert np.array_equal(chain.states, want_states)
+        assert np.array_equal(d_xw, want_d_xw)
+        for (name, g), (_, w) in zip(got.tensors(), want.tensors()):
+            assert np.array_equal(g, w), name
 
 
 # --- attend_batch ----------------------------------------------------------

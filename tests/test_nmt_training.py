@@ -6,6 +6,7 @@ import math
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,6 +92,35 @@ class TestAdadelta:
             adadelta_update(params, gradients(batch, params), state, 0.95, 1e-6)
         final = batch_loss(batch, params)
         assert final < 0.5 * initial
+
+
+def whole_buffer_adadelta(flat, g, grad_sq, update_sq, rho, eps):
+    """The update as one expression over the whole buffer, the reference
+    for the blocked form."""
+    grad_sq *= rho
+    grad_sq += (1.0 - rho) * g * g
+    delta = -np.sqrt(update_sq + eps) / np.sqrt(grad_sq + eps) * g
+    update_sq *= rho
+    update_sq += (1.0 - rho) * delta * delta
+    flat += delta
+
+
+class TestBlockedAdadelta:
+    @pytest.mark.parametrize("size", [
+        training.ADADELTA_BLOCK - 5, training.ADADELTA_BLOCK, 3 * training.ADADELTA_BLOCK + 7,
+    ], ids=["below_one_block", "one_block", "three_blocks_and_a_tail"])
+    def test_equals_the_whole_buffer_expression_to_the_bit(self, size):
+        rng = np.random.default_rng(size)
+        flat, g = rng.standard_normal(size), rng.standard_normal(size) * 1e-2
+        grad_sq, update_sq = rng.random(size) * 1e-4, rng.random(size) * 1e-6
+        g[::97] = 0.0
+        want = [flat.copy(), g, grad_sq.copy(), update_sq.copy()]
+        whole_buffer_adadelta(*want, 0.95, 1e-6)
+        params, grads = SimpleNamespace(flat=flat), SimpleNamespace(flat=g)
+        state = training.OptimizerState(grad_sq, update_sq)
+        adadelta_update(params, grads, state, 0.95, 1e-6)
+        for got, expected in zip((flat, g, grad_sq, update_sq), want):
+            assert np.array_equal(got, expected)
 
 
 def toy_split(n=12):
