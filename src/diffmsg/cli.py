@@ -26,6 +26,7 @@ from .corpus import (
     ingest_git,
     ingest_jsonl,
     preprocess_source,
+    read_json_object,
     read_split_files,
     source_counts,
     split_dataset,
@@ -90,15 +91,11 @@ class PipelineConfig(Hyperparams):
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str, source: str = "config") -> "PipelineConfig":
-        """Parse a config object; a key that is unknown, mistyped or out of
-        range is a PipelineError naming source and the key (see validate)."""
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise PipelineError(f"{source}: not valid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise PipelineError(f"{source}: a config must be a JSON object")
+    def from_json(cls, text: str | bytes, source: str = "config") -> "PipelineConfig":
+        """Parse a config object (see read_json_object); a key that is
+        unknown, mistyped or out of range is a PipelineError naming source
+        and the key (see validate)."""
+        data = read_json_object(text, {}, source, PipelineError)
         unknown = set(data) - set(field_types(cls))
         if unknown:
             raise PipelineError(f"{source}: unknown config keys: {', '.join(sorted(unknown))}")
@@ -108,7 +105,7 @@ class PipelineConfig(Hyperparams):
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"), source=str(path))
+        return cls.from_json(Path(path).read_bytes(), source=str(path))
 
     # derived paths
     split_dir = _in_work_dir("splits")

@@ -7,13 +7,15 @@ placeholder, drops merge/rollback commits and oversized diffs, tokenizes
 on whitespace and punctuation (CamelCase is never split), enforces
 maximum sequence lengths, and finally produces seeded train/valid/test
 splits and frequency-capped vocabularies.  It also holds what the other
-stages share: read_jsonl, the schema_problem key/type check, and
-atomic_write, the one writer of every artifact.
+stages share: read_json_object, the one reader of every JSON input, with
+its schema_problem key/type check, and atomic_write, the one writer of
+every artifact.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 import os
@@ -161,27 +163,49 @@ def schema_problem(obj: dict, schema: dict, prefix: str = "") -> str | None:
     return None
 
 
+def read_json_object(data: str | bytes, schema: dict, where: str,
+                     error: type[Exception], version: int | None = None) -> dict:
+    """Parse data (text, or bytes that must be UTF-8) as a JSON object that
+    matches schema (see schema_problem) and, given a version, holds it as
+    the integer "format_version"; anything else raises
+    error("<where>: <problem>")."""
+    try:
+        obj = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON, or not UTF-8
+        raise error(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise error(f"{where}: not a JSON object")
+    found = obj.get("format_version")
+    if version is not None and (type(found), found) != (int, version):
+        raise error(f"{where}: format version {found} != {version}")
+    if (problem := schema_problem(obj, schema)) is not None:
+        raise error(f"{where}: {problem}")
+    return obj
+
+
+def read_text_lines(path: str | Path) -> io.StringIO:
+    """A UTF-8 text file to iterate over by line, with the line ends open()
+    reads; a byte that is not UTF-8 is a CorpusFormatError naming the file
+    and the line."""
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"{path}: line {line}: not UTF-8: {exc}") from exc
+
+
 def read_jsonl(path: str | Path, schema: dict) -> Iterator[tuple[str, dict]]:
     """Yield ("<path>: line <n>", object) for each non-blank line of a JSON-lines file.
 
-    Bytes that are not UTF-8 decode to U+FFFD.  A line that is not a JSON
-    object matching schema (see schema_problem) is a CorpusFormatError
-    naming the line and the key.
+    Bytes that are not UTF-8 decode to U+FFFD.  A line that read_json_object
+    refuses is a CorpusFormatError naming the line and the problem.
     """
     with open(path, encoding="utf-8", errors="replace") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise CorpusFormatError(f"{where}: record is not an object")
-            if (problem := schema_problem(record, schema)) is not None:
-                raise CorpusFormatError(f"{where}: {problem}")
-            yield where, record
+            if line.strip():
+                where = f"{path}: line {lineno}"
+                yield where, read_json_object(line, schema, where, CorpusFormatError)
 
 
 def ingest_jsonl(path: str | Path) -> list[Commit]:
@@ -442,17 +466,17 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        """Read a file written by save; a token listed twice, or spelled like
-        a special symbol, is a CorpusFormatError naming the line."""
+        """Read a file written by save (see read_text_lines); a token listed
+        twice, or spelled like a special symbol, is a CorpusFormatError
+        naming the line."""
         id_to_token = list(SPECIALS)
         token_to_id = {token: i for i, token in enumerate(id_to_token)}
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                token = line.rstrip("\n")
-                if token in token_to_id:
-                    raise CorpusFormatError(f"{path}: line {lineno}: duplicate token {token!r}")
-                token_to_id[token] = len(id_to_token)
-                id_to_token.append(token)
+        for lineno, line in enumerate(read_text_lines(path), start=1):
+            token = line.rstrip("\n")
+            if token in token_to_id:
+                raise CorpusFormatError(f"{path}: line {lineno}: duplicate token {token!r}")
+            token_to_id[token] = len(id_to_token)
+            id_to_token.append(token)
         return cls(token_to_id, id_to_token)
 
 
@@ -537,11 +561,11 @@ def write_sequences(path: str | Path, sequences: list[TokenSequence]) -> None:
 
 
 def read_sequences(path: str | Path) -> list[TokenSequence]:
+    """Read a file written by write_sequences (see read_text_lines)."""
     sequences: list[TokenSequence] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            sequences.append(line.split(" ") if line else [])
+    for line in read_text_lines(path):
+        line = line.rstrip("\n")
+        sequences.append(line.split(" ") if line else [])
     return sequences
 
 

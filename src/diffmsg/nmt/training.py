@@ -17,7 +17,6 @@ and tensor shape before reading the payload.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import bleu
-from ..corpus import DatasetSplit, Vocabulary, atomic_write, field_types, schema_problem
+from ..corpus import DatasetSplit, Vocabulary, atomic_write, field_types, read_json_object
 from .decoding import beam_search
 from .model import (
     Array,
@@ -54,9 +53,6 @@ class OptimizerState:
 
     grad_sq: Array
     update_sq: Array
-
-    def copy(self) -> "OptimizerState":
-        return OptimizerState(self.grad_sq.copy(), self.update_sq.copy())
 
 
 class CheckpointError(RuntimeError):
@@ -147,11 +143,9 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
 
 
 def _check_header(path: str | Path, header: dict) -> int:
-    """Raise CheckpointError for a missing or mistyped key, or a manifest
-    that disagrees with the dimensions, vocabulary sizes, layout order or
-    payload length; return N, the number of parameters."""
-    if (problem := schema_problem(header, {**_STATE_KEYS, **_PAYLOAD_KEYS})) is not None:
-        raise CheckpointError(f"{path}: header {problem}")
+    """Raise CheckpointError for a manifest that disagrees with the
+    dimensions, vocabulary sizes, layout order or payload length; return N,
+    the number of parameters."""
     expected = param_shapes(*(header[key] for key in _DIM_KEYS))
     manifest = header["tensors"]
     if len(manifest) != len(expected):
@@ -185,17 +179,8 @@ def load_checkpoint(
     """
     with open(path, "rb") as handle:
         header_line = handle.readline()
-        try:
-            header = json.loads(header_line)
-        except ValueError as exc:  # bad JSON or undecodable bytes
-            raise CheckpointError(f"{path}: unreadable header") from exc
-        if not isinstance(header, dict):
-            raise CheckpointError(f"{path}: unreadable header")
-        if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"{path}: format version {header.get('format_version')} "
-                f"!= {CHECKPOINT_FORMAT_VERSION}"
-            )
+        header = read_json_object(header_line, {**_STATE_KEYS, **_PAYLOAD_KEYS}, f"{path}: header",
+                                  CheckpointError, CHECKPOINT_FORMAT_VERSION)
         size = _check_header(path, header)
         present = os.fstat(handle.fileno()).st_size - len(header_line)
         if present != header["payload_bytes"]:
@@ -265,7 +250,8 @@ def train(
 ) -> list[Checkpoint]:
     """Minibatch Adadelta training; returns [state], the final training state.
 
-    The state is one Checkpoint, updated in place and written every
+    The state is one Checkpoint, resume_from if given, else a fresh one.
+    It is updated in place, its buffers with it, and written every
     hyper.checkpoint_every minibatches and when training stops.  Validation
     runs every hyper.validate_every minibatches on greedy decodes of the
     validation split (skipped if it is empty); training stops after
@@ -294,12 +280,8 @@ def train(
     elif resume_from.optimizer_state is None:
         raise ValueError("cannot resume from a checkpoint without optimizer state")
     else:
-        state = dataclasses.replace(
-            resume_from,
-            params=resume_from.params.copy(),
-            optimizer_state=resume_from.optimizer_state.copy(),
-            seed=hyper.seed,
-        )
+        state = resume_from
+        state.seed = hyper.seed
 
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     log_handle = None

@@ -24,6 +24,7 @@ from .corpus import (
     atomic_write,
     field_types,
     preprocess_source,
+    read_json_object,
     read_jsonl,
     schema_problem,
 )
@@ -355,36 +356,25 @@ class QaModelError(ValueError):
     """Unreadable or inconsistent QA model file."""
 
 
-# every key of a saved QA model; "hyper" holds the fields of QaHyper
-_MODEL_KEYS = {"format_version": int, "feature_vocab": dict[str, int], "idf": list[float],
-               "weights": list[float], "bias": float, "hyper": dict}
+# every key of a saved QA model but "format_version"; "hyper" holds the
+# fields of QaHyper
+_MODEL_KEYS = {"feature_vocab": dict[str, int], "idf": list[float], "weights": list[float],
+               "bias": float, "hyper": dict}
 
 
 def load_qa_model(path: str | Path) -> QaModel:
     """Load a model written by save_qa_model.
 
-    Checks every key and its type (see corpus.schema_problem), and that
-    feature_vocab, idf and weights agree: one idf and one weight per
-    feature, with the feature indices exactly 0..n-1.  Any mismatch is a
-    QaModelError naming the file and key.
+    Checks the format version, every key and its type (see
+    corpus.read_json_object), and that feature_vocab, idf and weights
+    agree: one idf and one weight per feature, with the feature indices
+    exactly 0..n-1.  Any mismatch is a QaModelError naming the file and key.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except ValueError as exc:  # bad JSON or undecodable bytes
-        raise QaModelError(f"{path}: unreadable QA model ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise QaModelError(f"{path}: a QA model must be a JSON object")
-    if payload.get("format_version") != QA_MODEL_FORMAT_VERSION:
-        raise QaModelError(
-            f"{path}: format version {payload.get('format_version')} "
-            f"!= {QA_MODEL_FORMAT_VERSION}"
-        )
+    payload = read_json_object(Path(path).read_bytes(), _MODEL_KEYS, str(path), QaModelError,
+                               QA_MODEL_FORMAT_VERSION)
     hyper_keys = field_types(QaHyper)
-    problem = (schema_problem(payload, _MODEL_KEYS)
-               or schema_problem(payload["hyper"], hyper_keys, prefix="hyper."))
-    if problem is not None:
-        raise QaModelError(f"{path}: QA model {problem}")
+    if (problem := schema_problem(payload["hyper"], hyper_keys, prefix="hyper.")) is not None:
+        raise QaModelError(f"{path}: {problem}")
     vocab, idf, weights = payload["feature_vocab"], payload["idf"], payload["weights"]
     if not len(vocab) == len(idf) == len(weights):
         raise QaModelError(

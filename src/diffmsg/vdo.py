@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import PUNCTUATION, PreparedCommit, TokenSequence
+from .corpus import PUNCTUATION, PreparedCommit, TokenSequence, read_text_lines
 
 # Inflection rules tried in order; the first rule whose stem is a known
 # base verb wins ("applies"->"apply", "fixes"->"fix", "removed"->"remove").
@@ -67,10 +67,9 @@ DEFAULT_VERBS = frozenset(
 
 @dataclass(frozen=True)
 class VerbLexicon:
-    """Base verb stems plus ordered inflection rules."""
+    """Base verb stems; SUFFIX_RULES inflect them."""
 
     base_verbs: frozenset[str]
-    suffix_rules: tuple[tuple[str, str], ...] = SUFFIX_RULES
 
     def __post_init__(self) -> None:
         for verb in self.base_verbs:
@@ -83,13 +82,13 @@ def default_lexicon() -> VerbLexicon:
 
 
 def load_lexicon(path: str | Path) -> VerbLexicon:
-    """Load a lexicon file: one verb per line, '#' starts a comment."""
+    """Load a lexicon file: one verb per line, '#' starts a comment.  A
+    file that is not UTF-8 is a CorpusFormatError (see read_text_lines)."""
     verbs: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            word = line.split("#", 1)[0].strip().lower()
-            if word:
-                verbs.add(word)
+    for line in read_text_lines(path):
+        word = line.split("#", 1)[0].strip().lower()
+        if word:
+            verbs.add(word)
     if not verbs:
         raise ValueError(f"{path}: lexicon file contains no verbs")
     return VerbLexicon(frozenset(verbs))
@@ -100,7 +99,7 @@ def verb_stem(token: str, lexicon: VerbLexicon) -> str | None:
     word = token.lower()
     if word in lexicon.base_verbs:
         return word
-    for suffix, replacement in lexicon.suffix_rules:
+    for suffix, replacement in SUFFIX_RULES:
         if word.endswith(suffix) and len(word) > len(suffix):
             stem = word[: -len(suffix)] + replacement
             if stem in lexicon.base_verbs:

@@ -817,6 +817,13 @@ class TestBuildVocab:
             Vocabulary.load(path)
         assert str(info.value) == f"{path}: line {lineno}: duplicate token {token!r}"
 
+    def test_load_names_the_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"a\nb\n\xff\xfe\n")
+        with pytest.raises(CorpusFormatError) as info:
+            Vocabulary.load(path)
+        assert str(info.value).startswith(f"{path}: line 3: not UTF-8: ")
+
 
 def _pairs(n):
     return [PreparedCommit(str(i), [f"s{i}"], [f"t{i}"]) for i in range(n)]
@@ -886,6 +893,13 @@ class TestSequenceFiles:
             handle.write("extra\n")
         with pytest.raises(CorpusFormatError, match="valid.tgt.txt: files are not line-aligned"):
             read_split_files(tmp_path, seed=0)
+
+    def test_sequence_file_names_the_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "seqs.txt"
+        path.write_bytes("a b\ncaf\u00e9\n".encode() + b"c \xe9 d\n")
+        with pytest.raises(CorpusFormatError) as info:
+            read_sequences(path)
+        assert str(info.value).startswith(f"{path}: line 3: not UTF-8: ")
 
 
 def test_special_ids_are_stable():

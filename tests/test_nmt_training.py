@@ -218,6 +218,18 @@ class TestTrain:
         for name, tensor in straight[-1].params.tensors().items():
             np.testing.assert_array_equal(tensor, resumed[-1].params.tensors()[name])
 
+    def test_resume_trains_the_checkpoint_in_place(self, tmp_path):
+        split = toy_split()
+        src, tgt = build_vocabs(split)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(train(split, src, tgt, toy_hyper(max_minibatches=3))[-1], path)
+        ckpt = load_checkpoint(path)
+        before = ckpt.params.flat.copy()
+        resumed = train(split, src, tgt, toy_hyper(max_minibatches=6), resume_from=ckpt)[-1]
+        assert resumed.params.flat is ckpt.params.flat
+        assert resumed.optimizer_state is ckpt.optimizer_state
+        assert resumed.minibatch_index == 6 and not np.array_equal(ckpt.params.flat, before)
+
     def test_resume_keeps_early_stopping_state(self, tmp_path):
         # targets every model can learn: validation BLEU climbs from 0 to 100,
         # then stalls until patience runs out; validations and checkpoints
@@ -497,7 +509,7 @@ class TestCheckpointIO:
     def test_bool_in_a_number_key_rejected(self, tmp_path, key, value):
         path = saved_checkpoint(tmp_path)
         rewrite_header(path, lambda header: header.update({key: value}))
-        with pytest.raises(CheckpointError, match=f"header key {key!r} must be float") as info:
+        with pytest.raises(CheckpointError, match=f"header: key {key!r} must be float") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
@@ -507,7 +519,7 @@ class TestCheckpointIO:
     def test_non_finite_number_key_rejected(self, tmp_path, key, value):
         path = saved_checkpoint(tmp_path)
         rewrite_header(path, lambda header: header.update({key: value}))
-        with pytest.raises(CheckpointError, match=f"header key {key!r} must be float") as info:
+        with pytest.raises(CheckpointError, match=f"header: key {key!r} must be float") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
@@ -515,7 +527,7 @@ class TestCheckpointIO:
         # valid JSON, but the loss sum it resumes would overflow
         path = saved_checkpoint(tmp_path)
         rewrite_header(path, lambda header: header.update(window_loss_sum=10**400))
-        with pytest.raises(CheckpointError, match="header key 'window_loss_sum' must be float"):
+        with pytest.raises(CheckpointError, match="header: key 'window_loss_sum' must be float"):
             load_checkpoint(path)
 
     def test_payload_length_disagreeing_with_manifest_rejected(self, tmp_path):

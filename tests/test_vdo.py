@@ -169,3 +169,10 @@ class TestLexiconFile:
         path.write_text("# nothing\n")
         with pytest.raises(ValueError):
             load_lexicon(path)
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "verbs.txt"
+        path.write_bytes(b"add\n\xff\xfe\n")
+        with pytest.raises(ValueError) as info:
+            load_lexicon(path)
+        assert str(info.value).startswith(f"{path}: line 2: not UTF-8: ")
