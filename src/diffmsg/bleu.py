@@ -19,13 +19,14 @@ from .corpus import TokenSequence
 
 Pair = tuple[TokenSequence, TokenSequence]  # (generated, reference)
 
-DEFAULT_BUCKET_BOUNDARIES = (25, 50, 75)
+MAX_ORDER = 4  # BLEU-4: precisions p_1..p_4
+BUCKET_BOUNDARIES = (25, 50, 75)  # source lengths that bound the buckets
 
 
 @dataclass(frozen=True)
 class BleuReport:
     bleu: float                      # 0..100
-    precisions: tuple[float, ...]    # p_1..p_N, percent
+    precisions: tuple[float, ...]    # p_1..p_4, percent
     len_gen: int                     # c: total generated length
     len_ref: int                     # r: total reference length
     brevity_penalty: float
@@ -59,17 +60,15 @@ def brevity_penalty(c: int, r: int) -> float:
     return math.exp(1.0 - r / c)
 
 
-def corpus_bleu(pairs: list[Pair], max_order: int = 4) -> BleuReport:
-    """Corpus BLEU combining p_1..p_max_order with uniform log-space weights.
+def corpus_bleu(pairs: list[Pair]) -> BleuReport:
+    """Corpus BLEU-4, combining p_1..p_4 with uniform log-space weights.
 
     Unsmoothed: any zero precision makes the score 0.
     """
     if not pairs:
         raise ValueError("corpus_bleu requires a non-empty list of pairs")
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
     precisions: list[float] = []
-    for n in range(1, max_order + 1):
+    for n in range(1, MAX_ORDER + 1):
         clipped, total = _clipped_totals(n, pairs)
         precisions.append(clipped / total if total else 0.0)
     c = sum(len(generated) for generated, _ in pairs)
@@ -81,7 +80,7 @@ def corpus_bleu(pairs: list[Pair], max_order: int = 4) -> BleuReport:
         log_sum = 0.0  # left to right: sum() compensates float sums from Python 3.12 on
         for p in precisions:
             log_sum += math.log(p)
-        score = 100.0 * bp * math.exp(log_sum / max_order)
+        score = 100.0 * bp * math.exp(log_sum / MAX_ORDER)
     return BleuReport(
         bleu=score,
         precisions=tuple(100.0 * p for p in precisions),
@@ -98,31 +97,24 @@ class BleuBucket:
     report: BleuReport | None  # None for an empty bucket
 
 
-def bucket_labels(boundaries: tuple[int, ...]) -> list[str]:
-    labels = [f"<= {boundaries[0]}"]
-    labels += [f"> {lo}, <= {hi}" for lo, hi in zip(boundaries, boundaries[1:])]
-    labels.append(f"> {boundaries[-1]}")
-    return labels
-
-
 def bucketed_bleu(
     pairs_with_lengths: list[tuple[int, TokenSequence, TokenSequence]],
-    boundaries: tuple[int, ...] = DEFAULT_BUCKET_BOUNDARIES,
-    max_order: int = 4,
 ) -> list[BleuBucket]:
     """Split pairs by source length and score each bucket independently.
 
-    Buckets are half-open above: (<= b1], (b1, b2], ..., (> bN).
+    Buckets are half-open above: (<= 25], (25, 50], (50, 75], (> 75); see
+    BUCKET_BOUNDARIES.
     """
-    if any(hi <= lo for lo, hi in zip(boundaries, boundaries[1:])):
-        raise ValueError(f"boundaries must be strictly increasing, got {boundaries}")
-    groups: list[list[Pair]] = [[] for _ in range(len(boundaries) + 1)]
+    bounds = BUCKET_BOUNDARIES
+    labels = [f"<= {bounds[0]}", *(f"> {lo}, <= {hi}" for lo, hi in zip(bounds, bounds[1:])),
+              f"> {bounds[-1]}"]
+    groups: list[list[Pair]] = [[] for _ in labels]
     for length, generated, reference in pairs_with_lengths:
-        index = sum(1 for b in boundaries if length > b)
+        index = sum(1 for b in bounds if length > b)
         groups[index].append((generated, reference))
     buckets = []
-    for label, group in zip(bucket_labels(tuple(boundaries)), groups):
-        report = corpus_bleu(group, max_order) if group else None
+    for label, group in zip(labels, groups):
+        report = corpus_bleu(group) if group else None
         buckets.append(BleuBucket(label=label, count=len(group), report=report))
     return buckets
 
@@ -156,23 +148,11 @@ def _top_k(
     return ranked
 
 
-def nearest_neighbors(
-    train_sources: list[TokenSequence], source: TokenSequence, k: int = 1
-) -> list[tuple[int, float]]:
-    """Top-k training indices by cosine similarity of unigram counts.
-
-    Ties break toward the lower training index.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return _top_k(BagOfWords(train_sources), [source], k)[0]
-
-
 def retrieval_baseline(
     train_pairs: list[Pair], test_sources: list[TokenSequence]
 ) -> list[TokenSequence]:
     """For each test source, copy the message of the most similar training diff
-    (see nearest_neighbors; the lowest index wins a tie)."""
+    (see _top_k; the lowest index wins a tie)."""
     if not train_pairs:
         raise ValueError("retrieval baseline requires a non-empty training set")
     train = BagOfWords([source for source, _ in train_pairs])
@@ -187,9 +167,8 @@ def format_report_table(rows: list[tuple[str, BleuReport]]) -> str:
     )
     lines = [header]
     for name, report in rows:
-        precisions = list(report.precisions) + [0.0] * (4 - len(report.precisions))
         lines.append(
             f"{name:<16} {report.bleu:>7.2f} {report.len_gen:>8d} {report.len_ref:>8d} "
-            f"{precisions[0]:>6.1f} {precisions[1]:>6.1f} {precisions[2]:>6.1f} {precisions[3]:>6.1f}"
+            + " ".join(f"{p:>6.1f}" for p in report.precisions)
         )
     return "\n".join(lines)

@@ -2,7 +2,8 @@
 
 Subcommands: prepare, train, generate, evaluate, qa train|crossval|report.
 Exit codes are a stable contract: 0 for success with a message, 2 when the
-quality gate emits the warning instead, 1 for any error.
+warning stands in for one (the quality gate flagged the diff, or the model
+gave an empty message), 1 for any error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 from . import bleu, qa
 from .corpus import (
@@ -66,24 +68,19 @@ class PipelineConfig(Hyperparams):
     valid_size: float = 0.1
     test_size: float = 0.1
     # vocabulary caps (None = keep everything)
-    src_vocab_cap: int | None = 50_000
-    tgt_vocab_cap: int | None = None
+    src_vocab_cap: Annotated[int | None, ">= 1"] = 50_000
+    tgt_vocab_cap: Annotated[int | None, ">= 1"] = None
     # target-side verb/direct-object filter
     vdo_filter: bool = True
     vdo_lexicon_path: str | None = None
     # QA gate
-    qa_lambda: float = 1e-4
-    qa_epochs: int = 20
+    qa_lambda: Annotated[float, "> 0"] = 1e-4
+    qa_epochs: Annotated[int, ">= 1"] = 20
 
     def validate(self) -> None:
-        """Hyperparams.validate, plus the ranges of the pipeline-only fields."""
+        """Hyperparams.validate, which checks every annotated field, plus
+        the split sizes' count-or-fraction rule (see check_part_size)."""
         super().validate()
-        for name in ("qa_epochs", "src_vocab_cap", "tgt_vocab_cap"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if not self.qa_lambda > 0.0:
-            raise ValueError(f"qa_lambda must be > 0, got {self.qa_lambda}")
         for name in ("valid_size", "test_size"):
             check_part_size(getattr(self, name), name)
 
@@ -255,7 +252,8 @@ def _load_ensemble(config: PipelineConfig, src_vocab: Vocabulary, tgt_vocab: Voc
 
 
 def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple[int, str]:
-    """Generate a message for one diff, or the warning when gated.
+    """Generate a message for one diff, or the warning when gated or when
+    the best hypothesis is EOS alone.
 
     Returns (exit_code, output line); never both a message and a warning.
     """
@@ -277,6 +275,8 @@ def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple
         beam_width=config.beam_width,
         max_len=config.max_target_len,
     )
+    if not generated:
+        return EXIT_WARNING, WARNING_TEXT
     return EXIT_OK, " ".join(tgt_vocab.decode(generated))
 
 

@@ -8,8 +8,8 @@ on whitespace and punctuation (CamelCase is never split), enforces
 maximum sequence lengths, and finally produces seeded train/valid/test
 splits and frequency-capped vocabularies.  It also holds what the other
 stages share: read_json_object, the one reader of every JSON input, with
-its schema_problem key/type check, and atomic_write, the one writer of
-every artifact.
+its schema_problem key, type and range check, and atomic_write, the one
+writer of every artifact.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import functools
 import io
 import json
 import math
+import operator
 import os
 import random
 import re
@@ -29,7 +30,7 @@ import typing
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Annotated, Callable, Iterable, Iterator
 
 TokenSequence = list[str]
 
@@ -115,9 +116,15 @@ def atomic_write(path: str | Path, data: str | Iterable[bytes]) -> None:
 _JSON_TYPES = {int: {int}, float: {int, float}, str: {str}, bool: {bool},
                type(None): {type(None)}, list: {list}, dict: {dict}}
 
-# {name: resolved annotation} of a dataclass's fields: its schema (one
-# dict per class, shared by every caller, so read-only)
-field_types = functools.cache(typing.get_type_hints)
+# The comparisons a bound such as ">= 1" may use
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+@functools.cache
+def field_types(cls: type) -> dict:
+    """{name: annotation} of a dataclass's fields, Annotated bounds kept:
+    its schema (one dict per class, shared by every caller, so read-only)."""
+    return typing.get_type_hints(cls, include_extras=True)
 
 
 def _finite(values: Iterable) -> bool:
@@ -127,7 +134,6 @@ def _finite(values: Iterable) -> bool:
         return False
 
 
-@functools.cache
 def _admits(annotation: object) -> Callable[[object], bool]:
     """The test that a value matches annotation: a key of _JSON_TYPES, a
     union of them (float only in float | None), or list[X] or dict[str, X]
@@ -149,17 +155,42 @@ def _admits(annotation: object) -> Callable[[object], bool]:
     return lambda value: type(value) in kinds and (value is None or _finite((value,)))
 
 
+@functools.cache
+def _rule(annotation: object) -> tuple[Callable[[object], bool], str, Callable[[object], bool], str]:
+    """(type test, type name, range test, range text) of annotation.
+
+    The range comes from Annotated metadata, each item "<op> <number>" with
+    op one of _COMPARE, as in Annotated[float, "> 0", "< 1"]; None, where
+    the type admits it, is in range, and so is anything without metadata."""
+    bounds: tuple[str, ...] = ()
+    if typing.get_origin(annotation) is Annotated:
+        annotation, bounds = annotation.__origin__, annotation.__metadata__
+    tests = [(_COMPARE[op], float(number)) for op, number in map(str.split, bounds)]
+
+    def in_range(value: object) -> bool:
+        if value is not None:
+            for compare, limit in tests:
+                if not compare(value, limit):
+                    return False
+        return True
+    name = annotation.__name__ if annotation in _JSON_TYPES else str(annotation)
+    return _admits(annotation), name, in_range, " and ".join(bounds)
+
+
 def schema_problem(obj: dict, schema: dict, prefix: str = "") -> str | None:
-    """Describe the first key of schema ({key: annotation}) that obj lacks or
+    """Describe the first key of schema ({key: annotation}) that obj lacks,
     holds with a value its annotation does not admit (see _JSON_TYPES; a
-    float must be finite), or return None."""
+    float must be finite), or holds out of the annotation's range (see
+    _rule), or return None."""
     for key, annotation in schema.items():
         if key not in obj:
             return f"lacks {prefix + key!r}"
         value = obj[key]
-        if not _admits(annotation)(value):
-            name = annotation.__name__ if annotation in _JSON_TYPES else annotation
+        admits, name, in_range, bounds = _rule(annotation)
+        if not admits(value):
             return f"key {prefix + key!r} must be {name}, got {reprlib.repr(value)}"
+        if not in_range(value):
+            return f"{prefix + key} must be {bounds}, got {reprlib.repr(value)}"
     return None
 
 
@@ -374,9 +405,9 @@ def preprocess_target(message_text: str) -> TokenSequence:
 class FilterConfig:
     """The limits apply_filters enforces; Hyperparams inherits them."""
 
-    max_source_len: int = 100
-    max_target_len: int = 30
-    max_diff_bytes: int = 1_048_576
+    max_source_len: Annotated[int, ">= 1"] = 100
+    max_target_len: Annotated[int, ">= 1"] = 30
+    max_diff_bytes: Annotated[int, ">= 1"] = 1_048_576
 
 
 # Removal reasons, in the order the checks run; the first failing check

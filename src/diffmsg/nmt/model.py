@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, NamedTuple
+from typing import Annotated, Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,35 +47,25 @@ class Hyperparams(FilterConfig):
     embed 512 / hidden 1024 / minibatch 80 and remains reachable here.
     """
 
-    embed_dim: int = 64
-    hidden_dim: int = 128
-    minibatch_size: int = 16
-    adadelta_rho: float = 0.95
-    adadelta_eps: float = 1e-6
-    validate_every: int = 200
-    checkpoint_every: int = 500
-    max_epochs: int = 100
-    max_minibatches: int = 50_000
-    patience: int = 10
-    ensemble_size: int = 4
-    beam_width: int = 5
-    seed: int = 1234
+    embed_dim: Annotated[int, ">= 1"] = 64
+    hidden_dim: Annotated[int, ">= 1"] = 128
+    minibatch_size: Annotated[int, ">= 1"] = 16
+    adadelta_rho: Annotated[float, "> 0", "< 1"] = 0.95
+    adadelta_eps: Annotated[float, "> 0"] = 1e-6
+    validate_every: Annotated[int, ">= 1"] = 200
+    checkpoint_every: Annotated[int, ">= 1"] = 500
+    max_epochs: Annotated[int, ">= 1"] = 100
+    max_minibatches: Annotated[int, ">= 1"] = 50_000
+    patience: Annotated[int, ">= 0"] = 10
+    ensemble_size: Annotated[int, ">= 1"] = 4
+    beam_width: Annotated[int, ">= 1"] = 5
+    seed: Annotated[int, ">= 0"] = 1234
 
     def validate(self) -> None:
-        """Raise ValueError naming a field of the wrong type (see schema_problem) or range."""
+        """Raise ValueError naming a field of the wrong type or out of its
+        annotated range (see schema_problem)."""
         if (problem := schema_problem(vars(self), field_types(type(self)))) is not None:
             raise ValueError(problem)
-        for name in ("max_source_len", "max_target_len", "max_diff_bytes", "embed_dim",
-                     "hidden_dim", "minibatch_size", "validate_every", "checkpoint_every",
-                     "max_epochs", "max_minibatches", "ensemble_size", "beam_width"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 < self.adadelta_rho < 1.0:
-            raise ValueError(f"adadelta_rho must be in (0, 1), got {self.adadelta_rho}")
-        if not self.adadelta_eps > 0.0:
-            raise ValueError(f"adadelta_eps must be > 0, got {self.adadelta_eps}")
-        if self.patience < 0:
-            raise ValueError(f"patience must be >= 0, got {self.patience}")
 
 
 @dataclass

@@ -24,6 +24,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
@@ -97,14 +98,14 @@ class Checkpoint:
 
     params: ModelParams
     optimizer_state: OptimizerState | None
-    minibatch_index: int
-    validation_bleu: float | None
+    minibatch_index: Annotated[int, ">= 0"]
+    validation_bleu: Annotated[float | None, ">= 0", "<= 100"]
     seed: int = 0
-    best_bleu: float = 0.0
-    stall: int = 0
+    best_bleu: Annotated[float, ">= 0", "<= 100"] = 0.0
+    stall: Annotated[int, ">= 0"] = 0
     # the loss of the minibatches since the last validation, not yet logged
-    window_loss_sum: float = 0.0
-    window_loss_count: int = 0
+    window_loss_sum: Annotated[float, ">= 0"] = 0.0
+    window_loss_count: Annotated[int, ">= 0"] = 0
 
 
 # The header is one JSON object: the Checkpoint fields but the buffers,
@@ -112,7 +113,7 @@ class Checkpoint:
 _STATE_KEYS = {key: kind for key, kind in field_types(Checkpoint).items()
                if key not in ("params", "optimizer_state")}
 _DIM_KEYS = ("embed_dim", "hidden_dim", "src_vocab_size", "tgt_vocab_size")
-_PAYLOAD_KEYS = {**dict.fromkeys(_DIM_KEYS, int), "has_optimizer_state": bool,
+_PAYLOAD_KEYS = {**dict.fromkeys(_DIM_KEYS, Annotated[int, ">= 1"]), "has_optimizer_state": bool,
                  "payload_bytes": int, "tensors": list[dict]}
 
 

@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
@@ -86,21 +87,9 @@ def load_gold_jsonl(path: str | Path) -> list[GoldRecord]:
 
 
 def _idf(n_docs: int, doc_freq: np.ndarray) -> np.ndarray:
-    """ln((1 + D) / (1 + df)) + 1 for each document frequency, by math.log."""
+    """Smoothed idf, ln((1 + D) / (1 + df)) + 1 for each document frequency
+    by math.log: positive even for a token in every document."""
     return np.array([math.log((1 + n_docs) / (1 + df)) + 1.0 for df in doc_freq.tolist()])
-
-
-def compute_idf(diffs: list[TokenSequence]) -> tuple[dict[str, int], np.ndarray]:
-    """Feature vocabulary and smoothed idf over a diff corpus.
-
-    idf(t) = ln((1 + D) / (1 + df(t))) + 1, which stays positive even for
-    tokens present in every document.  Features are numbered in sorted
-    token order.
-    """
-    if not diffs:
-        raise ValueError("idf requires a non-empty corpus")
-    index = BagOfWords(diffs)
-    return index.ids, _idf(len(diffs), np.bincount(index.terms, minlength=len(index.ids)))
 
 
 # L2-normalized tf/idf rows as CSR arrays: (indptr, features, values)
@@ -132,8 +121,8 @@ def _margins(weights: np.ndarray, bias: float, rows: Rows) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QaHyper:
-    l2_lambda: float = 1e-4
-    epochs: int = 20
+    l2_lambda: Annotated[float, "> 0"] = 1e-4
+    epochs: Annotated[int, ">= 1"] = 20
     seed: int = 0
 
 
@@ -155,10 +144,8 @@ def _schedule(n: int, hyper: QaHyper) -> list[int]:
     """The position in the training list of each SGD step's example, which
     depends only on n and hyper: the order is reshuffled each epoch with
     the seeded RNG."""
-    if hyper.epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {hyper.epochs}")
-    if not hyper.l2_lambda > 0.0:
-        raise ValueError(f"l2_lambda must be > 0, got {hyper.l2_lambda}")
+    if (problem := schema_problem(vars(hyper), field_types(QaHyper))) is not None:
+        raise ValueError(problem)
     rng = random.Random(hyper.seed)
     order = list(range(n))
     positions: list[int] = []
@@ -174,9 +161,9 @@ def _fit(
 ) -> tuple[np.ndarray, np.ndarray, float, Rows]:
     """Hinge-loss SGD on the documents `train` of index, in that order.
 
-    The features are the terms those documents hold, in sorted order, as
-    compute_idf numbers them.  Returns (idf, weights, bias) and the tf/idf
-    rows of every document of index under those features.
+    The features are the terms those documents hold, numbered in sorted
+    order.  Returns (idf, weights, bias) and the tf/idf rows of every
+    document of index under those features.
 
     Step t has eta = 1/(lambda * t), so it shrinks the weights by 1 - 1/t
     and the weights after step t are scaled/t (Pegasos' scaled-vector

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diffmsg import corpus
+from diffmsg.bow import BagOfWords
 from diffmsg.cli import PipelineConfig, cmd_evaluate, cmd_prepare
 from diffmsg.corpus import (
     DatasetSplit,
@@ -14,7 +15,7 @@ from diffmsg.corpus import (
     build_vocab,
     write_split_files,
 )
-from diffmsg.qa import QaModel, compute_idf, save_qa_model
+from diffmsg.qa import QaModel, save_qa_model
 
 OLD = b"the previous artifact\n"
 
@@ -80,9 +81,10 @@ def write_splits(tmp_path):
 
 
 def write_qa_model(tmp_path):
-    vocab, idf = compute_idf([["a", "b"], ["b", "c"]])
+    vocab = BagOfWords([["a", "b"], ["b", "c"]]).ids
     path = tmp_path / "qa_model.json"
-    return path, lambda: save_qa_model(QaModel(vocab, idf, np.ones(len(vocab)), 0.5), path)
+    model = QaModel(vocab, np.ones(len(vocab)), np.ones(len(vocab)), 0.5)
+    return path, lambda: save_qa_model(model, path)
 
 
 def write_prepare_report(tmp_path):

@@ -19,9 +19,10 @@ from diffmsg.bleu import (
     bucketed_bleu,
     corpus_bleu,
     format_report_table,
-    nearest_neighbors,
     retrieval_baseline,
+    _top_k,
 )
+from diffmsg.bow import BagOfWords
 
 
 def oracle_bleu(pairs, max_order=4):
@@ -74,16 +75,11 @@ class TestModifiedPrecision:
 
     def test_clipping(self):
         # "a a a" against "a": only one of the three unigrams is credited
-        report = corpus_bleu([(["a", "a", "a"], ["a"])], max_order=1)
+        report = corpus_bleu([(["a", "a", "a"], ["a"])])
         assert report.precisions[0] == pytest.approx(100 / 3)
 
     def test_generated_shorter_than_n(self):
-        assert corpus_bleu([(["a", "b"], ["a", "b", "c"])], max_order=3).precisions[2] == 0.0
-
-    def test_invalid_n(self):
-        for max_order in (0, -1):
-            with pytest.raises(ValueError):
-                corpus_bleu([(["a"], ["a"])], max_order=max_order)
+        assert corpus_bleu([(["a", "b"], ["a", "b", "c"])]).precisions[2] == 0.0
 
 
 class TestBrevityPenalty:
@@ -206,10 +202,6 @@ class TestBucketedBleu:
         buckets = bucketed_bleu(pairs)
         assert sum(b.count for b in buckets) == 57
 
-    def test_non_increasing_boundaries_rejected(self):
-        with pytest.raises(ValueError):
-            bucketed_bleu([self._pair(1)], boundaries=(25, 25))
-
 
 class TestRetrievalBaseline:
     TRAIN = [
@@ -235,9 +227,10 @@ class TestRetrievalBaseline:
         assert neighbors[0][0] == 0
         assert neighbors[0][1] > neighbors[1][1]
 
-    def test_k_validated(self):
-        with pytest.raises(ValueError):
-            nearest_neighbors([["a"]], ["a"], k=0)
+
+def nearest_neighbors(train_sources, source, k):
+    """_top_k for one query: its k best (training index, cosine) pairs."""
+    return _top_k(BagOfWords(train_sources), [source], k)[0]
 
 
 def brute_force_neighbors(train_sources, source, k):

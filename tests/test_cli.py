@@ -3,14 +3,19 @@
 import dataclasses
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diffmsg.bow import BagOfWords
 from diffmsg.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -25,9 +30,9 @@ from diffmsg.cli import (
     cmd_train,
     main,
 )
-from diffmsg.corpus import ID_PLACEHOLDER
-from diffmsg.nmt import Hyperparams
-from diffmsg.qa import QaModel, compute_idf, save_qa_model
+from diffmsg.corpus import EOS_ID, ID_PLACEHOLDER, field_types
+from diffmsg.nmt import Hyperparams, load_checkpoint, save_checkpoint
+from diffmsg.qa import QaModel, save_qa_model
 
 
 def toy_corpus_lines(n=24):
@@ -71,6 +76,27 @@ def toy_config(tmp_path, name="work", **overrides):
     return PipelineConfig(**settings)
 
 
+# (key, type, bounds) of every PipelineConfig field whose annotation declares a range
+BOUNDED = [(key, annotation.__origin__, annotation.__metadata__)
+           for key, annotation in field_types(PipelineConfig).items()
+           if hasattr(annotation, "__metadata__")]
+
+
+def bound_edge(kind, bound):
+    """(the value of type kind at the admitted edge of bound, the first
+    value past it, the way out: -1 below a lower bound, +1 above an upper one)."""
+    op, number = bound.split()
+    is_int = kind in (int, int | None)
+    limit = int(number) if is_int else float(number)
+    out = -1 if op.startswith(">") else 1
+
+    def step(value, sign):
+        return value + sign if is_int else math.nextafter(value, sign * math.inf)
+    if op.endswith("="):
+        return limit, step(limit, out), out
+    return step(limit, -out), limit, out
+
+
 class TestConfig:
     def test_json_roundtrip(self, tmp_path):
         config = toy_config(tmp_path, src_vocab_cap=123, vdo_filter=False)
@@ -99,6 +125,41 @@ class TestConfig:
         with pytest.raises(PipelineError, match="^config: qa_epochs must be >= 1, got 0$"):
             command(config)
         assert not Path(config.work_dir).exists()
+
+    def test_the_bounded_fields(self):
+        assert {key: bounds for key, _, bounds in BOUNDED} == {
+            "max_source_len": (">= 1",), "max_target_len": (">= 1",),
+            "max_diff_bytes": (">= 1",), "embed_dim": (">= 1",), "hidden_dim": (">= 1",),
+            "minibatch_size": (">= 1",), "adadelta_rho": ("> 0", "< 1"),
+            "adadelta_eps": ("> 0",), "validate_every": (">= 1",),
+            "checkpoint_every": (">= 1",), "max_epochs": (">= 1",),
+            "max_minibatches": (">= 1",), "patience": (">= 0",), "ensemble_size": (">= 1",),
+            "beam_width": (">= 1",), "seed": (">= 0",), "src_vocab_cap": (">= 1",),
+            "tgt_vocab_cap": (">= 1",), "qa_lambda": ("> 0",), "qa_epochs": (">= 1",),
+        }
+
+    @given(st.sampled_from([(key, kind, bounds, bound)
+                            for key, kind, bounds in BOUNDED for bound in bounds]),
+           st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_each_bound_admits_its_edge_and_refuses_past_it(self, case, beyond):
+        key, kind, bounds, bound = case
+        edge, past, out = bound_edge(kind, bound)
+        assert getattr(PipelineConfig.from_json(json.dumps({key: edge})), key) == edge
+        value = past + out * beyond
+        message = f"config: {key} must be {' and '.join(bounds)}, got {value!r}"
+        with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
+            PipelineConfig.from_json(json.dumps({key: value}))
+
+    def test_negative_seed_is_a_named_error(self, tmp_path, capsys):
+        # prepare ran with it, and train failed in numpy without naming the key
+        with pytest.raises(PipelineError, match="^config: seed must be >= 0, got -1$"):
+            PipelineConfig.from_json('{"seed": -1}')
+        path = tmp_path / "config.json"
+        path.write_text(toy_config(tmp_path).to_json())
+        assert main(["--config", str(path), "--seed", "-1", "prepare"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: config: seed must be >= 0, got -1\n"
+        assert not Path(toy_config(tmp_path).work_dir).exists()
 
     def test_mistyped_config_built_in_code_is_a_named_error(self, tmp_path):
         config = dataclasses.replace(toy_config(tmp_path), embed_dim="64")
@@ -253,7 +314,8 @@ class TestGenerate:
         config = toy_config(tmp_path)
         cmd_prepare(config)
         cmd_train(config)
-        vocab, idf = compute_idf([["anything"]])
+        vocab = BagOfWords([["anything"]]).ids
+        idf = np.ones(len(vocab))  # the idf of a token in the only document
         always_bad = QaModel(vocab, idf, np.zeros(len(vocab)), bias=1.0)
         save_qa_model(always_bad, config.qa_model_path)
         code, line = cmd_generate(config, "+ helper_1 ( x )", with_qa=True)
@@ -271,7 +333,8 @@ class TestGenerate:
         config = toy_config(tmp_path)
         cmd_prepare(config)
         cmd_train(config)
-        vocab, idf = compute_idf([[ID_PLACEHOLDER]])
+        vocab = BagOfWords([[ID_PLACEHOLDER]]).ids
+        idf = np.ones(len(vocab))
         # bad exactly when the diff holds a commit id
         save_qa_model(QaModel(vocab, idf, np.full(len(vocab), 2.0), bias=-1.0), config.qa_model_path)
         prefix = " ".join(["+ helper_1 ( x )"] * config.max_source_len)
@@ -471,13 +534,30 @@ class TestMainExitCodes:
         path, config = self._config_file(tmp_path)
         main(["--config", str(path), "prepare"])
         main(["--config", str(path), "train"])
-        vocab, idf = compute_idf([["anything"]])
+        vocab = BagOfWords([["anything"]]).ids
+        idf = np.ones(len(vocab))  # the idf of a token in the only document
         save_qa_model(QaModel(vocab, idf, np.zeros(len(vocab)), bias=1.0), config.qa_model_path)
         diff_file = tmp_path / "one.diff"
         diff_file.write_text("+ helper_2 ( x )")
         code = main(["--config", str(path), "generate", "--diff", str(diff_file), "--with-qa"])
         assert code == EXIT_WARNING
         assert WARNING_TEXT in capsys.readouterr().out
+
+    def test_empty_message_exits_with_the_warning(self, tmp_path, capsys):
+        # every model puts nearly all its mass on EOS at the first step, so
+        # the best hypothesis is EOS alone
+        path, config = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert main(["--config", str(path), "train"]) == EXIT_OK
+        for checkpoint_path in config.checkpoint_dir.glob("checkpoint_*.ckpt"):
+            checkpoint = load_checkpoint(checkpoint_path)
+            checkpoint.params.out_b[EOS_ID] = 1e3
+            save_checkpoint(checkpoint, checkpoint_path)
+        diff_file = tmp_path / "one.diff"
+        diff_file.write_text("+ helper_2 ( x )")
+        capsys.readouterr()
+        assert main(["--config", str(path), "generate", "--diff", str(diff_file)]) == EXIT_WARNING
+        assert capsys.readouterr().out == WARNING_TEXT + "\n"
 
     def test_vdo_flag_override(self, tmp_path, capsys):
         path, config = self._config_file(tmp_path)

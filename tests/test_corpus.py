@@ -230,6 +230,14 @@ class TestSchemaProblem:
         problem = schema_problem({"a": 1, "b": [math.nan] * 100, "c": 2}, schema)
         assert problem == "key 'b' must be list[float], got [nan, nan, nan, nan, nan, nan, ...]"
 
+    def test_a_range_is_checked_after_the_type_and_admits_none(self):
+        schema = {"rate": typing.Annotated[float, "> 0", "< 1"],
+                  "cap": typing.Annotated[int | None, ">= 1"]}
+        assert schema_problem({"rate": 0.5, "cap": None}, schema) is None
+        assert schema_problem({"rate": 1, "cap": 1}, schema) == "rate must be > 0 and < 1, got 1"
+        assert schema_problem({"rate": "1", "cap": 1}, schema) == "key 'rate' must be float, got '1'"
+        assert schema_problem({"rate": 0.5, "cap": 0}, schema, prefix="p.") == "p.cap must be >= 1, got 0"
+
 
 def _git(repo, *args, input=None):
     env = {

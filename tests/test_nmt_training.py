@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -29,6 +30,7 @@ from diffmsg.nmt import (
     save_checkpoint,
     train,
 )
+from diffmsg.nmt.model import param_shapes
 
 
 def tiny_params(seed=3, src_vocab=10, tgt_vocab=9):
@@ -528,6 +530,28 @@ class TestCheckpointIO:
         path = saved_checkpoint(tmp_path)
         rewrite_header(path, lambda header: header.update(window_loss_sum=10**400))
         with pytest.raises(CheckpointError, match="header: key 'window_loss_sum' must be float"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("hidden_dim", 0, "hidden_dim must be >= 1, got 0"),
+        ("embed_dim", -1, "embed_dim must be >= 1, got -1"),
+        ("minibatch_index", -5, "minibatch_index must be >= 0, got -5"),
+        ("stall", -1, "stall must be >= 0, got -1"),
+        ("best_bleu", 100.5, "best_bleu must be >= 0 and <= 100, got 100.5"),
+        ("validation_bleu", -0.5, "validation_bleu must be >= 0 and <= 100, got -0.5"),
+        ("window_loss_sum", -1.0, "window_loss_sum must be >= 0, got -1.0"),
+    ], ids=["hidden_dim", "embed_dim", "minibatch_index", "stall", "best_bleu", "validation_bleu",
+            "window_loss_sum"])
+    def test_out_of_range_header_key_rejected(self, tmp_path, key, value, message):
+        # the manifest and the payload agree with the value, so only its range refuses it
+        header, _ = saved_checkpoint(tmp_path).read_bytes().split(b"\n", 1)
+        header = {**json.loads(header), key: value, "has_optimizer_state": False}
+        shapes = param_shapes(*(header[k] for k in training._DIM_KEYS))
+        header["tensors"] = [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
+        header["payload_bytes"] = 8 * sum(math.prod(shape) for shape in shapes.values())
+        path = tmp_path / "crafted.ckpt"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(header["payload_bytes"]))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: header: {message}$"):
             load_checkpoint(path)
 
     def test_payload_length_disagreeing_with_manifest_rejected(self, tmp_path):

@@ -16,7 +16,6 @@ from diffmsg.qa import (
     QaHyper,
     QaModel,
     QaModelError,
-    compute_idf,
     cross_validate,
     floor_median,
     load_gold_jsonl,
@@ -55,10 +54,27 @@ def tfidf(diff, feature_vocab, idf):
     return dict(zip(features.tolist(), values.tolist()))
 
 
+def fitted_idf(diffs):
+    """The feature vocabulary and idf that train_svm fits on diffs (two or
+    more), labelled bad and not bad in turn."""
+    gold = [GoldRecord(diff=diff, scores=(7 * (i % 2),)) for i, diff in enumerate(diffs)]
+    model = train_svm(gold, QaHyper(epochs=1))
+    return model.feature_vocab, model.idf
+
+
+def recounted_idf(diffs):
+    """Every token, numbered in sorted order, and its smoothed idf
+    ln((1 + D) / (1 + df)) + 1, recounted document by document."""
+    vocab = {token: i for i, token in enumerate(sorted({t for diff in diffs for t in diff}))}
+    idf = [math.log((1 + len(diffs)) / (1 + sum(token in diff for diff in diffs))) + 1.0
+           for token in vocab]
+    return vocab, np.array(idf)
+
+
 def oracle_train_svm(gold, hyper):
     """The SGD loop that the scaled-vector form replaced: every step shrinks
     the whole weight vector by 1 - eta * lambda, eta = 1/(lambda * t)."""
-    vocab, idf = compute_idf([record.diff for record in gold])
+    vocab, idf = recounted_idf([record.diff for record in gold])
     examples = []
     for record in gold:
         row = tfidf(record.diff, vocab, idf)
@@ -105,42 +121,45 @@ class TestMedianAndLabels:
 class TestIdf:
     def test_token_in_every_document(self):
         diffs = [["common", f"x{i}"] for i in range(10)]
-        vocab, idf = compute_idf(diffs)
+        vocab, idf = fitted_idf(diffs)
         assert idf[vocab["common"]] == pytest.approx(1.0)
 
     def test_token_in_one_of_ten(self):
         diffs = [["common", "rare"]] + [["common"] for _ in range(9)]
-        vocab, idf = compute_idf(diffs)
+        vocab, idf = fitted_idf(diffs)
         assert idf[vocab["rare"]] == pytest.approx(math.log(11 / 2) + 1, abs=1e-12)
         assert idf[vocab["rare"]] == pytest.approx(2.7047480922384253)
 
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            compute_idf([])
+    def test_sorted_features_and_idf_equal_the_recount(self):
+        diffs = [["b", "a", "b"], ["c"], ["a", "d", "c"], []]
+        vocab, idf = fitted_idf(diffs)
+        expected_vocab, expected_idf = recounted_idf(diffs)
+        assert vocab == expected_vocab
+        np.testing.assert_array_equal(idf, expected_idf)
 
 
 class TestTfidf:
     def test_single_known_token_is_unit(self):
-        vocab, idf = compute_idf([["a", "b"], ["b"]])
+        vocab, idf = fitted_idf([["a", "b"], ["b"]])
         features = tfidf(["a"], vocab, idf)
         assert features == {vocab["a"]: pytest.approx(1.0)}
 
     def test_empty_diff(self):
-        vocab, idf = compute_idf([["a"]])
+        vocab, idf = fitted_idf([["a"], ["b"]])
         assert tfidf([], vocab, idf) == {}
 
     def test_unknown_tokens_ignored(self):
-        vocab, idf = compute_idf([["a"]])
+        vocab, idf = fitted_idf([["a"], ["b"]])
         assert tfidf(["mystery"], vocab, idf) == {}
 
     def test_equal_counts_equal_idf_split(self):
-        vocab, idf = compute_idf([["a", "b"], ["a", "b"]])
+        vocab, idf = fitted_idf([["a", "b"], ["a", "b"]])
         features = tfidf(["a", "b"], vocab, idf)
         assert features[vocab["a"]] == pytest.approx(1 / math.sqrt(2))
         assert features[vocab["b"]] == pytest.approx(1 / math.sqrt(2))
 
     def test_l2_norm_one_when_any_token_known(self):
-        vocab, idf = compute_idf([["a", "b", "c"], ["b"]])
+        vocab, idf = fitted_idf([["a", "b", "c"], ["b"]])
         features = tfidf(["a", "b", "b", "zzz"], vocab, idf)
         norm = math.sqrt(sum(v * v for v in features.values()))
         assert norm == pytest.approx(1.0, abs=1e-12)
@@ -148,7 +167,7 @@ class TestTfidf:
     @given(st.integers(1, 5))
     @settings(max_examples=30)
     def test_count_scaling_invariance(self, factor):
-        vocab, idf = compute_idf([["a", "b"], ["b", "c"]])
+        vocab, idf = fitted_idf([["a", "b"], ["b", "c"]])
         base = tfidf(["a", "b", "b"], vocab, idf)
         scaled = tfidf(["a", "b", "b"] * factor, vocab, idf)
         assert set(base) == set(scaled)
@@ -190,14 +209,14 @@ class TestTrainSvm:
 
 class TestPredict:
     def test_zero_model_predicts_not_bad(self):
-        vocab, idf = compute_idf([["a"]])
+        vocab, idf = fitted_idf([["a"], ["b"]])
         model = QaModel(vocab, idf, np.zeros(len(vocab)), 0.0)
         is_bad, margin = predict(["a"], model)
         assert not is_bad
         assert margin == 0.0
 
     def test_marker_feature_triggers_bad(self):
-        vocab, idf = compute_idf([["marker"], ["clean"]])
+        vocab, idf = fitted_idf([["marker"], ["clean"]])
         weights = np.zeros(len(vocab))
         weights[vocab["marker"]] = 2.0
         model = QaModel(vocab, idf, weights, -0.5)
@@ -205,7 +224,7 @@ class TestPredict:
         assert not predict(["clean"], model)[0]
 
     def test_empty_diff_with_positive_bias(self):
-        vocab, idf = compute_idf([["a"]])
+        vocab, idf = fitted_idf([["a"], ["b"]])
         model = QaModel(vocab, idf, np.zeros(len(vocab)), 0.25)
         is_bad, margin = predict([], model)
         assert is_bad
@@ -328,7 +347,7 @@ class TestModelIO:
 
     @staticmethod
     def _edited(tmp_path, edit):
-        vocab, idf = compute_idf([["a", "b"], ["b", "c"]])
+        vocab, idf = fitted_idf([["a", "b"], ["b", "c"]])
         path = tmp_path / "qa.json"
         save_qa_model(QaModel(vocab, idf, np.ones(len(vocab)), 0.5), path)
         payload = json.loads(path.read_text())
@@ -348,10 +367,13 @@ class TestModelIO:
         (lambda m: m["idf"].__setitem__(0, math.inf), r"key 'idf' must be list\[float\], got \[inf, "),
         (lambda m: m.update(bias=-math.inf), "key 'bias' must be float, got -inf"),
         (lambda m: m["hyper"].update(l2_lambda=math.nan), "key 'hyper.l2_lambda' must be float, got nan"),
+        (lambda m: m["hyper"].update(epochs=0), "hyper.epochs must be >= 1, got 0$"),
+        (lambda m: m["hyper"].update(l2_lambda=-0.5), "hyper.l2_lambda must be > 0, got -0.5$"),
         (lambda m: m["weights"].__setitem__(1, 10**400), r"key 'weights' must be list\[float\]"),
     ], ids=["missing_key", "missing_hyper_key", "bad_type", "bad_element", "bool_index",
             "lengths_disagree", "indices_not_a_range", "nan_weight", "infinite_idf",
-            "infinite_bias", "nan_hyper", "weight_beyond_float_range"])
+            "infinite_bias", "nan_hyper", "no_epochs_hyper", "negative_lambda_hyper",
+            "weight_beyond_float_range"])
     def test_inconsistent_model_is_a_named_error(self, tmp_path, edit, message):
         path = self._edited(tmp_path, edit)
         with pytest.raises(QaModelError, match=message) as info:
