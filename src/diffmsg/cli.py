@@ -2,8 +2,9 @@
 
 Subcommands: prepare, train, generate, evaluate, qa train|crossval|report.
 Exit codes are a stable contract: 0 for success with a message, 2 when the
-warning stands in for one (the quality gate flagged the diff, or the model
-gave an empty message), 1 for any error.
+warning stands in for one (the diff is over max_diff_bytes, the quality
+gate flagged it, or the model gave an empty message), 1 for any error, a
+usage error included.
 """
 
 from __future__ import annotations
@@ -52,12 +53,13 @@ def _in_work_dir(name: str) -> property:
     return property(lambda self: Path(self.work_dir) / name, doc=f"work_dir / {name!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig(Hyperparams):
     """Every knob of the pipeline; round-trips through JSON.
 
     The model and training fields, the filter limits and the seed are the
-    inherited Hyperparams fields."""
+    inherited Hyperparams fields.  Building one checks them all (see
+    corpus.Checked) and the split sizes (see check_part_size)."""
 
     # input corpus: exactly one of these
     corpus_jsonl: str | None = None
@@ -77,10 +79,8 @@ class PipelineConfig(Hyperparams):
     qa_lambda: Annotated[float, "> 0"] = 1e-4
     qa_epochs: Annotated[int, ">= 1"] = 20
 
-    def validate(self) -> None:
-        """Hyperparams.validate, which checks every annotated field, plus
-        the split sizes' count-or-fraction rule (see check_part_size)."""
-        super().validate()
+    def __post_init__(self) -> None:
+        super().__post_init__()
         for name in ("valid_size", "test_size"):
             check_part_size(getattr(self, name), name)
 
@@ -91,14 +91,15 @@ class PipelineConfig(Hyperparams):
     def from_json(cls, text: str | bytes, source: str = "config") -> "PipelineConfig":
         """Parse a config object (see read_json_object); a key that is
         unknown, mistyped or out of range is a PipelineError naming source
-        and the key (see validate)."""
+        and the key."""
         data = read_json_object(text, {}, source, PipelineError)
         unknown = set(data) - set(field_types(cls))
         if unknown:
             raise PipelineError(f"{source}: unknown config keys: {', '.join(sorted(unknown))}")
-        config = cls(**data)
-        _check(config, source)
-        return config
+        try:
+            return cls(**data)
+        except ValueError as exc:  # the message names the key
+            raise PipelineError(f"{source}: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
@@ -115,16 +116,6 @@ class PipelineConfig(Hyperparams):
     qa_model_path = _in_work_dir("qa_model.json")
 
 
-def _check(config: PipelineConfig, source: str = "config") -> None:
-    """config.validate() as a PipelineError naming source and the key.
-
-    from_json runs it; every cmd_* runs it too, for configs built in code."""
-    try:
-        config.validate()
-    except ValueError as exc:  # the message names the key
-        raise PipelineError(f"{source}: {exc}") from exc
-
-
 def _lexicon(config: PipelineConfig):
     if config.vdo_lexicon_path:
         return load_lexicon(config.vdo_lexicon_path)
@@ -138,7 +129,6 @@ def cmd_prepare(config: PipelineConfig) -> dict:
     the report.  Raises PipelineError naming the stage that emptied the
     corpus.
     """
-    _check(config)
     if bool(config.corpus_jsonl) == bool(config.git_repo):
         raise PipelineError("config must set exactly one of corpus_jsonl or git_repo")
     commits = (
@@ -205,7 +195,6 @@ def _load_vocabs(config: PipelineConfig) -> tuple[Vocabulary, Vocabulary]:
 
 def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
     """Train on the prepared splits; write checkpoints and the training log."""
-    _check(config)
     split = _load_split(config)
     src_vocab, tgt_vocab = _load_vocabs(config)
     resume_from = None
@@ -252,13 +241,15 @@ def _load_ensemble(config: PipelineConfig, src_vocab: Vocabulary, tgt_vocab: Voc
 
 
 def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple[int, str]:
-    """Generate a message for one diff, or the warning when gated or when
-    the best hypothesis is EOS alone.
+    """Generate a message for one diff, or the warning when its UTF-8 size
+    is over max_diff_bytes (apply_filters' rule), when the QA gate flags
+    it, or when the best hypothesis is EOS alone.
 
     Returns (exit_code, output line); never both a message and a warning.
     """
-    _check(config)
     src_vocab, tgt_vocab = _load_vocabs(config)
+    if len(diff_text.encode("utf-8")) > config.max_diff_bytes:
+        return EXIT_WARNING, WARNING_TEXT
     if with_qa:
         if not config.qa_model_path.is_file():
             raise PipelineError(f"{config.qa_model_path}: QA model not found; run qa train first")
@@ -286,7 +277,6 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
     smoke_identity scores the references against themselves (pipeline
     sanity: BLEU must be exactly 100).  Writes and returns the report.
     """
-    _check(config)
     split = _load_split(config)
     if not split.test:
         raise PipelineError("test split is empty")
@@ -337,7 +327,6 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
 
 def cmd_qa(config: PipelineConfig, subaction: str, gold_path: str) -> str:
     """QA gate actions: fit and save a model, cross-validate, or report."""
-    _check(config)
     gold = qa.load_gold_jsonl(gold_path)
     if not gold:
         raise PipelineError(f"{gold_path}: gold set is empty")
@@ -366,8 +355,16 @@ def cmd_qa(config: PipelineConfig, subaction: str, gold_path: str) -> str:
     raise PipelineError(f"unknown qa subaction {subaction!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error exits EXIT_ERROR like any other error."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diffmsg",
         description="Generate one-sentence commit messages from diffs.",
     )
@@ -401,16 +398,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.config:
-            config = PipelineConfig.load(args.config)
-        else:
-            config = PipelineConfig()
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.vdo is not None:
-            config.vdo_filter = args.vdo == "on"
-        if args.vdo_lexicon is not None:
-            config.vdo_lexicon_path = args.vdo_lexicon
+        config = PipelineConfig.load(args.config) if args.config else PipelineConfig()
+        overrides = {"seed": args.seed, "vdo_lexicon_path": args.vdo_lexicon,
+                     "vdo_filter": None if args.vdo is None else args.vdo == "on"}
+        try:
+            config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
+        except ValueError as exc:  # the message names the key
+            raise PipelineError(f"config: {exc}") from exc
 
         if args.command == "prepare":
             report = cmd_prepare(config)

@@ -194,6 +194,16 @@ def schema_problem(obj: dict, schema: dict, prefix: str = "") -> str | None:
     return None
 
 
+class Checked:
+    """Base of the frozen config dataclasses: building one checks its fields
+    against their annotations (see schema_problem), and a problem is a
+    ValueError naming the key, so no unchecked config exists."""
+
+    def __post_init__(self) -> None:
+        if (problem := schema_problem(vars(self), field_types(type(self)))) is not None:
+            raise ValueError(problem)
+
+
 def read_json_object(data: str | bytes, schema: dict, where: str,
                      error: type[Exception], version: int | None = None) -> dict:
     """Parse data (text, or bytes that must be UTF-8) as a JSON object that
@@ -401,8 +411,8 @@ def preprocess_target(message_text: str) -> TokenSequence:
     return tokenize(strip_ids(extract_first_sentence(message_text), TARGET))
 
 
-@dataclass
-class FilterConfig:
+@dataclass(frozen=True)
+class FilterConfig(Checked):
     """The limits apply_filters enforces; Hyperparams inherits them."""
 
     max_source_len: Annotated[int, ">= 1"] = 100

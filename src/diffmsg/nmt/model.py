@@ -31,14 +31,14 @@ from typing import Annotated, Iterator, NamedTuple
 
 import numpy as np
 
-from ..corpus import PAD_ID, START_ID, FilterConfig, field_types, schema_problem
+from ..corpus import PAD_ID, START_ID, FilterConfig
 
 Array = np.ndarray
 
 INIT_SCALE = 0.08  # parameters start uniform in [-INIT_SCALE, INIT_SCALE]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparams(FilterConfig):
     """Model and training configuration; the filter limits are the
     inherited FilterConfig fields.
@@ -60,12 +60,6 @@ class Hyperparams(FilterConfig):
     ensemble_size: Annotated[int, ">= 1"] = 4
     beam_width: Annotated[int, ">= 1"] = 5
     seed: Annotated[int, ">= 0"] = 1234
-
-    def validate(self) -> None:
-        """Raise ValueError naming a field of the wrong type or out of its
-        annotated range (see schema_problem)."""
-        if (problem := schema_problem(vars(self), field_types(type(self)))) is not None:
-            raise ValueError(problem)
 
 
 @dataclass
@@ -189,7 +183,6 @@ def init_params(hyper: Hyperparams, src_vocab_size: int, tgt_vocab_size: int) ->
     block at a time, so every gate gets the values a separate (input, H)
     tensor per gate would get from the same seed.
     """
-    hyper.validate()
     if src_vocab_size < 1 or tgt_vocab_size < 1:
         raise ValueError("vocabulary sizes must be >= 1")
     rng = np.random.default_rng(hyper.seed)

@@ -262,7 +262,6 @@ def train(
     so the log ends as an unbroken run's does.  Resuming a run that has
     already stopped trains and writes nothing.
     """
-    hyper.validate()
     if not split.train:
         raise ValueError("training split is empty")
 

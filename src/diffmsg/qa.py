@@ -20,6 +20,7 @@ import numpy as np
 
 from .bow import BagOfWords, Document, row_sums
 from .corpus import (
+    Checked,
     CorpusFormatError,
     TokenSequence,
     atomic_write,
@@ -120,7 +121,7 @@ def _margins(weights: np.ndarray, bias: float, rows: Rows) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QaHyper:
+class QaHyper(Checked):
     l2_lambda: Annotated[float, "> 0"] = 1e-4
     epochs: Annotated[int, ">= 1"] = 20
     seed: int = 0
@@ -144,8 +145,6 @@ def _schedule(n: int, hyper: QaHyper) -> list[int]:
     """The position in the training list of each SGD step's example, which
     depends only on n and hyper: the order is reshuffled each epoch with
     the seeded RNG."""
-    if (problem := schema_problem(vars(hyper), field_types(QaHyper))) is not None:
-        raise ValueError(problem)
     rng = random.Random(hyper.seed)
     order = list(range(n))
     positions: list[int] = []
@@ -359,6 +358,7 @@ def load_qa_model(path: str | Path) -> QaModel:
     """
     payload = read_json_object(Path(path).read_bytes(), _MODEL_KEYS, str(path), QaModelError,
                                QA_MODEL_FORMAT_VERSION)
+    # checked here too: QaHyper's own check would not see a missing key
     hyper_keys = field_types(QaHyper)
     if (problem := schema_problem(payload["hyper"], hyper_keys, prefix="hyper.")) is not None:
         raise QaModelError(f"{path}: {problem}")

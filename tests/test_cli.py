@@ -30,9 +30,17 @@ from diffmsg.cli import (
     cmd_train,
     main,
 )
-from diffmsg.corpus import EOS_ID, ID_PLACEHOLDER, field_types
+from diffmsg.corpus import (
+    EOS_ID,
+    ID_PLACEHOLDER,
+    FilterConfig,
+    apply_filters,
+    field_types,
+    ingest_jsonl,
+)
 from diffmsg.nmt import Hyperparams, load_checkpoint, save_checkpoint
-from diffmsg.qa import QaModel, save_qa_model
+from diffmsg.qa import QaHyper, QaModel, save_qa_model
+from diffmsg.vdo import default_lexicon, filter_corpus, load_lexicon
 
 
 def toy_corpus_lines(n=24):
@@ -121,10 +129,10 @@ class TestConfig:
         lambda config: cmd_qa(config, "crossval", "gold.jsonl"),
     ], ids=["prepare", "train", "generate", "evaluate", "qa"])
     def test_every_command_checks_a_config_built_in_code(self, tmp_path, command):
-        config = dataclasses.replace(toy_config(tmp_path), qa_epochs=0)
-        with pytest.raises(PipelineError, match="^config: qa_epochs must be >= 1, got 0$"):
-            command(config)
-        assert not Path(config.work_dir).exists()
+        # the config checks itself when built, so no command ever runs with it
+        with pytest.raises(ValueError, match="^qa_epochs must be >= 1, got 0$"):
+            command(dataclasses.replace(toy_config(tmp_path), qa_epochs=0))
+        assert not Path(toy_config(tmp_path).work_dir).exists()
 
     def test_the_bounded_fields(self):
         assert {key: bounds for key, _, bounds in BOUNDED} == {
@@ -162,9 +170,28 @@ class TestConfig:
         assert not Path(toy_config(tmp_path).work_dir).exists()
 
     def test_mistyped_config_built_in_code_is_a_named_error(self, tmp_path):
-        config = dataclasses.replace(toy_config(tmp_path), embed_dim="64")
-        with pytest.raises(PipelineError, match="^config: key 'embed_dim' must be int, got '64'$"):
-            cmd_prepare(config)
+        with pytest.raises(ValueError, match="^key 'embed_dim' must be int, got '64'$"):
+            cmd_prepare(dataclasses.replace(toy_config(tmp_path), embed_dim="64"))
+        assert not Path(toy_config(tmp_path).work_dir).exists()
+
+    @pytest.mark.parametrize("cls", [FilterConfig, Hyperparams, PipelineConfig, QaHyper],
+                             ids=lambda cls: cls.__name__)
+    def test_a_config_is_frozen_and_refuses_a_bad_value_when_built(self, cls):
+        config = cls()
+        bounded = {key: annotation for key, annotation in field_types(cls).items()
+                   if hasattr(annotation, "__metadata__")}
+        assert bounded
+        for key in field_types(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, key, getattr(config, key))
+        for key, annotation in bounded.items():
+            bounds = annotation.__metadata__
+            _, past, _ = bound_edge(annotation.__origin__, bounds[0])
+            message = f"{key} must be {' and '.join(bounds)}, got {past!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cls(**{key: past})
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                dataclasses.replace(config, **{key: past})
 
 
 class TestPrepare:
@@ -256,8 +283,7 @@ class TestPrepare:
             cmd_prepare(config)
 
     def test_requires_exactly_one_input(self, tmp_path):
-        config = toy_config(tmp_path)
-        config.git_repo = "somewhere"
+        config = dataclasses.replace(toy_config(tmp_path), git_repo="somewhere")
         with pytest.raises(PipelineError, match="exactly one"):
             cmd_prepare(config)
 
@@ -287,8 +313,9 @@ class TestTrainCommand:
     def test_zero_max_minibatches_rejected(self, tmp_path):
         config = toy_config(tmp_path)
         cmd_prepare(config)
-        with pytest.raises(PipelineError, match="max_minibatches must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="^max_minibatches must be >= 1, got 0$"):
             cmd_train(dataclasses.replace(config, max_minibatches=0))
+        assert not config.checkpoint_dir.exists()
 
     def test_resume_extends_training(self, tmp_path):
         config = toy_config(tmp_path, max_minibatches=2, checkpoint_every=2)
@@ -348,8 +375,25 @@ class TestGenerate:
         config = toy_config(tmp_path)
         cmd_prepare(config)
         cmd_train(config)
-        with pytest.raises(PipelineError, match="^config: ensemble_size must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match="^ensemble_size must be >= 1, got 0$"):
             cmd_generate(dataclasses.replace(config, ensemble_size=0), "+ helper_1 ( x )", False)
+
+    def test_diff_over_max_diff_bytes_gets_the_warning(self, tmp_path):
+        # apply_filters' rule: UTF-8 bytes, inclusive; before the QA gate
+        config = toy_config(tmp_path)
+        cmd_prepare(config)
+        cmd_train(config)
+        vocab = BagOfWords([["anything"]]).ids
+        never_bad = QaModel(vocab, np.ones(len(vocab)), np.zeros(len(vocab)), bias=-1.0)
+        save_qa_model(never_bad, config.qa_model_path)
+        diff = "+ helper_1 ( caf\u00e9 )"
+        at_cap = dataclasses.replace(config, max_diff_bytes=len(diff.encode("utf-8")))
+        assert at_cap.max_diff_bytes > len(diff)
+        for with_qa in (False, True):
+            code, line = cmd_generate(at_cap, diff, with_qa)
+            assert code == EXIT_OK and line != WARNING_TEXT
+            assert (code, line) == cmd_generate(config, diff + " ", with_qa)
+            assert cmd_generate(at_cap, diff + " ", with_qa) == (EXIT_WARNING, WARNING_TEXT)
 
     def test_missing_checkpoints_error(self, tmp_path):
         config = toy_config(tmp_path)
@@ -472,6 +516,47 @@ class TestMainExitCodes:
         path = tmp_path / "config.json"
         path.write_text(config.to_json())
         return path, config
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--bogus", "prepare"], ["--seed", "abc", "prepare"], ["qa", "nope", "--gold", "g"],
+    ], ids=["no_command", "unknown_flag", "bad_seed", "bad_qa_subaction"])
+    def test_usage_error_exits_1_with_the_usage_on_stderr(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: diffmsg") and "error: " in captured.err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: diffmsg")
+
+    def test_vdo_lexicon_from_the_config_key_and_the_flag(self, tmp_path, capsys):
+        lines = [json.dumps({"id": f"c{i}", "diff": f"- old_{i} ( x ) + helper_{i} ( x )",
+                             "message": f"{('add', 'fix')[i % 2]} helper_{i} in file_{i % 5}"})
+                 for i in range(24)]
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, lines)
+        lexicon = tmp_path / "verbs.txt"
+        lexicon.write_text("add\n", encoding="utf-8")
+        kept, _ = apply_filters(ingest_jsonl(corpus), toy_config(tmp_path))
+        removed = filter_corpus(kept, load_lexicon(lexicon))[1].removed
+        assert removed != filter_corpus(kept, default_lexicon())[1].removed
+        by_key = toy_config(tmp_path, name="by_key", vdo_lexicon_path=str(lexicon))
+        assert cmd_prepare(by_key)["vdo_removed"] == removed
+        path, _ = self._config_file(tmp_path, name="by_flag")
+        assert main(["--config", str(path), "--vdo-lexicon", str(lexicon), "prepare"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["vdo_removed"] == removed
+
+    def test_missing_vdo_lexicon_is_a_named_error(self, tmp_path, capsys):
+        path, _ = self._config_file(tmp_path)
+        missing = tmp_path / "no_such_verbs.txt"
+        assert main(["--config", str(path), "--vdo-lexicon", str(missing), "prepare"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
 
     def test_prepare_then_train_then_generate(self, tmp_path, capsys):
         path, config = self._config_file(tmp_path)

@@ -190,16 +190,17 @@ class TestTrainSvm:
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
-    @pytest.mark.parametrize("hyper, message", [
-        (QaHyper(epochs=0), "epochs must be >= 1, got 0"),
-        (QaHyper(l2_lambda=0.0), "l2_lambda must be > 0, got 0.0"),
+    @pytest.mark.parametrize("overrides, message", [
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+        ({"l2_lambda": 0.0}, "l2_lambda must be > 0, got 0.0"),
     ], ids=["no_epochs", "no_regularization"])
-    def test_untrainable_hyperparameters_rejected(self, hyper, message):
-        # with no epochs the model was all zeros and never flagged a diff
-        with pytest.raises(ValueError, match=message):
-            train_svm(separable_gold(), hyper)
-        with pytest.raises(ValueError, match=message):
-            cross_validate(separable_gold(), k=5, hyper=hyper)
+    def test_untrainable_hyperparameters_rejected(self, overrides, message):
+        # with no epochs the model was all zeros and never flagged a diff;
+        # such a QaHyper refuses to be built, so neither function gets one
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train_svm(separable_gold(), QaHyper(**overrides))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cross_validate(separable_gold(), k=5, hyper=QaHyper(**overrides))
 
     def test_single_class_rejected(self):
         gold = [GoldRecord(diff=["x"], scores=(0,)) for _ in range(5)]
