@@ -25,6 +25,7 @@ from .corpus import (
     atomic_write,
     build_vocab,
     check_part_size,
+    diff_too_large,
     field_types,
     ingest_git,
     ingest_jsonl,
@@ -84,9 +85,6 @@ class PipelineConfig(Hyperparams):
         for name in ("valid_size", "test_size"):
             check_part_size(getattr(self, name), name)
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
-
     @classmethod
     def from_json(cls, text: str | bytes, source: str = "config") -> "PipelineConfig":
         """Parse a config object (see read_json_object); a key that is
@@ -116,38 +114,42 @@ class PipelineConfig(Hyperparams):
     qa_model_path = _in_work_dir("qa_model.json")
 
 
-def _lexicon(config: PipelineConfig):
-    if config.vdo_lexicon_path:
-        return load_lexicon(config.vdo_lexicon_path)
-    return default_lexicon()
+def _existing(path: str, what: str) -> Path:
+    """path, if it names a file; else PipelineError("<path>: <what> not found")."""
+    if not Path(path).is_file():
+        raise PipelineError(f"{path}: {what} not found")
+    return Path(path)
 
 
 def cmd_prepare(config: PipelineConfig) -> dict:
     """Ingest -> preprocess -> filter -> V-DO -> split -> vocabularies.
 
-    Writes split files, vocabulary files, and a JSON funnel report; returns
-    the report.  Raises PipelineError naming the stage that emptied the
-    corpus.
+    The input files (the corpus, and the lexicon with the V-DO filter on)
+    are resolved before any ingest.  Writes split files, vocabulary files,
+    and a JSON funnel report whose counts are the lengths of what each
+    stage kept; returns the report.  Raises PipelineError for a missing
+    input or naming the stage that emptied the corpus.
     """
     if bool(config.corpus_jsonl) == bool(config.git_repo):
         raise PipelineError("config must set exactly one of corpus_jsonl or git_repo")
+    lexicon = None
+    if config.vdo_filter:
+        path = config.vdo_lexicon_path
+        lexicon = load_lexicon(_existing(path, "lexicon")) if path else default_lexicon()
     commits = (
-        ingest_jsonl(config.corpus_jsonl) if config.corpus_jsonl else ingest_git(config.git_repo)
+        ingest_jsonl(_existing(config.corpus_jsonl, "corpus")) if config.corpus_jsonl
+        else ingest_git(config.git_repo)
     )
     if not commits:
         raise PipelineError("ingest produced no commits")
 
-    kept, filter_report = apply_filters(commits, config)
-    if not kept:
-        reasons = ", ".join(f"{k}={v}" for k, v in filter_report.removed.items() if v)
+    filtered, removed = apply_filters(commits, config)
+    if not filtered:
+        reasons = ", ".join(f"{k}={v}" for k, v in removed.items() if v)
         raise PipelineError(f"preprocessing filters removed every commit ({reasons})")
-
-    vdo_removed = 0
-    if config.vdo_filter:
-        kept, vdo_report = filter_corpus(kept, _lexicon(config))
-        vdo_removed = vdo_report.removed
-        if not kept:
-            raise PipelineError("verb/direct-object filter removed every commit")
+    kept = filtered if lexicon is None else filter_corpus(filtered, lexicon)
+    if not kept:
+        raise PipelineError("verb/direct-object filter removed every commit")
 
     split = split_dataset(kept, valid=config.valid_size, test=config.test_size, seed=config.seed)
     if not split.train:
@@ -161,10 +163,10 @@ def cmd_prepare(config: PipelineConfig) -> dict:
 
     report = {
         "ingested": len(commits),
-        "removed": dict(filter_report.removed),
-        "after_filters": filter_report.kept_count,
+        "removed": removed,
+        "after_filters": len(filtered),
         "vdo_filter_enabled": config.vdo_filter,
-        "vdo_removed": vdo_removed,
+        "vdo_removed": len(filtered) - len(kept),
         "after_vdo": len(kept),
         "train": len(split.train),
         "valid": len(split.valid),
@@ -241,14 +243,14 @@ def _load_ensemble(config: PipelineConfig, src_vocab: Vocabulary, tgt_vocab: Voc
 
 
 def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple[int, str]:
-    """Generate a message for one diff, or the warning when its UTF-8 size
-    is over max_diff_bytes (apply_filters' rule), when the QA gate flags
-    it, or when the best hypothesis is EOS alone.
+    """Generate a message for one diff, or the warning when the size rule
+    by which prepare drops a commit refuses it (see diff_too_large), when
+    the QA gate flags it, or when the best hypothesis is EOS alone.
 
     Returns (exit_code, output line); never both a message and a warning.
     """
     src_vocab, tgt_vocab = _load_vocabs(config)
-    if len(diff_text.encode("utf-8")) > config.max_diff_bytes:
+    if diff_too_large(diff_text, config):
         return EXIT_WARNING, WARNING_TEXT
     if with_qa:
         if not config.qa_model_path.is_file():
@@ -327,7 +329,7 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
 
 def cmd_qa(config: PipelineConfig, subaction: str, gold_path: str) -> str:
     """QA gate actions: fit and save a model, cross-validate, or report."""
-    gold = qa.load_gold_jsonl(gold_path)
+    gold = qa.load_gold_jsonl(_existing(gold_path, "gold set"))
     if not gold:
         raise PipelineError(f"{gold_path}: gold set is empty")
     hyper = qa.QaHyper(l2_lambda=config.qa_lambda, epochs=config.qa_epochs, seed=config.seed)
@@ -338,7 +340,7 @@ def cmd_qa(config: PipelineConfig, subaction: str, gold_path: str) -> str:
     result = qa.cross_validate(gold, k=10, seed=config.seed, hyper=hyper)
     if subaction == "crossval":
         return (
-            f"records={len(gold)} folds={len(result.fold_sizes)} "
+            f"records={len(gold)} folds={len(result.fold_indices)} "
             f"precision={result.precision:.4f} recall={result.recall:.4f}\n"
         )
     if subaction == "report":
@@ -415,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{len(paths)} checkpoint(s) in {config.checkpoint_dir}")
             return EXIT_OK
         if args.command == "generate":
-            raw = Path(args.diff).read_bytes() if args.diff else sys.stdin.buffer.read()
+            raw = _existing(args.diff, "diff").read_bytes() if args.diff else sys.stdin.buffer.read()
             diff_text = raw.decode("utf-8", errors="replace")
             code, line = cmd_generate(config, diff_text, with_qa=args.with_qa)
             print(line)

@@ -28,7 +28,7 @@ import subprocess
 import types
 import typing
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Annotated, Callable, Iterable, Iterator
 
@@ -83,11 +83,6 @@ class Commit:
     id: str
     diff_text: str
     message_text: str
-    byte_size: int
-
-    @classmethod
-    def create(cls, commit_id: str, diff_text: str, message_text: str) -> "Commit":
-        return cls(commit_id, diff_text, message_text, len(diff_text.encode("utf-8")))
 
 
 def atomic_write(path: str | Path, data: str | Iterable[bytes]) -> None:
@@ -266,7 +261,7 @@ def ingest_jsonl(path: str | Path) -> list[Commit]:
         if commit_id in seen:
             raise CorpusFormatError(f"{where}: duplicate id {commit_id!r}")
         seen.add(commit_id)
-        commits.append(Commit.create(commit_id, record["diff"], record["message"]))
+        commits.append(Commit(commit_id, record["diff"], record["message"]))
     return commits
 
 
@@ -323,7 +318,7 @@ def ingest_git(repo_path: str | Path) -> list[Commit]:
         if parents:  # a root commit has no parent to diff against
             # Newlines separate a header from its diff; no diff starts with one.
             diff = stream[header.end() : end].lstrip("\n")
-            commits.append(Commit.create(commit_hash, diff, message))
+            commits.append(Commit(commit_hash, diff, message))
     return commits
 
 
@@ -440,46 +435,43 @@ class PreparedCommit:
     target: TokenSequence
 
 
-@dataclass
-class FilterReport:
-    input_count: int = 0
-    kept_count: int = 0
-    removed: dict[str, int] = field(
-        default_factory=lambda: {reason: 0 for reason in REMOVAL_REASONS}
-    )
+def diff_too_large(diff_text: str, cfg: FilterConfig) -> bool:
+    """The size rule, for prepare and generate alike: the diff's UTF-8
+    encoding is over cfg.max_diff_bytes."""
+    return len(diff_text.encode("utf-8")) > cfg.max_diff_bytes
 
 
 def apply_filters(
     commits: list[Commit], cfg: FilterConfig = FilterConfig()
-) -> tuple[list[PreparedCommit], FilterReport]:
+) -> tuple[list[PreparedCommit], dict[str, int]]:
     """Preprocess commits and keep only the ones that pass every filter.
 
     Checks run in REMOVAL_REASONS order; length limits are inclusive.
-    Input order is preserved for the kept commits.
+    Returns the kept commits, in input order, and the number removed for
+    each reason, keyed in REMOVAL_REASONS order.
     """
-    report = FilterReport(input_count=len(commits))
+    removed = dict.fromkeys(REMOVAL_REASONS, 0)
     kept: list[PreparedCommit] = []
     for commit in commits:
         if is_merge_or_rollback(commit.message_text):
-            report.removed["merge_or_rollback"] += 1
+            removed["merge_or_rollback"] += 1
             continue
-        if commit.byte_size > cfg.max_diff_bytes:
-            report.removed["diff_too_large"] += 1
+        if diff_too_large(commit.diff_text, cfg):
+            removed["diff_too_large"] += 1
             continue
         source = preprocess_source(commit.diff_text, cfg.max_source_len)
         if len(source) > cfg.max_source_len:
-            report.removed["source_too_long"] += 1
+            removed["source_too_long"] += 1
             continue
         target = preprocess_target(commit.message_text)
         if len(target) > cfg.max_target_len:
-            report.removed["target_too_long"] += 1
+            removed["target_too_long"] += 1
             continue
         if not target:
-            report.removed["target_empty"] += 1
+            removed["target_empty"] += 1
             continue
         kept.append(PreparedCommit(commit.id, source, target))
-    report.kept_count = len(kept)
-    return kept, report
+    return kept, removed
 
 
 @dataclass

@@ -413,12 +413,9 @@ def attend_backward(
     return d_query @ params.att_w.T
 
 
-def init_decoder_state_batch(params: ModelParams, annotations: Array) -> tuple[Array, tuple]:
+def init_decoder_state_batch(params: ModelParams, annotations: Array) -> Array:
     """s_0 = tanh(W_init . first backward state + b_init)."""
-    h = params.hidden_dim
-    hb_first = annotations[:, 0, h:]
-    s0 = np.tanh(hb_first @ params.init_w + params.init_b)
-    return s0, (hb_first, s0)
+    return np.tanh(annotations[:, 0, params.hidden_dim:] @ params.init_w + params.init_b)
 
 
 def _softmax_rows(logits: Array) -> tuple[Array, Array]:
@@ -447,7 +444,7 @@ def loss_forward(
     enc_cache: dict = {}
     annotations = encode_batch(params, src_ids, src_mask, enc_cache)
     proj = annotations @ params.att_u                              # (B, S, H)
-    s0, init_cache = init_decoder_state_batch(params, annotations)
+    s0 = init_decoder_state_batch(params, annotations)
 
     prev_ids = np.concatenate(
         [np.full((batch, 1), start_id, dtype=tgt_ids.dtype), tgt_ids[:, :-1]], axis=1
@@ -470,7 +467,7 @@ def loss_forward(
     gold = np.take_along_axis(log_probs, tgt_ids.T[:, :, None], axis=2)[:, :, 0]
     loss = -(gold * tgt_mask.T).sum() / batch
     cache = dict(
-        annotations=annotations, enc_cache=enc_cache, init_cache=init_cache, prev_ids=prev_ids,
+        annotations=annotations, enc_cache=enc_cache, prev_ids=prev_ids,
         tgt_ids=tgt_ids, tgt_mask=tgt_mask, readout=readout, probs=probs,
         att_caches=att_caches, dec_chain=chain,
     )
@@ -524,10 +521,10 @@ def loss_backward(params: ModelParams, cache: dict) -> ModelParams:
     d_annotations = d_pre_sum @ params.att_u.T
     d_annotations += weights @ d_contexts.transpose(1, 0, 2)
 
-    # decoder initialization
-    hb_first, s0 = cache["init_cache"]
+    # decoder initialization, from the first backward state; s_0 is chain.h[0]
+    s0 = chain.h[0]
     da = ds * (1.0 - s0 * s0)
-    grads.init_w += hb_first.T @ da
+    grads.init_w += annotations[:, 0, h:].T @ da
     grads.init_b += da.sum(axis=0)
     d_annotations[:, 0, h:] += da @ params.init_w.T
 
@@ -572,8 +569,8 @@ def encode_sources(params: ModelParams, sources: list[list[int]]) -> tuple[Array
         _check_ids(ids, params.src_vocab_size, "source")
     src_ids, src_mask = _pad_sequences(sources, "source")
     annotations = encode_batch(params, src_ids, src_mask)
-    s0, _ = init_decoder_state_batch(params, annotations)
-    return annotations, annotations @ params.att_u, src_mask, s0
+    return (annotations, annotations @ params.att_u, src_mask,
+            init_decoder_state_batch(params, annotations))
 
 
 def decoder_step_batch(
@@ -613,8 +610,7 @@ def encode(source_ids: list[int], params: ModelParams) -> Array:
 
 
 def init_decoder_state(annotations: Array, params: ModelParams) -> Array:
-    s0, _ = init_decoder_state_batch(params, annotations[None, :, :])
-    return s0[0]
+    return init_decoder_state_batch(params, annotations[None, :, :])[0]
 
 
 def decoder_step(

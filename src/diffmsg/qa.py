@@ -225,7 +225,6 @@ class CrossValResult:
     margins: list[float]
     precision: float             # for the positive class "bad"
     recall: float
-    fold_sizes: list[int]
     fold_indices: list[list[int]]  # original indices held out per fold
 
 
@@ -282,7 +281,6 @@ def cross_validate(
         margins=margins.tolist(),
         precision=precision,
         recall=recall,
-        fold_sizes=fold_sizes,
         fold_indices=folds,
     )
 

@@ -130,16 +130,6 @@ def is_vdo(message: TokenSequence, lexicon: VerbLexicon) -> bool:
     )
 
 
-@dataclass
-class VdoReport:
-    total: int
-    kept: int
-    removed: int
-
-
-def filter_corpus(
-    items: list[PreparedCommit], lexicon: VerbLexicon
-) -> tuple[list[PreparedCommit], VdoReport]:
+def filter_corpus(items: list[PreparedCommit], lexicon: VerbLexicon) -> list[PreparedCommit]:
     """Keep exactly the commits whose target message satisfies is_vdo, in order."""
-    kept = [item for item in items if is_vdo(item.target, lexicon)]
-    return kept, VdoReport(total=len(items), kept=len(kept), removed=len(items) - len(kept))
+    return [item for item in items if is_vdo(item.target, lexicon)]

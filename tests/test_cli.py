@@ -108,7 +108,7 @@ def bound_edge(kind, bound):
 class TestConfig:
     def test_json_roundtrip(self, tmp_path):
         config = toy_config(tmp_path, src_vocab_cap=123, vdo_filter=False)
-        restored = PipelineConfig.from_json(config.to_json())
+        restored = PipelineConfig.from_json(json.dumps(dataclasses.asdict(config)))
         assert restored == config
 
     def test_unknown_key_rejected(self):
@@ -164,7 +164,7 @@ class TestConfig:
         with pytest.raises(PipelineError, match="^config: seed must be >= 0, got -1$"):
             PipelineConfig.from_json('{"seed": -1}')
         path = tmp_path / "config.json"
-        path.write_text(toy_config(tmp_path).to_json())
+        path.write_text(json.dumps(dataclasses.asdict(toy_config(tmp_path))))
         assert main(["--config", str(path), "--seed", "-1", "prepare"]) == EXIT_ERROR
         assert capsys.readouterr().err == "error: config: seed must be >= 0, got -1\n"
         assert not Path(toy_config(tmp_path).work_dir).exists()
@@ -379,21 +379,32 @@ class TestGenerate:
             cmd_generate(dataclasses.replace(config, ensemble_size=0), "+ helper_1 ( x )", False)
 
     def test_diff_over_max_diff_bytes_gets_the_warning(self, tmp_path):
-        # apply_filters' rule: UTF-8 bytes, inclusive; before the QA gate
-        config = toy_config(tmp_path)
-        cmd_prepare(config)
+        # one size rule for prepare and generate: UTF-8 bytes, not characters
+        # (e-acute is two), inclusive; generate applies it before the QA gate
+        at_cap = "+ helper_1 ( caf\u00e9 ) " + "\u00e9" * 60
+        over = at_cap + " "
+        lines = toy_corpus_lines()
+        for name, diff in (("at_cap", at_cap), ("over", over)):
+            lines.append(json.dumps({"id": name, "diff": diff, "message": f"add {name} here"}))
+        write_corpus(tmp_path / "corpus.jsonl", lines)
+        config = toy_config(tmp_path, max_diff_bytes=len(at_cap.encode("utf-8")))
+        assert len(over) < config.max_diff_bytes
+        report = cmd_prepare(config)
+        assert report["removed"]["diff_too_large"] == 1
+        assert report["after_filters"] == report["ingested"] - 1
+        sources = "".join((config.split_dir / f"{part}.src.txt").read_text(encoding="utf-8")
+                          for part in ("train", "valid", "test"))
+        assert "\u00e9" * 60 in sources
         cmd_train(config)
         vocab = BagOfWords([["anything"]]).ids
         never_bad = QaModel(vocab, np.ones(len(vocab)), np.zeros(len(vocab)), bias=-1.0)
         save_qa_model(never_bad, config.qa_model_path)
-        diff = "+ helper_1 ( caf\u00e9 )"
-        at_cap = dataclasses.replace(config, max_diff_bytes=len(diff.encode("utf-8")))
-        assert at_cap.max_diff_bytes > len(diff)
+        no_cap = dataclasses.replace(config, max_diff_bytes=FilterConfig().max_diff_bytes)
         for with_qa in (False, True):
-            code, line = cmd_generate(at_cap, diff, with_qa)
+            code, line = cmd_generate(config, at_cap, with_qa)
             assert code == EXIT_OK and line != WARNING_TEXT
-            assert (code, line) == cmd_generate(config, diff + " ", with_qa)
-            assert cmd_generate(at_cap, diff + " ", with_qa) == (EXIT_WARNING, WARNING_TEXT)
+            assert (code, line) == cmd_generate(no_cap, over, with_qa)
+            assert cmd_generate(config, over, with_qa) == (EXIT_WARNING, WARNING_TEXT)
 
     def test_missing_checkpoints_error(self, tmp_path):
         config = toy_config(tmp_path)
@@ -514,7 +525,7 @@ class TestMainExitCodes:
     def _config_file(self, tmp_path, **overrides):
         config = toy_config(tmp_path, **overrides)
         path = tmp_path / "config.json"
-        path.write_text(config.to_json())
+        path.write_text(json.dumps(dataclasses.asdict(config)))
         return path, config
 
     @pytest.mark.parametrize("argv", [
@@ -543,20 +554,46 @@ class TestMainExitCodes:
         lexicon = tmp_path / "verbs.txt"
         lexicon.write_text("add\n", encoding="utf-8")
         kept, _ = apply_filters(ingest_jsonl(corpus), toy_config(tmp_path))
-        removed = filter_corpus(kept, load_lexicon(lexicon))[1].removed
-        assert removed != filter_corpus(kept, default_lexicon())[1].removed
+        removed = len(kept) - len(filter_corpus(kept, load_lexicon(lexicon)))
+        assert removed != len(kept) - len(filter_corpus(kept, default_lexicon()))
         by_key = toy_config(tmp_path, name="by_key", vdo_lexicon_path=str(lexicon))
         assert cmd_prepare(by_key)["vdo_removed"] == removed
         path, _ = self._config_file(tmp_path, name="by_flag")
         assert main(["--config", str(path), "--vdo-lexicon", str(lexicon), "prepare"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["vdo_removed"] == removed
 
-    def test_missing_vdo_lexicon_is_a_named_error(self, tmp_path, capsys):
-        path, _ = self._config_file(tmp_path)
+    def test_missing_vdo_lexicon_is_a_named_error(self, tmp_path, capsys, monkeypatch):
+        path, config = self._config_file(tmp_path)
         missing = tmp_path / "no_such_verbs.txt"
+        monkeypatch.setattr("diffmsg.cli.ingest_jsonl", lambda path: pytest.fail("ingested"))
         assert main(["--config", str(path), "--vdo-lexicon", str(missing), "prepare"]) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(missing) in err
+        assert capsys.readouterr().err == f"error: {missing}: lexicon not found\n"
+        assert not Path(config.work_dir).exists()
+        monkeypatch.undo()
+        # with the filter off the lexicon is never read
+        argv = ["--config", str(path), "--vdo-lexicon", str(missing), "--vdo", "off", "prepare"]
+        assert main(argv) == EXIT_OK
+
+    @pytest.mark.parametrize("key, what", [("corpus_jsonl", "corpus"),
+                                           ("vdo_lexicon_path", "lexicon")])
+    def test_missing_prepare_input_fails_before_ingest(self, tmp_path, capsys, monkeypatch,
+                                                       key, what):
+        missing = tmp_path / "absent"
+        path, config = self._config_file(tmp_path, **{key: str(missing)})
+        monkeypatch.setattr("diffmsg.cli.ingest_jsonl", lambda path: pytest.fail("ingested"))
+        assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {missing}: {what} not found\n"
+        assert not Path(config.work_dir).exists()
+
+    @pytest.mark.parametrize("command, what", [(["generate", "--diff"], "diff"),
+                                               (["qa", "train", "--gold"], "gold set")],
+                             ids=["diff", "gold"])
+    def test_missing_input_file_is_a_named_error(self, tmp_path, capsys, command, what):
+        path, config = self._config_file(tmp_path)
+        missing = tmp_path / "absent"
+        assert main(["--config", str(path), *command, str(missing)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {missing}: {what} not found\n"
+        assert not Path(config.work_dir).exists()
 
     def test_prepare_then_train_then_generate(self, tmp_path, capsys):
         path, config = self._config_file(tmp_path)

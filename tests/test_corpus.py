@@ -32,8 +32,10 @@ from diffmsg.corpus import (
     FilterConfig,
     PreparedCommit,
     Vocabulary,
+    REMOVAL_REASONS,
     apply_filters,
     build_vocab,
+    diff_too_large,
     extract_first_sentence,
     ingest_git,
     ingest_jsonl,
@@ -52,7 +54,7 @@ from diffmsg.corpus import (
 
 
 def make_commit(commit_id="c1", diff="diff text", message="Add a thing"):
-    return Commit.create(commit_id, diff, message)
+    return Commit(commit_id, diff, message)
 
 
 _ORACLE_PUNCTUATION = frozenset(string.punctuation) - {"_"}
@@ -107,7 +109,7 @@ class TestIngestJsonl:
         commits = ingest_jsonl(path)
         assert [c.id for c in commits] == ["a", "b", "c"]
         assert commits[0].diff_text == "d1"
-        assert commits[0].byte_size == len("d1".encode())
+        assert commits[0].message_text == "m1"
 
     def test_non_utf8_byte_decodes_to_replacement_character(self, tmp_path):
         path = tmp_path / "latin1.jsonl"
@@ -175,7 +177,9 @@ class TestIngestJsonl:
         path = tmp_path / "utf8.jsonl"
         path.write_text(json.dumps({"id": "a", "diff": "café", "message": "m"}) + "\n")
         (commit,) = ingest_jsonl(path)
-        assert commit.byte_size == 5  # e-acute is two bytes
+        # e-acute is two bytes: five in all, and the cap is inclusive
+        assert not diff_too_large(commit.diff_text, FilterConfig(max_diff_bytes=5))
+        assert diff_too_large(commit.diff_text, FilterConfig(max_diff_bytes=4))
 
 
 # Every kind of annotation schema_problem supports.
@@ -338,7 +342,7 @@ def _reference_ingest(repo):
         if parents:
             message = git("log", "-1", "--format=format:%B", commit_hash)
             diff = git("diff", parents[0], commit_hash)
-            commits.append(Commit.create(commit_hash, diff, message))
+            commits.append(Commit(commit_hash, diff, message))
     return commits
 
 
@@ -654,13 +658,13 @@ class TestApplyFilters:
     def test_source_too_long_boundary(self):
         cfg = FilterConfig(max_source_len=100)
         long_diff = " ".join(f"tok{i}" for i in range(101))
-        kept, report = apply_filters([make_commit(diff=long_diff)], cfg)
+        kept, removed = apply_filters([make_commit(diff=long_diff)], cfg)
         assert kept == []
-        assert report.removed["source_too_long"] == 1
+        assert removed["source_too_long"] == 1
 
     def test_target_boundary_inclusive(self):
         msg = " ".join(f"w{i}" for i in range(30))
-        kept, report = apply_filters([make_commit(message=msg)])
+        kept, _ = apply_filters([make_commit(message=msg)])
         assert len(kept) == 1
         assert len(kept[0].target) == 30
 
@@ -670,20 +674,20 @@ class TestApplyFilters:
         assert len(kept) == 1
 
     def test_merge_removed(self):
-        kept, report = apply_filters([make_commit(message="Merge branch dev")])
+        kept, removed = apply_filters([make_commit(message="Merge branch dev")])
         assert kept == []
-        assert report.removed["merge_or_rollback"] == 1
+        assert removed["merge_or_rollback"] == 1
 
     def test_oversized_diff_removed(self):
         cfg = FilterConfig(max_diff_bytes=10)
-        kept, report = apply_filters([make_commit(diff="x" * 11)], cfg)
+        kept, removed = apply_filters([make_commit(diff="x" * 11)], cfg)
         assert kept == []
-        assert report.removed["diff_too_large"] == 1
+        assert removed["diff_too_large"] == 1
 
     def test_empty_target_removed(self):
-        kept, report = apply_filters([make_commit(message="")])
+        kept, removed = apply_filters([make_commit(message="")])
         assert kept == []
-        assert report.removed["target_empty"] == 1
+        assert removed["target_empty"] == 1
 
     def test_counts_reconcile(self):
         commits = [
@@ -693,10 +697,10 @@ class TestApplyFilters:
             make_commit("d", message=""),
             make_commit("e", message="Fix crash in parser"),
         ]
-        kept, report = apply_filters(commits)
-        assert report.input_count == 5
-        assert report.kept_count == len(kept) == 2
-        assert sum(report.removed.values()) == report.input_count - report.kept_count
+        kept, removed = apply_filters(commits)
+        assert len(kept) == 2
+        assert list(removed) == list(REMOVAL_REASONS)
+        assert sum(removed.values()) == len(commits) - len(kept) == 3
 
     def test_kept_order_preserved(self):
         commits = [make_commit(c, message=f"Fix thing {c}") for c in "abc"]
@@ -729,13 +733,13 @@ class TestApplyFilters:
             commits.append(make_commit(f"c{i}", diff=diff, message=f"Fix thing {i}"))
         commits.append(make_commit("hex", diff=" ".join(["deadbeef1"] * count)))
         cfg = FilterConfig(max_source_len=100)
-        kept, report = apply_filters(commits, cfg)
+        kept, removed = apply_filters(commits, cfg)
         for commit in commits:
             assert len(oracle_tokenize(strip_ids(commit.diff_text, SOURCE))) == count
         assert len(oracle_tokenize(commits[39].diff_text)) < count
         expected_kept = len(commits) if count <= 100 else 0
-        assert report.kept_count == expected_kept
-        assert report.removed["source_too_long"] == len(commits) - expected_kept
+        assert len(kept) == expected_kept
+        assert removed["source_too_long"] == len(commits) - expected_kept
         for item, commit in zip(kept, commits):
             assert item.source == oracle_tokenize(strip_ids(commit.diff_text, SOURCE))
 
@@ -748,10 +752,10 @@ class TestApplyFilters:
             for i in range(200)
         ]
         cfg = FilterConfig(max_source_len=100)
-        kept, report = apply_filters(commits, cfg)
+        kept, removed = apply_filters(commits, cfg)
         full_lengths = [len(oracle_tokenize(strip_ids(c.diff_text, SOURCE))) for c in commits]
-        assert report.removed["source_too_long"] == sum(n > 100 for n in full_lengths)
-        assert 0 < report.kept_count < len(commits)
+        assert removed["source_too_long"] == sum(n > 100 for n in full_lengths)
+        assert 0 < len(kept) < len(commits)
         for item in kept:
             commit = next(c for c in commits if c.id == item.id)
             assert item.source == oracle_tokenize(strip_ids(commit.diff_text, SOURCE))

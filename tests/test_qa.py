@@ -237,8 +237,9 @@ class TestCrossValidate:
         gold = separable_gold(n=12)
         result = cross_validate(gold, k=12, seed=1)
         assert len(result.predictions) == 12
-        assert sum(result.fold_sizes) == 12
-        assert max(result.fold_sizes) - min(result.fold_sizes) <= 1
+        sizes = [len(fold) for fold in result.fold_indices]
+        assert sum(sizes) == 12
+        assert max(sizes) - min(sizes) <= 1
 
     def test_separable_gold_perfect_scores(self):
         # enough records for the 1/(lambda*t) schedule to settle; with tiny
@@ -281,9 +282,11 @@ class TestCrossValidate:
             )
         k = min(10, n)
         result = cross_validate(gold, k=k, seed=seed)
-        assert len(result.fold_sizes) == k
-        assert sum(result.fold_sizes) == n
-        assert max(result.fold_sizes) - min(result.fold_sizes) <= 1
+        sizes = [len(fold) for fold in result.fold_indices]
+        assert len(sizes) == k
+        assert sum(sizes) == n
+        assert max(sizes) - min(sizes) <= 1
+        assert sorted(i for fold in result.fold_indices for i in fold) == list(range(n))
         assert len(result.predictions) == n
 
 

@@ -126,34 +126,30 @@ class TestFilterCorpus:
 
     def test_all_vdo_ratio_one(self):
         pairs = self._pairs(["Fix the race condition", "add missing tests now"])
-        kept, report = filter_corpus(pairs, LEX)
+        kept = filter_corpus(pairs, LEX)
         assert kept == pairs
-        assert report.kept == report.total == 2
+        assert len(kept) == len(pairs) == 2
 
     def test_empty_corpus(self):
-        kept, report = filter_corpus([], LEX)
-        assert kept == []
-        assert report.total == report.kept == report.removed == 0
+        assert filter_corpus([], LEX) == []
 
     def test_mixed_corpus(self):
         pairs = self._pairs(["adds support for 9 inch tablet screens", "7807cb6 ca7a229"])
-        kept, report = filter_corpus(pairs, LEX)
+        kept = filter_corpus(pairs, LEX)
         assert len(kept) == 1 and kept[0] == pairs[0]
-        assert report.kept == 1 and report.removed == 1
+        assert len(pairs) - len(kept) == 1
 
     def test_idempotent(self):
         pairs = self._pairs([s for s, _ in VDO_FIXTURE])
-        kept, _ = filter_corpus(pairs, LEX)
-        again, report = filter_corpus(kept, LEX)
-        assert again == kept
-        assert report.removed == 0
+        kept = filter_corpus(pairs, LEX)
+        assert filter_corpus(kept, LEX) == kept
 
     def test_per_pair_independence(self):
         pairs = self._pairs([s for s, _ in VDO_FIXTURE[:10]])
         full_verdicts = {id(p): is_vdo(p.target, LEX) for p in pairs}
         for drop in range(len(pairs)):
             subset = [p for i, p in enumerate(pairs) if i != drop]
-            kept, _ = filter_corpus(subset, LEX)
+            kept = filter_corpus(subset, LEX)
             assert kept == [p for p in subset if full_verdicts[id(p)]]
 
 
