@@ -36,7 +36,7 @@ from .corpus import (
     split_dataset,
     write_split_files,
 )
-from .nmt import Hyperparams, beam_search, ensemble_decode, load_checkpoint, train
+from .nmt import Hyperparams, beam_search, checkpoint_paths, ensemble_decode, load_checkpoint, train
 from .vdo import default_lexicon, filter_corpus, load_lexicon
 
 EXIT_OK = 0
@@ -114,10 +114,16 @@ class PipelineConfig(Hyperparams):
     qa_model_path = _in_work_dir("qa_model.json")
 
 
-def _existing(path: str, what: str) -> Path:
-    """path, if it names a file; else PipelineError("<path>: <what> not found")."""
+def _not_found(path: str | Path, what: str, stage: str | None = None) -> PipelineError:
+    """The one error for a missing input or artifact:
+    "<path>: <what> not found[; run <stage> first]"."""
+    return PipelineError(f"{path}: {what} not found" + (f"; run {stage} first" if stage else ""))
+
+
+def _existing(path: str | Path, what: str, stage: str | None = None) -> Path:
+    """path, if it names a file; else _not_found(path, what, stage)."""
     if not Path(path).is_file():
-        raise PipelineError(f"{path}: {what} not found")
+        raise _not_found(path, what, stage)
     return Path(path)
 
 
@@ -180,28 +186,28 @@ def cmd_prepare(config: PipelineConfig) -> dict:
 
 
 def _load_split(config: PipelineConfig) -> DatasetSplit:
-    if not config.split_dir.is_dir():
-        raise PipelineError(f"{config.split_dir}: splits not found; run prepare first")
     try:
         return read_split_files(config.split_dir, config.seed)
-    except FileNotFoundError as exc:
-        raise PipelineError(f"{exc.filename}: split file not found; run prepare again") from exc
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise _not_found(exc.filename, "split file", "prepare") from exc
 
 
 def _load_vocabs(config: PipelineConfig) -> tuple[Vocabulary, Vocabulary]:
-    for path in (config.src_vocab_path, config.tgt_vocab_path):
-        if not path.is_file():
-            raise PipelineError(f"{path}: vocabulary not found; run prepare first")
-    return Vocabulary.load(config.src_vocab_path), Vocabulary.load(config.tgt_vocab_path)
+    return tuple(Vocabulary.load(_existing(path, "vocabulary", "prepare"))
+                 for path in (config.src_vocab_path, config.tgt_vocab_path))
 
 
 def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
-    """Train on the prepared splits; write checkpoints and the training log."""
+    """Train on the prepared splits; write checkpoints and the training log.
+
+    Returns the run's checkpoints (see checkpoint_paths).  With resume, it
+    continues from the last of them; without, or with none, training starts
+    from fresh parameters and an empty checkpoint set."""
     split = _load_split(config)
     src_vocab, tgt_vocab = _load_vocabs(config)
     resume_from = None
     if resume:
-        existing = _checkpoint_paths(config)
+        existing = checkpoint_paths(config.checkpoint_dir)
         if existing:
             resume_from = load_checkpoint(
                 existing[-1],
@@ -217,19 +223,13 @@ def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
         log_path=config.train_log_path,
         resume_from=resume_from,
     )
-    return _checkpoint_paths(config)
-
-
-def _checkpoint_paths(config: PipelineConfig) -> list[Path]:
-    if not config.checkpoint_dir.is_dir():
-        return []
-    return sorted(config.checkpoint_dir.glob("checkpoint_*.ckpt"))
+    return checkpoint_paths(config.checkpoint_dir)
 
 
 def _load_ensemble(config: PipelineConfig, src_vocab: Vocabulary, tgt_vocab: Vocabulary):
-    paths = _checkpoint_paths(config)
+    paths = checkpoint_paths(config.checkpoint_dir)
     if not paths:
-        raise PipelineError(f"{config.checkpoint_dir}: no checkpoints; run train first")
+        raise _not_found(config.checkpoint_dir, "checkpoints", "train")
     selected = paths[-config.ensemble_size:]
     return [
         load_checkpoint(
@@ -248,14 +248,15 @@ def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple
     the QA gate flags it, or when the best hypothesis is EOS alone.
 
     Returns (exit_code, output line); never both a message and a warning.
+    A missing vocabulary, QA model or checkpoint set is a PipelineError
+    naming the stage that writes it (see _not_found); the checkpoints are
+    the last ensemble_size of the training run (see checkpoint_paths).
     """
     src_vocab, tgt_vocab = _load_vocabs(config)
     if diff_too_large(diff_text, config):
         return EXIT_WARNING, WARNING_TEXT
     if with_qa:
-        if not config.qa_model_path.is_file():
-            raise PipelineError(f"{config.qa_model_path}: QA model not found; run qa train first")
-        model = qa.load_qa_model(config.qa_model_path)
+        model = qa.load_qa_model(_existing(config.qa_model_path, "QA model", "qa train"))
         is_bad, _ = qa.predict(source_counts(diff_text), model)
         if is_bad:
             return EXIT_WARNING, WARNING_TEXT
@@ -282,6 +283,8 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
     split = _load_split(config)
     if not split.test:
         raise PipelineError("test split is empty")
+    if not split.train:
+        raise PipelineError("training split is empty; the retrieval baseline needs it")
     references = [item.target for item in split.test]
     source_lengths = [len(item.source) for item in split.test]
 
@@ -302,8 +305,6 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
     pairs = list(zip(generated, references))
     model_report = bleu.corpus_bleu(pairs)
 
-    if not split.train:
-        raise PipelineError("training split is empty; the retrieval baseline needs it")
     train_pairs = [(item.source, item.target) for item in split.train]
     baseline_generated = bleu.retrieval_baseline(train_pairs, [item.source for item in split.test])
     baseline_report = bleu.corpus_bleu(list(zip(baseline_generated, references)))
@@ -425,10 +426,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evaluate":
             print(cmd_evaluate(config, smoke_identity=args.smoke_identity), end="")
             return EXIT_OK
-        if args.command == "qa":
-            print(cmd_qa(config, args.subaction, args.gold), end="")
-            return EXIT_OK
-        raise PipelineError(f"unknown command {args.command!r}")
+        print(cmd_qa(config, args.subaction, args.gold), end="")  # the one command left: qa
+        return EXIT_OK
     except Exception as exc:  # uniform error contract: message on stderr, exit 1
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

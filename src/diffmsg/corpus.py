@@ -48,10 +48,6 @@ ID_PLACEHOLDER = "<id>"
 _PUNCT_CLASS = re.escape("".join(sorted(PUNCTUATION)))
 _TOKEN_RE = re.compile(rf"{re.escape(ID_PLACEHOLDER)}|[{_PUNCT_CLASS}]|[^\s{_PUNCT_CLASS}]+")
 
-# Sides of a commit pair; selects which id patterns strip_ids applies.
-SOURCE = "source"
-TARGET = "target"
-
 # Special vocabulary symbols, pinned to the four lowest indices.
 PAD, UNK, START, EOS = "<pad>", "<unk>", "<start>", "<eos>"
 SPECIALS = (PAD, UNK, START, EOS)
@@ -332,17 +328,10 @@ def extract_first_sentence(message_text: str) -> str:
     return (message_text[: end.start()] if end else message_text).strip()
 
 
-def strip_ids(text: str, kind: str) -> str:
-    """Replace unique ids with the placeholder token.
-
-    Messages (kind=TARGET) carry issue ids like "#1234"; diffs
-    (kind=SOURCE) carry commit hashes: standalone hex runs of 7+ chars.
-    """
-    if kind == TARGET:
-        return _ISSUE_ID_RE.sub(ID_PLACEHOLDER, text)
-    if kind == SOURCE:
-        return _COMMIT_ID_RE.sub(ID_PLACEHOLDER, text)
-    raise ValueError(f"kind must be {SOURCE!r} or {TARGET!r}, got {kind!r}")
+def strip_commit_ids(diff_text: str) -> str:
+    """Replace each commit hash of a diff, a standalone hex run of 7+
+    characters, with the placeholder token."""
+    return _COMMIT_ID_RE.sub(ID_PLACEHOLDER, diff_text)
 
 
 def is_merge_or_rollback(message_text: str) -> bool:
@@ -370,12 +359,12 @@ def preprocess_source(diff_text: str, limit: int | None = None) -> TokenSequence
     it doubles until it yields limit + 1 tokens or holds the whole text.
     """
     if limit is None:
-        return tokenize(strip_ids(diff_text, SOURCE))
+        return tokenize(strip_commit_ids(diff_text))
     size = _PREFIX_CHARS_PER_TOKEN * (limit + 1)
     while True:
         cut = _CUT_RE.search(diff_text, size)
         end = cut.start() if cut else len(diff_text)
-        tokens = _TOKEN_RE.findall(strip_ids(diff_text[:end], SOURCE))
+        tokens = _TOKEN_RE.findall(strip_commit_ids(diff_text[:end]))
         if len(tokens) > limit or end == len(diff_text):
             return tokens[: limit + 1]
         size = 2 * end
@@ -392,7 +381,7 @@ def source_counts(diff_text: str) -> Counter[str]:
     chunks = Counter(diff_text.split())
     # "\n" is whitespace, as each chunk's neighbours in the diff are, so the
     # id pattern's boundary checks read the same
-    stripped = strip_ids("\n".join(chunks), SOURCE)
+    stripped = strip_commit_ids("\n".join(chunks))
     counts = Counter(_TOKEN_RE.findall(stripped))
     for chunk, repeats in zip(stripped.split("\n"), chunks.values()):
         if repeats > 1:
@@ -402,8 +391,9 @@ def source_counts(diff_text: str) -> Counter[str]:
 
 
 def preprocess_target(message_text: str) -> TokenSequence:
-    """Message text -> target tokens: first sentence, strip issue ids, tokenize."""
-    return tokenize(strip_ids(extract_first_sentence(message_text), TARGET))
+    """Message text -> target tokens: first sentence, issue ids like "#1234"
+    replaced with the placeholder token, tokenize."""
+    return tokenize(_ISSUE_ID_RE.sub(ID_PLACEHOLDER, extract_first_sentence(message_text)))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from .training import (
     Checkpoint,
     CheckpointError,
     adadelta_update,
+    checkpoint_paths,
     init_optimizer_state,
     load_checkpoint,
     save_checkpoint,
@@ -29,6 +30,7 @@ __all__ = [
     "adadelta_update",
     "batch_loss",
     "beam_search",
+    "checkpoint_paths",
     "decoder_step",
     "encode",
     "ensemble_decode",

@@ -70,7 +70,7 @@ def adadelta_update(
     optimizer_state: OptimizerState,
     rho: float,
     eps: float,
-) -> tuple[ModelParams, OptimizerState]:
+) -> None:
     """One Adadelta step, in place, on the whole parameter buffer.
 
     Per coordinate: E[g^2] <- rho E[g^2] + (1-rho) g^2, the update is
@@ -88,7 +88,6 @@ def adadelta_update(
         acc_update_sq *= rho
         acc_update_sq += (1.0 - rho) * delta * delta
         params.flat[block] += delta
-    return params, optimizer_state
 
 
 @dataclass
@@ -240,6 +239,12 @@ def _validation_bleu(
     return bleu.corpus_bleu(pairs).bleu
 
 
+def checkpoint_paths(directory: str | Path) -> list[Path]:
+    """The checkpoints train wrote to directory, oldest first; none if the
+    directory does not exist."""
+    return sorted(Path(directory).glob("checkpoint_*.ckpt"))
+
+
 def train(
     split: DatasetSplit,
     src_vocab: Vocabulary,
@@ -253,7 +258,10 @@ def train(
 
     The state is one Checkpoint, resume_from if given, else a fresh one.
     It is updated in place, its buffers with it, and written every
-    hyper.checkpoint_every minibatches and when training stops.  Validation
+    hyper.checkpoint_every minibatches and when training stops, as
+    checkpoint_<minibatch index, 8 digits>.ckpt in checkpoint_dir; a run
+    that does not resume first removes the checkpoints listed there (see
+    checkpoint_paths), as it truncates the log.  Validation
     runs every hyper.validate_every minibatches on greedy decodes of the
     validation split (skipped if it is empty); training stops after
     hyper.patience consecutive non-improving validations, or at the
@@ -284,6 +292,9 @@ def train(
         state.seed = hyper.seed
 
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
+    if ckpt_dir is not None and resume_from is None:
+        for path in checkpoint_paths(ckpt_dir):  # a fresh run's set holds only its own
+            path.unlink()
     log_handle = None
     if log_path is not None:
         Path(log_path).parent.mkdir(parents=True, exist_ok=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Annotated
@@ -135,11 +136,6 @@ class QaModel:
     bias: float
     hyper: QaHyper = field(default_factory=QaHyper)
 
-    def margin(self, diff: Document) -> float:
-        index = BagOfWords([diff])
-        rows = _tfidf_rows(index, index.lookup(self.feature_vocab), self.idf)
-        return float(_margins(self.weights, self.bias, rows)[0])
-
 
 def _schedule(n: int, hyper: QaHyper) -> list[int]:
     """The position in the training list of each SGD step's example, which
@@ -210,12 +206,15 @@ def train_svm(gold: list[GoldRecord], hyper: QaHyper = QaHyper()) -> QaModel:
 
 
 def predict(diff: Document, model: QaModel) -> tuple[bool, float]:
-    """(is_bad, margin); a margin of exactly zero resolves to not-bad.
+    """(is_bad, margin), the margin w . x + b of diff's tf/idf row; a
+    margin of exactly zero resolves to not-bad.  The one scoring call.
 
     diff is a token sequence or its counts (see bow.Document); both give
     the same margin to the bit.
     """
-    margin = model.margin(diff)
+    index = BagOfWords([diff])
+    rows = _tfidf_rows(index, index.lookup(model.feature_vocab), model.idf)
+    margin = float(_margins(model.weights, model.bias, rows)[0])
     return margin > 0.0, margin
 
 
@@ -290,8 +289,8 @@ class ReductionReport:
     """Fraction of messages the gate would remove, broken down by score."""
 
     removed_fraction_by_score: dict[int, float]
-    count_by_score: dict[int, int]
-    removed_by_score: dict[int, int]
+    count_by_score: Counter[int]
+    removed_by_score: Counter[int]
     bad_reduction: float   # fraction of score <= 1 records predicted bad
     good_cost: float       # fraction of score >= 6 records predicted bad
 
@@ -301,26 +300,20 @@ def reduction_report(
 ) -> ReductionReport:
     if len(gold) != len(predictions):
         raise ValueError("every gold record needs exactly one prediction")
-    count_by_score = {score: 0 for score in range(8)}
-    removed_by_score = {score: 0 for score in range(8)}
-    for record, predicted_bad in zip(gold, predictions):
-        count_by_score[record.median_score] += 1
-        if predicted_bad:
-            removed_by_score[record.median_score] += 1
-    fraction = {
-        score: (removed_by_score[score] / count_by_score[score] if count_by_score[score] else 0.0)
-        for score in range(8)
-    }
-    bad_total = sum(count_by_score[s] for s in range(BAD_SCORE_MAX + 1))
-    bad_removed = sum(removed_by_score[s] for s in range(BAD_SCORE_MAX + 1))
-    good_total = sum(count_by_score[s] for s in range(GOOD_SCORE_MIN, 8))
-    good_removed = sum(removed_by_score[s] for s in range(GOOD_SCORE_MIN, 8))
+    counts = Counter(record.median_score for record in gold)
+    removed = Counter(record.median_score for record, bad in zip(gold, predictions) if bad)
+
+    def share(scores) -> float:
+        """The fraction of the records with these scores predicted bad; 0 for none."""
+        total = sum(counts[score] for score in scores)
+        return sum(removed[score] for score in scores) / total if total else 0.0
+
     return ReductionReport(
-        removed_fraction_by_score=fraction,
-        count_by_score=count_by_score,
-        removed_by_score=removed_by_score,
-        bad_reduction=bad_removed / bad_total if bad_total else 0.0,
-        good_cost=good_removed / good_total if good_total else 0.0,
+        removed_fraction_by_score={score: share([score]) for score in range(8)},
+        count_by_score=counts,
+        removed_by_score=removed,
+        bad_reduction=share(range(BAD_SCORE_MAX + 1)),
+        good_cost=share(range(GOOD_SCORE_MIN, 8)),
     )
 
 

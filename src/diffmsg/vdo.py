@@ -107,10 +107,6 @@ def verb_stem(token: str, lexicon: VerbLexicon) -> str | None:
     return None
 
 
-def is_verb(token: str, lexicon: VerbLexicon) -> bool:
-    return verb_stem(token, lexicon) is not None
-
-
 def _is_punctuation_token(token: str) -> bool:
     return len(token) == 1 and token in PUNCTUATION
 
@@ -122,11 +118,11 @@ def is_vdo(message: TokenSequence, lexicon: VerbLexicon) -> bool:
     slots) and accepts the first of the next OBJECT_WINDOW tokens that is
     neither punctuation nor itself a verb.
     """
-    if not message or not is_verb(message[0], lexicon):
+    if not message or verb_stem(message[0], lexicon) is None:
         return False
     window = [t for t in message[1:] if t.lower() not in SKIP_WORDS][:OBJECT_WINDOW]
     return any(
-        not _is_punctuation_token(t) and not is_verb(t, lexicon) for t in window
+        not _is_punctuation_token(t) and verb_stem(t, lexicon) is None for t in window
     )
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -309,6 +310,10 @@ class TestTrainCommand:
         config = toy_config(tmp_path)
         with pytest.raises(PipelineError, match="prepare"):
             cmd_train(config)
+        config.split_dir.parent.mkdir()
+        config.split_dir.write_text("")  # a file where the split directory belongs
+        with pytest.raises(PipelineError, match="split file not found; run prepare first$"):
+            cmd_train(config)
 
     def test_zero_max_minibatches_rejected(self, tmp_path):
         config = toy_config(tmp_path)
@@ -326,6 +331,22 @@ class TestTrainCommand:
         assert len(resumed) > len(first)
         names = [p.name for p in resumed]
         assert names == sorted(names)
+
+    def test_a_fresh_run_starts_an_empty_checkpoint_set(self, tmp_path):
+        config = toy_config(tmp_path, max_minibatches=8, seed=1)
+        cmd_prepare(config)
+        straight = dataclasses.replace(config, work_dir=str(tmp_path / "straight"),
+                                       max_minibatches=6, seed=2)
+        shutil.copytree(config.work_dir, straight.work_dir)  # the same splits and vocabularies
+        names = [f"checkpoint_{i:08d}.ckpt" for i in (2, 4, 6, 8)]
+        assert [p.name for p in cmd_train(config)] == names
+        fresh = dataclasses.replace(config, max_minibatches=4, seed=2)
+        assert [p.name for p in cmd_train(fresh)] == names[:2]
+        assert cmd_evaluate(fresh).splitlines()[1].split()[0] == "ensemble_2"
+        # resuming continues the seed-2 run from its checkpoint 4
+        resumed = cmd_train(dataclasses.replace(fresh, max_minibatches=6), resume=True)
+        assert [p.name for p in resumed] == names[:3]
+        assert [p.read_bytes() for p in resumed] == [p.read_bytes() for p in cmd_train(straight)]
 
 
 class TestGenerate:
@@ -471,6 +492,14 @@ class TestEvaluate:
         cmd_prepare(config)
         with pytest.raises(PipelineError, match="test split"):
             cmd_evaluate(config, smoke_identity=True)
+
+    def test_empty_training_split_is_refused_before_decoding(self, tmp_path):
+        config = toy_config(tmp_path)
+        cmd_prepare(config)  # and no train, so decoding would find no checkpoint
+        for side in ("src", "tgt"):
+            (config.split_dir / f"train.{side}.txt").write_text("")
+        with pytest.raises(PipelineError, match="^training split is empty; "):
+            cmd_evaluate(config)
 
 
 def write_gold(path, n=40):
@@ -650,7 +679,7 @@ class TestMainExitCodes:
         capsys.readouterr()
         assert main(["--config", str(path), *command]) == EXIT_ERROR
         assert capsys.readouterr().err == (
-            f"error: {missing}: split file not found; run prepare again\n")
+            f"error: {missing}: split file not found; run prepare first\n")
 
     def test_warning_exit_code(self, tmp_path, capsys):
         path, config = self._config_file(tmp_path)

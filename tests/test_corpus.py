@@ -22,9 +22,7 @@ from diffmsg.corpus import (
     EOS_ID,
     ID_PLACEHOLDER,
     PAD_ID,
-    SOURCE,
     SPECIALS,
-    TARGET,
     UNK,
     UNK_ID,
     Commit,
@@ -41,12 +39,13 @@ from diffmsg.corpus import (
     ingest_jsonl,
     is_merge_or_rollback,
     preprocess_source,
+    preprocess_target,
     read_sequences,
     read_split_files,
     schema_problem,
     source_counts,
     split_dataset,
-    strip_ids,
+    strip_commit_ids,
     tokenize,
     write_sequences,
     write_split_files,
@@ -484,31 +483,27 @@ class TestExtractFirstSentence:
 
 class TestStripIds:
     def test_issue_id_in_message(self):
-        assert strip_ids("Fix #1234 crash", TARGET) == f"Fix {ID_PLACEHOLDER} crash"
+        assert preprocess_target("Fix #1234 crash") == ["Fix", ID_PLACEHOLDER, "crash"]
 
     def test_commit_ids_in_diff(self):
         assert (
-            strip_ids("index 7807cb6..ca7a229", SOURCE)
+            strip_commit_ids("index 7807cb6..ca7a229")
             == f"index {ID_PLACEHOLDER}..{ID_PLACEHOLDER}"
         )
 
     def test_no_ids_unchanged(self):
-        assert strip_ids("no ids here", SOURCE) == "no ids here"
-        assert strip_ids("no ids here", TARGET) == "no ids here"
+        assert strip_commit_ids("no ids here") == "no ids here"
+        assert preprocess_target("no ids here") == ["no", "ids", "here"]
 
     def test_short_hex_kept(self):
         # six hex chars is below the id threshold
-        assert strip_ids("cafe12 is a name", SOURCE) == "cafe12 is a name"
+        assert strip_commit_ids("cafe12 is a name") == "cafe12 is a name"
 
     def test_hex_inside_identifier_kept(self):
-        assert strip_ids("deadbeef_handler", SOURCE) == "deadbeef_handler"
+        assert strip_commit_ids("deadbeef_handler") == "deadbeef_handler"
 
     def test_issue_ids_only_apply_to_targets(self):
-        assert strip_ids("Fix #1234 crash", SOURCE) == "Fix #1234 crash"
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            strip_ids("text", "sideways")
+        assert strip_commit_ids("Fix #1234 crash") == "Fix #1234 crash"
 
 
 # Hex runs below, at and above the 7-character id threshold, next to ASCII
@@ -728,20 +723,20 @@ class TestApplyFilters:
         shapes = [" ".join(parts[i % len(parts)] for i in range(n)) for n in range(40)]
         commits = []
         for i, prefix in enumerate(shapes):
-            filler = count - len(oracle_tokenize(strip_ids(prefix, SOURCE)))
+            filler = count - len(oracle_tokenize(strip_commit_ids(prefix)))
             diff = prefix + " " + " ".join(f"t{j}" for j in range(filler))
             commits.append(make_commit(f"c{i}", diff=diff, message=f"Fix thing {i}"))
         commits.append(make_commit("hex", diff=" ".join(["deadbeef1"] * count)))
         cfg = FilterConfig(max_source_len=100)
         kept, removed = apply_filters(commits, cfg)
         for commit in commits:
-            assert len(oracle_tokenize(strip_ids(commit.diff_text, SOURCE))) == count
+            assert len(oracle_tokenize(strip_commit_ids(commit.diff_text))) == count
         assert len(oracle_tokenize(commits[39].diff_text)) < count
         expected_kept = len(commits) if count <= 100 else 0
         assert len(kept) == expected_kept
         assert removed["source_too_long"] == len(commits) - expected_kept
         for item, commit in zip(kept, commits):
-            assert item.source == oracle_tokenize(strip_ids(commit.diff_text, SOURCE))
+            assert item.source == oracle_tokenize(strip_commit_ids(commit.diff_text))
 
     def test_bounded_funnel_matches_full_tokenization(self):
         rng = random.Random(3)
@@ -753,12 +748,12 @@ class TestApplyFilters:
         ]
         cfg = FilterConfig(max_source_len=100)
         kept, removed = apply_filters(commits, cfg)
-        full_lengths = [len(oracle_tokenize(strip_ids(c.diff_text, SOURCE))) for c in commits]
+        full_lengths = [len(oracle_tokenize(strip_commit_ids(c.diff_text))) for c in commits]
         assert removed["source_too_long"] == sum(n > 100 for n in full_lengths)
         assert 0 < len(kept) < len(commits)
         for item in kept:
             commit = next(c for c in commits if c.id == item.id)
-            assert item.source == oracle_tokenize(strip_ids(commit.diff_text, SOURCE))
+            assert item.source == oracle_tokenize(strip_commit_ids(commit.diff_text))
 
 
 class TestBuildVocab:

@@ -439,7 +439,7 @@ class TestPinnedMargins:
         rng = random.Random(11)
         vocab = [f"tok{i}" for i in range(30)] + MARKERS + ["unseen", "also_unseen"]
         queries = [[rng.choice(vocab) for _ in range(n)] for n in (1, 7, 40, 500)]
-        assert [model.margin(q) for q in queries] == [
+        assert [predict(q, model)[1] for q in queries] == [
             -5.455098669648695,
             28.006992241584086,
             4.752895100462666,
@@ -513,7 +513,7 @@ class TestCrossValidatePinned:
         for f, held_out in enumerate(result.fold_indices):
             train = [gold[i] for g, fold in enumerate(result.fold_indices) if g != f for i in fold]
             model = oracle_train_svm(train, hyper)
-            oracle[held_out] = [model.margin(gold[i].diff) for i in held_out]
+            oracle[held_out] = [predict(gold[i].diff, model)[1] for i in held_out]
         assume(np.all(np.abs(oracle) > 1e-9))
         largest = np.max(np.abs(oracle))
         assert np.max(np.abs(np.array(result.margins) - oracle)) <= 1e-12 * largest
