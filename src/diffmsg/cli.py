@@ -36,7 +36,8 @@ from .corpus import (
     split_dataset,
     write_split_files,
 )
-from .nmt import Hyperparams, beam_search, checkpoint_paths, ensemble_decode, load_checkpoint, train
+from .nmt import (Hyperparams, beam_search, checkpoint_paths, ensemble_decode, load_checkpoint,
+                  source_ids, train)
 from .vdo import default_lexicon, filter_corpus, load_lexicon
 
 EXIT_OK = 0
@@ -197,32 +198,29 @@ def _load_vocabs(config: PipelineConfig) -> tuple[Vocabulary, Vocabulary]:
                  for path in (config.src_vocab_path, config.tgt_vocab_path))
 
 
+def _model_dims(config: PipelineConfig, src_vocab: Vocabulary,
+                tgt_vocab: Vocabulary) -> tuple[int, int, int, int]:
+    """The model the run's config and vocabularies describe, as
+    load_checkpoint's dims: every checkpoint a command loads must match it."""
+    return config.embed_dim, config.hidden_dim, len(src_vocab), len(tgt_vocab)
+
+
 def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
     """Train on the prepared splits; write checkpoints and the training log.
 
     Returns the run's checkpoints (see checkpoint_paths).  With resume, it
     continues from the last of them; without, or with none, training starts
-    from fresh parameters and an empty checkpoint set."""
+    from fresh parameters and an empty checkpoint set.  A last checkpoint
+    of another shape (see _model_dims) is a CheckpointError, and one of
+    another seed a ValueError (see train); either leaves the checkpoints
+    and the log as they were."""
     split = _load_split(config)
     src_vocab, tgt_vocab = _load_vocabs(config)
-    resume_from = None
-    if resume:
-        existing = checkpoint_paths(config.checkpoint_dir)
-        if existing:
-            resume_from = load_checkpoint(
-                existing[-1],
-                expected_src_vocab_size=len(src_vocab),
-                expected_tgt_vocab_size=len(tgt_vocab),
-            )
-    train(
-        split,
-        src_vocab,
-        tgt_vocab,
-        config,
-        checkpoint_dir=config.checkpoint_dir,
-        log_path=config.train_log_path,
-        resume_from=resume_from,
-    )
+    existing = checkpoint_paths(config.checkpoint_dir) if resume else []
+    resume_from = (load_checkpoint(existing[-1], _model_dims(config, src_vocab, tgt_vocab))
+                   if existing else None)
+    train(split, src_vocab, tgt_vocab, config, checkpoint_dir=config.checkpoint_dir,
+          log_path=config.train_log_path, resume_from=resume_from)
     return checkpoint_paths(config.checkpoint_dir)
 
 
@@ -230,16 +228,8 @@ def _load_ensemble(config: PipelineConfig, src_vocab: Vocabulary, tgt_vocab: Voc
     paths = checkpoint_paths(config.checkpoint_dir)
     if not paths:
         raise _not_found(config.checkpoint_dir, "checkpoints", "train")
-    selected = paths[-config.ensemble_size:]
-    return [
-        load_checkpoint(
-            path,
-            expected_src_vocab_size=len(src_vocab),
-            expected_tgt_vocab_size=len(tgt_vocab),
-            params_only=True,
-        )
-        for path in selected
-    ]
+    dims = _model_dims(config, src_vocab, tgt_vocab)
+    return [load_checkpoint(path, dims, params_only=True) for path in paths[-config.ensemble_size:]]
 
 
 def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple[int, str]:
@@ -261,14 +251,8 @@ def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple
         if is_bad:
             return EXIT_WARNING, WARNING_TEXT
     checkpoints = _load_ensemble(config, src_vocab, tgt_vocab)
-    source_tokens = preprocess_source(diff_text, config.max_source_len)
-    source_ids = src_vocab.encode(source_tokens[: config.max_source_len], add_eos=True)
-    generated = ensemble_decode(
-        checkpoints,
-        source_ids,
-        beam_width=config.beam_width,
-        max_len=config.max_target_len,
-    )
+    source = source_ids(src_vocab, preprocess_source(diff_text, config.max_source_len), config)
+    generated = ensemble_decode(checkpoints, source, config.beam_width, config.max_target_len)
     if not generated:
         return EXIT_WARNING, WARNING_TEXT
     return EXIT_OK, " ".join(tgt_vocab.decode(generated))
@@ -294,10 +278,7 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
     else:
         src_vocab, tgt_vocab = _load_vocabs(config)
         checkpoints = _load_ensemble(config, src_vocab, tgt_vocab)
-        sources = [
-            src_vocab.encode(item.source[: config.max_source_len], add_eos=True)
-            for item in split.test
-        ]
+        sources = [source_ids(src_vocab, item.source, config) for item in split.test]
         decoded = beam_search(checkpoints, sources, config.beam_width, config.max_target_len)
         generated = [tgt_vocab.decode(ids) for ids in decoded]
         model_name = f"ensemble_{len(checkpoints)}"

@@ -10,6 +10,7 @@ from .model import (
     gradients,
     init_decoder_state,
     init_params,
+    source_ids,
 )
 from .training import (
     Checkpoint,
@@ -41,5 +42,6 @@ __all__ = [
     "init_params",
     "load_checkpoint",
     "save_checkpoint",
+    "source_ids",
     "train",
 ]

@@ -20,7 +20,9 @@ Every product that does not depend on the recurrence runs once per batch,
 outside the time loops: the GRU input projections, the attention
 projection of the annotations (annotations @ att_u, as in Bahdanau et al.,
 arXiv 1409.0473), the output layer with its softmax, and every weight
-gradient.  Inside the loops sequences are time-major, (S or T, B, ...).
+gradient but two: attend_backward adds to the att_w and att_v gradients
+once per decoder step.  Inside the loops sequences are time-major,
+(S or T, B, ...).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Annotated, Iterator, NamedTuple
 
 import numpy as np
 
-from ..corpus import PAD_ID, START_ID, FilterConfig
+from ..corpus import PAD_ID, START_ID, FilterConfig, TokenSequence, Vocabulary
 
 Array = np.ndarray
 
@@ -550,6 +552,13 @@ def pad_batch(sources: list[list[int]], targets: list[list[int]]) -> tuple[Array
     if not sources or len(sources) != len(targets):
         raise ValueError("batch must contain the same positive number of sources and targets")
     return (*_pad_sequences(sources, "source"), *_pad_sequences(targets, "target"))
+
+
+def source_ids(vocab: Vocabulary, tokens: TokenSequence, cfg: FilterConfig) -> list[int]:
+    """The ids a model reads for one source: its first cfg.max_source_len
+    tokens, then EOS.  Training, validation, evaluate and generate all
+    build their sources here."""
+    return vocab.encode(tokens[: cfg.max_source_len], add_eos=True)
 
 
 def _check_ids(ids: list[int], vocab_size: int, what: str) -> None:

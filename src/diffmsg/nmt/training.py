@@ -40,6 +40,7 @@ from .model import (
     loss_forward,
     pad_batch,
     param_shapes,
+    source_ids,
 )
 
 CHECKPOINT_FORMAT_VERSION = 3
@@ -99,7 +100,7 @@ class Checkpoint:
     optimizer_state: OptimizerState | None
     minibatch_index: Annotated[int, ">= 0"]
     validation_bleu: Annotated[float | None, ">= 0", "<= 100"]
-    seed: int = 0
+    seed: Annotated[int, ">= 0"] = 0
     best_bleu: Annotated[float, ">= 0", "<= 100"] = 0.0
     stall: Annotated[int, ">= 0"] = 0
     # the loss of the minibatches since the last validation, not yet logged
@@ -167,13 +168,14 @@ def _check_header(path: str | Path, header: dict) -> int:
 
 def load_checkpoint(
     path: str | Path,
-    expected_src_vocab_size: int | None = None,
-    expected_tgt_vocab_size: int | None = None,
+    dims: tuple[int, int, int, int] | None = None,
     params_only: bool = False,
 ) -> Checkpoint:
-    """Load a checkpoint, verifying version, header, payload length, and vocab sizes.
+    """Load a checkpoint, verifying version, header, payload length and shape.
 
-    With params_only, reads the parameter buffer, which comes first in the
+    dims, if given, is the caller's model in _DIM_KEYS order; the first key
+    the file differs on is a CheckpointError naming both values.  With
+    params_only, reads the parameter buffer, which comes first in the
     payload, and not the optimizer state (optimizer_state is then None).
     Every array is a view into one writable buffer read from the file.
     """
@@ -182,6 +184,10 @@ def load_checkpoint(
         header = read_json_object(header_line, {**_STATE_KEYS, **_PAYLOAD_KEYS}, f"{path}: header",
                                   CheckpointError, CHECKPOINT_FORMAT_VERSION)
         size = _check_header(path, header)
+        for key, expected in zip(_DIM_KEYS, dims or ()):
+            if header[key] != expected:
+                raise CheckpointError(f"{path}: {key} is {header[key]}, but this run's config "
+                                      f"and vocabularies give {expected}")
         present = os.fstat(handle.fileno()).st_size - len(header_line)
         if present != header["payload_bytes"]:
             raise CheckpointError(
@@ -191,10 +197,6 @@ def load_checkpoint(
         payload = np.empty(size * blocks, dtype=np.float64)
         if handle.readinto(payload) != payload.nbytes:
             raise CheckpointError(f"{path}: truncated payload")
-    for side, key, expected in (("source", "src_vocab_size", expected_src_vocab_size),
-                                ("target", "tgt_vocab_size", expected_tgt_vocab_size)):
-        if expected is not None and header[key] != expected:
-            raise CheckpointError(f"{path}: {side} vocab size {header[key]} != expected {expected}")
     flat, *state = (payload[size * k : size * (k + 1)] for k in range(blocks))
     return Checkpoint(
         params=ModelParams.from_flat(flat, *(header[key] for key in _DIM_KEYS)),
@@ -256,14 +258,16 @@ def train(
 ) -> list[Checkpoint]:
     """Minibatch Adadelta training; returns [state], the final training state.
 
-    The state is one Checkpoint, resume_from if given, else a fresh one.
-    It is updated in place, its buffers with it, and written every
-    hyper.checkpoint_every minibatches and when training stops, as
-    checkpoint_<minibatch index, 8 digits>.ckpt in checkpoint_dir; a run
-    that does not resume first removes the checkpoints listed there (see
-    checkpoint_paths), as it truncates the log.  Validation
-    runs every hyper.validate_every minibatches on greedy decodes of the
-    validation split (skipped if it is empty); training stops after
+    The state is one Checkpoint, resume_from if given, else a fresh one;
+    resume_from must carry hyper.seed, which orders every epoch, or the run
+    is refused with a ValueError before anything is written.  Each source
+    is read as source_ids builds it.  The state is updated in place, its
+    buffers with it, and written every hyper.checkpoint_every minibatches
+    and when training stops, as checkpoint_<minibatch index, 8 digits>.ckpt
+    in checkpoint_dir; a run that does not resume first removes the
+    checkpoints listed there (see checkpoint_paths), as it truncates the
+    log.  Validation runs every hyper.validate_every minibatches on greedy
+    decodes of the validation split (skipped if it is empty); training stops after
     hyper.patience consecutive non-improving validations, or at the
     epoch/minibatch limits.  Before each checkpoint the log is flushed to
     disk.  On resume, the log lines past the checkpoint are dropped first,
@@ -273,23 +277,21 @@ def train(
     if not split.train:
         raise ValueError("training split is empty")
 
-    train_pairs = [
-        (src_vocab.encode(item.source, add_eos=True), tgt_vocab.encode(item.target, add_eos=True))
-        for item in split.train
-    ]
-    valid_pairs = [
-        (src_vocab.encode(item.source, add_eos=True), list(item.target))
-        for item in split.valid
-    ]
+    train_pairs = [(source_ids(src_vocab, item.source, hyper),
+                    tgt_vocab.encode(item.target, add_eos=True)) for item in split.train]
+    valid_pairs = [(source_ids(src_vocab, item.source, hyper), list(item.target))
+                   for item in split.valid]
 
     if resume_from is None:
         params = init_params(hyper, len(src_vocab), len(tgt_vocab))
         state = Checkpoint(params, init_optimizer_state(params), 0, None, seed=hyper.seed)
     elif resume_from.optimizer_state is None:
         raise ValueError("cannot resume from a checkpoint without optimizer state")
+    elif resume_from.seed != hyper.seed:
+        raise ValueError(f"cannot resume a run of seed {resume_from.seed} with seed {hyper.seed}: "
+                         f"its epochs would be shuffled in another order")
     else:
         state = resume_from
-        state.seed = hyper.seed
 
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if ckpt_dir is not None and resume_from is None:
@@ -321,7 +323,7 @@ def train(
                 break
             epoch, b = divmod(index, batches_per_epoch)
             if b == 0 or not order:
-                order = _epoch_order(hyper.seed, epoch, n)
+                order = _epoch_order(state.seed, epoch, n)
             batch = [train_pairs[i] for i in order[b * size : (b + 1) * size]]
             src, src_mask, tgt, tgt_mask = pad_batch([s for s, _ in batch], [t for _, t in batch])
             loss, cache = loss_forward(state.params, src, src_mask, tgt, tgt_mask)

@@ -39,7 +39,7 @@ from diffmsg.corpus import (
     field_types,
     ingest_jsonl,
 )
-from diffmsg.nmt import Hyperparams, load_checkpoint, save_checkpoint
+from diffmsg.nmt import CheckpointError, Hyperparams, load_checkpoint, save_checkpoint
 from diffmsg.qa import QaHyper, QaModel, save_qa_model
 from diffmsg.vdo import default_lexicon, filter_corpus, load_lexicon
 
@@ -347,6 +347,62 @@ class TestTrainCommand:
         resumed = cmd_train(dataclasses.replace(fresh, max_minibatches=6), resume=True)
         assert [p.name for p in resumed] == names[:3]
         assert [p.read_bytes() for p in resumed] == [p.read_bytes() for p in cmd_train(straight)]
+
+
+def work_files(config):
+    """Every file of the work dir, by path, with its bytes."""
+    return {path: path.read_bytes() for path in Path(config.work_dir).rglob("*") if path.is_file()}
+
+
+class TestOneModel:
+    """Every command reads the model the config describes: its shape and its
+    source length."""
+
+    @pytest.mark.parametrize("key", ["embed_dim", "hidden_dim"])
+    def test_resume_with_another_shape_is_refused(self, tmp_path, key):
+        config = toy_config(tmp_path, max_minibatches=2)
+        cmd_prepare(config)
+        cmd_train(config)
+        before = work_files(config)
+        last = config.checkpoint_dir / "checkpoint_00000002.ckpt"
+        with pytest.raises(CheckpointError, match=(
+                f"^{re.escape(str(last))}: {key} is {getattr(config, key)}, .* give 8$")):
+            cmd_train(dataclasses.replace(config, max_minibatches=4, **{key: 8}), resume=True)
+        assert work_files(config) == before
+
+    @pytest.mark.parametrize("command", ["evaluate", "generate"])
+    def test_a_checkpoint_of_another_shape_is_refused(self, tmp_path, command):
+        config = toy_config(tmp_path)
+        cmd_prepare(config)
+        cmd_train(config)
+        other = dataclasses.replace(config, hidden_dim=8)
+        with pytest.raises(CheckpointError,
+                           match=r"checkpoint_\d{8}\.ckpt: hidden_dim is 5, .* give 8$"):
+            if command == "evaluate":
+                cmd_evaluate(other)
+            else:
+                cmd_generate(other, "+ helper_2 ( x )", with_qa=False)
+        assert not config.eval_report_path.exists()
+
+    def test_training_reads_the_sources_cut_to_max_source_len(self, tmp_path):
+        config = toy_config(tmp_path, max_source_len=5)
+        cmd_prepare(dataclasses.replace(config, max_source_len=100))
+        cut = dataclasses.replace(config, work_dir=str(tmp_path / "cut"))
+        shutil.copytree(config.work_dir, cut.work_dir)  # the same vocabularies
+        lengths = []
+        for part in ("train", "valid", "test"):
+            path = cut.split_dir / f"{part}.src.txt"
+            lines = path.read_text().splitlines()
+            lengths += [len(line.split()) for line in lines]
+            path.write_text("".join(" ".join(line.split()[:5]) + "\n" for line in lines))
+        assert min(lengths) > 5
+        cmd_train(config)
+        cmd_train(cut)
+        assert config.train_log_path.read_text().count("minibatch=") == 2
+        trained, expected = ({p.name: p.read_bytes() for p in run.checkpoint_dir.iterdir()}
+                             for run in (config, cut))
+        assert trained == expected
+        assert config.train_log_path.read_bytes() == cut.train_log_path.read_bytes()
 
 
 class TestGenerate:
@@ -731,6 +787,25 @@ class TestMainExitCodes:
         assert main(["--config", str(path), "train", "--resume"]) == EXIT_OK
         assert capsys.readouterr().out == f"2 checkpoint(s) in {config.checkpoint_dir}\n"
         assert {p: p.read_bytes() for p in Path(config.work_dir).rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("change, named", [
+        ({"embed_dim": 8}, "{last}: embed_dim is 4, but this run's config and vocabularies give 8"),
+        ({"hidden_dim": 8}, "{last}: hidden_dim is 5, but this run's config and vocabularies give 8"),
+        ({"seed": 99}, "cannot resume a run of seed 7 with seed 99: its epochs would be shuffled "
+                       "in another order"),
+    ], ids=["embed_dim", "hidden_dim", "seed"])
+    def test_resume_of_another_model_exits_1_and_writes_nothing(self, tmp_path, capsys, change,
+                                                                named):
+        path, config = self._config_file(tmp_path, max_minibatches=2)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert main(["--config", str(path), "train"]) == EXIT_OK
+        before = work_files(config)
+        path.write_text(json.dumps({**dataclasses.asdict(config), "max_minibatches": 4, **change}))
+        capsys.readouterr()
+        assert main(["--config", str(path), "train", "--resume"]) == EXIT_ERROR
+        last = config.checkpoint_dir / "checkpoint_00000002.ckpt"
+        assert capsys.readouterr().err == f"error: {named.format(last=last)}\n"
+        assert work_files(config) == before
 
     @pytest.mark.parametrize("text, named", [
         ("[1]", "JSON object"),

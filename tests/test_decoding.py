@@ -320,7 +320,12 @@ class TestParameterOnlyLoad:
         with pytest.raises(CheckpointError, match="start with the parameters"):
             load_checkpoint(path, params_only=True)
 
-    def test_vocab_sizes_still_checked(self, tmp_path):
+    @pytest.mark.parametrize("key", ["embed_dim", "hidden_dim", "src_vocab_size",
+                                     "tgt_vocab_size"])
+    def test_dims_still_checked(self, tmp_path, key):
         path = full_checkpoint(tmp_path)
-        with pytest.raises(CheckpointError, match="target vocab"):
-            load_checkpoint(path, expected_tgt_vocab_size=3, params_only=True)
+        dims = {"embed_dim": 3, "hidden_dim": 4, "src_vocab_size": 9, "tgt_vocab_size": 8}
+        assert load_checkpoint(path, tuple(dims.values()), params_only=True).optimizer_state is None
+        dims[key] = 2
+        with pytest.raises(CheckpointError, match=f": {key} is .* give 2$"):
+            load_checkpoint(path, tuple(dims.values()), params_only=True)

@@ -220,6 +220,18 @@ class TestTrain:
         for name, tensor in straight[-1].params.tensors().items():
             np.testing.assert_array_equal(tensor, resumed[-1].params.tensors()[name])
 
+    def test_resume_with_another_seed_is_refused(self, tmp_path):
+        split = toy_split()
+        src, tgt = build_vocabs(split)
+        train(split, src, tgt, toy_hyper(max_minibatches=4), checkpoint_dir=tmp_path,
+              log_path=tmp_path / "log")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match="^cannot resume a run of seed 11 with seed 99: "):
+            train(split, src, tgt, toy_hyper(max_minibatches=8, seed=99), checkpoint_dir=tmp_path,
+                  log_path=tmp_path / "log",
+                  resume_from=load_checkpoint(tmp_path / "checkpoint_00000004.ckpt"))
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_resume_trains_the_checkpoint_in_place(self, tmp_path):
         split = toy_split()
         src, tgt = build_vocabs(split)
@@ -540,8 +552,9 @@ class TestCheckpointIO:
         ("best_bleu", 100.5, "best_bleu must be >= 0 and <= 100, got 100.5"),
         ("validation_bleu", -0.5, "validation_bleu must be >= 0 and <= 100, got -0.5"),
         ("window_loss_sum", -1.0, "window_loss_sum must be >= 0, got -1.0"),
+        ("seed", -1, "seed must be >= 0, got -1"),
     ], ids=["hidden_dim", "embed_dim", "minibatch_index", "stall", "best_bleu", "validation_bleu",
-            "window_loss_sum"])
+            "window_loss_sum", "seed"])
     def test_out_of_range_header_key_rejected(self, tmp_path, key, value, message):
         # the manifest and the payload agree with the value, so only its range refuses it
         header, _ = saved_checkpoint(tmp_path).read_bytes().split(b"\n", 1)
@@ -600,15 +613,23 @@ class TestCheckpointIO:
         assert [p.name for p in tmp_path.iterdir()] == [kept.name]
         assert kept.read_bytes() == good
 
-    def test_vocab_size_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", training._DIM_KEYS)
+    def test_dims_mismatch_rejected(self, tmp_path, key):
         params, _ = tiny_params(src_vocab=10, tgt_vocab=9)
-        checkpoint = Checkpoint(params, None, 0, None)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(checkpoint, path)
-        with pytest.raises(CheckpointError, match="vocab"):
-            load_checkpoint(path, expected_src_vocab_size=11)
-        with pytest.raises(CheckpointError, match="vocab"):
-            load_checkpoint(path, expected_tgt_vocab_size=8)
+        save_checkpoint(Checkpoint(params, None, 0, None), path)
+        dims = dict(zip(training._DIM_KEYS, (4, 5, 10, 9)))
+        assert load_checkpoint(path, tuple(dims.values())).params.flat.size == params.flat.size
+        dims[key] += 1
+        with pytest.raises(CheckpointError, match=(
+                f"^{re.escape(str(path))}: {key} is {dims[key] - 1}, but this run's config "
+                f"and vocabularies give {dims[key]}$")):
+            load_checkpoint(path, tuple(dims.values()))
+
+    def test_the_first_differing_dim_is_named(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        with pytest.raises(CheckpointError, match=r": hidden_dim is 5, .* give 6$"):
+            load_checkpoint(path, (4, 6, 11, 10))
 
     def test_garbage_header_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
