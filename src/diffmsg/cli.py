@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Annotated
 
+import numpy as np
+
 from . import bleu, qa
 from .corpus import (
     DatasetSplit,
@@ -36,8 +38,9 @@ from .corpus import (
     split_dataset,
     write_split_files,
 )
-from .nmt import (Hyperparams, beam_search, checkpoint_paths, ensemble_decode, load_checkpoint,
-                  source_ids, train)
+from .nmt import (Hyperparams, ModelParams, beam_search, checkpoint_paths, ensemble_decode,
+                  load_checkpoint, source_ids, train)
+from .nmt.model import param_count
 from .vdo import default_lexicon, filter_corpus, load_lexicon
 
 EXIT_OK = 0
@@ -224,12 +227,19 @@ def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
     return checkpoint_paths(config.checkpoint_dir)
 
 
-def _load_ensemble(config: PipelineConfig, src_vocab: Vocabulary, tgt_vocab: Vocabulary):
-    paths = checkpoint_paths(config.checkpoint_dir)
+def _load_ensemble(config: PipelineConfig, src_vocab: Vocabulary,
+                   tgt_vocab: Vocabulary) -> ModelParams:
+    """The last ensemble_size checkpoints of the run as one stacked model:
+    load_checkpoint reads each one's parameters into a row of one (M, N)
+    buffer."""
+    paths = checkpoint_paths(config.checkpoint_dir)[-config.ensemble_size:]
     if not paths:
         raise _not_found(config.checkpoint_dir, "checkpoints", "train")
     dims = _model_dims(config, src_vocab, tgt_vocab)
-    return [load_checkpoint(path, dims, params_only=True) for path in paths[-config.ensemble_size:]]
+    flat = np.empty((len(paths), param_count(*dims)))
+    for path, row in zip(paths, flat):
+        load_checkpoint(path, dims, out=row)
+    return ModelParams.from_flat(flat, *dims)
 
 
 def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple[int, str]:
@@ -250,9 +260,9 @@ def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple
         is_bad, _ = qa.predict(source_counts(diff_text), model)
         if is_bad:
             return EXIT_WARNING, WARNING_TEXT
-    checkpoints = _load_ensemble(config, src_vocab, tgt_vocab)
+    ensemble = _load_ensemble(config, src_vocab, tgt_vocab)
     source = source_ids(src_vocab, preprocess_source(diff_text, config.max_source_len), config)
-    generated = ensemble_decode(checkpoints, source, config.beam_width, config.max_target_len)
+    generated = ensemble_decode(ensemble, source, config.beam_width, config.max_target_len)
     if not generated:
         return EXIT_WARNING, WARNING_TEXT
     return EXIT_OK, " ".join(tgt_vocab.decode(generated))
@@ -277,11 +287,11 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
         model_name = "identity"
     else:
         src_vocab, tgt_vocab = _load_vocabs(config)
-        checkpoints = _load_ensemble(config, src_vocab, tgt_vocab)
+        ensemble = _load_ensemble(config, src_vocab, tgt_vocab)
         sources = [source_ids(src_vocab, item.source, config) for item in split.test]
-        decoded = beam_search(checkpoints, sources, config.beam_width, config.max_target_len)
+        decoded = beam_search(ensemble, sources, config.beam_width, config.max_target_len)
         generated = [tgt_vocab.decode(ids) for ids in decoded]
-        model_name = f"ensemble_{len(checkpoints)}"
+        model_name = f"ensemble_{len(ensemble.flat)}"
 
     pairs = list(zip(generated, references))
     model_report = bleu.corpus_bleu(pairs)

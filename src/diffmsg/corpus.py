@@ -146,7 +146,6 @@ def _admits(annotation: object) -> Callable[[object], bool]:
     return lambda value: type(value) in kinds and (value is None or _finite((value,)))
 
 
-@functools.cache
 def _rule(annotation: object) -> tuple[Callable[[object], bool], str, Callable[[object], bool], str]:
     """(type test, type name, range test, range text) of annotation.
 
@@ -168,16 +167,32 @@ def _rule(annotation: object) -> tuple[Callable[[object], bool], str, Callable[[
     return _admits(annotation), name, in_range, " and ".join(bounds)
 
 
+class Schema(dict):
+    """A record schema, {key: annotation} (see schema_problem), whose rules
+    (see _rule) are built once, when it is."""
+
+    def __init__(self, annotations: dict) -> None:
+        super().__init__(annotations)
+        self.rules = tuple((key, *_rule(annotation)) for key, annotation in self.items())
+
+    @staticmethod
+    @functools.cache
+    def of(cls: type) -> "Schema":
+        """The schema of a dataclass's fields (see field_types), one per class."""
+        return Schema(field_types(cls))
+
+
 def schema_problem(obj: dict, schema: dict, prefix: str = "") -> str | None:
     """Describe the first key of schema ({key: annotation}) that obj lacks,
     holds with a value its annotation does not admit (see _JSON_TYPES; a
     float must be finite), or holds out of the annotation's range (see
-    _rule), or return None."""
-    for key, annotation in schema.items():
+    _rule), or return None.  A plain dict's rules are built on every call,
+    a Schema's were built with it."""
+    rules = schema.rules if isinstance(schema, Schema) else Schema(schema).rules
+    for key, admits, name, in_range, bounds in rules:
         if key not in obj:
             return f"lacks {prefix + key!r}"
         value = obj[key]
-        admits, name, in_range, bounds = _rule(annotation)
         if not admits(value):
             return f"key {prefix + key!r} must be {name}, got {reprlib.repr(value)}"
         if not in_range(value):
@@ -191,7 +206,7 @@ class Checked:
     ValueError naming the key, so no unchecked config exists."""
 
     def __post_init__(self) -> None:
-        if (problem := schema_problem(vars(self), field_types(type(self)))) is not None:
+        if (problem := schema_problem(vars(self), Schema.of(type(self)))) is not None:
             raise ValueError(problem)
 
 
@@ -250,7 +265,7 @@ def ingest_jsonl(path: str | Path) -> list[Commit]:
     """
     commits: list[Commit] = []
     seen: set[str] = set()
-    for where, record in read_jsonl(path, {"id": str | int, "diff": str, "message": str}):
+    for where, record in read_jsonl(path, Schema({"id": str | int, "diff": str, "message": str})):
         commit_id = str(record["id"])
         if not commit_id:
             raise CorpusFormatError(f"{where}: empty id")

@@ -87,9 +87,11 @@ GRU_NAMES = ("enc_fwd", "enc_bwd", "dec")
 class ModelParams:
     """Every trainable tensor of the encoder-decoder, each a view into one
     float64 buffer, flat, in param_shapes order.  Gradients use the same
-    class; params[name] and iter(params) read it as tensors() does."""
+    class; params[name] and iter(params) read it as tensors() does.  A
+    stacked ensemble of M models is one over an (M, N) buffer, a member a
+    row: each tensor is then (M, *shape)."""
 
-    flat: Array             # (N,), every tensor below is a view into it
+    flat: Array             # (N,) or (M, N), every tensor below is a view into it
     src_emb: Array          # (V_src, E)
     tgt_emb: Array          # (V_tgt, E)
     enc_fwd: GruParams      # input E -> H
@@ -105,19 +107,19 @@ class ModelParams:
 
     @property
     def embed_dim(self) -> int:
-        return self.src_emb.shape[1]
+        return self.src_emb.shape[-1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.att_w.shape[0]
+        return self.att_w.shape[-1]
 
     @property
     def src_vocab_size(self) -> int:
-        return self.src_emb.shape[0]
+        return self.src_emb.shape[-2]
 
     @property
     def tgt_vocab_size(self) -> int:
-        return self.tgt_emb.shape[0]
+        return self.tgt_emb.shape[-2]
 
     def tensors(self) -> dict[str, Array]:
         """Named views of every tensor, in layout order (see param_shapes)."""
@@ -139,10 +141,12 @@ class ModelParams:
     @classmethod
     def from_flat(cls, flat: Array, embed_dim: int, hidden_dim: int, src_vocab_size: int,
                   tgt_vocab_size: int) -> "ModelParams":
-        """Named views into flat (N,), in param_shapes order; no copy."""
+        """Named views into flat (N,) or (M, N), in param_shapes order; no copy."""
         shapes = param_shapes(embed_dim, hidden_dim, src_vocab_size, tgt_vocab_size)
-        chunks = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1])
-        views = {name: chunk.reshape(shape) for (name, shape), chunk in zip(shapes.items(), chunks)}
+        chunks = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1],
+                          axis=-1)
+        views = {name: chunk.reshape(flat.shape[:-1] + shape)
+                 for (name, shape), chunk in zip(shapes.items(), chunks)}
         grus = {n: GruParams(*(views.pop(f"{n}.{part}") for part in "wub")) for n in GRU_NAMES}
         return cls(flat, **grus, **views)
 
@@ -159,6 +163,11 @@ class ModelParams:
         if not np.isfinite(self.flat).all():
             name = next(n for n, t in self.tensors().items() if not np.isfinite(t).all())
             raise FloatingPointError(f"non-finite values in parameter {name}")
+
+
+def param_count(*dims: int) -> int:
+    """N, the length of ModelParams.flat, for param_shapes' dims."""
+    return sum(math.prod(shape) for shape in param_shapes(*dims).values())
 
 
 def param_shapes(
@@ -189,8 +198,7 @@ def init_params(hyper: Hyperparams, src_vocab_size: int, tgt_vocab_size: int) ->
         raise ValueError("vocabulary sizes must be >= 1")
     rng = np.random.default_rng(hyper.seed)
     dims = (hyper.embed_dim, hyper.hidden_dim, src_vocab_size, tgt_vocab_size)
-    size = sum(math.prod(shape) for shape in param_shapes(*dims).values())
-    params = ModelParams.from_flat(np.empty(size), *dims)
+    params = ModelParams.from_flat(np.empty(param_count(*dims)), *dims)
     for name, tensor in params.tensors().items():
         blocks = 3 if name.partition(".")[0] in GRU_NAMES else 1
         for block in np.split(tensor, blocks, axis=-1):
@@ -203,7 +211,7 @@ class _Chain(NamedTuple):
     each step writes its row of each, and the backward pass reads them.
     States are in position order: row 0 of h, or row S for a reversed
     chain, is the state it starts from (0 for the encoder, s_0 for the
-    decoder)."""
+    decoder).  A stacked ensemble's M chains are one, its rows (M, B, ...)."""
 
     h: Array        # (S+1, B, H)
     zr: Array       # (S, B, 2H), the gates z|r
@@ -212,10 +220,10 @@ class _Chain(NamedTuple):
 
     @classmethod
     def start(cls, steps: int, boundary: Array, reverse: bool = False) -> "_Chain":
-        batch, n = boundary.shape
-        h = np.empty((steps + 1, batch, n))
+        h = np.empty((steps + 1,) + boundary.shape)
         h[steps if reverse else 0] = boundary
-        return cls(h, np.empty((steps, batch, 2 * n)), np.empty((steps, batch, n)), reverse)
+        zr = np.empty((steps,) + boundary.shape[:-1] + (2 * boundary.shape[-1],))
+        return cls(h, zr, np.empty((steps,) + boundary.shape), reverse)
 
     @property
     def h_prev(self) -> Array:
@@ -231,24 +239,26 @@ class _Chain(NamedTuple):
 def _gate_blocks(u: Array) -> tuple[Array, Array]:
     """Contiguous copies of u's z|r and h~ column blocks: per-step products
     run faster on them than on strided slices, to the same bits."""
-    return np.ascontiguousarray(u[:, : 2 * len(u)]), np.ascontiguousarray(u[:, 2 * len(u) :])
+    n = u.shape[-2]
+    return np.ascontiguousarray(u[..., : 2 * n]), np.ascontiguousarray(u[..., 2 * n :])
 
 
 def _gru_step(
     u_zr: Array, u_h: Array, h_prev: Array, zr: Array, h_cand: Array, h: Array, xw: Array
 ) -> None:
     """One GRU step, h = (1 - z) * h_prev + z * h~, from xw = x @ w + b
-    (B, 3H) and u's z|r and h~ blocks; writes z|r, h~ and h (B, ...)."""
-    n = h_prev.shape[1]
-    np.add(xw[:, : 2 * n], np.matmul(h_prev, u_zr, out=zr), out=zr)
+    (B, 3H) and u's z|r and h~ blocks; writes z|r, h~ and h (B, ...), or
+    with a stacked ensemble's leading axis M on every argument."""
+    n = h_prev.shape[-1]
+    np.add(xw[..., : 2 * n], np.matmul(h_prev, u_zr, out=zr), out=zr)
     zr *= 0.5                  # sigmoid in the tanh form, which cannot overflow
     np.tanh(zr, out=zr)
     zr += 1.0
     zr *= 0.5
-    rh = zr[:, n:] * h_prev
-    np.tanh(np.add(xw[:, 2 * n :], np.matmul(rh, u_h, out=h_cand), out=h_cand), out=h_cand)
+    rh = zr[..., n:] * h_prev
+    np.tanh(np.add(xw[..., 2 * n :], np.matmul(rh, u_h, out=h_cand), out=h_cand), out=h_cand)
     np.subtract(h_cand, h_prev, out=h)
-    h *= zr[:, :n]
+    h *= zr[..., :n]
     h += h_prev
 
 
@@ -324,25 +334,25 @@ def encode_batch(
     pre-activation is -inf, which makes z exactly 0 there and the gradients
     through them exact pass-throughs.  Training and inference run the same
     chains; cache, when given, keeps the inputs and the two chains' buffers
-    for the backward pass.
+    for the backward pass.  Stacked params give annotations (M, B, S, 2H).
     """
-    xs = params.src_emb[src_ids.T]                         # (S, B, E), time-major
-    padded = src_mask.T[:, :, None] == 0.0
+    xs = np.moveaxis(params.src_emb[..., src_ids.T, :], -3, 0)  # (S, [M,] B, E), time-major
+    padded = np.expand_dims(src_mask.T == 0.0, (*range(1, xs.ndim - 2), -1))
     if cache is not None:
         cache.update(src_ids=src_ids, xs=xs)
     h = params.hidden_dim
-    zeros = np.zeros((len(src_ids), h))
-    annotations = np.empty((len(src_ids), len(xs), 2 * h))
+    zeros = np.zeros(xs.shape[1:-1] + (h,))
+    annotations = np.empty(zeros.shape[:-1] + (len(xs), 2 * h))
     for prefix, columns in (("enc_fwd", slice(0, h)), ("enc_bwd", slice(h, 2 * h))):
         p = getattr(params, prefix)
         xw = xs @ p.w
-        xw += p.b
-        np.copyto(xw[:, :, :h], -np.inf, where=padded)
+        xw += p.b[..., None, :]
+        np.copyto(xw[..., :h], -np.inf, where=padded)
         chain = _Chain.start(len(xs), zeros, reverse=prefix == "enc_bwd")
         _gru_chain(p, xw, chain)
         if cache is not None:
             cache[prefix] = chain
-        annotations[:, :, columns] = chain.states.transpose(1, 0, 2)
+        annotations[..., columns] = np.moveaxis(chain.states, 0, -2)
     return annotations
 
 
@@ -371,12 +381,13 @@ def attend_batch(
     not depend on the decoder state and so is computed once per batch.
     Padded source positions get zero weight.  Returns the context vectors
     (B, 2H), the weights (B, S), and the backward cache.  For K hypotheses
-    per source, s_prev is (B, K, H) and annotations, proj and src_mask carry
-    a broadcast axis, (B, 1, S, ...); the results then are (B, K, ...).
+    per source under each member of a stacked ensemble, s_prev is
+    (B, M, K, H), annotations and proj are (B, M, 1, S, ...) and src_mask
+    (B, 1, 1, S); the results then are (B, M, K, ...).
     """
     m = (s_prev @ params.att_w)[..., None, :] + proj
     np.tanh(m, out=m)                                          # (B, S, H)
-    scores = m @ params.att_v                                  # (B, S)
+    scores = (m @ params.att_v[..., None, :, None])[..., 0]    # (B, S)
     masked = np.where(src_mask > 0.0, scores, -np.inf)
     masked = masked - masked.max(axis=-1, keepdims=True)
     weights = np.exp(masked)
@@ -416,8 +427,9 @@ def attend_backward(
 
 
 def init_decoder_state_batch(params: ModelParams, annotations: Array) -> Array:
-    """s_0 = tanh(W_init . first backward state + b_init)."""
-    return np.tanh(annotations[:, 0, params.hidden_dim:] @ params.init_w + params.init_b)
+    """s_0 = tanh(W_init . first backward state + b_init), ([M,] B, H)."""
+    first = annotations[..., 0, params.hidden_dim:] @ params.init_w
+    return np.tanh(first + params.init_b[..., None, :])
 
 
 def _softmax_rows(logits: Array) -> tuple[Array, Array]:
@@ -568,46 +580,50 @@ def _check_ids(ids: list[int], vocab_size: int, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Inference: encode a batch of sources once, then step K hypotheses of each.
+# Inference: a stacked ensemble encodes a batch of sources once, then steps K
+# hypotheses of each; every member's products are the BLAS calls it makes alone.
 
-def encode_sources(params: ModelParams, sources: list[list[int]]) -> tuple[Array, ...]:
-    """Encode id sequences (EOS appended), padded to the longest: returns the
-    annotations (B, S, 2H), their projection annotations @ att_u (B, S, H),
-    the mask (B, S) and the states s_0 (B, H)."""
+def encode_sources(params: ModelParams, sources: list[list[int]],
+                   at_once: int) -> tuple[Array, ...]:
+    """Encode id sequences (EOS appended), padded to the longest, under each
+    member of a stacked ensemble, at_once members to a stacked chain:
+    returns the annotations (B, M, S, 2H), their projection annotations @
+    att_u (B, M, S, H), the mask (B, S) and the states s_0 (M, B, H)."""
     for ids in sources:
         _check_ids(ids, params.src_vocab_size, "source")
     src_ids, src_mask = _pad_sequences(sources, "source")
-    annotations = encode_batch(params, src_ids, src_mask)
-    return (annotations, annotations @ params.att_u, src_mask,
+    members = len(params.flat)
+    if at_once >= members:
+        annotations = encode_batch(params, src_ids, src_mask)      # (M, B, S, 2H)
+    else:
+        annotations = np.concatenate([encode_batch(params.like(params.flat[lo : lo + at_once]),
+                                                   src_ids, src_mask)
+                                      for lo in range(0, members, at_once)])
+    by_source = annotations.swapaxes(0, 1)
+    return (by_source, by_source @ params.att_u, src_mask,
             init_decoder_state_batch(params, annotations))
 
 
-def decoder_step_batch(
-    params: ModelParams,
-    s_prev: Array,
-    prev_ids: Array,
-    annotations: Array,
-    proj: Array,
-    src_mask: Array,
-) -> tuple[Array, Array]:
-    """One decoder step for K hypotheses of each of B sources: from their
-    states (B, K, H), last tokens (B, K) and encoded sources (see
-    encode_sources), the next states (B, K, H) and distributions (B, K, V)."""
-    batch, width, h = s_prev.shape
+def decoder_step_batch(params: ModelParams, s_prev: Array, prev_ids: Array, annotations: Array,
+                       proj: Array, src_mask: Array) -> tuple[Array, Array]:
+    """One decoder step of a stacked ensemble for K hypotheses of each of B
+    sources: from the members' states (M, B, K, H), the last tokens (B, K)
+    and the encoded sources (see encode_sources), the next states
+    (M, B, K, H) and distributions (M, B, K, V)."""
+    members, batch, width, h = s_prev.shape
     rows = batch * width
-    ey = params.tgt_emb[prev_ids]                                  # (B, K, E)
-    context, _, _ = attend_batch(
-        params, s_prev, annotations[:, None], proj[:, None], src_mask[:, None]
-    )
-    gru_in = np.concatenate([ey, context], axis=2).reshape(rows, -1)
-    s_new = np.empty((rows, h))
+    ey = params.tgt_emb[:, prev_ids]                               # (M, B, K, E)
+    context, _, _ = attend_batch(params, s_prev.swapaxes(0, 1), annotations[:, :, None],
+                                 proj[:, :, None], src_mask[:, None, None])
+    gru_in = np.concatenate([ey, context.swapaxes(0, 1)], axis=3).reshape(members, rows, -1)
+    s_new = np.empty((members, rows, h))
     # one step does not repay the contiguous copies of the gate blocks
-    xw = gru_in @ params.dec.w + params.dec.b
-    _gru_step(*np.split(params.dec.u, [2 * h], axis=1), s_prev.reshape(rows, h),
-              np.empty((rows, 2 * h)), np.empty((rows, h)), s_new, xw)
-    readout = np.concatenate([s_new, gru_in], axis=1)              # (rows, H+E+2H)
-    probs, _ = _softmax_rows(readout @ params.out_w + params.out_b)
-    return s_new.reshape(batch, width, h), probs.reshape(batch, width, -1)
+    xw = gru_in @ params.dec.w + params.dec.b[:, None]
+    _gru_step(*np.split(params.dec.u, [2 * h], axis=2), s_prev.reshape(members, rows, h),
+              np.empty((members, rows, 2 * h)), np.empty((members, rows, h)), s_new, xw)
+    readout = np.concatenate([s_new, gru_in], axis=2)              # (M, rows, H+E+2H)
+    probs, _ = _softmax_rows(readout @ params.out_w + params.out_b[:, None])
+    return s_new.reshape(s_prev.shape), probs.reshape(members, batch, width, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +631,8 @@ def decoder_step_batch(
 
 def encode(source_ids: list[int], params: ModelParams) -> Array:
     """Annotations (S, 2H) for one source sequence (EOS already appended)."""
-    return encode_sources(params, [source_ids])[0][0]
+    _check_ids(source_ids, params.src_vocab_size, "source")
+    return encode_batch(params, *_pad_sequences([source_ids], "source"))[0]
 
 
 def init_decoder_state(annotations: Array, params: ModelParams) -> Array:
@@ -627,11 +644,10 @@ def decoder_step(
 ) -> tuple[Array, Array]:
     """One decoder step: next state and the distribution over target ids."""
     _check_ids([prev_target_id], params.tgt_vocab_size, "target")
-    ann, mask = annotations[None, :, :], np.ones((1, annotations.shape[0]))
-    s_new, probs = decoder_step_batch(
-        params, prev_state[None, None], np.array([[prev_target_id]]), ann, ann @ params.att_u, mask
-    )
-    return s_new[0, 0], probs[0, 0]
+    ann, mask = annotations[None, None], np.ones((1, annotations.shape[0]))  # B = M = 1
+    s_new, probs = decoder_step_batch(params.like(params.flat[None]), prev_state[None, None, None],
+                                      np.array([[prev_target_id]]), ann, ann @ params.att_u, mask)
+    return s_new[0, 0, 0], probs[0, 0, 0]
 
 
 def _batch_forward(

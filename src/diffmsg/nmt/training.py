@@ -18,7 +18,6 @@ and tensor shape before reading the payload.
 from __future__ import annotations
 
 import json
-import math
 import os
 import random
 import re
@@ -29,7 +28,8 @@ from typing import Annotated
 import numpy as np
 
 from .. import bleu
-from ..corpus import DatasetSplit, Vocabulary, atomic_write, field_types, read_json_object
+from ..corpus import (DatasetSplit, Schema, Vocabulary, atomic_write, field_types,
+                      read_json_object)
 from .decoding import beam_search
 from .model import (
     Array,
@@ -39,6 +39,7 @@ from .model import (
     loss_backward,
     loss_forward,
     pad_batch,
+    param_count,
     param_shapes,
     source_ids,
 )
@@ -115,6 +116,14 @@ _STATE_KEYS = {key: kind for key, kind in field_types(Checkpoint).items()
 _DIM_KEYS = ("embed_dim", "hidden_dim", "src_vocab_size", "tgt_vocab_size")
 _PAYLOAD_KEYS = {**dict.fromkeys(_DIM_KEYS, Annotated[int, ">= 1"]), "has_optimizer_state": bool,
                  "payload_bytes": int, "tensors": list[dict]}
+_HEADER_KEYS = Schema({**_STATE_KEYS, **_PAYLOAD_KEYS})
+
+
+def _dims_problem(found: tuple[int, ...], expected: tuple[int, ...]) -> str | None:
+    """The first of _DIM_KEYS on which found differs from the run's
+    expected dims, with both values; or None."""
+    return next((f"{key} is {have}, but this run's config and vocabularies give {want}"
+                 for key, have, want in zip(_DIM_KEYS, found, expected) if have != want), None)
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
@@ -160,7 +169,7 @@ def _check_header(path: str | Path, header: dict) -> int:
                 f"{path}: tensor {name!r} has shape {entry.get('shape')}, expected "
                 f"{list(shape)} from embed_dim, hidden_dim and the vocab sizes"
             )
-    size = sum(math.prod(shape) for shape in expected.values())
+    size = param_count(*(header[key] for key in _DIM_KEYS))
     if header["payload_bytes"] != 8 * size * (3 if header["has_optimizer_state"] else 1):
         raise CheckpointError(f"{path}: header key 'payload_bytes' disagrees with the manifest")
     return size
@@ -170,6 +179,7 @@ def load_checkpoint(
     path: str | Path,
     dims: tuple[int, int, int, int] | None = None,
     params_only: bool = False,
+    out: Array | None = None,
 ) -> Checkpoint:
     """Load a checkpoint, verifying version, header, payload length and shape.
 
@@ -177,24 +187,27 @@ def load_checkpoint(
     the file differs on is a CheckpointError naming both values.  With
     params_only, reads the parameter buffer, which comes first in the
     payload, and not the optimizer state (optimizer_state is then None).
-    Every array is a view into one writable buffer read from the file.
+    Every array is a view into one writable buffer read from the file: out,
+    if given, a contiguous (N,) float64 buffer such as a row of a stacked
+    ensemble's, which implies params_only.
     """
     with open(path, "rb") as handle:
         header_line = handle.readline()
-        header = read_json_object(header_line, {**_STATE_KEYS, **_PAYLOAD_KEYS}, f"{path}: header",
-                                  CheckpointError, CHECKPOINT_FORMAT_VERSION)
+        header = read_json_object(header_line, _HEADER_KEYS, f"{path}: header", CheckpointError,
+                                  CHECKPOINT_FORMAT_VERSION)
         size = _check_header(path, header)
-        for key, expected in zip(_DIM_KEYS, dims or ()):
-            if header[key] != expected:
-                raise CheckpointError(f"{path}: {key} is {header[key]}, but this run's config "
-                                      f"and vocabularies give {expected}")
+        problem = _dims_problem(tuple(header[key] for key in _DIM_KEYS), dims or ())
+        if problem is not None:
+            raise CheckpointError(f"{path}: {problem}")
+        if out is not None and out.shape != (size,):
+            raise ValueError(f"{path}: holds {size} parameters, not {out.size}")
         present = os.fstat(handle.fileno()).st_size - len(header_line)
         if present != header["payload_bytes"]:
             raise CheckpointError(
                 f"{path}: truncated payload ({present} of {header['payload_bytes']} bytes)"
             )
-        blocks = 3 if header["has_optimizer_state"] and not params_only else 1
-        payload = np.empty(size * blocks, dtype=np.float64)
+        blocks = 3 if header["has_optimizer_state"] and not params_only and out is None else 1
+        payload = np.empty(size * blocks, dtype=np.float64) if out is None else out
         if handle.readinto(payload) != payload.nbytes:
             raise CheckpointError(f"{path}: truncated payload")
     flat, *state = (payload[size * k : size * (k + 1)] for k in range(blocks))
@@ -259,9 +272,10 @@ def train(
     """Minibatch Adadelta training; returns [state], the final training state.
 
     The state is one Checkpoint, resume_from if given, else a fresh one;
-    resume_from must carry hyper.seed, which orders every epoch, or the run
-    is refused with a ValueError before anything is written.  Each source
-    is read as source_ids builds it.  The state is updated in place, its
+    resume_from must have the shape hyper and the vocabularies give (see
+    _dims_problem) and carry hyper.seed, which orders every epoch, or the
+    run is refused with a ValueError before anything is written.  Each
+    source is read as source_ids builds it.  The state is updated in place, its
     buffers with it, and written every hyper.checkpoint_every minibatches
     and when training stops, as checkpoint_<minibatch index, 8 digits>.ckpt
     in checkpoint_dir; a run that does not resume first removes the
@@ -287,6 +301,10 @@ def train(
         state = Checkpoint(params, init_optimizer_state(params), 0, None, seed=hyper.seed)
     elif resume_from.optimizer_state is None:
         raise ValueError("cannot resume from a checkpoint without optimizer state")
+    elif problem := _dims_problem(
+            tuple(getattr(resume_from.params, key) for key in _DIM_KEYS),
+            (hyper.embed_dim, hyper.hidden_dim, len(src_vocab), len(tgt_vocab))):
+        raise ValueError(f"cannot resume from a checkpoint whose {problem}")
     elif resume_from.seed != hyper.seed:
         raise ValueError(f"cannot resume a run of seed {resume_from.seed} with seed {hyper.seed}: "
                          f"its epochs would be shuffled in another order")

@@ -23,9 +23,9 @@ from .bow import BagOfWords, Document, row_sums
 from .corpus import (
     Checked,
     CorpusFormatError,
+    Schema,
     TokenSequence,
     atomic_write,
-    field_types,
     preprocess_source,
     read_json_object,
     read_jsonl,
@@ -79,7 +79,7 @@ def load_gold_jsonl(path: str | Path) -> list[GoldRecord]:
     are not UTF-8 decode to U+FFFD.
     """
     records: list[GoldRecord] = []
-    for where, raw in read_jsonl(path, {"diff": str, "scores": list[int]}):
+    for where, raw in read_jsonl(path, Schema({"diff": str, "scores": list[int]})):
         tokens = preprocess_source(raw["diff"])
         try:
             records.append(GoldRecord(diff=tokens, scores=tuple(raw["scores"])))
@@ -335,8 +335,8 @@ class QaModelError(ValueError):
 
 # every key of a saved QA model but "format_version"; "hyper" holds the
 # fields of QaHyper
-_MODEL_KEYS = {"feature_vocab": dict[str, int], "idf": list[float], "weights": list[float],
-               "bias": float, "hyper": dict}
+_MODEL_KEYS = Schema({"feature_vocab": dict[str, int], "idf": list[float],
+                      "weights": list[float], "bias": float, "hyper": dict})
 
 
 def load_qa_model(path: str | Path) -> QaModel:
@@ -350,7 +350,7 @@ def load_qa_model(path: str | Path) -> QaModel:
     payload = read_json_object(Path(path).read_bytes(), _MODEL_KEYS, str(path), QaModelError,
                                QA_MODEL_FORMAT_VERSION)
     # checked here too: QaHyper's own check would not see a missing key
-    hyper_keys = field_types(QaHyper)
+    hyper_keys = Schema.of(QaHyper)
     if (problem := schema_problem(payload["hyper"], hyper_keys, prefix="hyper.")) is not None:
         raise QaModelError(f"{path}: {problem}")
     vocab, idf, weights = payload["feature_vocab"], payload["idf"], payload["weights"]

@@ -266,6 +266,11 @@ class TestBatchEqualsAlone:
         with pytest.raises(ValueError, match="non-empty"):
             beam_search(MODELS, [[4, EOS_ID], []], 2, 5)
 
+    def test_a_batch_of_empty_sources_rejected(self):
+        # the batch size rule divides by the longest source
+        with pytest.raises(ValueError, match="non-empty"):
+            beam_search(MODELS, [[]], 2, 5)
+
     def test_no_sources(self):
         assert beam_search(MODELS, [], 5, 8) == []
 

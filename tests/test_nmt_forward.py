@@ -21,7 +21,7 @@ from diffmsg.nmt import (
     init_decoder_state,
     init_params,
 )
-from diffmsg.nmt import model
+from diffmsg.nmt import decoding, model
 from diffmsg.nmt.model import GruParams, attend_batch
 
 
@@ -218,6 +218,67 @@ class TestChainKernels:
         assert np.array_equal(d_xw, want_d_xw)
         for (name, g), (_, w) in zip(got.tensors(), want.tensors()):
             assert np.array_equal(g, w), name
+
+
+# --- a stacked ensemble against its members alone ---------------------------
+#
+# Stacked, every member's products must stay the BLAS calls it makes alone:
+# the reference runs one model's encoder on the unstacked (training) path and
+# writes its decoder step out as one model's numpy calls, (B, K, ...).
+
+def alone_step(p, s_prev, prev_ids, annotations, proj, src_mask):
+    """One model's decoder step for K hypotheses of each of B sources."""
+    batch, width, h = s_prev.shape
+    rows = batch * width
+    m = (s_prev @ p.att_w)[:, :, None, :] + proj[:, None]
+    np.tanh(m, out=m)
+    scores = np.where(src_mask[:, None] > 0.0, m @ p.att_v, -np.inf)
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = weights / weights.sum(axis=-1, keepdims=True)
+    context = (weights[..., None, :] @ annotations[:, None])[..., 0, :]
+    gru_in = np.concatenate([p.tgt_emb[prev_ids], context], axis=2).reshape(rows, -1)
+    s_new = np.empty((rows, h))
+    model._gru_step(p.dec.u[:, : 2 * h], p.dec.u[:, 2 * h :], s_prev.reshape(rows, h),
+                    np.empty((rows, 2 * h)), np.empty((rows, h)), s_new,
+                    gru_in @ p.dec.w + p.dec.b)
+    probs, _ = model._softmax_rows(np.concatenate([s_new, gru_in], axis=1) @ p.out_w + p.out_b)
+    return s_new.reshape(batch, width, h), probs.reshape(batch, width, -1)
+
+
+class TestStackedEnsemble:
+    @given(members=st.integers(1, 4), lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           width=st.integers(1, 3), hidden=st.integers(1, 6), embed=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_each_member_computes_as_alone_to_the_bit(self, members, lengths, width, hidden,
+                                                      embed, seed):
+        rng = np.random.default_rng(seed)
+        shape = tiny_params(embed=embed, hidden=hidden, src_vocab=7, tgt_vocab=6)
+        alone = [shape.like(rng.uniform(-1, 1, shape.flat.size)) for _ in range(members)]
+        stacked = shape.like(np.stack([p.flat for p in alone]))
+        sources = [[int(i) for i in rng.integers(4, 7, n - 1)] + [EOS_ID] for n in lengths]
+        src_ids, src_mask = model._pad_sequences(sources, "source")
+        states = rng.standard_normal((members, len(sources), width, hidden))
+        prev = rng.integers(0, 6, (len(sources), width))
+
+        own = [(ann, ann @ p.att_u) for p in alone
+               for ann in [model.encode_batch(p, src_ids, src_mask)]]
+        for at_once in (members, 1):  # every member's chain stacked, or one at a time
+            annotations, proj, mask, s0 = model.encode_sources(stacked, sources, at_once)
+            for m, p in enumerate(alone):
+                assert np.array_equal(annotations[:, m], own[m][0])
+                assert np.array_equal(proj[:, m], own[m][1])
+                assert np.array_equal(s0[m], model.init_decoder_state_batch(p, own[m][0]))
+        # the default bound steps every member at once, a bound of 1 one at a time
+        for bound in (decoding.MAX_STEP_ELEMENTS, 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(decoding, "MAX_STEP_ELEMENTS", bound)
+                s_new, probs = decoding._step(lambda lo, hi: stacked.like(stacked.flat[lo:hi]),
+                                              states, prev, (annotations, proj, mask))
+            for m, p in enumerate(alone):
+                want_s, want_probs = alone_step(p, states[m], prev, *own[m], src_mask)
+                assert np.array_equal(s_new[m], want_s)
+                assert np.array_equal(probs[m], want_probs)
 
 
 # --- attend_batch ----------------------------------------------------------

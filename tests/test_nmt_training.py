@@ -232,6 +232,27 @@ class TestTrain:
                   resume_from=load_checkpoint(tmp_path / "checkpoint_00000004.ckpt"))
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("key, overrides, found, given", [
+        ("embed_dim", dict(embed_dim=8, hidden_dim=8), 4, 8),
+        ("hidden_dim", dict(hidden_dim=8), 5, 8),
+        ("tgt_vocab_size", dict(), 14, 18),
+    ])
+    def test_resume_with_another_shape_is_refused(self, tmp_path, key, overrides, found, given):
+        split = toy_split()
+        src, tgt = build_vocabs(split)
+        train(split, src, tgt, toy_hyper(max_minibatches=4), checkpoint_dir=tmp_path,
+              log_path=tmp_path / "log")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        if key == "tgt_vocab_size":
+            tgt = build_vocabs(toy_split(16))[1]
+        with pytest.raises(ValueError, match=f"^cannot resume from a checkpoint whose {key} is "
+                                             f"{found}, but this run's config and vocabularies "
+                                             f"give {given}$"):
+            train(split, src, tgt, toy_hyper(max_minibatches=8, **overrides),
+                  checkpoint_dir=tmp_path, log_path=tmp_path / "log",
+                  resume_from=load_checkpoint(tmp_path / "checkpoint_00000004.ckpt"))
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_resume_trains_the_checkpoint_in_place(self, tmp_path):
         split = toy_split()
         src, tgt = build_vocabs(split)
