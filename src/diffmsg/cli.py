@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Annotated
 
-import numpy as np
-
 from . import bleu, qa
 from .corpus import (
     DatasetSplit,
@@ -40,7 +38,7 @@ from .corpus import (
 )
 from .nmt import (Hyperparams, ModelParams, beam_search, checkpoint_paths, ensemble_decode,
                   load_checkpoint, source_ids, train)
-from .nmt.model import param_count
+from .nmt.model import empty_aligned, param_count
 from .vdo import default_lexicon, filter_corpus, load_lexicon
 
 EXIT_OK = 0
@@ -236,7 +234,7 @@ def _load_ensemble(config: PipelineConfig, src_vocab: Vocabulary,
     if not paths:
         raise _not_found(config.checkpoint_dir, "checkpoints", "train")
     dims = _model_dims(config, src_vocab, tgt_vocab)
-    flat = np.empty((len(paths), param_count(*dims)))
+    flat = empty_aligned(len(paths), param_count(*dims))
     for path, row in zip(paths, flat):
         load_checkpoint(path, dims, out=row)
     return ModelParams.from_flat(flat, *dims)

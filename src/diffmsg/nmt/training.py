@@ -35,6 +35,7 @@ from .model import (
     Array,
     Hyperparams,
     ModelParams,
+    empty_aligned,
     init_params,
     loss_backward,
     loss_forward,
@@ -44,7 +45,7 @@ from .model import (
     source_ids,
 )
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 ADADELTA_BLOCK = 1 << 15  # coordinates per block of adadelta_update, 256 KB each
 
@@ -178,18 +179,16 @@ def _check_header(path: str | Path, header: dict) -> int:
 def load_checkpoint(
     path: str | Path,
     dims: tuple[int, int, int, int] | None = None,
-    params_only: bool = False,
     out: Array | None = None,
 ) -> Checkpoint:
     """Load a checkpoint, verifying version, header, payload length and shape.
 
     dims, if given, is the caller's model in _DIM_KEYS order; the first key
-    the file differs on is a CheckpointError naming both values.  With
-    params_only, reads the parameter buffer, which comes first in the
-    payload, and not the optimizer state (optimizer_state is then None).
-    Every array is a view into one writable buffer read from the file: out,
-    if given, a contiguous (N,) float64 buffer such as a row of a stacked
-    ensemble's, which implies params_only.
+    the file differs on is a CheckpointError naming both values.  Every
+    array is a view into one writable buffer read from the file, aligned by
+    empty_aligned.  With out, a contiguous (N,) float64 buffer such as a row
+    of a stacked ensemble's, only the parameter block, which comes first in
+    the payload, is read, into out (optimizer_state is then None).
     """
     with open(path, "rb") as handle:
         header_line = handle.readline()
@@ -206,8 +205,8 @@ def load_checkpoint(
             raise CheckpointError(
                 f"{path}: truncated payload ({present} of {header['payload_bytes']} bytes)"
             )
-        blocks = 3 if header["has_optimizer_state"] and not params_only and out is None else 1
-        payload = np.empty(size * blocks, dtype=np.float64) if out is None else out
+        blocks = 3 if header["has_optimizer_state"] and out is None else 1
+        payload = empty_aligned(size * blocks) if out is None else out
         if handle.readinto(payload) != payload.nbytes:
             raise CheckpointError(f"{path}: truncated payload")
     flat, *state = (payload[size * k : size * (k + 1)] for k in range(blocks))

@@ -254,18 +254,12 @@ def cross_validate(
     order = list(range(len(gold)))
     random.Random(seed).shuffle(order)
 
-    base, extra = divmod(len(gold), k)
-    fold_sizes = [base + 1 if i < extra else base for i in range(k)]
-    folds: list[list[int]] = []
-    offset = 0
-    for size in fold_sizes:
-        folds.append(order[offset : offset + size])
-        offset += size
+    folds = [fold.tolist() for fold in np.array_split(order, k)]
 
     index = BagOfWords([record.diff for record in gold])
     labels = [1.0 if record.is_bad else -1.0 for record in gold]
     # by training-set size, of which the folds have at most two
-    schedules = {n: _schedule(n, hyper) for n in {len(gold) - size for size in fold_sizes}}
+    schedules = {n: _schedule(n, hyper) for n in {len(gold) - len(fold) for fold in folds}}
     margins = np.zeros(len(gold))
     for held_out in folds:
         held_set = set(held_out)

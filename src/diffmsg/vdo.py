@@ -107,10 +107,6 @@ def verb_stem(token: str, lexicon: VerbLexicon) -> str | None:
     return None
 
 
-def _is_punctuation_token(token: str) -> bool:
-    return len(token) == 1 and token in PUNCTUATION
-
-
 def is_vdo(message: TokenSequence, lexicon: VerbLexicon) -> bool:
     """True if the message opens with a verb followed by a direct object.
 
@@ -121,9 +117,7 @@ def is_vdo(message: TokenSequence, lexicon: VerbLexicon) -> bool:
     if not message or verb_stem(message[0], lexicon) is None:
         return False
     window = [t for t in message[1:] if t.lower() not in SKIP_WORDS][:OBJECT_WINDOW]
-    return any(
-        not _is_punctuation_token(t) and verb_stem(t, lexicon) is None for t in window
-    )
+    return any(t not in PUNCTUATION and verb_stem(t, lexicon) is None for t in window)
 
 
 def filter_corpus(items: list[PreparedCommit], lexicon: VerbLexicon) -> list[PreparedCommit]:

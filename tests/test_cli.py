@@ -606,6 +606,28 @@ class TestQaCommand:
             cmd_qa(config, "crossval", str(gold))
 
 
+def write_format_3(checkpoint, path):
+    """Write checkpoint as format 3 laid it out: each GRU's u_zr|u_h joined
+    into one (H, 3H) tensor .u, in the parameters and both accumulators."""
+    def fused(flat):
+        tensors = {}
+        for name, tensor in checkpoint.params.like(flat).tensors().items():
+            if name.endswith(".u_h"):
+                name = name[:-2]
+                tensor = np.concatenate([tensors.pop(name + "_zr"), tensor], axis=-1)
+            tensors[name] = tensor
+        return tensors
+
+    state = checkpoint.optimizer_state
+    blocks = [fused(flat) for flat in [checkpoint.params.flat]
+              + ([state.grad_sq, state.update_sq] if state is not None else [])]
+    header, _ = path.read_bytes().split(b"\n", 1)
+    header = {**json.loads(header), "format_version": 3,
+              "tensors": [{"name": name, "shape": list(t.shape)} for name, t in blocks[0].items()]}
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + b"".join(
+        np.concatenate([t.ravel() for t in block.values()]).tobytes() for block in blocks))
+
+
 class TestMainExitCodes:
     def _config_file(self, tmp_path, **overrides):
         config = toy_config(tmp_path, **overrides)
@@ -765,6 +787,26 @@ class TestMainExitCodes:
         capsys.readouterr()
         assert main(["--config", str(path), "generate", "--diff", str(diff_file)]) == EXIT_WARNING
         assert capsys.readouterr().out == WARNING_TEXT + "\n"
+
+    def test_format_3_checkpoint_is_refused_by_its_version(self, tmp_path, capsys):
+        # format 3 stored each GRU's recurrent weights as one fused (H, 3H) .u
+        path, config = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert main(["--config", str(path), "train"]) == EXIT_OK
+        checkpoints = sorted(config.checkpoint_dir.glob("checkpoint_*.ckpt"))
+        for checkpoint_path in checkpoints:
+            checkpoint = load_checkpoint(checkpoint_path)
+            write_format_3(checkpoint, checkpoint_path)
+        first = checkpoints[-config.ensemble_size:][0]
+        named = f"{first}: header: format version 3 != 4"
+        for out in (None, np.empty(checkpoint.params.flat.size)):
+            with pytest.raises(CheckpointError, match=f"^{re.escape(named)}$"):
+                load_checkpoint(first, out=out)
+        diff_file = tmp_path / "one.diff"
+        diff_file.write_text("+ helper_2 ( x )")
+        capsys.readouterr()
+        assert main(["--config", str(path), "generate", "--diff", str(diff_file)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {named}\n"
 
     def test_vdo_flag_override(self, tmp_path, capsys):
         path, config = self._config_file(tmp_path)

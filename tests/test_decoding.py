@@ -27,6 +27,7 @@ from diffmsg.nmt import (
     save_checkpoint,
 )
 from diffmsg.nmt import decoding
+from diffmsg.nmt.model import empty_aligned
 
 
 def make_params(seed, src_vocab=9, tgt_vocab=8, embed=3, hidden=4):
@@ -287,11 +288,18 @@ def full_checkpoint(tmp_path):
     return path
 
 
+def load_params_only(path, dims=None):
+    """Read only the parameters, into an (N,) buffer such as an ensemble row."""
+    return load_checkpoint(path, dims, out=np.empty(make_params(seed=3).flat.size))
+
+
 class TestParameterOnlyLoad:
     def test_tensors_equal_the_full_load(self, tmp_path):
         path = full_checkpoint(tmp_path)
         full = load_checkpoint(path)
-        light = load_checkpoint(path, params_only=True)
+        out = np.empty(full.params.flat.size)
+        light = load_checkpoint(path, out=out)
+        assert np.shares_memory(light.params.flat, out)
         assert light.optimizer_state is None and full.optimizer_state is not None
         for name, tensor in full.params.tensors().items():
             loaded = light.params.tensors()[name]
@@ -300,6 +308,22 @@ class TestParameterOnlyLoad:
         assert (light.minibatch_index, light.validation_bleu, light.best_bleu, light.stall) == (
             7, 12.5, 20.0, 2)
 
+    def test_parameter_buffers_start_on_64_byte_boundaries(self, tmp_path):
+        # a stacked ensemble's rows each start aligned, and every tensor stays a view
+        path = full_checkpoint(tmp_path)
+        full = load_checkpoint(path)
+        assert make_params(seed=3).flat.ctypes.data % 64 == 0
+        assert full.params.flat.ctypes.data % 64 == 0
+        rows = empty_aligned(3, full.params.flat.size)
+        for row in rows:
+            load_checkpoint(path, out=row)
+            assert row.ctypes.data % 64 == 0
+        stacked = full.params.like(rows)
+        for name, tensor in stacked.tensors().items():
+            assert np.shares_memory(tensor, rows), name
+            for member in tensor:
+                np.testing.assert_array_equal(member, full.params[name])
+
     @pytest.mark.parametrize("cut", [8, 1000, "half"])
     def test_truncated_file_rejected(self, tmp_path, cut):
         # cuts at the end fall in the optimizer state, which this load never reads
@@ -307,14 +331,14 @@ class TestParameterOnlyLoad:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2] if cut == "half" else data[:-cut])
         with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(path, params_only=True)
+            load_params_only(path)
 
     def test_foreign_files_rejected(self, tmp_path):
         path = tmp_path / "foreign.ckpt"
         for data in (b"\x00\x01 not a checkpoint\n more", b'{"format": 2}\n', b"[2]\n", b""):
             path.write_bytes(data)
             with pytest.raises(CheckpointError):
-                load_checkpoint(path, params_only=True)
+                load_params_only(path)
 
     def test_parameters_not_leading_the_payload_rejected(self, tmp_path):
         path = full_checkpoint(tmp_path)
@@ -323,14 +347,14 @@ class TestParameterOnlyLoad:
         header["tensors"].reverse()  # same tensors, optimizer state first
         path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         with pytest.raises(CheckpointError, match="start with the parameters"):
-            load_checkpoint(path, params_only=True)
+            load_params_only(path)
 
     @pytest.mark.parametrize("key", ["embed_dim", "hidden_dim", "src_vocab_size",
                                      "tgt_vocab_size"])
     def test_dims_still_checked(self, tmp_path, key):
         path = full_checkpoint(tmp_path)
         dims = {"embed_dim": 3, "hidden_dim": 4, "src_vocab_size": 9, "tgt_vocab_size": 8}
-        assert load_checkpoint(path, tuple(dims.values()), params_only=True).optimizer_state is None
+        assert load_params_only(path, tuple(dims.values())).optimizer_state is None
         dims[key] = 2
         with pytest.raises(CheckpointError, match=f": {key} is .* give 2$"):
-            load_checkpoint(path, tuple(dims.values()), params_only=True)
+            load_params_only(path, tuple(dims.values()))

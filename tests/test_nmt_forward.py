@@ -37,9 +37,10 @@ def oracle_sigmoid(x):
 
 
 def oracle_gru(p, h_prev, x):
-    # the fused tensors hold the gates as column blocks z|r|h
+    # the fused tensors hold the gates as column blocks z|r|h, u_zr as z|r
     w_z, w_r, w_h = np.split(p.w, 3, axis=1)
-    u_z, u_r, u_h = np.split(p.u, 3, axis=1)
+    u_z, u_r = np.split(p.u_zr, 2, axis=1)
+    u_h = p.u_h
     b_z, b_r, b_h = np.split(p.b, 3)
     z = oracle_sigmoid(x @ w_z + h_prev @ u_z + b_z)
     r = oracle_sigmoid(x @ w_r + h_prev @ u_r + b_r)
@@ -140,10 +141,10 @@ class TestEncode:
 
 def per_step_gru_step(p, h_prev, xw):
     n = h_prev.shape[1]
-    zr = 0.5 * (np.tanh(0.5 * (xw[:, : 2 * n] + h_prev @ p.u[:, : 2 * n])) + 1.0)
+    zr = 0.5 * (np.tanh(0.5 * (xw[:, : 2 * n] + h_prev @ p.u_zr)) + 1.0)
     z, r = zr[:, :n], zr[:, n:]
     rh = r * h_prev
-    h_cand = np.tanh(xw[:, 2 * n :] + rh @ p.u[:, 2 * n :])
+    h_cand = np.tanh(xw[:, 2 * n :] + rh @ p.u_h)
     return h_prev + z * (h_cand - h_prev), (h_prev, z, r, rh, h_cand)
 
 
@@ -151,11 +152,11 @@ def per_step_gru_step_backward(p, cache, dh, d_xw):
     h_prev, z, r, rh, h_cand = cache
     n = h_prev.shape[1]
     da_h = dh * z * (1.0 - h_cand * h_cand)
-    drh = da_h @ p.u[:, 2 * n :].T
+    drh = da_h @ p.u_h.T
     d_xw[:, :n] = dh * (h_cand - h_prev) * z * (1.0 - z)
     d_xw[:, n : 2 * n] = drh * h_prev * r * (1.0 - r)
     d_xw[:, 2 * n :] = da_h
-    return dh * (1.0 - z) + drh * r + d_xw[:, : 2 * n] @ p.u[:, : 2 * n].T
+    return dh * (1.0 - z) + drh * r + d_xw[:, : 2 * n] @ p.u_zr.T
 
 
 def per_step_gru_weight_grads(grads, xs, caches, d_xw):
@@ -164,8 +165,8 @@ def per_step_gru_weight_grads(grads, xs, caches, d_xw):
     h_prev = np.concatenate([cache[0] for cache in caches])
     rh = np.concatenate([cache[3] for cache in caches])
     grads.w += xs.reshape(-1, xs.shape[2]).T @ rows
-    grads.u[:, : 2 * n] += h_prev.T @ rows[:, : 2 * n]
-    grads.u[:, 2 * n :] += rh.T @ rows[:, 2 * n :]
+    grads.u_zr += h_prev.T @ rows[:, : 2 * n]
+    grads.u_h += rh.T @ rows[:, 2 * n :]
     grads.b += rows.sum(axis=0)
 
 
@@ -194,7 +195,8 @@ class TestChainKernels:
                                                       reverse, seed):
         rng = np.random.default_rng(seed)
         p = GruParams(rng.uniform(-1, 1, (inputs, 3 * hidden)),
-                      rng.uniform(-1, 1, (hidden, 3 * hidden)), rng.uniform(-1, 1, 3 * hidden))
+                      rng.uniform(-1, 1, (hidden, 2 * hidden)), rng.uniform(-1, 1, (hidden, hidden)),
+                      rng.uniform(-1, 1, 3 * hidden))
         xs = rng.standard_normal((steps, batch, inputs))
         xw = xs @ p.w + p.b
         # padded rows: the update gate's pre-activation is -inf there
@@ -205,13 +207,13 @@ class TestChainKernels:
         caches = [None] * steps
         want_states = per_step_gru_chain(p, xw, reverse, caches, boundary)
         want_d_xw = per_step_gru_chain_backward(p, caches, d_states, reverse)
-        want = GruParams(*(np.zeros_like(t) for t in (p.w, p.u, p.b)))
+        want = GruParams(*(np.zeros_like(t) for t in (p.w, p.u_zr, p.u_h, p.b)))
         per_step_gru_weight_grads(want, xs, caches, want_d_xw)
 
         chain = model._Chain.start(steps, boundary, reverse)
         model._gru_chain(p, xw, chain)
         d_xw = model._gru_chain_backward(p, chain, d_states)
-        got = GruParams(*(np.zeros_like(t) for t in (p.w, p.u, p.b)))
+        got = GruParams(*(np.zeros_like(t) for t in (p.w, p.u_zr, p.u_h, p.b)))
         model._gru_weight_grads(got, xs, chain, d_xw)
 
         assert np.array_equal(chain.states, want_states)
@@ -238,7 +240,7 @@ def alone_step(p, s_prev, prev_ids, annotations, proj, src_mask):
     context = (weights[..., None, :] @ annotations[:, None])[..., 0, :]
     gru_in = np.concatenate([p.tgt_emb[prev_ids], context], axis=2).reshape(rows, -1)
     s_new = np.empty((rows, h))
-    model._gru_step(p.dec.u[:, : 2 * h], p.dec.u[:, 2 * h :], s_prev.reshape(rows, h),
+    model._gru_step(p.dec.u_zr, p.dec.u_h, s_prev.reshape(rows, h),
                     np.empty((rows, 2 * h)), np.empty((rows, h)), s_new,
                     gru_in @ p.dec.w + p.dec.b)
     probs, _ = model._softmax_rows(np.concatenate([s_new, gru_in], axis=1) @ p.out_w + p.out_b)
