@@ -20,10 +20,12 @@ blocks every step reads, z|r and h~.
 Every product that does not depend on the recurrence runs once per batch,
 outside the time loops: the GRU input projections, the attention
 projection of the annotations (annotations @ att_u, as in Bahdanau et al.,
-arXiv 1409.0473), the output layer with its softmax, and every weight
-gradient but two: attend_backward adds to the att_w and att_v gradients
-once per decoder step.  Inside the loops sequences are time-major,
-(S or T, B, ...).
+arXiv 1409.0473), the output layer with its softmax, the att_v factor of the
+attention backward pass, and every weight gradient but two: attend_backward
+adds to the att_w and att_v gradients once per decoder step.  Inside the
+loops sequences are time-major, (S or T, B, ...), in buffers whose rows
+start on 64-byte boundaries, and each backward product x @ w.T there runs
+NN, over an aligned copy of w.T made once per batch.
 """
 
 from __future__ import annotations
@@ -180,6 +182,12 @@ def empty_aligned(*shape: int) -> Array:
     return raw[start : start + raw.size - 7].reshape(*shape[:-1], width)[..., : shape[-1]]
 
 
+def _transposed(*blocks: Array) -> list[Array]:
+    """Aligned C-order copies of the blocks' transposes (np.positive copies into
+    out), so a backward product x @ w.T runs NN, the faster form on OpenBLAS."""
+    return [np.positive(block.T, out=empty_aligned(*block.shape[::-1])) for block in blocks]
+
+
 def param_count(*dims: int) -> int:
     """N, the length of ModelParams.flat, for param_shapes' dims."""
     return sum(math.prod(shape) for shape in param_shapes(*dims).values())
@@ -235,10 +243,10 @@ class _Chain(NamedTuple):
 
     @classmethod
     def start(cls, steps: int, boundary: Array, reverse: bool = False) -> "_Chain":
-        h = np.empty((steps + 1,) + boundary.shape)
+        h = empty_aligned(steps + 1, *boundary.shape)
         h[steps if reverse else 0] = boundary
-        zr = np.empty((steps,) + boundary.shape[:-1] + (2 * boundary.shape[-1],))
-        return cls(h, zr, np.empty((steps,) + boundary.shape), reverse)
+        zr = empty_aligned(steps, *boundary.shape[:-1], 2 * boundary.shape[-1])
+        return cls(h, zr, empty_aligned(steps, *boundary.shape), reverse)
 
     @property
     def h_prev(self) -> Array:
@@ -271,21 +279,21 @@ def _gru_step(
 
 
 def _gru_step_backward(
-    u_zr: Array, u_h: Array, h_prev: Array, zr: Array, h_cand: Array, dh: Array, d_xw: Array
+    u_zr_t: Array, u_h_t: Array, h_prev: Array, zr: Array, h_cand: Array, dh: Array, d_xw: Array
 ) -> Array:
     """Backprop one _gru_step: writes d(xw) (B, 3H) into d_xw, returns dh_prev."""
     n = h_prev.shape[1]
     z, r = zr[:, :n], zr[:, n:]
-    da_h = dh * z * (1.0 - h_cand * h_cand)                      # through tanh
-    d_xw[:, 2 * n :] = da_h
-    drh = da_h @ u_h.T
+    d_zr, da_h = d_xw[:, : 2 * n], d_xw[:, 2 * n :]
+    np.multiply(dh * z, 1.0 - h_cand * h_cand, out=da_h)         # through tanh
+    drh = da_h @ u_h_t
     # through the sigmoids: dh (h~ - h_prev) z (1 - z) | drh h_prev r (1 - r)
-    d_zr = np.concatenate([dh * (h_cand - h_prev), drh * h_prev], axis=1)
+    np.multiply(dh, h_cand - h_prev, out=d_zr[:, :n])
+    np.multiply(drh, h_prev, out=d_zr[:, n:])
     d_zr *= zr
     one_minus = 1.0 - zr
     d_zr *= one_minus
-    d_xw[:, : 2 * n] = d_zr
-    dh_prev = d_zr @ u_zr.T
+    dh_prev = d_zr @ u_zr_t
     dh_prev += dh * one_minus[:, :n] + drh * r
     return dh_prev
 
@@ -313,11 +321,12 @@ def _gru_chain(p: GruParams, xw: Array, chain: _Chain) -> None:
 def _gru_chain_backward(p: GruParams, chain: _Chain, d_states: Array) -> Array:
     """Backprop a _gru_chain from d_states (S, B, H); returns d(xw) (S, B, 3H)."""
     steps, batch, n = d_states.shape
-    d_xw = np.empty((steps, batch, 3 * n))
+    d_xw = empty_aligned(steps, batch, 3 * n)
+    u_zr_t, u_h_t = _transposed(p.u_zr, p.u_h)
     dh = np.zeros((batch, n))
     h_prev = chain.h_prev
     for i in range(steps) if chain.reverse else reversed(range(steps)):
-        dh = _gru_step_backward(p.u_zr, p.u_h, h_prev[i], chain.zr[i], chain.h_cand[i],
+        dh = _gru_step_backward(u_zr_t, u_h_t, h_prev[i], chain.zr[i], chain.h_cand[i],
                                 d_states[i] + dh, d_xw[i])
     return d_xw
 
@@ -402,19 +411,14 @@ def attend_batch(
     return context, weights, (s_prev, m, weights)
 
 
-def attend_backward(
-    params: ModelParams,
-    cache: tuple,
-    d_context: Array,
-    annotations: Array,
-    d_pre_sum: Array,
-    grads: ModelParams,
-) -> Array:
-    """Backprop attention through the scores; returns ds_prev.
+def attend_backward(params: ModelParams, cache: tuple, d_context: Array, annotations: Array,
+                    d_pre_sum: Array, grads: ModelParams) -> Array:
+    """Backprop attention through the scores; returns d_query (B, H), the
+    gradient of W s_prev.  Turns the cached m into 1 - m².
 
-    Adds the gradient of the pre-activation W s_prev + U annotation to
-    d_pre_sum (B, S, H).  The caller takes the att_u and annotation grads
-    from that sum, and the context -> annotations path, once per batch.
+    Adds the gradient of the pre-activation W s_prev + U annotation, over
+    att_v, to d_pre_sum (B, S, H).  The caller scales the sum by att_v, then
+    takes the att_u and annotation grads from it, once per batch.
     """
     s_prev, m, weights = cache
     d_weights = (annotations @ d_context[:, :, None])[:, :, 0]
@@ -422,14 +426,12 @@ def attend_backward(
     dot = (weights * d_weights).sum(axis=1, keepdims=True)
     d_scores = weights * (d_weights - dot)
     grads.att_v += (d_scores[:, None, :] @ m).sum(axis=0)[0]
-    tanh_grad = m * m
-    np.subtract(1.0, tanh_grad, out=tanh_grad)
-    d_pre = d_scores[:, :, None] * params.att_v
-    d_pre *= tanh_grad
-    d_pre_sum += d_pre
-    d_query = d_pre.sum(axis=1)
+    np.subtract(1.0, np.square(m, out=m), out=m)                # through tanh
+    d_query = (d_scores[:, None, :] @ m)[:, 0] * params.att_v
+    m *= d_scores[:, :, None]
+    d_pre_sum += m
     grads.att_w += s_prev.T @ d_query
-    return d_query @ params.att_w.T
+    return d_query
 
 
 def init_decoder_state_batch(params: ModelParams, annotations: Array) -> Array:
@@ -517,19 +519,21 @@ def loss_backward(params: ModelParams, cache: dict) -> ModelParams:
     grads.out_b += d_logits.sum(axis=(0, 1))
     d_readout = d_logits @ params.out_w.T                          # (T, B, H+E+2H)
 
-    d_xw = np.empty((tgt_len, batch, 3 * h))
-    d_contexts = np.empty((tgt_len, batch, 2 * h))
+    d_xw = empty_aligned(tgt_len, batch, 3 * h)
+    d_contexts = empty_aligned(tgt_len, batch, 2 * h)
     d_pre_sum = np.zeros(annotations.shape[:2] + (h,))
+    u_zr_t, u_h_t, w_ctx_t, att_w_t = _transposed(dec.u_zr, dec.u_h, dec.w[e:], params.att_w)
     chain = cache["dec_chain"]
     att_caches = cache.pop("att_caches")  # each step's (B, S, H) activations go once used
     weights = np.stack([att_cache[2] for att_cache in att_caches], axis=2)  # (B, S, T)
     ds = np.zeros((batch, h))
     for t in reversed(range(tgt_len)):
-        ds = _gru_step_backward(dec.u_zr, dec.u_h, chain.h[t], chain.zr[t], chain.h_cand[t],
+        ds = _gru_step_backward(u_zr_t, u_h_t, chain.h[t], chain.zr[t], chain.h_cand[t],
                                 ds + d_readout[t, :, :h], d_xw[t])
-        d_contexts[t] = d_readout[t, :, h + e :] + d_xw[t] @ dec.w[e:].T
-        ds = ds + attend_backward(params, att_caches.pop(), d_contexts[t], annotations,
-                                  d_pre_sum, grads)
+        d_contexts[t] = d_readout[t, :, h + e :] + d_xw[t] @ w_ctx_t
+        ds += attend_backward(params, att_caches.pop(), d_contexts[t], annotations, d_pre_sum,
+                              grads) @ att_w_t
+    d_pre_sum *= params.att_v
 
     _gru_weight_grads(grads.dec, readout[:, :, h:], chain, d_xw)
     d_ey = d_readout[:, :, h : h + e] + d_xw @ dec.w[:e].T

@@ -27,7 +27,7 @@ from diffmsg.nmt import (
     save_checkpoint,
 )
 from diffmsg.nmt import decoding
-from diffmsg.nmt.model import empty_aligned
+from diffmsg.nmt.model import _gru_chain_backward, empty_aligned, loss_forward, pad_batch
 
 
 def make_params(seed, src_vocab=9, tgt_vocab=8, embed=3, hidden=4):
@@ -323,6 +323,25 @@ class TestParameterOnlyLoad:
             assert np.shares_memory(tensor, rows), name
             for member in tensor:
                 np.testing.assert_array_equal(member, full.params[name])
+
+    def test_training_buffers_start_on_64_byte_boundaries(self):
+        # at the desk shape (E64/H128/B16) every row that a per-step product
+        # reads or writes in encode_batch's chains, the decoder chain and
+        # d(xw) starts aligned
+        params = init_params(Hyperparams(), 40, 30)
+        rng = np.random.default_rng(5)
+        sources = random_sources(rng, 16, vocab=40, max_len=23)
+        targets = [[int(t) for t in rng.integers(4, 30, rng.integers(1, 11))] + [EOS_ID]
+                   for _ in sources]
+        src_ids, src_mask, tgt_ids, tgt_mask = pad_batch(sources, targets)
+        _, cache = loss_forward(params, src_ids, src_mask, tgt_ids, tgt_mask)
+        enc_fwd, enc_bwd = cache["enc_cache"]["enc_fwd"], cache["enc_cache"]["enc_bwd"]
+        d_xw = _gru_chain_backward(params.enc_bwd, enc_bwd,
+                                   rng.standard_normal(enc_bwd.states.shape))
+        buffers = [*enc_fwd[:3], *enc_bwd[:3], *cache["dec_chain"][:3], d_xw]
+        for buffer in buffers:
+            assert buffer.ctypes.data % 64 == 0
+            assert all(stride % 64 == 0 for stride in buffer.strides[:-1])
 
     @pytest.mark.parametrize("cut", [8, 1000, "half"])
     def test_truncated_file_rejected(self, tmp_path, cut):

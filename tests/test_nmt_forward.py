@@ -137,7 +137,10 @@ class TestEncode:
 # The reference keeps a tuple of arrays per step and concatenates them for
 # the weight gradients, with the same float operations in the same order as
 # the chain kernels: their time-major buffers must give the same floats to
-# the bit.
+# the bit.  Its backward products read the kernels' own copies of the
+# transposed recurrent blocks (NN form), and its d(xw) has their row layout:
+# OpenBLAS rounds NN and NT products, and products over padded and packed
+# rows, differently.
 
 def per_step_gru_step(p, h_prev, xw):
     n = h_prev.shape[1]
@@ -148,15 +151,15 @@ def per_step_gru_step(p, h_prev, xw):
     return h_prev + z * (h_cand - h_prev), (h_prev, z, r, rh, h_cand)
 
 
-def per_step_gru_step_backward(p, cache, dh, d_xw):
+def per_step_gru_step_backward(u_zr_t, u_h_t, cache, dh, d_xw):
     h_prev, z, r, rh, h_cand = cache
     n = h_prev.shape[1]
     da_h = dh * z * (1.0 - h_cand * h_cand)
-    drh = da_h @ p.u_h.T
+    drh = da_h @ u_h_t
     d_xw[:, :n] = dh * (h_cand - h_prev) * z * (1.0 - z)
     d_xw[:, n : 2 * n] = drh * h_prev * r * (1.0 - r)
     d_xw[:, 2 * n :] = da_h
-    return dh * (1.0 - z) + drh * r + d_xw[:, : 2 * n] @ p.u_zr.T
+    return dh * (1.0 - z) + drh * r + d_xw[:, : 2 * n] @ u_zr_t
 
 
 def per_step_gru_weight_grads(grads, xs, caches, d_xw):
@@ -180,10 +183,11 @@ def per_step_gru_chain(p, xw, reverse, caches, h):
 
 def per_step_gru_chain_backward(p, caches, d_states, reverse):
     steps, batch, n = d_states.shape
-    d_xw = np.empty((steps, batch, 3 * n))
+    d_xw = model.empty_aligned(steps, batch, 3 * n)
     dh = np.zeros((batch, n))
+    u_zr_t, u_h_t = model._transposed(p.u_zr, p.u_h)
     for i in range(steps) if reverse else reversed(range(steps)):
-        dh = per_step_gru_step_backward(p, caches[i], d_states[i] + dh, d_xw[i])
+        dh = per_step_gru_step_backward(u_zr_t, u_h_t, caches[i], d_states[i] + dh, d_xw[i])
     return d_xw
 
 
@@ -220,6 +224,64 @@ class TestChainKernels:
         assert np.array_equal(d_xw, want_d_xw)
         for (name, g), (_, w) in zip(got.tensors(), want.tensors()):
             assert np.array_equal(g, w), name
+
+
+# --- attend_backward against its per-step form -----------------------------
+#
+# The reference is attend_backward as it read before the att_v factor left
+# the step loop: it adds the whole pre-activation gradient, att_v included,
+# to d_pre_sum at every step.  The kernel now adds d_scores (1 - m²) and the
+# caller scales the sum by att_v once, which reorders float products, so the
+# two agree to a tolerance set from float64 rounding over a few dozen terms.
+
+def per_step_attend_backward(params, cache, d_context, annotations, d_pre_sum, grads):
+    s_prev, m, weights = cache
+    d_weights = (annotations @ d_context[:, :, None])[:, :, 0]
+    dot = (weights * d_weights).sum(axis=1, keepdims=True)
+    d_scores = weights * (d_weights - dot)
+    grads.att_v += (d_scores[:, None, :] @ m).sum(axis=0)[0]
+    tanh_grad = m * m
+    np.subtract(1.0, tanh_grad, out=tanh_grad)
+    d_pre = d_scores[:, :, None] * params.att_v
+    d_pre *= tanh_grad
+    d_pre_sum += d_pre
+    d_query = d_pre.sum(axis=1)
+    grads.att_w += s_prev.T @ d_query
+    return d_query
+
+
+class TestAttendBackward:
+    @given(lengths=st.lists(st.integers(1, 7), min_size=1, max_size=4), pad=st.integers(0, 3),
+           steps=st.integers(1, 5), hidden=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_step_form(self, lengths, pad, steps, hidden, seed):
+        rng = np.random.default_rng(seed)
+        shape = tiny_params(hidden=hidden)
+        params = shape.like(rng.uniform(-1, 1, shape.flat.size))
+        batch, src_len = len(lengths), max(lengths) + pad
+        src_mask = (np.arange(src_len) < np.array(lengths)[:, None]).astype(float)
+        annotations = rng.standard_normal((batch, src_len, 2 * hidden))
+        proj = annotations @ params.att_u
+        want, got = (params.like(np.zeros_like(params.flat)) for _ in range(2))
+        want_sum, got_sum = np.zeros((2, batch, src_len, hidden))
+        for _ in range(steps):
+            s_prev = rng.standard_normal((batch, hidden))
+            d_context = rng.standard_normal((batch, 2 * hidden))
+            # the kernel turns the cached activations into 1 - m², so each side attends anew
+            caches = [attend_batch(params, s_prev, annotations, proj, src_mask)[2]
+                      for _ in range(2)]
+            want_query = per_step_attend_backward(params, caches[0], d_context, annotations,
+                                                  want_sum, want)
+            got_query = model.attend_backward(params, caches[1], d_context, annotations,
+                                              got_sum, got)
+            np.testing.assert_allclose(got_query, want_query, rtol=1e-12, atol=1e-13)
+        got_sum *= params.att_v
+        np.testing.assert_allclose(got_sum, want_sum, rtol=1e-12, atol=1e-13)
+        for name in ("att_v", "att_w"):
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-13,
+                                       err_msg=name)
+        masked = src_mask == 0.0
+        assert not got_sum[masked].any() and not want_sum[masked].any()
 
 
 # --- a stacked ensemble against its members alone ---------------------------
