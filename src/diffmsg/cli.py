@@ -323,11 +323,16 @@ def cmd_qa(config: PipelineConfig, subaction: str, gold_path: str) -> str:
     if not gold:
         raise PipelineError(f"{gold_path}: gold set is empty")
     hyper = qa.QaHyper(l2_lambda=config.qa_lambda, epochs=config.qa_epochs, seed=config.seed)
+    try:  # too few records, or one label only: a fault of the gold set
+        if subaction == "train":
+            model = qa.train_svm(gold, hyper)
+        else:
+            result = qa.cross_validate(gold, k=10, seed=config.seed, hyper=hyper)
+    except ValueError as exc:
+        raise PipelineError(f"{gold_path}: {exc}") from exc
     if subaction == "train":
-        model = qa.train_svm(gold, hyper)
         qa.save_qa_model(model, config.qa_model_path)
         return f"saved QA model for {len(gold)} records to {config.qa_model_path}\n"
-    result = qa.cross_validate(gold, k=10, seed=config.seed, hyper=hyper)
     if subaction == "crossval":
         return (
             f"records={len(gold)} folds={len(result.fold_indices)} "

@@ -182,7 +182,7 @@ class Schema(dict):
         return Schema(field_types(cls))
 
 
-def schema_problem(obj: dict, schema: dict, prefix: str = "") -> str | None:
+def schema_problem(obj: dict, schema: dict) -> str | None:
     """Describe the first key of schema ({key: annotation}) that obj lacks,
     holds with a value its annotation does not admit (see _JSON_TYPES; a
     float must be finite), or holds out of the annotation's range (see
@@ -191,12 +191,12 @@ def schema_problem(obj: dict, schema: dict, prefix: str = "") -> str | None:
     rules = schema.rules if isinstance(schema, Schema) else Schema(schema).rules
     for key, admits, name, in_range, bounds in rules:
         if key not in obj:
-            return f"lacks {prefix + key!r}"
+            return f"lacks {key!r}"
         value = obj[key]
         if not admits(value):
-            return f"key {prefix + key!r} must be {name}, got {reprlib.repr(value)}"
+            return f"key {key!r} must be {name}, got {reprlib.repr(value)}"
         if not in_range(value):
-            return f"{prefix + key} must be {bounds}, got {reprlib.repr(value)}"
+            return f"{key} must be {bounds}, got {reprlib.repr(value)}"
     return None
 
 

@@ -5,14 +5,14 @@ per-epoch RNG, validates by greedy-decode corpus BLEU, saves checkpoints
 on a fixed minibatch schedule, and early-stops when validation BLEU stops
 improving.  A Checkpoint is the whole training state: train updates one
 in place and writes it as it stands.  Checkpoints are a versioned binary container: one JSON header
-line (dims, vocab sizes, seed, tensor manifest, payload length, and the
-early-stopping state) followed by the raw float64 parameter buffer and, for
-training state, the two Adadelta accumulators in the same layout, so
-identical runs produce identical bytes.  The header carries the best validation BLEU,
-the stall count and the loss window not yet logged, so a resumed run logs,
-checkpoints and stops exactly as an uninterrupted one.  Checkpoints are
-written through corpus.atomic_write, and loading checks every header key
-and tensor shape before reading the payload.
+line (dims, vocab sizes, seed and the early-stopping state) followed by
+the raw float64 parameter buffer and, for training state, the two Adadelta
+accumulators in the same layout, so identical runs produce identical
+bytes.  The header carries the best validation BLEU, the stall count and
+the loss window not yet logged, so a resumed run logs, checkpoints and
+stops exactly as an uninterrupted one.  Checkpoints are written through
+corpus.atomic_write, and loading checks every header key and the payload
+length the dims give before reading the payload.
 """
 
 from __future__ import annotations
@@ -41,11 +41,10 @@ from .model import (
     loss_forward,
     pad_batch,
     param_count,
-    param_shapes,
     source_ids,
 )
 
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 
 ADADELTA_BLOCK = 1 << 15  # coordinates per block of adadelta_update, 256 KB each
 
@@ -111,12 +110,11 @@ class Checkpoint:
 
 
 # The header is one JSON object: the Checkpoint fields but the buffers,
-# then the keys that describe the payload, and "format_version".
+# then the keys that fix the payload's layout, and "format_version".
 _STATE_KEYS = {key: kind for key, kind in field_types(Checkpoint).items()
                if key not in ("params", "optimizer_state")}
 _DIM_KEYS = ("embed_dim", "hidden_dim", "src_vocab_size", "tgt_vocab_size")
-_PAYLOAD_KEYS = {**dict.fromkeys(_DIM_KEYS, Annotated[int, ">= 1"]), "has_optimizer_state": bool,
-                 "payload_bytes": int, "tensors": list[dict]}
+_PAYLOAD_KEYS = {**dict.fromkeys(_DIM_KEYS, Annotated[int, ">= 1"]), "has_optimizer_state": bool}
 _HEADER_KEYS = Schema({**_STATE_KEYS, **_PAYLOAD_KEYS})
 
 
@@ -143,37 +141,9 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         **{key: getattr(checkpoint, key) for key in _STATE_KEYS},
         **{key: getattr(params, key) for key in _DIM_KEYS},
         "has_optimizer_state": state is not None,
-        "payload_bytes": sum(block.nbytes for block in blocks),
-        "tensors": [
-            {"name": name, "shape": list(tensor.shape)}
-            for name, tensor in params.tensors().items()
-        ],
     }
     header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
     atomic_write(path, [header_line, *(block.data for block in blocks)])
-
-
-def _check_header(path: str | Path, header: dict) -> int:
-    """Raise CheckpointError for a manifest that disagrees with the
-    dimensions, vocabulary sizes, layout order or payload length; return N,
-    the number of parameters."""
-    expected = param_shapes(*(header[key] for key in _DIM_KEYS))
-    manifest = header["tensors"]
-    if len(manifest) != len(expected):
-        raise CheckpointError(f"{path}: manifest lists {len(manifest)} tensors, not {len(expected)}")
-    for index, (entry, (name, shape)) in enumerate(zip(manifest, expected.items())):
-        if entry.get("name") != name:
-            raise CheckpointError(f"{path}: manifest entry {index} is not {name!r}; the "
-                                  f"payload must start with the parameters in layout order")
-        if entry.get("shape") != list(shape):
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {entry.get('shape')}, expected "
-                f"{list(shape)} from embed_dim, hidden_dim and the vocab sizes"
-            )
-    size = param_count(*(header[key] for key in _DIM_KEYS))
-    if header["payload_bytes"] != 8 * size * (3 if header["has_optimizer_state"] else 1):
-        raise CheckpointError(f"{path}: header key 'payload_bytes' disagrees with the manifest")
-    return size
 
 
 def load_checkpoint(
@@ -181,8 +151,10 @@ def load_checkpoint(
     dims: tuple[int, int, int, int] | None = None,
     out: Array | None = None,
 ) -> Checkpoint:
-    """Load a checkpoint, verifying version, header, payload length and shape.
+    """Load a checkpoint, verifying version, header and payload length.
 
+    The payload is blocks of N = param_count(*dims) float64 values, three
+    with optimizer state and one without, and must be exactly that long.
     dims, if given, is the caller's model in _DIM_KEYS order; the first key
     the file differs on is a CheckpointError naming both values.  Every
     array is a view into one writable buffer read from the file, aligned by
@@ -194,17 +166,17 @@ def load_checkpoint(
         header_line = handle.readline()
         header = read_json_object(header_line, _HEADER_KEYS, f"{path}: header", CheckpointError,
                                   CHECKPOINT_FORMAT_VERSION)
-        size = _check_header(path, header)
-        problem = _dims_problem(tuple(header[key] for key in _DIM_KEYS), dims or ())
-        if problem is not None:
+        found = tuple(header[key] for key in _DIM_KEYS)
+        if (problem := _dims_problem(found, dims or ())) is not None:
             raise CheckpointError(f"{path}: {problem}")
+        size = param_count(*found)
         if out is not None and out.shape != (size,):
             raise ValueError(f"{path}: holds {size} parameters, not {out.size}")
         present = os.fstat(handle.fileno()).st_size - len(header_line)
-        if present != header["payload_bytes"]:
-            raise CheckpointError(
-                f"{path}: truncated payload ({present} of {header['payload_bytes']} bytes)"
-            )
+        expected = 8 * size * (3 if header["has_optimizer_state"] else 1)
+        if present != expected:
+            what = "truncated payload" if present < expected else "payload too long"
+            raise CheckpointError(f"{path}: {what} ({present} bytes, {expected} by the header)")
         blocks = 3 if header["has_optimizer_state"] and out is None else 1
         payload = empty_aligned(size * blocks) if out is None else out
         if handle.readinto(payload) != payload.nbytes:

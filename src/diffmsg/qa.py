@@ -13,7 +13,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Annotated
 
@@ -29,10 +29,9 @@ from .corpus import (
     preprocess_source,
     read_json_object,
     read_jsonl,
-    schema_problem,
 )
 
-QA_MODEL_FORMAT_VERSION = 1
+QA_MODEL_FORMAT_VERSION = 2
 
 BAD_SCORE_MAX = 1   # median score <= 1 is "bad"
 GOOD_SCORE_MIN = 6  # median score >= 6 counts as "good" in the cost metric
@@ -134,7 +133,6 @@ class QaModel:
     idf: np.ndarray
     weights: np.ndarray
     bias: float
-    hyper: QaHyper = field(default_factory=QaHyper)
 
 
 def _schedule(n: int, hyper: QaHyper) -> list[int]:
@@ -202,7 +200,7 @@ def train_svm(gold: list[GoldRecord], hyper: QaHyper = QaHyper()) -> QaModel:
     labels = [1.0 if record.is_bad else -1.0 for record in gold]
     positions = _schedule(len(gold), hyper)
     idf, weights, bias, _ = _fit(index, list(range(len(gold))), labels, positions, hyper.l2_lambda)
-    return QaModel(index.ids, idf, weights, bias, hyper)
+    return QaModel(index.ids, idf, weights, bias)
 
 
 def predict(diff: Document, model: QaModel) -> tuple[bool, float]:
@@ -318,7 +316,6 @@ def save_qa_model(model: QaModel, path: str | Path) -> None:
         "idf": model.idf.tolist(),
         "weights": model.weights.tolist(),
         "bias": model.bias,
-        "hyper": asdict(model.hyper),
     }
     atomic_write(path, json.dumps(payload, sort_keys=True) + "\n")
 
@@ -327,10 +324,9 @@ class QaModelError(ValueError):
     """Unreadable or inconsistent QA model file."""
 
 
-# every key of a saved QA model but "format_version"; "hyper" holds the
-# fields of QaHyper
+# every key of a saved QA model but "format_version"
 _MODEL_KEYS = Schema({"feature_vocab": dict[str, int], "idf": list[float],
-                      "weights": list[float], "bias": float, "hyper": dict})
+                      "weights": list[float], "bias": float})
 
 
 def load_qa_model(path: str | Path) -> QaModel:
@@ -343,10 +339,6 @@ def load_qa_model(path: str | Path) -> QaModel:
     """
     payload = read_json_object(Path(path).read_bytes(), _MODEL_KEYS, str(path), QaModelError,
                                QA_MODEL_FORMAT_VERSION)
-    # checked here too: QaHyper's own check would not see a missing key
-    hyper_keys = Schema.of(QaHyper)
-    if (problem := schema_problem(payload["hyper"], hyper_keys, prefix="hyper.")) is not None:
-        raise QaModelError(f"{path}: {problem}")
     vocab, idf, weights = payload["feature_vocab"], payload["idf"], payload["weights"]
     if not len(vocab) == len(idf) == len(weights):
         raise QaModelError(
@@ -360,5 +352,4 @@ def load_qa_model(path: str | Path) -> QaModel:
         idf=np.asarray(idf, dtype=np.float64),
         weights=np.asarray(weights, dtype=np.float64),
         bias=float(payload["bias"]),
-        hyper=QaHyper(**{key: payload["hyper"][key] for key in hyper_keys}),
     )

@@ -40,7 +40,8 @@ from diffmsg.corpus import (
     ingest_jsonl,
 )
 from diffmsg.nmt import CheckpointError, Hyperparams, load_checkpoint, save_checkpoint
-from diffmsg.qa import QaHyper, QaModel, save_qa_model
+from diffmsg.nmt.training import CHECKPOINT_FORMAT_VERSION
+from diffmsg.qa import QA_MODEL_FORMAT_VERSION, QaHyper, QaModel, save_qa_model
 from diffmsg.vdo import default_lexicon, filter_corpus, load_lexicon
 
 
@@ -602,7 +603,7 @@ class TestQaCommand:
         lines = [json.dumps({"id": str(i), "diff": "x y", "scores": [0]}) for i in range(12)]
         gold.write_text("\n".join(lines) + "\n")
         config = toy_config(tmp_path)
-        with pytest.raises(ValueError, match="both"):
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(gold))}: .* both"):
             cmd_qa(config, "crossval", str(gold))
 
 
@@ -626,6 +627,17 @@ def write_format_3(checkpoint, path):
               "tensors": [{"name": name, "shape": list(t.shape)} for name, t in blocks[0].items()]}
     path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + b"".join(
         np.concatenate([t.ravel() for t in block.values()]).tobytes() for block in blocks))
+
+
+def write_format_4(path):
+    """Rewrite the checkpoint at path as format 4 wrote it: the same
+    payload, the header listing it too, as a tensor manifest and a length."""
+    header, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    params = load_checkpoint(path).params
+    header.update(format_version=4, payload_bytes=len(payload), tensors=[
+        {"name": name, "shape": list(t.shape)} for name, t in params.tensors().items()])
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
 
 
 class TestMainExitCodes:
@@ -798,7 +810,7 @@ class TestMainExitCodes:
             checkpoint = load_checkpoint(checkpoint_path)
             write_format_3(checkpoint, checkpoint_path)
         first = checkpoints[-config.ensemble_size:][0]
-        named = f"{first}: header: format version 3 != 4"
+        named = f"{first}: header: format version 3 != {CHECKPOINT_FORMAT_VERSION}"
         for out in (None, np.empty(checkpoint.params.flat.size)):
             with pytest.raises(CheckpointError, match=f"^{re.escape(named)}$"):
                 load_checkpoint(first, out=out)
@@ -807,6 +819,66 @@ class TestMainExitCodes:
         capsys.readouterr()
         assert main(["--config", str(path), "generate", "--diff", str(diff_file)]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {named}\n"
+
+    def test_format_4_checkpoint_is_refused_by_its_version(self, tmp_path, capsys):
+        # format 4 listed the payload's tensors and length in the header
+        path, config = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert main(["--config", str(path), "train"]) == EXIT_OK
+        checkpoints = sorted(config.checkpoint_dir.glob("checkpoint_*.ckpt"))
+        for checkpoint_path in checkpoints:
+            write_format_4(checkpoint_path)
+        first = checkpoints[-config.ensemble_size:][0]
+        capsys.readouterr()
+        assert main(["--config", str(path), "evaluate"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {first}: header: format version 4 != {CHECKPOINT_FORMAT_VERSION}\n")
+
+    def test_appended_byte_is_a_named_error(self, tmp_path, capsys):
+        path, config = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert main(["--config", str(path), "train"]) == EXIT_OK
+        last = sorted(config.checkpoint_dir.glob("checkpoint_*.ckpt"))[-1]
+        payload = len(last.read_bytes().split(b"\n", 1)[1])
+        last.write_bytes(last.read_bytes() + b"\0")
+        capsys.readouterr()
+        assert main(["--config", str(path), "evaluate"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {last}: payload too long ({payload + 1} bytes, {payload} by the header)\n")
+
+    def test_format_1_qa_model_is_refused_by_its_version(self, tmp_path, capsys):
+        # format 1 also saved the training hyperparameters, as "hyper"
+        path, config = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert main(["--config", str(path), "train"]) == EXIT_OK
+        gold = tmp_path / "gold.jsonl"
+        write_gold(gold)
+        assert main(["--config", str(path), "qa", "train", "--gold", str(gold)]) == EXIT_OK
+        model = json.loads(config.qa_model_path.read_text())
+        model.update(format_version=1, hyper=dataclasses.asdict(QaHyper()))
+        config.qa_model_path.write_text(json.dumps(model, sort_keys=True) + "\n")
+        diff_file = tmp_path / "one.diff"
+        diff_file.write_text("+ helper_2 ( x )")
+        capsys.readouterr()
+        assert main(["--config", str(path), "generate", "--diff", str(diff_file),
+                     "--with-qa"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (f"error: {config.qa_model_path}: "
+                                           f"format version 1 != {QA_MODEL_FORMAT_VERSION}\n")
+
+    @pytest.mark.parametrize("subaction, scores, problem", [
+        ("crossval", [0, 7, 0, 7, 0], "need at least k=10 records, got 5"),
+        ("report", [0, 7, 0, 7, 0], "need at least k=10 records, got 5"),
+        ("train", [0] * 12, "training requires both bad and not-bad records"),
+        ("crossval", [0] * 12, "training requires both bad and not-bad records"),
+    ], ids=["too_few_crossval", "too_few_report", "one_label_train", "one_label_crossval"])
+    def test_unusable_gold_set_is_named(self, tmp_path, capsys, subaction, scores, problem):
+        path, _ = self._config_file(tmp_path)
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("".join(json.dumps({"id": str(i), "diff": f"x_{i} y", "scores": [score]})
+                                + "\n" for i, score in enumerate(scores)))
+        capsys.readouterr()
+        assert main(["--config", str(path), "qa", subaction, "--gold", str(gold)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {gold}: {problem}\n"
 
     def test_vdo_flag_override(self, tmp_path, capsys):
         path, config = self._config_file(tmp_path)

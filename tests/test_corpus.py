@@ -229,7 +229,7 @@ class TestSchemaProblem:
     def test_names_the_first_bad_key_with_a_short_value(self):
         schema = {"a": int, "b": list[float], "c": str}
         assert schema_problem({"a": 1, "b": [0.5] * 100, "c": "x"}, schema) is None
-        assert schema_problem({"a": 1, "c": 2}, schema, prefix="p.") == "lacks 'p.b'"
+        assert schema_problem({"a": 1, "c": 2}, schema) == "lacks 'b'"
         problem = schema_problem({"a": 1, "b": [math.nan] * 100, "c": 2}, schema)
         assert problem == "key 'b' must be list[float], got [nan, nan, nan, nan, nan, nan, ...]"
 
@@ -239,7 +239,7 @@ class TestSchemaProblem:
         assert schema_problem({"rate": 0.5, "cap": None}, schema) is None
         assert schema_problem({"rate": 1, "cap": 1}, schema) == "rate must be > 0 and < 1, got 1"
         assert schema_problem({"rate": "1", "cap": 1}, schema) == "key 'rate' must be float, got '1'"
-        assert schema_problem({"rate": 0.5, "cap": 0}, schema, prefix="p.") == "p.cap must be >= 1, got 0"
+        assert schema_problem({"rate": 0.5, "cap": 0}, schema) == "cap must be >= 1, got 0"
 
 
 def _git(repo, *args, input=None):

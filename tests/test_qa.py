@@ -96,7 +96,7 @@ def oracle_train_svm(gold, hyper):
             if margin < 1.0:
                 weights[indices] += eta * y * values
                 bias += eta * y
-    return QaModel(vocab, idf, weights, bias, hyper)
+    return QaModel(vocab, idf, weights, bias)
 
 
 class TestMedianAndLabels:
@@ -361,7 +361,6 @@ class TestModelIO:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.pop("feature_vocab"), "lacks 'feature_vocab'"),
-        (lambda m: m["hyper"].pop("epochs"), "lacks 'hyper.epochs'"),
         (lambda m: m.update(bias="0.5"), "key 'bias' must be float, got '0.5'"),
         (lambda m: m["weights"].__setitem__(1, None), r"key 'weights' must be list\[float\], got \[1\.0, None"),
         (lambda m: m["feature_vocab"].update(a=True), r"key 'feature_vocab' must be dict\[str, int\], got \{'a'"),
@@ -370,13 +369,9 @@ class TestModelIO:
         (lambda m: m["weights"].__setitem__(1, math.nan), r"key 'weights' must be list\[float\], got \[1\.0, nan"),
         (lambda m: m["idf"].__setitem__(0, math.inf), r"key 'idf' must be list\[float\], got \[inf, "),
         (lambda m: m.update(bias=-math.inf), "key 'bias' must be float, got -inf"),
-        (lambda m: m["hyper"].update(l2_lambda=math.nan), "key 'hyper.l2_lambda' must be float, got nan"),
-        (lambda m: m["hyper"].update(epochs=0), "hyper.epochs must be >= 1, got 0$"),
-        (lambda m: m["hyper"].update(l2_lambda=-0.5), "hyper.l2_lambda must be > 0, got -0.5$"),
         (lambda m: m["weights"].__setitem__(1, 10**400), r"key 'weights' must be list\[float\]"),
-    ], ids=["missing_key", "missing_hyper_key", "bad_type", "bad_element", "bool_index",
-            "lengths_disagree", "indices_not_a_range", "nan_weight", "infinite_idf",
-            "infinite_bias", "nan_hyper", "no_epochs_hyper", "negative_lambda_hyper",
+    ], ids=["missing_key", "bad_type", "bad_element", "bool_index", "lengths_disagree",
+            "indices_not_a_range", "nan_weight", "infinite_idf", "infinite_bias",
             "weight_beyond_float_range"])
     def test_inconsistent_model_is_a_named_error(self, tmp_path, edit, message):
         path = self._edited(tmp_path, edit)
