@@ -2,9 +2,9 @@
 
 Subcommands: prepare, train, generate, evaluate, qa train|crossval|report.
 Exit codes are a stable contract: 0 for success with a message, 2 when the
-warning stands in for one (the diff is over max_diff_bytes, the quality
-gate flagged it, or the model gave an empty message), 1 for any error, a
-usage error included.
+warning stands in for one (the diff is over max_diff_bytes or holds no
+source token, the quality gate flagged it, or the model gave an empty
+message), 1 for any error, a usage error included.
 """
 
 from __future__ import annotations
@@ -34,11 +34,12 @@ from .corpus import (
     read_split_files,
     source_counts,
     split_dataset,
+    split_paths,
     write_split_files,
 )
 from .nmt import (Hyperparams, ModelParams, beam_search, checkpoint_paths, ensemble_decode,
                   load_checkpoint, source_ids, train)
-from .nmt.model import empty_aligned, param_count
+from .nmt.model import empty_aligned, model_dims, param_count
 from .vdo import default_lexicon, filter_corpus, load_lexicon
 
 EXIT_OK = 0
@@ -136,7 +137,7 @@ def cmd_prepare(config: PipelineConfig) -> dict:
     are resolved before any ingest.  Writes split files, vocabulary files,
     and a JSON funnel report whose counts are the lengths of what each
     stage kept; returns the report.  Raises PipelineError for a missing
-    input or naming the stage that emptied the corpus.
+    input, or naming the corpus and the stage that emptied it.
     """
     if bool(config.corpus_jsonl) == bool(config.git_repo):
         raise PipelineError("config must set exactly one of corpus_jsonl or git_repo")
@@ -144,24 +145,23 @@ def cmd_prepare(config: PipelineConfig) -> dict:
     if config.vdo_filter:
         path = config.vdo_lexicon_path
         lexicon = load_lexicon(_existing(path, "lexicon")) if path else default_lexicon()
-    commits = (
-        ingest_jsonl(_existing(config.corpus_jsonl, "corpus")) if config.corpus_jsonl
-        else ingest_git(config.git_repo)
-    )
+    corpus = config.corpus_jsonl or config.git_repo  # named by each error below
+    commits = (ingest_jsonl(_existing(corpus, "corpus")) if config.corpus_jsonl
+               else ingest_git(corpus))
     if not commits:
-        raise PipelineError("ingest produced no commits")
+        raise PipelineError(f"{corpus}: ingest produced no commits")
 
     filtered, removed = apply_filters(commits, config)
     if not filtered:
         reasons = ", ".join(f"{k}={v}" for k, v in removed.items() if v)
-        raise PipelineError(f"preprocessing filters removed every commit ({reasons})")
+        raise PipelineError(f"{corpus}: preprocessing filters removed every commit ({reasons})")
     kept = filtered if lexicon is None else filter_corpus(filtered, lexicon)
     if not kept:
-        raise PipelineError("verb/direct-object filter removed every commit")
+        raise PipelineError(f"{corpus}: verb/direct-object filter removed every commit")
 
     split = split_dataset(kept, valid=config.valid_size, test=config.test_size, seed=config.seed)
     if not split.train:
-        raise PipelineError("split left an empty training set")
+        raise PipelineError(f"{corpus}: split left an empty training set")
 
     write_split_files(split, config.split_dir)
     src_vocab = build_vocab([item.source for item in split.train], cap=config.src_vocab_cap)
@@ -199,27 +199,20 @@ def _load_vocabs(config: PipelineConfig) -> tuple[Vocabulary, Vocabulary]:
                  for path in (config.src_vocab_path, config.tgt_vocab_path))
 
 
-def _model_dims(config: PipelineConfig, src_vocab: Vocabulary,
-                tgt_vocab: Vocabulary) -> tuple[int, int, int, int]:
-    """The model the run's config and vocabularies describe, as
-    load_checkpoint's dims: every checkpoint a command loads must match it."""
-    return config.embed_dim, config.hidden_dim, len(src_vocab), len(tgt_vocab)
-
-
 def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
     """Train on the prepared splits; write checkpoints and the training log.
 
     Returns the run's checkpoints (see checkpoint_paths).  With resume, it
     continues from the last of them; without, or with none, training starts
     from fresh parameters and an empty checkpoint set.  A last checkpoint
-    of another shape (see _model_dims) is a CheckpointError, and one of
+    of another shape (see model_dims) is a CheckpointError, and one of
     another seed a ValueError (see train); either leaves the checkpoints
     and the log as they were."""
     split = _load_split(config)
     src_vocab, tgt_vocab = _load_vocabs(config)
     existing = checkpoint_paths(config.checkpoint_dir) if resume else []
-    resume_from = (load_checkpoint(existing[-1], _model_dims(config, src_vocab, tgt_vocab))
-                   if existing else None)
+    dims = model_dims(config, len(src_vocab), len(tgt_vocab))
+    resume_from = load_checkpoint(existing[-1], dims) if existing else None
     train(split, src_vocab, tgt_vocab, config, checkpoint_dir=config.checkpoint_dir,
           log_path=config.train_log_path, resume_from=resume_from)
     return checkpoint_paths(config.checkpoint_dir)
@@ -233,7 +226,7 @@ def _load_ensemble(config: PipelineConfig, src_vocab: Vocabulary,
     paths = checkpoint_paths(config.checkpoint_dir)[-config.ensemble_size:]
     if not paths:
         raise _not_found(config.checkpoint_dir, "checkpoints", "train")
-    dims = _model_dims(config, src_vocab, tgt_vocab)
+    dims = model_dims(config, len(src_vocab), len(tgt_vocab))
     flat = empty_aligned(len(paths), param_count(*dims))
     for path, row in zip(paths, flat):
         load_checkpoint(path, dims, out=row)
@@ -241,9 +234,10 @@ def _load_ensemble(config: PipelineConfig, src_vocab: Vocabulary,
 
 
 def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple[int, str]:
-    """Generate a message for one diff, or the warning when the size rule
-    by which prepare drops a commit refuses it (see diff_too_large), when
-    the QA gate flags it, or when the best hypothesis is EOS alone.
+    """Generate a message for one diff, or the warning when a rule by which
+    prepare drops a commit refuses it (too large, see diff_too_large, or
+    without a source token), when the QA gate flags it, or when the best
+    hypothesis is EOS alone.
 
     Returns (exit_code, output line); never both a message and a warning.
     A missing vocabulary, QA model or checkpoint set is a PipelineError
@@ -251,7 +245,8 @@ def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple
     the last ensemble_size of the training run (see checkpoint_paths).
     """
     src_vocab, tgt_vocab = _load_vocabs(config)
-    if diff_too_large(diff_text, config):
+    if diff_too_large(diff_text, config) or not (
+            tokens := preprocess_source(diff_text, config.max_source_len)):
         return EXIT_WARNING, WARNING_TEXT
     if with_qa:
         model = qa.load_qa_model(_existing(config.qa_model_path, "QA model", "qa train"))
@@ -259,8 +254,8 @@ def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple
         if is_bad:
             return EXIT_WARNING, WARNING_TEXT
     ensemble = _load_ensemble(config, src_vocab, tgt_vocab)
-    source = source_ids(src_vocab, preprocess_source(diff_text, config.max_source_len), config)
-    generated = ensemble_decode(ensemble, source, config.beam_width, config.max_target_len)
+    generated = ensemble_decode(ensemble, source_ids(src_vocab, tokens, config), config.beam_width,
+                                config.max_target_len)
     if not generated:
         return EXIT_WARNING, WARNING_TEXT
     return EXIT_OK, " ".join(tgt_vocab.decode(generated))
@@ -274,9 +269,10 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
     """
     split = _load_split(config)
     if not split.test:
-        raise PipelineError("test split is empty")
+        raise PipelineError(f"{split_paths(config.split_dir, 'test')[0]}: test split is empty")
     if not split.train:
-        raise PipelineError("training split is empty; the retrieval baseline needs it")
+        raise PipelineError(f"{split_paths(config.split_dir, 'train')[0]}: training split is "
+                            f"empty; the retrieval baseline needs it")
     references = [item.target for item in split.test]
     source_lengths = [len(item.source) for item in split.test]
 
@@ -319,6 +315,8 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
 
 def cmd_qa(config: PipelineConfig, subaction: str, gold_path: str) -> str:
     """QA gate actions: fit and save a model, cross-validate, or report."""
+    if subaction not in ("train", "crossval", "report"):
+        raise PipelineError(f"unknown qa subaction {subaction!r}")
     gold = qa.load_gold_jsonl(_existing(gold_path, "gold set"))
     if not gold:
         raise PipelineError(f"{gold_path}: gold set is empty")
@@ -338,18 +336,16 @@ def cmd_qa(config: PipelineConfig, subaction: str, gold_path: str) -> str:
             f"records={len(gold)} folds={len(result.fold_indices)} "
             f"precision={result.precision:.4f} recall={result.recall:.4f}\n"
         )
-    if subaction == "report":
-        report = qa.reduction_report(gold, result.predictions)
-        lines = ["removed fraction by median score:"]
-        for score in range(8):
-            lines.append(
-                f"  score {score}: {report.removed_fraction_by_score[score]:.4f} "
-                f"({report.removed_by_score[score]}/{report.count_by_score[score]})"
-            )
-        lines.append(f"bad_reduction={report.bad_reduction:.4f}")
-        lines.append(f"good_cost={report.good_cost:.4f}")
-        return "\n".join(lines) + "\n"
-    raise PipelineError(f"unknown qa subaction {subaction!r}")
+    report = qa.reduction_report(gold, result.predictions)
+    lines = ["removed fraction by median score:"]
+    for score in range(8):
+        lines.append(
+            f"  score {score}: {report.removed_fraction_by_score[score]:.4f} "
+            f"({report.removed_by_score[score]}/{report.count_by_score[score]})"
+        )
+    lines.append(f"bad_reduction={report.bad_reduction:.4f}")
+    lines.append(f"good_cost={report.good_cost:.4f}")
+    return "\n".join(lines) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):

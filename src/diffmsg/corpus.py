@@ -426,6 +426,7 @@ REMOVAL_REASONS = (
     "merge_or_rollback",
     "diff_too_large",
     "source_too_long",
+    "source_empty",
     "target_too_long",
     "target_empty",
 )
@@ -467,6 +468,9 @@ def apply_filters(
         source = preprocess_source(commit.diff_text, cfg.max_source_len)
         if len(source) > cfg.max_source_len:
             removed["source_too_long"] += 1
+            continue
+        if not source:
+            removed["source_empty"] += 1
             continue
         target = preprocess_target(commit.message_text)
         if len(target) > cfg.max_target_len:
@@ -607,15 +611,16 @@ def read_sequences(path: str | Path) -> list[TokenSequence]:
     return sequences
 
 
-def _split_paths(split_dir: Path, part: str) -> tuple[Path, Path]:
-    return split_dir / f"{part}.src.txt", split_dir / f"{part}.tgt.txt"
+def split_paths(split_dir: str | Path, part: str) -> tuple[Path, Path]:
+    """The {part}.src.txt and {part}.tgt.txt files of a split directory."""
+    return Path(split_dir, f"{part}.src.txt"), Path(split_dir, f"{part}.tgt.txt")
 
 
 def write_split_files(split: DatasetSplit, out_dir: str | Path) -> None:
     """Write the three line-aligned {part}.src.txt / {part}.tgt.txt file pairs."""
     for part in SPLIT_PARTS:
         items: list[PreparedCommit] = getattr(split, part)
-        src_path, tgt_path = _split_paths(Path(out_dir), part)
+        src_path, tgt_path = split_paths(out_dir, part)
         write_sequences(src_path, [item.source for item in items])
         write_sequences(tgt_path, [item.target for item in items])
 
@@ -627,7 +632,7 @@ def read_split_files(split_dir: str | Path, seed: int) -> DatasetSplit:
     """
     parts: dict[str, list[PreparedCommit]] = {}
     for part in SPLIT_PARTS:
-        src_path, tgt_path = _split_paths(Path(split_dir), part)
+        src_path, tgt_path = split_paths(split_dir, part)
         sources, targets = read_sequences(src_path), read_sequences(tgt_path)
         if len(sources) != len(targets):
             raise CorpusFormatError(f"{src_path}, {tgt_path}: files are not line-aligned")

@@ -17,14 +17,12 @@ The M models run as one stacked model (see ModelParams), whose kernels run
 over a leading member axis: one set of numpy calls per step for all of
 them, each member's products the BLAS calls it makes alone, to the bit.
 Each encoder direction steps the M chains as one, not both directions' 2M:
-M recurrent blocks stay in cache, and one chain of 2M was slower.  The
-encoder and each decoder step run the members in chunks (see
-MAX_STEP_ELEMENTS).
+M recurrent blocks stay in cache, and one chain of 2M was slower.  Each
+batch runs its members in chunks, one plan for the encoder and every
+decoder step (see MAX_STEP_ELEMENTS).
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -33,10 +31,11 @@ from .model import Array, ModelParams, decoder_step_batch, encode_sources
 
 # Bound on B*K*S*H, the size of one model's attention activations in one
 # decoder step (4 MB in float64).  It sets how many sources a batch holds,
-# and how many members run at once: max(1, MAX_STEP_ELEMENTS // (B*K*S*H))
-# in a step, and in the encoder as many as in a step of the full beam width.
-# One source (generate) runs all four members at once, and a large batch
-# (evaluate) one at a time, so peak memory stays that of one member's.
+# and once per batch how many members run at once, in the encoder and every
+# step: max(1, MAX_STEP_ELEMENTS // (B*K*S*H)) with K the full beam width,
+# which no later step exceeds.  One source (generate) runs all four members
+# at once, and a large batch (evaluate) one at a time, so peak memory stays
+# that of one member's.
 MAX_STEP_ELEMENTS = 1 << 19
 
 
@@ -87,7 +86,7 @@ def _stack(checkpoints: list) -> ModelParams:
     if not checkpoints:
         raise ValueError("ensemble requires at least one checkpoint")
     models = [getattr(c, "params", c) for c in checkpoints]
-    if len({(m.src_vocab_size, m.tgt_vocab_size, m.embed_dim, m.hidden_dim) for m in models}) > 1:
+    if len({m.dims for m in models}) > 1:
         raise ValueError("ensemble members must share vocabulary sizes and dimensions")
     flats = [m.flat for m in models]
     return models[0].like(flats[0][None] if len(flats) == 1 else np.stack(flats))
@@ -103,17 +102,6 @@ def _at_once(elements: int) -> int:
     return max(1, MAX_STEP_ELEMENTS // max(1, elements))
 
 
-def _step(members, states: Array, prev: Array, encodings: tuple) -> tuple[Array, Array]:
-    """decoder_step_batch for every member, in chunks sized by MAX_STEP_ELEMENTS;
-    members(lo, hi) is the stacked model of members lo to hi."""
-    annotations, proj, mask = encodings
-    chunk = min(len(states), _at_once(prev.size * proj.shape[2] * proj.shape[3]))
-    stepped = [decoder_step_batch(members(lo, lo + chunk), states[lo : lo + chunk], prev,
-                                  annotations[:, lo : lo + chunk], proj[:, lo : lo + chunk], mask)
-               for lo in range(0, len(states), chunk)]
-    return stepped[0] if len(stepped) == 1 else tuple(map(np.concatenate, zip(*stepped)))
-
-
 def _search(
     model: ModelParams, sources: list[list[int]], beam_width: int, max_len: int,
     start_id: int, eos_id: int,
@@ -126,8 +114,10 @@ def _search(
     and come after the real ones, so a stable sort never ranks them first.
     """
     width = beam_width * max(map(len, sources)) * model.hidden_dim
-    *encodings, s0 = encode_sources(model, sources, _at_once(len(sources) * width))
-    members = functools.cache(lambda lo, hi: model.like(model.flat[lo:hi]))  # chunk views
+    chunk = _at_once(len(sources) * width)  # members at once, in the encoder and every step
+    spans = [slice(lo, lo + chunk) for lo in range(0, len(model.flat), chunk)]
+    members = [model.like(model.flat[span]) for span in spans]
+    annotations, proj, mask, s0 = encode_sources(model, members, sources)
     states = s0[:, :, None]
     live = np.arange(len(sources))
     hyps: list[list[tuple[int, ...]]] = [[()] for _ in sources]
@@ -136,7 +126,9 @@ def _search(
     completed: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in sources]
 
     for _ in range(max_len):
-        new_states, probs = _step(members, states, prev, encodings)
+        stepped = [decoder_step_batch(p, states[span], prev, annotations[:, span], proj[:, span],
+                                      mask) for p, span in zip(members, spans)]
+        new_states, probs = stepped[0] if len(stepped) == 1 else map(np.concatenate, zip(*stepped))
         mean = np.mean(probs, axis=0)                       # (B, K, V)
         vocab = mean.shape[2]
         with np.errstate(divide="ignore"):
@@ -164,7 +156,7 @@ def _search(
         scores = _pad_rows([[c[2] for c in kept] for kept in beams], -np.inf)
         hyps = [[c[3] for c in kept] for kept in beams]
         if len(rows) < len(live):
-            encodings = [part[rows] for part in encodings]
+            annotations, proj, mask = annotations[rows], proj[rows], mask[rows]
             live = live[rows]
 
     for b, beam in enumerate(hyps):  # length-capped

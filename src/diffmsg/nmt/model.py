@@ -30,6 +30,7 @@ NN, over an aligned copy of w.T made once per batch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Annotated, Iterator, NamedTuple
@@ -80,10 +81,6 @@ class GruParams:
     u_h: Array
     b: Array
 
-    def tensors(self) -> Iterator[tuple[str, Array]]:
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
-
 
 GRU_NAMES = ("enc_fwd", "enc_bwd", "dec")
 
@@ -126,16 +123,16 @@ class ModelParams:
     def tgt_vocab_size(self) -> int:
         return self.tgt_emb.shape[-2]
 
+    @property
+    def dims(self) -> tuple[int, int, int, int]:
+        """The four dims, in DIM_KEYS order."""
+        return tuple(getattr(self, key) for key in DIM_KEYS)
+
     def tensors(self) -> dict[str, Array]:
-        """Named views of every tensor, in layout order (see param_shapes)."""
-        out: dict[str, Array] = {}
-        for f in fields(self)[1:]:
-            value = getattr(self, f.name)
-            if isinstance(value, GruParams):
-                out.update((f"{f.name}.{part}", tensor) for part, tensor in value.tensors())
-            else:
-                out[f.name] = value
-        return out
+        """Named views of every tensor, in layout order (see param_shapes);
+        "enc_fwd.w" names self.enc_fwd.w."""
+        return {name: functools.reduce(getattr, name.split("."), self)
+                for name in param_shapes(*self.dims)}
 
     def __getitem__(self, name: str) -> Array:
         return self.tensors()[name]
@@ -159,9 +156,7 @@ class ModelParams:
 
     def like(self, flat: Array) -> "ModelParams":
         """This layout over another buffer, such as a gradient or an accumulator."""
-        return ModelParams.from_flat(
-            flat, self.embed_dim, self.hidden_dim, self.src_vocab_size, self.tgt_vocab_size
-        )
+        return ModelParams.from_flat(flat, *self.dims)
 
     def copy(self) -> "ModelParams":
         return self.like(self.flat.copy())
@@ -188,6 +183,16 @@ def _transposed(*blocks: Array) -> list[Array]:
     return [np.positive(block.T, out=empty_aligned(*block.shape[::-1])) for block in blocks]
 
 
+# The dims that fix a model's layout, in the order param_shapes takes them.
+DIM_KEYS = ("embed_dim", "hidden_dim", "src_vocab_size", "tgt_vocab_size")
+
+
+def model_dims(hyper: Hyperparams, src_vocab_size: int,
+               tgt_vocab_size: int) -> tuple[int, int, int, int]:
+    """The dims, in DIM_KEYS order, of the model hyper and the vocabulary sizes give."""
+    return hyper.embed_dim, hyper.hidden_dim, src_vocab_size, tgt_vocab_size
+
+
 def param_count(*dims: int) -> int:
     """N, the length of ModelParams.flat, for param_shapes' dims."""
     return sum(math.prod(shape) for shape in param_shapes(*dims).values())
@@ -196,7 +201,8 @@ def param_count(*dims: int) -> int:
 def param_shapes(
     embed_dim: int, hidden_dim: int, src_vocab_size: int, tgt_vocab_size: int
 ) -> dict[str, tuple[int, ...]]:
-    """The shape of every tensor, named and in layout order, as ModelParams.tensors()."""
+    """The shape of every tensor, named and in layout order: ModelParams.tensors()
+    walks these names."""
     e, h = embed_dim, hidden_dim
     shapes = {"src_emb": (src_vocab_size, e), "tgt_emb": (tgt_vocab_size, e)}
     for prefix, input_dim in zip(GRU_NAMES, (e, e, e + 2 * h)):
@@ -220,7 +226,7 @@ def init_params(hyper: Hyperparams, src_vocab_size: int, tgt_vocab_size: int) ->
     if src_vocab_size < 1 or tgt_vocab_size < 1:
         raise ValueError("vocabulary sizes must be >= 1")
     rng = np.random.default_rng(hyper.seed)
-    dims = (hyper.embed_dim, hyper.hidden_dim, src_vocab_size, tgt_vocab_size)
+    dims = model_dims(hyper, src_vocab_size, tgt_vocab_size)
     params = ModelParams.from_flat(empty_aligned(param_count(*dims)), *dims)
     for name, tensor in params.tensors().items():
         gru = name.partition(".")[0] in GRU_NAMES
@@ -591,22 +597,17 @@ def _check_ids(ids: list[int], vocab_size: int, what: str) -> None:
 # Inference: a stacked ensemble encodes a batch of sources once, then steps K
 # hypotheses of each; every member's products are the BLAS calls it makes alone.
 
-def encode_sources(params: ModelParams, sources: list[list[int]],
-                   at_once: int) -> tuple[Array, ...]:
+def encode_sources(params: ModelParams, members: list[ModelParams],
+                   sources: list[list[int]]) -> tuple[Array, ...]:
     """Encode id sequences (EOS appended), padded to the longest, under each
-    member of a stacked ensemble, at_once members to a stacked chain:
-    returns the annotations (B, M, S, 2H), their projection annotations @
-    att_u (B, M, S, H), the mask (B, S) and the states s_0 (M, B, H)."""
+    member of a stacked ensemble, one stacked chain for each of members,
+    views of consecutive rows of params: returns the annotations
+    (B, M, S, 2H), their projection annotations @ att_u (B, M, S, H), the
+    mask (B, S) and the states s_0 (M, B, H)."""
     for ids in sources:
         _check_ids(ids, params.src_vocab_size, "source")
     src_ids, src_mask = _pad_sequences(sources, "source")
-    members = len(params.flat)
-    if at_once >= members:
-        annotations = encode_batch(params, src_ids, src_mask)      # (M, B, S, 2H)
-    else:
-        annotations = np.concatenate([encode_batch(params.like(params.flat[lo : lo + at_once]),
-                                                   src_ids, src_mask)
-                                      for lo in range(0, members, at_once)])
+    annotations = np.concatenate([encode_batch(p, src_ids, src_mask) for p in members])
     by_source = annotations.swapaxes(0, 1)
     return (by_source, by_source @ params.att_u, src_mask,
             init_decoder_state_batch(params, annotations))

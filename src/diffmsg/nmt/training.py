@@ -32,6 +32,7 @@ from ..corpus import (DatasetSplit, Schema, Vocabulary, atomic_write, field_type
                       read_json_object)
 from .decoding import beam_search
 from .model import (
+    DIM_KEYS,
     Array,
     Hyperparams,
     ModelParams,
@@ -39,6 +40,7 @@ from .model import (
     init_params,
     loss_backward,
     loss_forward,
+    model_dims,
     pad_batch,
     param_count,
     source_ids,
@@ -113,16 +115,15 @@ class Checkpoint:
 # then the keys that fix the payload's layout, and "format_version".
 _STATE_KEYS = {key: kind for key, kind in field_types(Checkpoint).items()
                if key not in ("params", "optimizer_state")}
-_DIM_KEYS = ("embed_dim", "hidden_dim", "src_vocab_size", "tgt_vocab_size")
-_PAYLOAD_KEYS = {**dict.fromkeys(_DIM_KEYS, Annotated[int, ">= 1"]), "has_optimizer_state": bool}
+_PAYLOAD_KEYS = {**dict.fromkeys(DIM_KEYS, Annotated[int, ">= 1"]), "has_optimizer_state": bool}
 _HEADER_KEYS = Schema({**_STATE_KEYS, **_PAYLOAD_KEYS})
 
 
 def _dims_problem(found: tuple[int, ...], expected: tuple[int, ...]) -> str | None:
-    """The first of _DIM_KEYS on which found differs from the run's
+    """The first of DIM_KEYS on which found differs from the run's
     expected dims, with both values; or None."""
     return next((f"{key} is {have}, but this run's config and vocabularies give {want}"
-                 for key, have, want in zip(_DIM_KEYS, found, expected) if have != want), None)
+                 for key, have, want in zip(DIM_KEYS, found, expected) if have != want), None)
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
@@ -139,7 +140,7 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         **{key: getattr(checkpoint, key) for key in _STATE_KEYS},
-        **{key: getattr(params, key) for key in _DIM_KEYS},
+        **dict(zip(DIM_KEYS, params.dims)),
         "has_optimizer_state": state is not None,
     }
     header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
@@ -155,7 +156,7 @@ def load_checkpoint(
 
     The payload is blocks of N = param_count(*dims) float64 values, three
     with optimizer state and one without, and must be exactly that long.
-    dims, if given, is the caller's model in _DIM_KEYS order; the first key
+    dims, if given, is the caller's model (see model_dims); the first key
     the file differs on is a CheckpointError naming both values.  Every
     array is a view into one writable buffer read from the file, aligned by
     empty_aligned.  With out, a contiguous (N,) float64 buffer such as a row
@@ -166,7 +167,7 @@ def load_checkpoint(
         header_line = handle.readline()
         header = read_json_object(header_line, _HEADER_KEYS, f"{path}: header", CheckpointError,
                                   CHECKPOINT_FORMAT_VERSION)
-        found = tuple(header[key] for key in _DIM_KEYS)
+        found = tuple(header[key] for key in DIM_KEYS)
         if (problem := _dims_problem(found, dims or ())) is not None:
             raise CheckpointError(f"{path}: {problem}")
         size = param_count(*found)
@@ -183,7 +184,7 @@ def load_checkpoint(
             raise CheckpointError(f"{path}: truncated payload")
     flat, *state = (payload[size * k : size * (k + 1)] for k in range(blocks))
     return Checkpoint(
-        params=ModelParams.from_flat(flat, *(header[key] for key in _DIM_KEYS)),
+        params=ModelParams.from_flat(flat, *found),
         optimizer_state=OptimizerState(*state) if state else None,
         **{key: header[key] for key in _STATE_KEYS},
     )
@@ -272,9 +273,8 @@ def train(
         state = Checkpoint(params, init_optimizer_state(params), 0, None, seed=hyper.seed)
     elif resume_from.optimizer_state is None:
         raise ValueError("cannot resume from a checkpoint without optimizer state")
-    elif problem := _dims_problem(
-            tuple(getattr(resume_from.params, key) for key in _DIM_KEYS),
-            (hyper.embed_dim, hyper.hidden_dim, len(src_vocab), len(tgt_vocab))):
+    elif problem := _dims_problem(resume_from.params.dims,
+                                  model_dims(hyper, len(src_vocab), len(tgt_vocab))):
         raise ValueError(f"cannot resume from a checkpoint whose {problem}")
     elif resume_from.seed != hyper.seed:
         raise ValueError(f"cannot resume a run of seed {resume_from.seed} with seed {hyper.seed}: "

@@ -555,7 +555,8 @@ class TestEvaluate:
         cmd_prepare(config)  # and no train, so decoding would find no checkpoint
         for side in ("src", "tgt"):
             (config.split_dir / f"train.{side}.txt").write_text("")
-        with pytest.raises(PipelineError, match="^training split is empty; "):
+        named = f"{config.split_dir / 'train.src.txt'}: training split is empty; "
+        with pytest.raises(PipelineError, match=f"^{re.escape(named)}"):
             cmd_evaluate(config)
 
 
@@ -597,6 +598,11 @@ class TestQaCommand:
             assert f"score {score}:" in out
         assert "bad_reduction=" in out
         assert "good_cost=" in out
+
+    def test_unknown_subaction_is_refused_before_the_gold_set_is_read(self, tmp_path):
+        config = toy_config(tmp_path)
+        with pytest.raises(PipelineError, match="^unknown qa subaction 'bogus'$"):
+            cmd_qa(config, "bogus", str(tmp_path / "absent.jsonl"))
 
     def test_single_class_gold_errors(self, tmp_path):
         gold = tmp_path / "gold.jsonl"
@@ -878,6 +884,75 @@ class TestMainExitCodes:
                                 + "\n" for i, score in enumerate(scores)))
         capsys.readouterr()
         assert main(["--config", str(path), "qa", subaction, "--gold", str(gold)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {gold}: {problem}\n"
+
+    @pytest.mark.parametrize("gate", [[], ["--with-qa"]], ids=["no_gate", "gate"])
+    @pytest.mark.parametrize("diff", ["", " \n\t "], ids=["empty", "whitespace"])
+    def test_diff_without_a_token_gets_the_warning(self, tmp_path, capsys, diff, gate):
+        # prepare drops such a commit (source_empty); generate, gate or not,
+        # answers with the warning instead of a message
+        path, config = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert main(["--config", str(path), "train"]) == EXIT_OK
+        vocab = BagOfWords([["anything"]]).ids
+        never_bad = QaModel(vocab, np.ones(len(vocab)), np.zeros(len(vocab)), bias=-1.0)
+        save_qa_model(never_bad, config.qa_model_path)
+        diff_file = tmp_path / "empty.diff"
+        diff_file.write_text(diff)
+        capsys.readouterr()
+        argv = ["--config", str(path), "generate", "--diff", str(diff_file), *gate]
+        assert main(argv) == EXIT_WARNING
+        assert capsys.readouterr().out == WARNING_TEXT + "\n"
+
+    def test_evaluate_prints_the_report(self, tmp_path, capsys):
+        path, config = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert main(["--config", str(path), "train"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["--config", str(path), "evaluate"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.startswith("Model") and captured.err == ""
+        assert captured.out == config.eval_report_path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("messages, overrides, problem", [
+        ([], {}, "ingest produced no commits"),
+        (["Merge branch 'dev'"] * 24, {}, "preprocessing filters removed every commit "
+                                         "(merge_or_rollback=24)"),
+        (["typo"] * 24, {}, "verb/direct-object filter removed every commit"),
+        (None, {"valid_size": 12, "test_size": 12}, "split left an empty training set"),
+    ], ids=["no_commits", "filters", "vdo", "split"])
+    def test_emptied_corpus_is_named(self, tmp_path, capsys, messages, overrides, problem):
+        lines = toy_corpus_lines()
+        if messages is not None:
+            lines = [json.dumps({**json.loads(line), "message": message})
+                     for line, message in zip(lines, messages)]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(line + "\n" for line in lines) or "\n", encoding="utf-8")
+        path, config = self._config_file(tmp_path, **overrides)
+        assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {corpus}: {problem}\n"
+        assert not Path(config.work_dir).exists()
+
+    def test_empty_id_is_named(self, tmp_path, capsys):
+        lines = toy_corpus_lines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "id": ""})
+        write_corpus(tmp_path / "corpus.jsonl", lines)
+        path, config = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {config.corpus_jsonl}: line 3: empty id\n"
+
+    @pytest.mark.parametrize("record, problem", [
+        (None, "gold set is empty"),
+        ({"id": "0", "diff": "x y", "scores": [0, 1, 2, 3]},
+         "line 1: key 'scores': expected 1-3 scores, got 4"),
+        ({"id": "0", "diff": "x y", "scores": [8]},
+         "line 1: key 'scores': scores must be in [0, 7], got 8"),
+    ], ids=["empty", "four_scores", "score_8"])
+    def test_bad_gold_set_is_named(self, tmp_path, capsys, record, problem):
+        path, _ = self._config_file(tmp_path)
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("\n" if record is None else json.dumps(record) + "\n")
+        assert main(["--config", str(path), "qa", "train", "--gold", str(gold)]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {gold}: {problem}\n"
 
     def test_vdo_flag_override(self, tmp_path, capsys):

@@ -657,6 +657,13 @@ class TestApplyFilters:
         assert kept == []
         assert removed["source_too_long"] == 1
 
+    @pytest.mark.parametrize("diff", ["", " \n\t "], ids=["empty", "whitespace"])
+    def test_diff_without_a_token_removed(self, diff):
+        kept, removed = apply_filters([make_commit(diff=diff), make_commit("c2")])
+        assert [commit.id for commit in kept] == ["c2"]
+        assert removed["source_empty"] == 1
+        assert sum(removed.values()) == 1
+
     def test_target_boundary_inclusive(self):
         msg = " ".join(f"w{i}" for i in range(30))
         kept, _ = apply_filters([make_commit(message=msg)])

@@ -21,7 +21,7 @@ from diffmsg.nmt import (
     init_decoder_state,
     init_params,
 )
-from diffmsg.nmt import decoding, model
+from diffmsg.nmt import model
 from diffmsg.nmt.model import GruParams, attend_batch
 
 
@@ -222,8 +222,8 @@ class TestChainKernels:
 
         assert np.array_equal(chain.states, want_states)
         assert np.array_equal(d_xw, want_d_xw)
-        for (name, g), (_, w) in zip(got.tensors(), want.tensors()):
-            assert np.array_equal(g, w), name
+        for name in ("w", "u_zr", "u_h", "b"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 # --- attend_backward against its per-step form -----------------------------
@@ -327,18 +327,17 @@ class TestStackedEnsemble:
 
         own = [(ann, ann @ p.att_u) for p in alone
                for ann in [model.encode_batch(p, src_ids, src_mask)]]
-        for at_once in (members, 1):  # every member's chain stacked, or one at a time
-            annotations, proj, mask, s0 = model.encode_sources(stacked, sources, at_once)
+        for chunk in (members, 1):  # every member at once, or one at a time
+            spans = [slice(lo, lo + chunk) for lo in range(0, members, chunk)]
+            plan = [stacked.like(stacked.flat[span]) for span in spans]
+            annotations, proj, mask, s0 = model.encode_sources(stacked, plan, sources)
             for m, p in enumerate(alone):
                 assert np.array_equal(annotations[:, m], own[m][0])
                 assert np.array_equal(proj[:, m], own[m][1])
                 assert np.array_equal(s0[m], model.init_decoder_state_batch(p, own[m][0]))
-        # the default bound steps every member at once, a bound of 1 one at a time
-        for bound in (decoding.MAX_STEP_ELEMENTS, 1):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(decoding, "MAX_STEP_ELEMENTS", bound)
-                s_new, probs = decoding._step(lambda lo, hi: stacked.like(stacked.flat[lo:hi]),
-                                              states, prev, (annotations, proj, mask))
+            stepped = [model.decoder_step_batch(p, states[span], prev, annotations[:, span],
+                                                proj[:, span], mask) for p, span in zip(plan, spans)]
+            s_new, probs = map(np.concatenate, zip(*stepped))
             for m, p in enumerate(alone):
                 want_s, want_probs = alone_step(p, states[m], prev, *own[m], src_mask)
                 assert np.array_equal(s_new[m], want_s)

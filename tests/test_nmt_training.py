@@ -30,7 +30,7 @@ from diffmsg.nmt import (
     save_checkpoint,
     train,
 )
-from diffmsg.nmt.model import param_count
+from diffmsg.nmt.model import DIM_KEYS, param_count
 
 
 def tiny_params(seed=3, src_vocab=10, tgt_vocab=9):
@@ -251,6 +251,21 @@ class TestTrain:
             train(split, src, tgt, toy_hyper(max_minibatches=8, **overrides),
                   checkpoint_dir=tmp_path, log_path=tmp_path / "log",
                   resume_from=load_checkpoint(tmp_path / "checkpoint_00000004.ckpt"))
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_resume_without_optimizer_state_is_refused(self, tmp_path):
+        split = toy_split()
+        src, tgt = build_vocabs(split)
+        train(split, src, tgt, toy_hyper(max_minibatches=4), checkpoint_dir=tmp_path,
+              log_path=tmp_path / "log")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        path = tmp_path / "checkpoint_00000004.ckpt"
+        params_only = load_checkpoint(path, out=np.empty(load_checkpoint(path).params.flat.size))
+        assert params_only.optimizer_state is None
+        with pytest.raises(ValueError, match="^cannot resume from a checkpoint without optimizer "
+                                             "state$"):
+            train(split, src, tgt, toy_hyper(max_minibatches=8), checkpoint_dir=tmp_path,
+                  log_path=tmp_path / "log", resume_from=params_only)
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_resume_trains_the_checkpoint_in_place(self, tmp_path):
@@ -531,7 +546,7 @@ class TestCheckpointIO:
         path = saved_checkpoint(tmp_path)
         rewrite_header(path, lambda header: header.update({key: header[key] + 1}))
         header, payload = path.read_bytes().split(b"\n", 1)
-        expected = 3 * 8 * param_count(*(json.loads(header)[k] for k in training._DIM_KEYS))
+        expected = 3 * 8 * param_count(*(json.loads(header)[k] for k in DIM_KEYS))
         with pytest.raises(CheckpointError, match=re.escape(
                 f"{path}: truncated payload ({len(payload)} bytes, {expected} by the header)")):
             load_checkpoint(path)
@@ -590,7 +605,7 @@ class TestCheckpointIO:
         # the payload's length agrees with the value, so only its range refuses it
         header, _ = saved_checkpoint(tmp_path).read_bytes().split(b"\n", 1)
         header = {**json.loads(header), key: value, "has_optimizer_state": False}
-        size = param_count(*(header[k] for k in training._DIM_KEYS))
+        size = param_count(*(header[k] for k in DIM_KEYS))
         path = tmp_path / "crafted.ckpt"
         path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8 * size))
         with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: header: {message}$"):
@@ -634,12 +649,12 @@ class TestCheckpointIO:
         assert [p.name for p in tmp_path.iterdir()] == [kept.name]
         assert kept.read_bytes() == good
 
-    @pytest.mark.parametrize("key", training._DIM_KEYS)
+    @pytest.mark.parametrize("key", DIM_KEYS)
     def test_dims_mismatch_rejected(self, tmp_path, key):
         params, _ = tiny_params(src_vocab=10, tgt_vocab=9)
         path = tmp_path / "model.ckpt"
         save_checkpoint(Checkpoint(params, None, 0, None), path)
-        dims = dict(zip(training._DIM_KEYS, (4, 5, 10, 9)))
+        dims = dict(zip(DIM_KEYS, (4, 5, 10, 9)))
         assert load_checkpoint(path, tuple(dims.values())).params.flat.size == params.flat.size
         dims[key] += 1
         with pytest.raises(CheckpointError, match=(
