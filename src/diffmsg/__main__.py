@@ -1,4 +1,6 @@
-from .cli import main_entry
+import sys
+
+from .cli import main
 
 if __name__ == "__main__":
-    main_entry()
+    sys.exit(main())

@@ -159,7 +159,10 @@ def cmd_prepare(config: PipelineConfig) -> dict:
     if not kept:
         raise PipelineError(f"{corpus}: verb/direct-object filter removed every commit")
 
-    split = split_dataset(kept, valid=config.valid_size, test=config.test_size, seed=config.seed)
+    try:
+        split = split_dataset(kept, config.valid_size, config.test_size, config.seed)
+    except ValueError as exc:  # the split sizes exceed the corpus
+        raise PipelineError(f"{corpus}: {exc}") from exc
     if not split.train:
         raise PipelineError(f"{corpus}: split left an empty training set")
 
@@ -188,10 +191,14 @@ def cmd_prepare(config: PipelineConfig) -> dict:
 
 
 def _load_split(config: PipelineConfig) -> DatasetSplit:
+    """The prepared splits; train and evaluate both need a training split."""
     try:
-        return read_split_files(config.split_dir, config.seed)
+        split = read_split_files(config.split_dir, config.seed)
     except (FileNotFoundError, NotADirectoryError) as exc:
         raise _not_found(exc.filename, "split file", "prepare") from exc
+    if not split.train:
+        raise PipelineError(f"{split_paths(config.split_dir, 'train')[0]}: training split is empty")
+    return split
 
 
 def _load_vocabs(config: PipelineConfig) -> tuple[Vocabulary, Vocabulary]:
@@ -270,9 +277,6 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
     split = _load_split(config)
     if not split.test:
         raise PipelineError(f"{split_paths(config.split_dir, 'test')[0]}: test split is empty")
-    if not split.train:
-        raise PipelineError(f"{split_paths(config.split_dir, 'train')[0]}: training split is "
-                            f"empty; the retrieval baseline needs it")
     references = [item.target for item in split.test]
     source_lengths = [len(item.source) for item in split.test]
 
@@ -391,7 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = PipelineConfig.load(args.config) if args.config else PipelineConfig()
+        config = (PipelineConfig.load(_existing(args.config, "config")) if args.config
+                  else PipelineConfig())
         overrides = {"seed": args.seed, "vdo_lexicon_path": args.vdo_lexicon,
                      "vdo_filter": None if args.vdo is None else args.vdo == "on"}
         try:
@@ -421,7 +426,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # uniform error contract: message on stderr, exit 1
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-def main_entry() -> None:
-    sys.exit(main())

@@ -158,13 +158,11 @@ class ModelParams:
         """This layout over another buffer, such as a gradient or an accumulator."""
         return ModelParams.from_flat(flat, *self.dims)
 
-    def copy(self) -> "ModelParams":
-        return self.like(self.flat.copy())
-
-    def assert_finite(self) -> None:
+    def assert_finite(self, where: str) -> None:
+        """Raise FloatingPointError naming where and the first non-finite tensor."""
         if not np.isfinite(self.flat).all():
             name = next(n for n, t in self.tensors().items() if not np.isfinite(t).all())
-            raise FloatingPointError(f"non-finite values in parameter {name}")
+            raise FloatingPointError(f"{where}: non-finite values in parameter {name}")
 
 
 def empty_aligned(*shape: int) -> Array:

@@ -294,19 +294,13 @@ def train(
         # append only when resuming, so a rerun reproduces identical artifacts
         log_handle = open(log_path, "a" if resume_from is not None else "w", encoding="utf-8")
 
-    def check_finite() -> None:
-        try:
-            state.params.assert_finite()
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"after minibatch {state.minibatch_index}: {exc}") from exc
-
     n, size = len(train_pairs), hyper.minibatch_size
     batches_per_epoch = (n + size - 1) // size
     limit = min(hyper.max_epochs * batches_per_epoch, hyper.max_minibatches)
     order: list[int] = []
 
     try:
-        check_finite()
+        state.params.assert_finite(f"after minibatch {state.minibatch_index}")
         for index in range(state.minibatch_index, limit):
             if state.stall > hyper.patience:
                 break
@@ -321,7 +315,7 @@ def train(
             adadelta_update(state.params, grads, state.optimizer_state,
                             hyper.adadelta_rho, hyper.adadelta_eps)
             state.minibatch_index = index + 1
-            check_finite()
+            state.params.assert_finite(f"after minibatch {state.minibatch_index}")
             state.window_loss_sum += loss
             state.window_loss_count += 1
 

@@ -555,8 +555,8 @@ class TestEvaluate:
         cmd_prepare(config)  # and no train, so decoding would find no checkpoint
         for side in ("src", "tgt"):
             (config.split_dir / f"train.{side}.txt").write_text("")
-        named = f"{config.split_dir / 'train.src.txt'}: training split is empty; "
-        with pytest.raises(PipelineError, match=f"^{re.escape(named)}"):
+        named = f"{config.split_dir / 'train.src.txt'}: training split is empty"
+        with pytest.raises(PipelineError, match=f"^{re.escape(named)}$"):
             cmd_evaluate(config)
 
 
@@ -664,6 +664,16 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("usage: diffmsg") and "error: " in captured.err
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], EXIT_OK), (["no-such-command"], EXIT_ERROR),
+    ], ids=["help", "usage_error"])
+    def test_python_m_diffmsg_exits_as_main_returns(self, argv, code):
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run([sys.executable, "-m", "diffmsg", *argv], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert run.returncode == code
+        assert (run.stdout if code == EXIT_OK else run.stderr).startswith("usage: diffmsg")
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exited:
             main(["--help"])
@@ -719,6 +729,14 @@ class TestMainExitCodes:
         assert main(["--config", str(path), *command, str(missing)]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {missing}: {what} not found\n"
         assert not Path(config.work_dir).exists()
+
+    @pytest.mark.parametrize("is_dir", [False, True], ids=["missing", "directory"])
+    def test_missing_config_is_a_named_error(self, tmp_path, capsys, is_dir):
+        path = tmp_path / "config.json"
+        if is_dir:
+            path.mkdir()
+        assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {path}: config not found\n"
 
     def test_prepare_then_train_then_generate(self, tmp_path, capsys):
         path, config = self._config_file(tmp_path)
@@ -776,6 +794,17 @@ class TestMainExitCodes:
         assert main(["--config", str(path), *command]) == EXIT_ERROR
         assert capsys.readouterr().err == (
             f"error: {missing}: split file not found; run prepare first\n")
+
+    def test_empty_training_split_is_named(self, tmp_path, capsys):
+        path, config = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        for side in ("src", "tgt"):
+            (config.split_dir / f"train.{side}.txt").write_text("")
+        capsys.readouterr()
+        assert main(["--config", str(path), "train"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {config.split_dir / 'train.src.txt'}: training split is empty\n")
+        assert not config.checkpoint_dir.exists()
 
     def test_warning_exit_code(self, tmp_path, capsys):
         path, config = self._config_file(tmp_path)
@@ -920,7 +949,9 @@ class TestMainExitCodes:
                                          "(merge_or_rollback=24)"),
         (["typo"] * 24, {}, "verb/direct-object filter removed every commit"),
         (None, {"valid_size": 12, "test_size": 12}, "split left an empty training set"),
-    ], ids=["no_commits", "filters", "vdo", "split"])
+        (None, {"valid_size": 20, "test_size": 10},
+         "requested valid=20 + test=10 exceeds corpus size 24"),
+    ], ids=["no_commits", "filters", "vdo", "split", "split_sizes"])
     def test_emptied_corpus_is_named(self, tmp_path, capsys, messages, overrides, problem):
         lines = toy_corpus_lines()
         if messages is not None:

@@ -114,7 +114,7 @@ class TestEncode:
 
     def test_swapping_directions_reverses_chains(self):
         params = tiny_params(embed=2, hidden=3)
-        swapped = params.copy()
+        swapped = params.like(params.flat.copy())
         swapped.enc_fwd, swapped.enc_bwd = swapped.enc_bwd, swapped.enc_fwd
         ids = [4, 5, 4, 5, EOS_ID]
         h = params.hidden_dim
@@ -460,6 +460,15 @@ class TestSequenceLoss:
         target = [4, 3, 4, EOS_ID]
         loss = batch_loss([(source, target)], params)
         assert loss == pytest.approx(oracle_loss(params, source, target), abs=1e-9)
+
+    @pytest.mark.parametrize("src_vocab, tgt_vocab", [(0, 5), (6, 0)], ids=["source", "target"])
+    def test_empty_vocabulary_rejected(self, src_vocab, tgt_vocab):
+        with pytest.raises(ValueError, match="^vocabulary sizes must be >= 1$"):
+            tiny_params(src_vocab=src_vocab, tgt_vocab=tgt_vocab)
+
+    def test_sources_without_as_many_targets_rejected(self):
+        with pytest.raises(ValueError, match="same positive number of sources and targets"):
+            model.pad_batch([[4, EOS_ID], [5, EOS_ID]], [[4, EOS_ID]])
 
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError, match="target sequence must be non-empty"):

@@ -354,6 +354,20 @@ class TestTrain:
               resume_from=load_checkpoint(run / "checkpoint_00000004.ckpt"))
         assert (run / "log").read_bytes() == (whole / "log").read_bytes()
 
+    def test_resume_without_a_log_writes_only_the_lines_past_the_checkpoint(self, tmp_path):
+        split = toy_split()
+        src, tgt = build_vocabs(split)
+        hyper = toy_hyper(validate_every=1, checkpoint_every=4, max_minibatches=6)
+        train(split, src, tgt, hyper, log_path=tmp_path / "whole.log")
+        whole = (tmp_path / "whole.log").read_text().splitlines(keepends=True)
+        run = tmp_path / "run"
+        train(split, src, tgt, dataclasses.replace(hyper, max_minibatches=4),
+              checkpoint_dir=run, log_path=run / "log")
+        (run / "log").unlink()
+        train(split, src, tgt, hyper, checkpoint_dir=run, log_path=run / "log",
+              resume_from=load_checkpoint(run / "checkpoint_00000004.ckpt"))
+        assert (run / "log").read_text() == "".join(whole[4:])
+
     def test_log_on_disk_holds_every_line_before_each_checkpoint(self, tmp_path, monkeypatch):
         split = toy_split()
         src, tgt = build_vocabs(split)
@@ -550,6 +564,13 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match=re.escape(
                 f"{path}: truncated payload ({len(payload)} bytes, {expected} by the header)")):
             load_checkpoint(path)
+
+    def test_buffer_of_another_length_rejected(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        size = load_checkpoint(path).params.flat.size
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: holds {size} parameters, not {size + 1}") + "$"):
+            load_checkpoint(path, out=np.empty(size + 1))
 
     def test_appended_bytes_rejected(self, tmp_path):
         path = saved_checkpoint(tmp_path)

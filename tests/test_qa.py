@@ -253,6 +253,10 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(separable_gold(n=6), k=10)
 
+    def test_fewer_than_two_folds_rejected(self):
+        with pytest.raises(ValueError, match="^k must be >= 2, got 1$"):
+            cross_validate(separable_gold(n=6), k=1)
+
     def test_matches_confusion_recount(self):
         gold = separable_gold(n=40, seed=9)
         result = cross_validate(gold, k=5, seed=2)

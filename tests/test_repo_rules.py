@@ -1,0 +1,83 @@
+"""Source rules no behaviour test would see broken, and reruns under two hash seeds."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from diffmsg.nmt.training import CHECKPOINT_FORMAT_VERSION
+from diffmsg.qa import QA_MODEL_FORMAT_VERSION
+from test_cli import toy_corpus_lines, write_corpus, write_gold
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_lines(pattern):  # (path from the repo root, line) of each src/ line pattern finds
+    return [(path.relative_to(ROOT).as_posix(), line) for path in sorted(ROOT.glob("src/**/*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines() if re.search(pattern, line)]
+
+
+# corpus.read_json_object is the one JSON reader; nmt.training names, lists
+# and resets the checkpoint files, and reads every checkpoint payload
+@pytest.mark.parametrize("pattern, home", [
+    (r"json\.load", "corpus.py"), (r"checkpoint_[*{]", "nmt/training.py"),
+    (r"readinto|np\.fromfile|np\.memmap", "nmt/training.py"),
+], ids=["json_reader", "checkpoint_namer", "checkpoint_reader"])
+def test_one_module_does_it(pattern, home):
+    assert {path for path, _ in src_lines(pattern)} <= {f"src/diffmsg/{home}"}
+
+
+def test_type_hints_keep_the_annotated_ranges():
+    assert [(path, line.lstrip(" ")) for path, line in src_lines("get_type_hints")] == [
+        ("src/diffmsg/corpus.py", "return typing.get_type_hints(cls, include_extras=True)")]
+
+
+def test_a_dataclass_checks_its_fields_only_in_checked():
+    assert [path for path, _ in src_lines(r"schema_problem\(vars\(")] == ["src/diffmsg/corpus.py"]
+    corpus = (ROOT / "src/diffmsg/corpus.py").read_text(encoding="utf-8")
+    # the class, through the next line that starts a top-level statement
+    checked = re.search(r"^class Checked\b.*?(\n[a-z@][^\n]*|\Z)", corpus, re.M | re.S).group()
+    assert sum("schema_problem(vars(" in line for line in checked.splitlines()) == 1
+
+
+def test_readme_documents_the_formats_written():
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    assert f"### Checkpoint format (version {CHECKPOINT_FORMAT_VERSION})" in lines
+    assert f"### QA model format (version {QA_MODEL_FORMAT_VERSION})" in lines
+
+
+PIPELINE = """import sys
+from diffmsg.cli import main
+for command in (["prepare"], ["train"], ["evaluate"], ["qa", "train", "--gold", "../gold.jsonl"]):
+    assert main(["--config", "../config.json", *command]) == 0, command
+for diff in sys.argv[1:]:
+    print("exit", main(["--config", "../config.json", "generate", "--with-qa", "--diff", diff]))
+"""
+
+
+def test_reruns_are_byte_identical_across_hash_seeds(tmp_path):
+    # within one process a string always hashes alike, so set order differs only across seeds
+    write_corpus(tmp_path / "corpus.jsonl", toy_corpus_lines())
+    write_gold(tmp_path / "gold.jsonl")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "corpus_jsonl": str(tmp_path / "corpus.jsonl"), "work_dir": "work", "embed_dim": 16,
+        "hidden_dim": 24, "minibatch_size": 8, "valid_size": 4, "test_size": 4, "max_epochs": 30,
+        "validate_every": 20, "checkpoint_every": 20, "seed": 7}))
+    diffs = ["other_3 + helper_2 ( x )", "other_5 - old_call_9 ( x )", "zomg_marker_1 x", ""]
+    for i, diff in enumerate(diffs):
+        (tmp_path / f"{i}.diff").write_text(diff, encoding="utf-8")
+    runs = {}
+    for seed in (0, 1):  # each run's directory holds its work dir
+        (tmp_path / f"seed{seed}").mkdir()
+        runs[tmp_path / f"seed{seed}"] = subprocess.Popen(
+            [sys.executable, "-c", PIPELINE, *(f"../{i}.diff" for i in range(len(diffs)))],
+            cwd=tmp_path / f"seed{seed}", stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(ROOT / "src")})
+    outputs = [run.communicate(timeout=120)[0] for run in runs.values()]
+    assert [run.returncode for run in runs.values()] == [0, 0] and outputs[0] == outputs[1]
+    work = [{p.relative_to(d): p.read_bytes() for p in d.rglob("*") if p.is_file()} for d in runs]
+    assert work[0] == work[1]
