@@ -10,7 +10,6 @@ message), 1 for any error, a usage error included.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -39,6 +38,7 @@ from .corpus import (
 )
 from .nmt import (Hyperparams, ModelParams, beam_search, checkpoint_paths, ensemble_decode,
                   load_checkpoint, source_ids, train)
+from .nmt.training import ResumeError
 from .nmt.model import empty_aligned, model_dims, param_count
 from .vdo import default_lexicon, filter_corpus, load_lexicon
 
@@ -212,16 +212,19 @@ def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
     Returns the run's checkpoints (see checkpoint_paths).  With resume, it
     continues from the last of them; without, or with none, training starts
     from fresh parameters and an empty checkpoint set.  A last checkpoint
-    of another shape (see model_dims) is a CheckpointError, and one of
-    another seed a ValueError (see train); either leaves the checkpoints
-    and the log as they were."""
+    of another shape (see model_dims) is a CheckpointError, and one that
+    train refuses (see ResumeError) a PipelineError naming it; either leaves
+    the checkpoints and the log as they were."""
     split = _load_split(config)
     src_vocab, tgt_vocab = _load_vocabs(config)
     existing = checkpoint_paths(config.checkpoint_dir) if resume else []
     dims = model_dims(config, len(src_vocab), len(tgt_vocab))
     resume_from = load_checkpoint(existing[-1], dims) if existing else None
-    train(split, src_vocab, tgt_vocab, config, checkpoint_dir=config.checkpoint_dir,
-          log_path=config.train_log_path, resume_from=resume_from)
+    try:
+        train(split, src_vocab, tgt_vocab, config, checkpoint_dir=config.checkpoint_dir,
+              log_path=config.train_log_path, resume_from=resume_from)
+    except ResumeError as exc:
+        raise PipelineError(f"{existing[-1]}: {exc}") from exc
     return checkpoint_paths(config.checkpoint_dir)
 
 
@@ -302,9 +305,8 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
         [(length, gen, ref) for length, (gen, ref) in zip(source_lengths, pairs)]
     )
 
-    lines = [bleu.format_report_table([(model_name, model_report), ("retrieval", baseline_report)])]
-    lines.append("")
-    lines.append("BLEU by source length:")
+    lines = [bleu.format_report_table([(model_name, model_report), ("retrieval", baseline_report)]),
+             "", "BLEU by source length:"]
     for bucket in buckets:
         if bucket.report is None:
             lines.append(f"  {bucket.label:<14} n={bucket.count:<6d} (empty)")
@@ -366,9 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Generate one-sentence commit messages from diffs.",
     )
     parser.add_argument("--config", help="path to a JSON pipeline config")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--vdo", choices=["on", "off"], help="override the V-DO filter switch")
-    parser.add_argument("--vdo-lexicon", help="override the verb lexicon file path")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("prepare", help="ingest, filter, split, and build vocabularies")
@@ -397,13 +396,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = (PipelineConfig.load(_existing(args.config, "config")) if args.config
                   else PipelineConfig())
-        overrides = {"seed": args.seed, "vdo_lexicon_path": args.vdo_lexicon,
-                     "vdo_filter": None if args.vdo is None else args.vdo == "on"}
-        try:
-            config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
-        except ValueError as exc:  # the message names the key
-            raise PipelineError(f"config: {exc}") from exc
-
         if args.command == "prepare":
             report = cmd_prepare(config)
             print(json.dumps(report, sort_keys=True, indent=2))

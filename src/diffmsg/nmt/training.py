@@ -64,6 +64,10 @@ class CheckpointError(RuntimeError):
     """Unreadable, truncated, or incompatible checkpoint file."""
 
 
+class ResumeError(ValueError):
+    """A checkpoint train refuses to resume from; the caller names the file."""
+
+
 def init_optimizer_state(params: ModelParams) -> OptimizerState:
     return OptimizerState(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
@@ -159,9 +163,9 @@ def load_checkpoint(
     dims, if given, is the caller's model (see model_dims); the first key
     the file differs on is a CheckpointError naming both values.  Every
     array is a view into one writable buffer read from the file, aligned by
-    empty_aligned.  With out, a contiguous (N,) float64 buffer such as a row
-    of a stacked ensemble's, only the parameter block, which comes first in
-    the payload, is read, into out (optimizer_state is then None).
+    empty_aligned.  With out, a writable C-contiguous (N,) float64 array
+    such as a row of a stacked ensemble's (else a ValueError), only the
+    parameter block, which comes first in the payload, is read, into out.
     """
     with open(path, "rb") as handle:
         header_line = handle.readline()
@@ -171,8 +175,11 @@ def load_checkpoint(
         if (problem := _dims_problem(found, dims or ())) is not None:
             raise CheckpointError(f"{path}: {problem}")
         size = param_count(*found)
-        if out is not None and out.shape != (size,):
-            raise ValueError(f"{path}: holds {size} parameters, not {out.size}")
+        if out is not None and not (out.dtype == np.float64 and out.shape == (size,)
+                                    and out.flags.c_contiguous and out.flags.writeable):
+            raise ValueError(f"{path}: out must be a writable C-contiguous float64 array of shape "
+                             f"({size},), not {out.dtype} of shape {out.shape}, C-contiguous "
+                             f"{out.flags.c_contiguous}, writable {out.flags.writeable}")
         present = os.fstat(handle.fileno()).st_size - len(header_line)
         expected = 8 * size * (3 if header["has_optimizer_state"] else 1)
         if present != expected:
@@ -245,20 +252,20 @@ def train(
 
     The state is one Checkpoint, resume_from if given, else a fresh one;
     resume_from must have the shape hyper and the vocabularies give (see
-    _dims_problem) and carry hyper.seed, which orders every epoch, or the
-    run is refused with a ValueError before anything is written.  Each
-    source is read as source_ids builds it.  The state is updated in place, its
-    buffers with it, and written every hyper.checkpoint_every minibatches
-    and when training stops, as checkpoint_<minibatch index, 8 digits>.ckpt
-    in checkpoint_dir; a run that does not resume first removes the
-    checkpoints listed there (see checkpoint_paths), as it truncates the
-    log.  Validation runs every hyper.validate_every minibatches on greedy
-    decodes of the validation split (skipped if it is empty); training stops after
+    _dims_problem), carry optimizer state and hyper.seed, which orders every
+    epoch, or the run is refused with a ResumeError before anything is written.
+    Each source is read as source_ids builds it.  The state is updated in place,
+    its buffers with it, and written every hyper.checkpoint_every minibatches
+    and when training stops, as checkpoint_<minibatch index, 8 digits>.ckpt in
+    checkpoint_dir; a run that does not resume first removes the checkpoints
+    listed there (see checkpoint_paths), as it truncates the log.  Validation
+    runs every hyper.validate_every minibatches on greedy decodes of the
+    validation split (skipped if it is empty); training stops after
     hyper.patience consecutive non-improving validations, or at the
-    epoch/minibatch limits.  Before each checkpoint the log is flushed to
-    disk.  On resume, the log lines past the checkpoint are dropped first,
-    so the log ends as an unbroken run's does.  Resuming a run that has
-    already stopped trains and writes nothing.
+    epoch/minibatch limits.  Before each checkpoint the log is flushed to disk.
+    On resume, the log lines past the checkpoint are dropped first, so the log
+    ends as an unbroken run's does.  Resuming a run that has already stopped
+    trains and writes nothing.
     """
     if not split.train:
         raise ValueError("training split is empty")
@@ -272,13 +279,13 @@ def train(
         params = init_params(hyper, len(src_vocab), len(tgt_vocab))
         state = Checkpoint(params, init_optimizer_state(params), 0, None, seed=hyper.seed)
     elif resume_from.optimizer_state is None:
-        raise ValueError("cannot resume from a checkpoint without optimizer state")
+        raise ResumeError("cannot resume from a checkpoint without optimizer state")
     elif problem := _dims_problem(resume_from.params.dims,
                                   model_dims(hyper, len(src_vocab), len(tgt_vocab))):
-        raise ValueError(f"cannot resume from a checkpoint whose {problem}")
+        raise ResumeError(f"cannot resume from a checkpoint whose {problem}")
     elif resume_from.seed != hyper.seed:
-        raise ValueError(f"cannot resume a run of seed {resume_from.seed} with seed {hyper.seed}: "
-                         f"its epochs would be shuffled in another order")
+        raise ResumeError(f"cannot resume a run of seed {resume_from.seed} with seed {hyper.seed}: "
+                          f"its epochs would be shuffled in another order")
     else:
         state = resume_from
 

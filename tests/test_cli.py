@@ -166,9 +166,9 @@ class TestConfig:
         with pytest.raises(PipelineError, match="^config: seed must be >= 0, got -1$"):
             PipelineConfig.from_json('{"seed": -1}')
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(dataclasses.asdict(toy_config(tmp_path))))
-        assert main(["--config", str(path), "--seed", "-1", "prepare"]) == EXIT_ERROR
-        assert capsys.readouterr().err == "error: config: seed must be >= 0, got -1\n"
+        path.write_text(json.dumps({**dataclasses.asdict(toy_config(tmp_path)), "seed": -1}))
+        assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {path}: seed must be >= 0, got -1\n"
         assert not Path(toy_config(tmp_path).work_dir).exists()
 
     def test_mistyped_config_built_in_code_is_a_named_error(self, tmp_path):
@@ -208,6 +208,7 @@ class TestPrepare:
         assert report["after_filters"] == report["ingested"] - sum(report["removed"].values())
         assert report["after_vdo"] == report["after_filters"] - report["vdo_removed"]
         assert report["train"] + report["valid"] + report["test"] == report["after_vdo"]
+        assert report["seed"] == config.seed == 7
         assert (config.split_dir / "train.src.txt").is_file()
         assert config.src_vocab_path.is_file()
 
@@ -646,6 +647,16 @@ def write_format_4(path):
     path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
 
 
+def edit_checkpoint_header(path, **changes):
+    """Rewrite the header of the checkpoint at path with changes; one whose
+    has_optimizer_state they set to false keeps only its parameter block."""
+    header, payload = path.read_bytes().split(b"\n", 1)
+    if changes.get("has_optimizer_state") is False:
+        payload = payload[: len(payload) // 3]
+    header = {**json.loads(header), **changes}
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+
 class TestMainExitCodes:
     def _config_file(self, tmp_path, **overrides):
         config = toy_config(tmp_path, **overrides)
@@ -680,7 +691,7 @@ class TestMainExitCodes:
         assert exited.value.code == EXIT_OK
         assert capsys.readouterr().out.startswith("usage: diffmsg")
 
-    def test_vdo_lexicon_from_the_config_key_and_the_flag(self, tmp_path, capsys):
+    def test_vdo_lexicon_from_the_config_key(self, tmp_path, capsys):
         lines = [json.dumps({"id": f"c{i}", "diff": f"- old_{i} ( x ) + helper_{i} ( x )",
                              "message": f"{('add', 'fix')[i % 2]} helper_{i} in file_{i % 5}"})
                  for i in range(24)]
@@ -691,23 +702,22 @@ class TestMainExitCodes:
         kept, _ = apply_filters(ingest_jsonl(corpus), toy_config(tmp_path))
         removed = len(kept) - len(filter_corpus(kept, load_lexicon(lexicon)))
         assert removed != len(kept) - len(filter_corpus(kept, default_lexicon()))
-        by_key = toy_config(tmp_path, name="by_key", vdo_lexicon_path=str(lexicon))
-        assert cmd_prepare(by_key)["vdo_removed"] == removed
-        path, _ = self._config_file(tmp_path, name="by_flag")
-        assert main(["--config", str(path), "--vdo-lexicon", str(lexicon), "prepare"]) == EXIT_OK
+        path, _ = self._config_file(tmp_path, vdo_lexicon_path=str(lexicon))
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["vdo_removed"] == removed
 
     def test_missing_vdo_lexicon_is_a_named_error(self, tmp_path, capsys, monkeypatch):
-        path, config = self._config_file(tmp_path)
         missing = tmp_path / "no_such_verbs.txt"
+        path, config = self._config_file(tmp_path, vdo_lexicon_path=str(missing))
         monkeypatch.setattr("diffmsg.cli.ingest_jsonl", lambda path: pytest.fail("ingested"))
-        assert main(["--config", str(path), "--vdo-lexicon", str(missing), "prepare"]) == EXIT_ERROR
+        assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {missing}: lexicon not found\n"
         assert not Path(config.work_dir).exists()
         monkeypatch.undo()
         # with the filter off the lexicon is never read
-        argv = ["--config", str(path), "--vdo-lexicon", str(missing), "--vdo", "off", "prepare"]
-        assert main(argv) == EXIT_OK
+        path, _ = self._config_file(tmp_path, vdo_lexicon_path=str(missing), vdo_filter=False)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["vdo_filter_enabled"] is False
 
     @pytest.mark.parametrize("key, what", [("corpus_jsonl", "corpus"),
                                            ("vdo_lexicon_path", "lexicon")])
@@ -986,18 +996,6 @@ class TestMainExitCodes:
         assert main(["--config", str(path), "qa", "train", "--gold", str(gold)]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {gold}: {problem}\n"
 
-    def test_vdo_flag_override(self, tmp_path, capsys):
-        path, config = self._config_file(tmp_path)
-        assert main(["--config", str(path), "--vdo", "off", "prepare"]) == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
-        assert report["vdo_filter_enabled"] is False
-
-    def test_seed_flag_override(self, tmp_path, capsys):
-        path, config = self._config_file(tmp_path)
-        assert main(["--config", str(path), "--seed", "99", "prepare"]) == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
-        assert report["seed"] == 99
-
     def test_resuming_a_finished_run_reports_and_writes_nothing_new(self, tmp_path, capsys):
         path, config = self._config_file(tmp_path)
         assert main(["--config", str(path), "prepare"]) == EXIT_OK
@@ -1011,8 +1009,8 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("change, named", [
         ({"embed_dim": 8}, "{last}: embed_dim is 4, but this run's config and vocabularies give 8"),
         ({"hidden_dim": 8}, "{last}: hidden_dim is 5, but this run's config and vocabularies give 8"),
-        ({"seed": 99}, "cannot resume a run of seed 7 with seed 99: its epochs would be shuffled "
-                       "in another order"),
+        ({"seed": 99}, "{last}: cannot resume a run of seed 7 with seed 99: its epochs would be "
+                       "shuffled in another order"),
     ], ids=["embed_dim", "hidden_dim", "seed"])
     def test_resume_of_another_model_exits_1_and_writes_nothing(self, tmp_path, capsys, change,
                                                                 named):
@@ -1025,6 +1023,24 @@ class TestMainExitCodes:
         assert main(["--config", str(path), "train", "--resume"]) == EXIT_ERROR
         last = config.checkpoint_dir / "checkpoint_00000002.ckpt"
         assert capsys.readouterr().err == f"error: {named.format(last=last)}\n"
+        assert work_files(config) == before
+
+    @pytest.mark.parametrize("change, problem", [
+        ({"has_optimizer_state": False}, "cannot resume from a checkpoint without optimizer state"),
+        ({"seed": 8}, "cannot resume a run of seed 8 with seed 7: its epochs would be shuffled in "
+                      "another order"),
+    ], ids=["no_optimizer_state", "seed"])
+    def test_a_refused_resume_names_the_checkpoint(self, tmp_path, capsys, change, problem):
+        path, config = self._config_file(tmp_path, max_minibatches=2)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert main(["--config", str(path), "train"]) == EXIT_OK
+        path.write_text(json.dumps({**dataclasses.asdict(config), "max_minibatches": 4}))
+        last = config.checkpoint_dir / "checkpoint_00000002.ckpt"
+        edit_checkpoint_header(last, **change)
+        before = work_files(config)
+        capsys.readouterr()
+        assert main(["--config", str(path), "train", "--resume"]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {last}: {problem}\n"
         assert work_files(config) == before
 
     @pytest.mark.parametrize("text, named", [

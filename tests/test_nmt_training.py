@@ -448,6 +448,11 @@ def saved_checkpoint(tmp_path):
     return path
 
 
+def read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 def rewrite_header(path, edit):
     header, payload = path.read_bytes().split(b"\n", 1)
     header = json.loads(header)
@@ -569,8 +574,28 @@ class TestCheckpointIO:
         path = saved_checkpoint(tmp_path)
         size = load_checkpoint(path).params.flat.size
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: holds {size} parameters, not {size + 1}") + "$"):
+                f"{path}: out must be a writable C-contiguous float64 array of shape ({size},), "
+                f"not float64 of shape ({size + 1},), C-contiguous True, writable True") + "$"):
             load_checkpoint(path, out=np.empty(size + 1))
+
+    @pytest.mark.parametrize("make, contiguous, writable", [
+        (lambda n: np.empty((1, n)), True, True),
+        (lambda n: np.empty(2 * n)[::2], False, True),
+        (lambda n: read_only(np.empty(n)), True, False),
+        (lambda n: np.empty(n, np.float32), True, True),
+        (lambda n: np.empty(n, np.int64), True, True),
+    ], ids=["two_dimensional", "strided", "read_only", "float32", "int64"])
+    def test_a_buffer_of_another_kind_rejected(self, tmp_path, make, contiguous, writable):
+        # each one used to load with its bytes reinterpreted, to fail inside
+        # readinto, or to be refused as "holds N parameters, not N"
+        path = saved_checkpoint(tmp_path)
+        size = load_checkpoint(path).params.flat.size
+        out = make(size)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: out must be a writable C-contiguous float64 array of shape ({size},), "
+                f"not {out.dtype} of shape {out.shape}, C-contiguous {contiguous}, "
+                f"writable {writable}") + "$"):
+            load_checkpoint(path, out=out)
 
     def test_appended_bytes_rejected(self, tmp_path):
         path = saved_checkpoint(tmp_path)

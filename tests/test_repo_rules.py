@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from diffmsg.cli import EXIT_ERROR, _build_parser, main
 from diffmsg.nmt.training import CHECKPOINT_FORMAT_VERSION
 from diffmsg.qa import QA_MODEL_FORMAT_VERSION
 from test_cli import toy_corpus_lines, write_corpus, write_gold
@@ -42,6 +43,22 @@ def test_a_dataclass_checks_its_fields_only_in_checked():
     # the class, through the next line that starts a top-level statement
     checked = re.search(r"^class Checked\b.*?(\n[a-z@][^\n]*|\Z)", corpus, re.M | re.S).group()
     assert sum("schema_problem(vars(" in line for line in checked.splitlines()) == 1
+
+
+def test_every_setting_comes_from_the_config():
+    # one config file describes one run: no flag overrides a config key
+    options = {option for action in _build_parser()._actions for option in action.option_strings}
+    assert options == {"--config", "-h", "--help"}
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--vdo", "off"], ["--vdo-lexicon", "p"]],
+                         ids=["seed", "vdo", "vdo_lexicon"])
+def test_a_setting_given_as_a_flag_is_a_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as exited:
+        main([*flag, "prepare"])
+    assert exited.value.code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("usage: diffmsg") and "diffmsg: error: " in err
 
 
 def test_readme_documents_the_formats_written():
