@@ -40,7 +40,7 @@ from .nmt import (Hyperparams, ModelParams, beam_search, checkpoint_paths, ensem
                   load_checkpoint, source_ids, train)
 from .nmt.training import ResumeError
 from .nmt.model import empty_aligned, model_dims, param_count
-from .vdo import default_lexicon, filter_corpus, load_lexicon
+from .vdo import default_lexicon, filter_corpus
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -78,7 +78,6 @@ class PipelineConfig(Hyperparams):
     tgt_vocab_cap: Annotated[int | None, ">= 1"] = None
     # target-side verb/direct-object filter
     vdo_filter: bool = True
-    vdo_lexicon_path: str | None = None
     # QA gate
     qa_lambda: Annotated[float, "> 0"] = 1e-4
     qa_epochs: Annotated[int, ">= 1"] = 20
@@ -133,18 +132,14 @@ def _existing(path: str | Path, what: str, stage: str | None = None) -> Path:
 def cmd_prepare(config: PipelineConfig) -> dict:
     """Ingest -> preprocess -> filter -> V-DO -> split -> vocabularies.
 
-    The input files (the corpus, and the lexicon with the V-DO filter on)
-    are resolved before any ingest.  Writes split files, vocabulary files,
-    and a JSON funnel report whose counts are the lengths of what each
-    stage kept; returns the report.  Raises PipelineError for a missing
-    input, or naming the corpus and the stage that emptied it.
+    The corpus file is resolved before any ingest.  Writes split files,
+    vocabulary files, and a JSON funnel report whose counts are the
+    lengths of what each stage kept; returns the report.  Raises
+    PipelineError for a missing corpus, or naming the corpus and the stage
+    that emptied it.
     """
     if bool(config.corpus_jsonl) == bool(config.git_repo):
         raise PipelineError("config must set exactly one of corpus_jsonl or git_repo")
-    lexicon = None
-    if config.vdo_filter:
-        path = config.vdo_lexicon_path
-        lexicon = load_lexicon(_existing(path, "lexicon")) if path else default_lexicon()
     corpus = config.corpus_jsonl or config.git_repo  # named by each error below
     commits = (ingest_jsonl(_existing(corpus, "corpus")) if config.corpus_jsonl
                else ingest_git(corpus))
@@ -155,7 +150,7 @@ def cmd_prepare(config: PipelineConfig) -> dict:
     if not filtered:
         reasons = ", ".join(f"{k}={v}" for k, v in removed.items() if v)
         raise PipelineError(f"{corpus}: preprocessing filters removed every commit ({reasons})")
-    kept = filtered if lexicon is None else filter_corpus(filtered, lexicon)
+    kept = filter_corpus(filtered, default_lexicon()) if config.vdo_filter else filtered
     if not kept:
         raise PipelineError(f"{corpus}: verb/direct-object filter removed every commit")
 

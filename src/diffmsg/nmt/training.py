@@ -12,7 +12,7 @@ bytes.  The header carries the best validation BLEU, the stall count and
 the loss window not yet logged, so a resumed run logs, checkpoints and
 stops exactly as an uninterrupted one.  Checkpoints are written through
 corpus.atomic_write, and loading checks every header key and the payload
-length the dims give before reading the payload.
+length the dims give before reading the payload, and every value it reads.
 """
 
 from __future__ import annotations
@@ -156,7 +156,8 @@ def load_checkpoint(
     dims: tuple[int, int, int, int] | None = None,
     out: Array | None = None,
 ) -> Checkpoint:
-    """Load a checkpoint, verifying version, header and payload length.
+    """Load a checkpoint, verifying version, header, payload length and
+    that every value read is finite.
 
     The payload is blocks of N = param_count(*dims) float64 values, three
     with optimizer state and one without, and must be exactly that long.
@@ -190,8 +191,14 @@ def load_checkpoint(
         if handle.readinto(payload) != payload.nbytes:
             raise CheckpointError(f"{path}: truncated payload")
     flat, *state = (payload[size * k : size * (k + 1)] for k in range(blocks))
+    params = ModelParams.from_flat(flat, *found)
+    for block, where in zip((params, *map(params.like, state)), ("", ": grad_sq", ": update_sq")):
+        try:  # no training step writes one, so the file is damaged
+            block.assert_finite(f"{path}{where}")
+        except FloatingPointError as exc:
+            raise CheckpointError(str(exc)) from None
     return Checkpoint(
-        params=ModelParams.from_flat(flat, *found),
+        params=params,
         optimizer_state=OptimizerState(*state) if state else None,
         **{key: header[key] for key in _STATE_KEYS},
     )

@@ -11,10 +11,7 @@ themselves be verbs never count as objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-
-from .corpus import PUNCTUATION, PreparedCommit, TokenSequence, read_text_lines
+from .corpus import PUNCTUATION, PreparedCommit, TokenSequence
 
 # Inflection rules tried in order; the first rule whose stem is a known
 # base verb wins ("applies"->"apply", "fixes"->"fix", "removed"->"remove").
@@ -34,9 +31,9 @@ OBJECT_WINDOW = 4
 # Determiners and prepositions stepped over while looking for the object.
 SKIP_WORDS = frozenset({"a", "an", "the", "some", "for", "to", "of", "in", "on", "with"})
 
-# Common commit-subject verbs.  "merge" and "revert" are deliberately
-# absent: those commits are dropped upstream, and keeping them out here
-# guards against pipeline reordering.
+# Common commit-subject verbs, lowercase, as verb_stem looks them up.
+# "merge" and "revert" are deliberately absent: those commits are dropped
+# upstream, and keeping them out here guards against pipeline reordering.
 DEFAULT_VERBS = frozenset(
     """
     add address adjust align allow annotate append apply assert attach avoid
@@ -65,49 +62,25 @@ DEFAULT_VERBS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class VerbLexicon:
-    """Base verb stems; SUFFIX_RULES inflect them."""
-
-    base_verbs: frozenset[str]
-
-    def __post_init__(self) -> None:
-        for verb in self.base_verbs:
-            if not verb or verb != verb.lower():
-                raise ValueError(f"base verbs must be non-empty lowercase, got {verb!r}")
+def default_lexicon() -> frozenset[str]:
+    """The base verb stems is_vdo matches, all lowercase: DEFAULT_VERBS."""
+    return DEFAULT_VERBS
 
 
-def default_lexicon() -> VerbLexicon:
-    return VerbLexicon(DEFAULT_VERBS)
-
-
-def load_lexicon(path: str | Path) -> VerbLexicon:
-    """Load a lexicon file: one verb per line, '#' starts a comment.  A
-    file that is not UTF-8 is a CorpusFormatError (see read_text_lines)."""
-    verbs: set[str] = set()
-    for line in read_text_lines(path):
-        word = line.split("#", 1)[0].strip().lower()
-        if word:
-            verbs.add(word)
-    if not verbs:
-        raise ValueError(f"{path}: lexicon file contains no verbs")
-    return VerbLexicon(frozenset(verbs))
-
-
-def verb_stem(token: str, lexicon: VerbLexicon) -> str | None:
+def verb_stem(token: str, lexicon: frozenset[str]) -> str | None:
     """Return the base verb for a token, or None if it is not a verb."""
     word = token.lower()
-    if word in lexicon.base_verbs:
+    if word in lexicon:
         return word
     for suffix, replacement in SUFFIX_RULES:
         if word.endswith(suffix) and len(word) > len(suffix):
             stem = word[: -len(suffix)] + replacement
-            if stem in lexicon.base_verbs:
+            if stem in lexicon:
                 return stem
     return None
 
 
-def is_vdo(message: TokenSequence, lexicon: VerbLexicon) -> bool:
+def is_vdo(message: TokenSequence, lexicon: frozenset[str]) -> bool:
     """True if the message opens with a verb followed by a direct object.
 
     The object search steps over SKIP_WORDS (which do not consume window
@@ -120,6 +93,6 @@ def is_vdo(message: TokenSequence, lexicon: VerbLexicon) -> bool:
     return any(t not in PUNCTUATION and verb_stem(t, lexicon) is None for t in window)
 
 
-def filter_corpus(items: list[PreparedCommit], lexicon: VerbLexicon) -> list[PreparedCommit]:
+def filter_corpus(items: list[PreparedCommit], lexicon: frozenset[str]) -> list[PreparedCommit]:
     """Keep exactly the commits whose target message satisfies is_vdo, in order."""
     return [item for item in items if is_vdo(item.target, lexicon)]

@@ -35,14 +35,11 @@ from diffmsg.corpus import (
     EOS_ID,
     ID_PLACEHOLDER,
     FilterConfig,
-    apply_filters,
     field_types,
-    ingest_jsonl,
 )
 from diffmsg.nmt import CheckpointError, Hyperparams, load_checkpoint, save_checkpoint
 from diffmsg.nmt.training import CHECKPOINT_FORMAT_VERSION
 from diffmsg.qa import QA_MODEL_FORMAT_VERSION, QaHyper, QaModel, save_qa_model
-from diffmsg.vdo import default_lexicon, filter_corpus, load_lexicon
 
 
 def toy_corpus_lines(n=24):
@@ -665,8 +662,8 @@ class TestMainExitCodes:
         return path, config
 
     @pytest.mark.parametrize("argv", [
-        [], ["--bogus", "prepare"], ["--seed", "abc", "prepare"], ["qa", "nope", "--gold", "g"],
-    ], ids=["no_command", "unknown_flag", "bad_seed", "bad_qa_subaction"])
+        [], ["--bogus", "prepare"], ["--config"], ["qa", "nope", "--gold", "g"],
+    ], ids=["no_command", "unknown_flag", "config_no_path", "bad_qa_subaction"])
     def test_usage_error_exits_1_with_the_usage_on_stderr(self, capsys, argv):
         with pytest.raises(SystemExit) as exited:
             main(argv)
@@ -691,36 +688,21 @@ class TestMainExitCodes:
         assert exited.value.code == EXIT_OK
         assert capsys.readouterr().out.startswith("usage: diffmsg")
 
-    def test_vdo_lexicon_from_the_config_key(self, tmp_path, capsys):
-        lines = [json.dumps({"id": f"c{i}", "diff": f"- old_{i} ( x ) + helper_{i} ( x )",
-                             "message": f"{('add', 'fix')[i % 2]} helper_{i} in file_{i % 5}"})
-                 for i in range(24)]
-        corpus = tmp_path / "corpus.jsonl"
-        write_corpus(corpus, lines)
-        lexicon = tmp_path / "verbs.txt"
-        lexicon.write_text("add\n", encoding="utf-8")
-        kept, _ = apply_filters(ingest_jsonl(corpus), toy_config(tmp_path))
-        removed = len(kept) - len(filter_corpus(kept, load_lexicon(lexicon)))
-        assert removed != len(kept) - len(filter_corpus(kept, default_lexicon()))
-        path, _ = self._config_file(tmp_path, vdo_lexicon_path=str(lexicon))
-        assert main(["--config", str(path), "prepare"]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["vdo_removed"] == removed
-
-    def test_missing_vdo_lexicon_is_a_named_error(self, tmp_path, capsys, monkeypatch):
-        missing = tmp_path / "no_such_verbs.txt"
-        path, config = self._config_file(tmp_path, vdo_lexicon_path=str(missing))
-        monkeypatch.setattr("diffmsg.cli.ingest_jsonl", lambda path: pytest.fail("ingested"))
+    def test_vdo_lexicon_path_is_an_unknown_key(self, tmp_path, capsys):
+        config = toy_config(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**dataclasses.asdict(config), "vdo_lexicon_path": "verbs.txt"}))
         assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
-        assert capsys.readouterr().err == f"error: {missing}: lexicon not found\n"
+        assert capsys.readouterr().err == f"error: {path}: unknown config keys: vdo_lexicon_path\n"
         assert not Path(config.work_dir).exists()
-        monkeypatch.undo()
-        # with the filter off the lexicon is never read
-        path, _ = self._config_file(tmp_path, vdo_lexicon_path=str(missing), vdo_filter=False)
-        assert main(["--config", str(path), "prepare"]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["vdo_filter_enabled"] is False
 
-    @pytest.mark.parametrize("key, what", [("corpus_jsonl", "corpus"),
-                                           ("vdo_lexicon_path", "lexicon")])
+    def test_prepare_with_the_vdo_filter_off_removes_nothing(self, tmp_path, capsys):
+        path, _ = self._config_file(tmp_path, vdo_filter=False)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert (report["vdo_filter_enabled"], report["vdo_removed"]) == (False, 0)
+
+    @pytest.mark.parametrize("key, what", [("corpus_jsonl", "corpus")])
     def test_missing_prepare_input_fails_before_ingest(self, tmp_path, capsys, monkeypatch,
                                                        key, what):
         missing = tmp_path / "absent"
@@ -1041,6 +1023,25 @@ class TestMainExitCodes:
         capsys.readouterr()
         assert main(["--config", str(path), "train", "--resume"]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {last}: {problem}\n"
+        assert work_files(config) == before
+
+    @pytest.mark.parametrize("command", [["train", "--resume"], ["evaluate"], ["generate"]],
+                             ids=["resume", "evaluate", "generate"])
+    def test_a_non_finite_checkpoint_value_names_the_checkpoint(self, tmp_path, capsys, command):
+        path, config = self._config_file(tmp_path, max_minibatches=2)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert main(["--config", str(path), "train"]) == EXIT_OK
+        path.write_text(json.dumps({**dataclasses.asdict(config), "max_minibatches": 4}))
+        last = config.checkpoint_dir / "checkpoint_00000002.ckpt"
+        header, payload = last.read_bytes().split(b"\n", 1)
+        last.write_bytes(header + b"\n" + np.float64(np.nan).tobytes() + payload[8:])
+        diff_file = tmp_path / "one.diff"
+        diff_file.write_text("+ helper_2 ( x )")
+        before = work_files(config)
+        capsys.readouterr()
+        diff = ["--diff", str(diff_file)] if command == ["generate"] else []
+        assert main(["--config", str(path), *command, *diff]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {last}: non-finite values in parameter src_emb\n"
         assert work_files(config) == before
 
     @pytest.mark.parametrize("text, named", [

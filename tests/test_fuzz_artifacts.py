@@ -3,7 +3,9 @@
 One tiny work dir is built once.  Each example copies it, damages one file
 (an artifact of the work dir or an input), runs the commands that read them
 through main(), and checks the exit-code contract: 0, 1 or 2, and on 1 an
-error that names a file under the work dir or an input.
+error that names a file under the work dir or an input.  A non-finite value
+in a checkpoint must be refused, naming the checkpoint, by every command
+that reads it.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +32,10 @@ CONFIG = {"corpus_jsonl": "corpus.jsonl", "work_dir": "work", "valid_size": 4, "
 INPUTS = ("config.json", "gold.jsonl", "diff.txt")
 COMMANDS = (["train", "--resume"], ["evaluate"], ["generate", "--diff", "diff.txt"],
             ["generate", "--with-qa", "--diff", "diff.txt"], ["qa", "crossval", "--gold", "gold.jsonl"])
+# the commands that read the parameters of every checkpoint (ensemble_size is 4), and the
+# one that reads the whole of the last
+DECODERS = COMMANDS[1:4]
+LAST_CHECKPOINT = "checkpoint_00000004.ckpt"
 
 
 @contextlib.contextmanager
@@ -59,18 +66,21 @@ def pristine(tmp_path_factory):
         write_gold(Path("gold.jsonl"))
         Path("diff.txt").write_text("- old_call_2 ( x ) + helper_2 ( x )", encoding="utf-8")
         Path("config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
-        for command in (["prepare"], ["train"], ["qa", "train", "--gold", "gold.jsonl"]):
+        for command in (["prepare"], ["train"], ["qa", "train", "--gold", "gold.jsonl"],
+                        *DECODERS):  # the QA gate passes the diff on to the checkpoints
             assert run(["--config", "config.json", *command]) == (EXIT_OK, ""), command
     return root
 
 
 def damage(path, data):
-    """Damage the file at path in one way data draws; returns how."""
+    """Damage the file at path in one way data draws; returns how, and the
+    commands that read the damage and so must refuse it."""
     raw = path.read_bytes()
     kinds = ["empty", "cut", "flip", "append"]
     if path.suffix == ".ckpt":
-        kinds += ["no_optimizer_state", "seed", "dim"]
+        kinds += ["no_optimizer_state", "seed", "dim", "non_finite"]
     kind = data.draw(st.sampled_from(kinds))
+    readers = []
     if kind == "empty":
         path.write_bytes(b"")
     elif kind == "cut":
@@ -85,10 +95,17 @@ def damage(path, data):
         edit_checkpoint_header(path, has_optimizer_state=False)
     elif kind == "seed":
         edit_checkpoint_header(path, seed=data.draw(st.integers(0, 99).filter(lambda s: s != 7)))
-    else:
+    elif kind == "dim":
         key = data.draw(st.sampled_from(DIM_KEYS))
         edit_checkpoint_header(path, **{key: data.draw(st.integers(1, 99))})
-    return kind
+    else:  # one payload value; the parameters are the first of three blocks
+        header, payload = raw.split(b"\n", 1)
+        at = 8 * data.draw(st.integers(0, len(payload) // 8 - 1))
+        value = np.float64(data.draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+        path.write_bytes(header + b"\n" + payload[:at] + value.tobytes() + payload[at + 8 :])
+        readers = [*(DECODERS if at < len(payload) // 3 else ()),
+                   *([COMMANDS[0]] if path.name == LAST_CHECKPOINT else ())]
+    return kind, readers
 
 
 @settings(max_examples=150, deadline=None)
@@ -100,7 +117,7 @@ def test_a_damaged_file_is_a_named_error_or_a_warning(pristine, data):
     shutil.rmtree(work, ignore_errors=True)
     shutil.copytree(pristine, work)
     name = data.draw(st.sampled_from(names))
-    kind = damage(work / name, data)
+    kind, readers = damage(work / name, data)
     with inside(work):
         try:  # a damaged work_dir moves the files the commands read
             work_dir = PipelineConfig.load("config.json").work_dir
@@ -112,3 +129,6 @@ def test_a_damaged_file_is_a_named_error_or_a_warning(pristine, data):
             assert code in (EXIT_OK, EXIT_ERROR, EXIT_WARNING), (name, kind, command, err)
             if code == EXIT_ERROR:
                 assert err.startswith(named), (name, kind, command, err)
+            if command in readers:
+                assert code == EXIT_ERROR and err.startswith(f"error: {name}: "), (
+                    name, kind, command, err)

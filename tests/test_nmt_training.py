@@ -479,6 +479,22 @@ class TestCheckpointIO:
             np.testing.assert_array_equal(loaded.params.tensors()[name], tensor)
             np.testing.assert_array_equal(loaded_state[name][0], per_tensor(params, state)[name][0])
 
+    @pytest.mark.parametrize("block, where, value", [(0, "", np.nan), (1, ": grad_sq", np.inf),
+                                                     (2, ": update_sq", -np.inf)],
+                             ids=["params", "grad_sq", "update_sq"])
+    def test_a_non_finite_value_is_refused_naming_the_block_and_tensor(self, tmp_path, block,
+                                                                       where, value):
+        params, _ = tiny_params()
+        state = init_optimizer_state(params)
+        (params.flat, state.grad_sq, state.update_sq)[block][-1] = value  # in init_b
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Checkpoint(params, state, 0, None), path)
+        named = f"{path}{where}: non-finite values in parameter init_b"
+        with pytest.raises(CheckpointError, match=f"^{re.escape(named)}$"):
+            load_checkpoint(path)
+        if block:  # a load into out reads the parameter block alone
+            load_checkpoint(path, out=np.empty(params.flat.size))
+
     def test_truncated_file_rejected(self, tmp_path):
         params, _ = tiny_params()
         checkpoint = Checkpoint(params, init_optimizer_state(params), 0, None)
@@ -727,11 +743,9 @@ class TestNonFiniteState:
         train(split, src, tgt, toy_hyper(max_minibatches=4), checkpoint_dir=tmp_path)
         path = tmp_path / "checkpoint_00000004.ckpt"
         checkpoint = load_checkpoint(path)
-        checkpoint.params.att_v[2] = np.nan
-        save_checkpoint(checkpoint, path)
+        checkpoint.params.att_v[2] = np.nan  # load_checkpoint refuses one read from a file
         with pytest.raises(FloatingPointError, match=r"after minibatch 4: .* parameter att_v$"):
-            train(split, src, tgt, toy_hyper(max_minibatches=8),
-                  resume_from=load_checkpoint(path))
+            train(split, src, tgt, toy_hyper(max_minibatches=8), resume_from=checkpoint)
 
     def test_nan_gradient_names_minibatch_and_tensor(self, monkeypatch):
         split = toy_split()

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from diffmsg.cli import EXIT_ERROR, _build_parser, main
+from diffmsg.cli import EXIT_ERROR, PipelineConfig, _build_parser, main
+from diffmsg.corpus import field_types
 from diffmsg.nmt.training import CHECKPOINT_FORMAT_VERSION
 from diffmsg.qa import QA_MODEL_FORMAT_VERSION
 from test_cli import toy_corpus_lines, write_corpus, write_gold
@@ -65,6 +66,15 @@ def test_readme_documents_the_formats_written():
     lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
     assert f"### Checkpoint format (version {CHECKPOINT_FORMAT_VERSION})" in lines
     assert f"### QA model format (version {QA_MODEL_FORMAT_VERSION})" in lines
+
+
+def test_readme_tables_every_config_key_with_its_default():
+    # the rows "| `key` | `default as JSON` | range | meaning |" under "### Config"
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", readme.split("### Config", 1)[1], re.M)
+    assert dict(rows) == {key: json.dumps(getattr(PipelineConfig(), key))
+                          for key in field_types(PipelineConfig)}
+    assert len(rows) == len(field_types(PipelineConfig))
 
 
 PIPELINE = """import sys

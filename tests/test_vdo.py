@@ -5,14 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffmsg.corpus import PreparedCommit, tokenize
-from diffmsg.vdo import (
-    VerbLexicon,
-    default_lexicon,
-    filter_corpus,
-    is_vdo,
-    load_lexicon,
-    verb_stem,
-)
+from diffmsg.vdo import DEFAULT_VERBS, default_lexicon, filter_corpus, is_vdo, verb_stem
 
 LEX = default_lexicon()
 
@@ -39,13 +32,10 @@ class TestIsVerb:
     def test_non_verbs(self, token):
         assert verb_stem(token, LEX) is None
 
-    def test_lexicon_rejects_uppercase(self):
-        with pytest.raises(ValueError):
-            VerbLexicon(frozenset({"Add"}))
-
-    def test_lexicon_rejects_empty_verb(self):
-        with pytest.raises(ValueError):
-            VerbLexicon(frozenset({""}))
+    def test_default_verbs_are_non_empty_lowercase(self):
+        # verb_stem lowercases a token before it looks it up
+        assert default_lexicon() is DEFAULT_VERBS
+        assert all(verb and verb == verb.lower() for verb in DEFAULT_VERBS)
 
 
 # Hand-labeled against the documented heuristic: first token must stem to a
@@ -150,23 +140,3 @@ class TestFilterCorpus:
             kept = filter_corpus(subset, LEX)
             assert kept == [p for p in subset if full_verdicts[id(p)]]
 
-
-class TestLexiconFile:
-    def test_load_with_comments(self, tmp_path):
-        path = tmp_path / "verbs.txt"
-        path.write_text("# commit verbs\nadd\nfix  # trailing comment\n\nFROB\n")
-        lex = load_lexicon(path)
-        assert lex.base_verbs == frozenset({"add", "fix", "frob"})
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "verbs.txt"
-        path.write_text("# nothing\n")
-        with pytest.raises(ValueError):
-            load_lexicon(path)
-
-    def test_file_that_is_not_utf8_is_named(self, tmp_path):
-        path = tmp_path / "verbs.txt"
-        path.write_bytes(b"add\n\xff\xfe\n")
-        with pytest.raises(ValueError) as info:
-            load_lexicon(path)
-        assert str(info.value).startswith(f"{path}: line 2: not UTF-8: ")
