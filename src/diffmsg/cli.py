@@ -78,9 +78,6 @@ class PipelineConfig(Hyperparams):
     tgt_vocab_cap: Annotated[int | None, ">= 1"] = None
     # target-side verb/direct-object filter
     vdo_filter: bool = True
-    # QA gate
-    qa_lambda: Annotated[float, "> 0"] = 1e-4
-    qa_epochs: Annotated[int, ">= 1"] = 20
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -207,14 +204,14 @@ def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
     Returns the run's checkpoints (see checkpoint_paths).  With resume, it
     continues from the last of them; without, or with none, training starts
     from fresh parameters and an empty checkpoint set.  A last checkpoint
-    of another shape (see model_dims) is a CheckpointError, and one that
-    train refuses (see ResumeError) a PipelineError naming it; either leaves
-    the checkpoints and the log as they were."""
+    of another shape or seed (see load_checkpoint) is a CheckpointError, and
+    one that train refuses (see ResumeError) a PipelineError naming it;
+    either leaves the checkpoints and the log as they were."""
     split = _load_split(config)
     src_vocab, tgt_vocab = _load_vocabs(config)
     existing = checkpoint_paths(config.checkpoint_dir) if resume else []
-    dims = model_dims(config, len(src_vocab), len(tgt_vocab))
-    resume_from = load_checkpoint(existing[-1], dims) if existing else None
+    run = (*model_dims(config, len(src_vocab), len(tgt_vocab)), config.seed)
+    resume_from = load_checkpoint(existing[-1], run) if existing else None
     try:
         train(split, src_vocab, tgt_vocab, config, checkpoint_dir=config.checkpoint_dir,
               log_path=config.train_log_path, resume_from=resume_from)
@@ -226,15 +223,15 @@ def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
 def _load_ensemble(config: PipelineConfig, src_vocab: Vocabulary,
                    tgt_vocab: Vocabulary) -> ModelParams:
     """The last ensemble_size checkpoints of the run as one stacked model:
-    load_checkpoint reads each one's parameters into a row of one (M, N)
-    buffer."""
+    load_checkpoint checks each one's shape and seed and reads its parameters
+    into a row of one (M, N) buffer."""
     paths = checkpoint_paths(config.checkpoint_dir)[-config.ensemble_size:]
     if not paths:
         raise _not_found(config.checkpoint_dir, "checkpoints", "train")
     dims = model_dims(config, len(src_vocab), len(tgt_vocab))
     flat = empty_aligned(len(paths), param_count(*dims))
     for path, row in zip(paths, flat):
-        load_checkpoint(path, dims, out=row)
+        load_checkpoint(path, (*dims, config.seed), out=row)
     return ModelParams.from_flat(flat, *dims)
 
 
@@ -321,7 +318,7 @@ def cmd_qa(config: PipelineConfig, subaction: str, gold_path: str) -> str:
     gold = qa.load_gold_jsonl(_existing(gold_path, "gold set"))
     if not gold:
         raise PipelineError(f"{gold_path}: gold set is empty")
-    hyper = qa.QaHyper(l2_lambda=config.qa_lambda, epochs=config.qa_epochs, seed=config.seed)
+    hyper = qa.QaHyper(seed=config.seed)
     try:  # too few records, or one label only: a fault of the gold set
         if subaction == "train":
             model = qa.train_svm(gold, hyper)

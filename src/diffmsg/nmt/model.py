@@ -56,8 +56,6 @@ class Hyperparams(FilterConfig):
     embed_dim: Annotated[int, ">= 1"] = 64
     hidden_dim: Annotated[int, ">= 1"] = 128
     minibatch_size: Annotated[int, ">= 1"] = 16
-    adadelta_rho: Annotated[float, "> 0", "< 1"] = 0.95
-    adadelta_eps: Annotated[float, "> 0"] = 1e-6
     validate_every: Annotated[int, ">= 1"] = 200
     checkpoint_every: Annotated[int, ">= 1"] = 500
     max_epochs: Annotated[int, ">= 1"] = 100

@@ -49,6 +49,8 @@ from .model import (
 CHECKPOINT_FORMAT_VERSION = 5
 
 ADADELTA_BLOCK = 1 << 15  # coordinates per block of adadelta_update, 256 KB each
+ADADELTA_RHO, ADADELTA_EPS = 0.95, 1e-6  # ADADELTA's decay and epsilon (Zeiler, arXiv 1212.5701)
+HEADER_LIMIT = 1 << 20  # bytes a checkpoint header line may take; a written one takes ~300
 
 
 @dataclass
@@ -76,8 +78,8 @@ def adadelta_update(
     params: ModelParams,
     grads: ModelParams,
     optimizer_state: OptimizerState,
-    rho: float,
-    eps: float,
+    rho: float = ADADELTA_RHO,
+    eps: float = ADADELTA_EPS,
 ) -> None:
     """One Adadelta step, in place, on the whole parameter buffer.
 
@@ -121,13 +123,14 @@ _STATE_KEYS = {key: kind for key, kind in field_types(Checkpoint).items()
                if key not in ("params", "optimizer_state")}
 _PAYLOAD_KEYS = {**dict.fromkeys(DIM_KEYS, Annotated[int, ">= 1"]), "has_optimizer_state": bool}
 _HEADER_KEYS = Schema({**_STATE_KEYS, **_PAYLOAD_KEYS})
+RUN_KEYS = (*DIM_KEYS, "seed")
 
 
-def _dims_problem(found: tuple[int, ...], expected: tuple[int, ...]) -> str | None:
-    """The first of DIM_KEYS on which found differs from the run's
-    expected dims, with both values; or None."""
+def _run_problem(found: tuple[int, ...], expected: tuple[int, ...]) -> str | None:
+    """The first of RUN_KEYS, a model's shape and the seed of its split, on
+    which found differs from the expected run, with both values; or None."""
     return next((f"{key} is {have}, but this run's config and vocabularies give {want}"
-                 for key, have, want in zip(DIM_KEYS, found, expected) if have != want), None)
+                 for key, have, want in zip(RUN_KEYS, found, expected) if have != want), None)
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
@@ -153,27 +156,31 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
 
 def load_checkpoint(
     path: str | Path,
-    dims: tuple[int, int, int, int] | None = None,
+    run: tuple[int, ...] | None = None,
     out: Array | None = None,
 ) -> Checkpoint:
     """Load a checkpoint, verifying version, header, payload length and
     that every value read is finite.
 
-    The payload is blocks of N = param_count(*dims) float64 values, three
-    with optimizer state and one without, and must be exactly that long.
-    dims, if given, is the caller's model (see model_dims); the first key
-    the file differs on is a CheckpointError naming both values.  Every
-    array is a view into one writable buffer read from the file, aligned by
-    empty_aligned.  With out, a writable C-contiguous (N,) float64 array
-    such as a row of a stacked ensemble's (else a ValueError), only the
-    parameter block, which comes first in the payload, is read, into out.
+    The header is one line of at most HEADER_LIMIT bytes.  The payload is
+    blocks of N = param_count(*dims) float64 values, three with optimizer
+    state and one without, and must be exactly that long.  run, if given,
+    is the caller's values of the leading RUN_KEYS, its model (see
+    model_dims) and seed; the first key the file differs on is a
+    CheckpointError naming both values.  Every array is a view into one
+    writable buffer read from the file, aligned by empty_aligned.  With
+    out, a writable C-contiguous (N,) float64 array such as a row of a
+    stacked ensemble's (else a ValueError), only the parameter block, which
+    comes first in the payload, is read, into out.
     """
     with open(path, "rb") as handle:
-        header_line = handle.readline()
+        header_line = handle.readline(HEADER_LIMIT)
+        if len(header_line) == HEADER_LIMIT and not header_line.endswith(b"\n"):
+            raise CheckpointError(f"{path}: header: no line end in the first {HEADER_LIMIT} bytes")
         header = read_json_object(header_line, _HEADER_KEYS, f"{path}: header", CheckpointError,
                                   CHECKPOINT_FORMAT_VERSION)
         found = tuple(header[key] for key in DIM_KEYS)
-        if (problem := _dims_problem(found, dims or ())) is not None:
+        if problem := _run_problem((*found, header["seed"]), run or ()):
             raise CheckpointError(f"{path}: {problem}")
         size = param_count(*found)
         if out is not None and not (out.dtype == np.float64 and out.shape == (size,)
@@ -258,21 +265,22 @@ def train(
     """Minibatch Adadelta training; returns [state], the final training state.
 
     The state is one Checkpoint, resume_from if given, else a fresh one;
-    resume_from must have the shape hyper and the vocabularies give (see
-    _dims_problem), carry optimizer state and hyper.seed, which orders every
-    epoch, or the run is refused with a ResumeError before anything is written.
-    Each source is read as source_ids builds it.  The state is updated in place,
-    its buffers with it, and written every hyper.checkpoint_every minibatches
-    and when training stops, as checkpoint_<minibatch index, 8 digits>.ckpt in
-    checkpoint_dir; a run that does not resume first removes the checkpoints
-    listed there (see checkpoint_paths), as it truncates the log.  Validation
-    runs every hyper.validate_every minibatches on greedy decodes of the
-    validation split (skipped if it is empty); training stops after
-    hyper.patience consecutive non-improving validations, or at the
-    epoch/minibatch limits.  Before each checkpoint the log is flushed to disk.
-    On resume, the log lines past the checkpoint are dropped first, so the log
-    ends as an unbroken run's does.  Resuming a run that has already stopped
-    trains and writes nothing.
+    resume_from must carry optimizer state and the shape and seed (which
+    orders every epoch) that hyper and the vocabularies give (see
+    _run_problem), or the run is refused with a ResumeError before anything
+    is written.  Each source is read as source_ids builds it.  The state is
+    updated in place, its buffers with it, and written every
+    hyper.checkpoint_every minibatches and when training stops, as
+    checkpoint_<minibatch index, 8 digits>.ckpt in checkpoint_dir; a run
+    that does not resume first removes the checkpoints listed there (see
+    checkpoint_paths), as it truncates the log.  Validation runs every
+    hyper.validate_every minibatches on greedy decodes of the validation
+    split (skipped if it is empty); training stops after hyper.patience
+    consecutive non-improving validations, or at the epoch/minibatch limits.
+    Before each checkpoint the log is flushed to disk.  On resume, the log
+    lines past the checkpoint are dropped first, so the log ends as an
+    unbroken run's does.  Resuming a run that has already stopped trains and
+    writes nothing.
     """
     if not split.train:
         raise ValueError("training split is empty")
@@ -287,12 +295,9 @@ def train(
         state = Checkpoint(params, init_optimizer_state(params), 0, None, seed=hyper.seed)
     elif resume_from.optimizer_state is None:
         raise ResumeError("cannot resume from a checkpoint without optimizer state")
-    elif problem := _dims_problem(resume_from.params.dims,
-                                  model_dims(hyper, len(src_vocab), len(tgt_vocab))):
+    elif problem := _run_problem((*resume_from.params.dims, resume_from.seed),
+                                 (*model_dims(hyper, len(src_vocab), len(tgt_vocab)), hyper.seed)):
         raise ResumeError(f"cannot resume from a checkpoint whose {problem}")
-    elif resume_from.seed != hyper.seed:
-        raise ResumeError(f"cannot resume a run of seed {resume_from.seed} with seed {hyper.seed}: "
-                          f"its epochs would be shuffled in another order")
     else:
         state = resume_from
 
@@ -326,8 +331,7 @@ def train(
             loss, cache = loss_forward(state.params, src, src_mask, tgt, tgt_mask)
             grads = loss_backward(state.params, cache)
             del cache  # free the activations before the update's buffers
-            adadelta_update(state.params, grads, state.optimizer_state,
-                            hyper.adadelta_rho, hyper.adadelta_eps)
+            adadelta_update(state.params, grads, state.optimizer_state)
             state.minibatch_index = index + 1
             state.params.assert_finite(f"after minibatch {state.minibatch_index}")
             state.window_loss_sum += loss

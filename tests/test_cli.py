@@ -129,20 +129,19 @@ class TestConfig:
     ], ids=["prepare", "train", "generate", "evaluate", "qa"])
     def test_every_command_checks_a_config_built_in_code(self, tmp_path, command):
         # the config checks itself when built, so no command ever runs with it
-        with pytest.raises(ValueError, match="^qa_epochs must be >= 1, got 0$"):
-            command(dataclasses.replace(toy_config(tmp_path), qa_epochs=0))
+        with pytest.raises(ValueError, match="^ensemble_size must be >= 1, got 0$"):
+            command(dataclasses.replace(toy_config(tmp_path), ensemble_size=0))
         assert not Path(toy_config(tmp_path).work_dir).exists()
 
     def test_the_bounded_fields(self):
         assert {key: bounds for key, _, bounds in BOUNDED} == {
             "max_source_len": (">= 1",), "max_target_len": (">= 1",),
             "max_diff_bytes": (">= 1",), "embed_dim": (">= 1",), "hidden_dim": (">= 1",),
-            "minibatch_size": (">= 1",), "adadelta_rho": ("> 0", "< 1"),
-            "adadelta_eps": ("> 0",), "validate_every": (">= 1",),
+            "minibatch_size": (">= 1",), "validate_every": (">= 1",),
             "checkpoint_every": (">= 1",), "max_epochs": (">= 1",),
             "max_minibatches": (">= 1",), "patience": (">= 0",), "ensemble_size": (">= 1",),
             "beam_width": (">= 1",), "seed": (">= 0",), "src_vocab_cap": (">= 1",),
-            "tgt_vocab_cap": (">= 1",), "qa_lambda": ("> 0",), "qa_epochs": (">= 1",),
+            "tgt_vocab_cap": (">= 1",),
         }
 
     @given(st.sampled_from([(key, kind, bounds, bound)
@@ -991,8 +990,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("change, named", [
         ({"embed_dim": 8}, "{last}: embed_dim is 4, but this run's config and vocabularies give 8"),
         ({"hidden_dim": 8}, "{last}: hidden_dim is 5, but this run's config and vocabularies give 8"),
-        ({"seed": 99}, "{last}: cannot resume a run of seed 7 with seed 99: its epochs would be "
-                       "shuffled in another order"),
+        ({"seed": 99}, "{last}: seed is 7, but this run's config and vocabularies give 99"),
     ], ids=["embed_dim", "hidden_dim", "seed"])
     def test_resume_of_another_model_exits_1_and_writes_nothing(self, tmp_path, capsys, change,
                                                                 named):
@@ -1009,8 +1007,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("change, problem", [
         ({"has_optimizer_state": False}, "cannot resume from a checkpoint without optimizer state"),
-        ({"seed": 8}, "cannot resume a run of seed 8 with seed 7: its epochs would be shuffled in "
-                      "another order"),
+        ({"seed": 8}, "seed is 8, but this run's config and vocabularies give 7"),
     ], ids=["no_optimizer_state", "seed"])
     def test_a_refused_resume_names_the_checkpoint(self, tmp_path, capsys, change, problem):
         path, config = self._config_file(tmp_path, max_minibatches=2)
@@ -1044,37 +1041,65 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == f"error: {last}: non-finite values in parameter src_emb\n"
         assert work_files(config) == before
 
+    @pytest.mark.parametrize("command", [["evaluate"], ["generate"]], ids=["evaluate", "generate"])
+    def test_a_checkpoint_of_another_seed_names_the_checkpoint(self, tmp_path, capsys, command):
+        # the seed drew the split, so another seed's checkpoints may have trained on its test set
+        path, config = self._config_file(tmp_path, max_minibatches=2)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert main(["--config", str(path), "train"]) == EXIT_OK
+        path.write_text(json.dumps({**dataclasses.asdict(config), "seed": 8}))
+        diff_file = tmp_path / "one.diff"
+        diff_file.write_text("+ helper_2 ( x )")
+        before = work_files(config)
+        capsys.readouterr()
+        diff = ["--diff", str(diff_file)] if command == ["generate"] else []
+        assert main(["--config", str(path), *command, *diff]) == EXIT_ERROR
+        last = config.checkpoint_dir / "checkpoint_00000002.ckpt"
+        assert capsys.readouterr().err == (
+            f"error: {last}: seed is 7, but this run's config and vocabularies give 8\n")
+        assert work_files(config) == before
+
     @pytest.mark.parametrize("text, named", [
         ("[1]", "JSON object"),
         ('{"embed_dim": true}', "'embed_dim' must be int, got True"),
         ('{"ensemble_size": 0}', "ensemble_size must be >= 1, got 0"),
-        ('{"qa_epochs": 0}', "qa_epochs must be >= 1, got 0"),
-        ('{"qa_lambda": 0}', "qa_lambda must be > 0, got 0"),
-        ('{"qa_lambda": -1e-4}', "qa_lambda must be > 0, got -0.0001"),
-        ('{"qa_lambda": Infinity}', "key 'qa_lambda' must be float, got inf"),
-        ('{"qa_lambda": NaN}', "key 'qa_lambda' must be float, got nan"),
-        ('{"adadelta_eps": NaN}', "key 'adadelta_eps' must be float, got nan"),
-        ('{"adadelta_eps": Infinity}', "key 'adadelta_eps' must be float, got inf"),
+        # Adadelta's constants and the QA gate's QaHyper values are no config keys, whatever
+        # their value
+        ('{"adadelta_rho": 0.95}', "unknown config keys: adadelta_rho"),
+        ('{"qa_epochs": 0}', "unknown config keys: qa_epochs"),
+        ('{"qa_lambda": 0}', "unknown config keys: qa_lambda"),
+        ('{"qa_lambda": -1e-4}', "unknown config keys: qa_lambda"),
+        ('{"qa_lambda": Infinity}', "unknown config keys: qa_lambda"),
+        ('{"qa_lambda": NaN}', "unknown config keys: qa_lambda"),
+        ('{"adadelta_eps": NaN}', "unknown config keys: adadelta_eps"),
+        ('{"adadelta_eps": Infinity}', "unknown config keys: adadelta_eps"),
+        ('{"valid_size": NaN}', "key 'valid_size' must be float, got nan"),
+        ('{"valid_size": Infinity}', "key 'valid_size' must be float, got inf"),
+        ('{"valid_size": -Infinity}', "key 'valid_size' must be float, got -inf"),
         ('{"max_diff_bytes": 0}', "max_diff_bytes must be >= 1, got 0"),
         ('{"src_vocab_cap": 0}', "src_vocab_cap must be >= 1, got 0"),
         ('{"tgt_vocab_cap": -3}', "tgt_vocab_cap must be >= 1, got -3"),
         ('{"valid_size": 4.0}', "valid_size fraction must be in [0, 1], got 4.0"),
         ('{"test_size": -1}', "test_size count must be >= 0, got -1"),
         ('{"valid_size": 1.5}', "valid_size fraction must be in [0, 1], got 1.5"),
-    ], ids=["not_an_object", "bool_for_int", "fails_validate", "qa_epochs_zero", "qa_lambda_zero",
-            "qa_lambda_negative", "qa_lambda_infinite", "qa_lambda_nan", "adadelta_eps_nan",
-            "adadelta_eps_infinite", "max_diff_bytes_zero", "src_vocab_cap_zero",
+    ], ids=["not_an_object", "bool_for_int", "fails_validate", "adadelta_rho_default",
+            "qa_epochs_zero", "qa_lambda_zero", "qa_lambda_negative", "qa_lambda_infinite",
+            "qa_lambda_nan", "adadelta_eps_nan", "adadelta_eps_infinite", "valid_size_nan",
+            "valid_size_infinite", "valid_size_negative_infinite", "max_diff_bytes_zero",
+            "src_vocab_cap_zero",
             "tgt_vocab_cap_negative", "valid_fraction_above_one", "test_count_negative",
             "valid_fraction_one_and_a_half"])
-    def test_bad_config_is_a_named_error(self, tmp_path, capsys, text, named):
+    def test_bad_config_is_a_named_error(self, tmp_path, capsys, monkeypatch, text, named):
+        monkeypatch.chdir(tmp_path)  # where the default work_dir would be made
         path = tmp_path / "config.json"
         path.write_text(text)
         assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and named in err
+        assert not Path(PipelineConfig.work_dir).exists()
 
     def test_int_accepted_where_a_float_is(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text('{"valid_size": 4, "adadelta_eps": 1, "src_vocab_cap": null}')
+        path.write_text('{"valid_size": 4, "src_vocab_cap": null}')
         config = PipelineConfig.load(path)
-        assert (config.valid_size, config.adadelta_eps, config.src_vocab_cap) == (4, 1, None)
+        assert (config.valid_size, config.src_vocab_cap) == (4, None)

@@ -4,8 +4,8 @@ One tiny work dir is built once.  Each example copies it, damages one file
 (an artifact of the work dir or an input), runs the commands that read them
 through main(), and checks the exit-code contract: 0, 1 or 2, and on 1 an
 error that names a file under the work dir or an input.  A non-finite value
-in a checkpoint must be refused, naming the checkpoint, by every command
-that reads it.
+in a checkpoint, or another seed in its header, must be refused, naming the
+checkpoint, by every command that reads it.
 """
 
 import contextlib
@@ -27,8 +27,7 @@ from test_cli import edit_checkpoint_header, toy_corpus_lines, write_corpus, wri
 # paths are relative to the run's directory, so a damaged work_dir stays inside it
 CONFIG = {"corpus_jsonl": "corpus.jsonl", "work_dir": "work", "valid_size": 4, "test_size": 4,
           "embed_dim": 8, "hidden_dim": 8, "minibatch_size": 4, "validate_every": 2,
-          "checkpoint_every": 2, "max_epochs": 1, "max_minibatches": 4, "beam_width": 2,
-          "qa_epochs": 5, "seed": 7}
+          "checkpoint_every": 2, "max_epochs": 1, "max_minibatches": 4, "beam_width": 2, "seed": 7}
 INPUTS = ("config.json", "gold.jsonl", "diff.txt")
 COMMANDS = (["train", "--resume"], ["evaluate"], ["generate", "--diff", "diff.txt"],
             ["generate", "--with-qa", "--diff", "diff.txt"], ["qa", "crossval", "--gold", "gold.jsonl"])
@@ -95,6 +94,7 @@ def damage(path, data):
         edit_checkpoint_header(path, has_optimizer_state=False)
     elif kind == "seed":
         edit_checkpoint_header(path, seed=data.draw(st.integers(0, 99).filter(lambda s: s != 7)))
+        readers = [*DECODERS, *([COMMANDS[0]] if path.name == LAST_CHECKPOINT else ())]
     elif kind == "dim":
         key = data.draw(st.sampled_from(DIM_KEYS))
         edit_checkpoint_header(path, **{key: data.draw(st.integers(1, 99))})

@@ -226,7 +226,8 @@ class TestTrain:
         train(split, src, tgt, toy_hyper(max_minibatches=4), checkpoint_dir=tmp_path,
               log_path=tmp_path / "log")
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-        with pytest.raises(ValueError, match="^cannot resume a run of seed 11 with seed 99: "):
+        with pytest.raises(ValueError, match="^cannot resume from a checkpoint whose seed is 11, "
+                                             "but this run's config and vocabularies give 99$"):
             train(split, src, tgt, toy_hyper(max_minibatches=8, seed=99), checkpoint_dir=tmp_path,
                   log_path=tmp_path / "log",
                   resume_from=load_checkpoint(tmp_path / "checkpoint_00000004.ckpt"))
@@ -711,12 +712,12 @@ class TestCheckpointIO:
         assert [p.name for p in tmp_path.iterdir()] == [kept.name]
         assert kept.read_bytes() == good
 
-    @pytest.mark.parametrize("key", DIM_KEYS)
+    @pytest.mark.parametrize("key", [*DIM_KEYS, "seed"])
     def test_dims_mismatch_rejected(self, tmp_path, key):
         params, _ = tiny_params(src_vocab=10, tgt_vocab=9)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(Checkpoint(params, None, 0, None), path)
-        dims = dict(zip(DIM_KEYS, (4, 5, 10, 9)))
+        save_checkpoint(Checkpoint(params, None, 0, None, seed=3), path)
+        dims = dict(zip([*DIM_KEYS, "seed"], (4, 5, 10, 9, 3)))
         assert load_checkpoint(path, tuple(dims.values())).params.flat.size == params.flat.size
         dims[key] += 1
         with pytest.raises(CheckpointError, match=(
@@ -728,6 +729,17 @@ class TestCheckpointIO:
         path = saved_checkpoint(tmp_path)
         with pytest.raises(CheckpointError, match=r": hidden_dim is 5, .* give 6$"):
             load_checkpoint(path, (4, 6, 11, 10))
+
+    def test_a_header_is_read_up_to_its_limit(self, tmp_path):
+        # a foreign file without a line end is refused without reading it whole
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(bytes(2 << 20))
+        with pytest.raises(CheckpointError, match=(
+                f"^{re.escape(str(path))}: header: no line end in the first 1048576 bytes$")):
+            load_checkpoint(path)
+        path.write_bytes(b" " * ((1 << 20) - 1) + b"\n")  # the longest line read
+        with pytest.raises(CheckpointError, match=": header: invalid JSON"):
+            load_checkpoint(path)
 
     def test_garbage_header_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
