@@ -4,7 +4,8 @@ Subcommands: prepare, train, generate, evaluate, qa train|crossval|report.
 Exit codes are a stable contract: 0 for success with a message, 2 when the
 warning stands in for one (the diff is over max_diff_bytes or holds no
 source token, the quality gate flagged it, or the model gave an empty
-message), 1 for any error, a usage error included.
+message), 1 for any error, a usage error included.  main reports a refused
+input (corpus.Refusal), an OSError or a diverged run; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Annotated
 from . import bleu, qa
 from .corpus import (
     DatasetSplit,
+    Refusal,
     Vocabulary,
     apply_filters,
     atomic_write,
@@ -31,6 +33,7 @@ from .corpus import (
     preprocess_source,
     read_json_object,
     read_split_files,
+    refusing,
     source_counts,
     split_dataset,
     split_paths,
@@ -38,7 +41,6 @@ from .corpus import (
 )
 from .nmt import (Hyperparams, ModelParams, beam_search, checkpoint_paths, ensemble_decode,
                   load_checkpoint, source_ids, train)
-from .nmt.training import ResumeError
 from .nmt.model import empty_aligned, model_dims, param_count
 from .vdo import default_lexicon, filter_corpus
 
@@ -47,10 +49,6 @@ EXIT_ERROR = 1
 EXIT_WARNING = 2
 
 WARNING_TEXT = "WARNING: unable to generate a reliable commit message for this diff."
-
-
-class PipelineError(RuntimeError):
-    """A pipeline stage could not run or produced an empty corpus."""
 
 
 def _in_work_dir(name: str) -> property:
@@ -87,16 +85,14 @@ class PipelineConfig(Hyperparams):
     @classmethod
     def from_json(cls, text: str | bytes, source: str = "config") -> "PipelineConfig":
         """Parse a config object (see read_json_object); a key that is
-        unknown, mistyped or out of range is a PipelineError naming source
-        and the key."""
-        data = read_json_object(text, {}, source, PipelineError)
+        unknown, mistyped or out of range is a Refusal naming source and
+        the key."""
+        data = read_json_object(text, {}, source)
         unknown = set(data) - set(field_types(cls))
         if unknown:
-            raise PipelineError(f"{source}: unknown config keys: {', '.join(sorted(unknown))}")
-        try:
+            raise Refusal(source, f"unknown config keys: {', '.join(sorted(unknown))}")
+        with refusing(source):  # the message names the key
             return cls(**data)
-        except ValueError as exc:  # the message names the key
-            raise PipelineError(f"{source}: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
@@ -113,10 +109,10 @@ class PipelineConfig(Hyperparams):
     qa_model_path = _in_work_dir("qa_model.json")
 
 
-def _not_found(path: str | Path, what: str, stage: str | None = None) -> PipelineError:
+def _not_found(path: str | Path, what: str, stage: str | None = None) -> Refusal:
     """The one error for a missing input or artifact:
     "<path>: <what> not found[; run <stage> first]"."""
-    return PipelineError(f"{path}: {what} not found" + (f"; run {stage} first" if stage else ""))
+    return Refusal(path, f"{what} not found" + (f"; run {stage} first" if stage else ""))
 
 
 def _existing(path: str | Path, what: str, stage: str | None = None) -> Path:
@@ -131,32 +127,28 @@ def cmd_prepare(config: PipelineConfig) -> dict:
 
     The corpus file is resolved before any ingest.  Writes split files,
     vocabulary files, and a JSON funnel report whose counts are the
-    lengths of what each stage kept; returns the report.  Raises
-    PipelineError for a missing corpus, or naming the corpus and the stage
-    that emptied it.
+    lengths of what each stage kept; returns the report.  A Refusal names a
+    missing corpus, or the corpus and the stage that emptied it.
     """
     if bool(config.corpus_jsonl) == bool(config.git_repo):
-        raise PipelineError("config must set exactly one of corpus_jsonl or git_repo")
+        raise Refusal("config", "must set exactly one of corpus_jsonl or git_repo")
     corpus = config.corpus_jsonl or config.git_repo  # named by each error below
     commits = (ingest_jsonl(_existing(corpus, "corpus")) if config.corpus_jsonl
                else ingest_git(corpus))
     if not commits:
-        raise PipelineError(f"{corpus}: ingest produced no commits")
+        raise Refusal(corpus, "ingest produced no commits")
 
     filtered, removed = apply_filters(commits, config)
     if not filtered:
         reasons = ", ".join(f"{k}={v}" for k, v in removed.items() if v)
-        raise PipelineError(f"{corpus}: preprocessing filters removed every commit ({reasons})")
+        raise Refusal(corpus, f"preprocessing filters removed every commit ({reasons})")
     kept = filter_corpus(filtered, default_lexicon()) if config.vdo_filter else filtered
     if not kept:
-        raise PipelineError(f"{corpus}: verb/direct-object filter removed every commit")
-
-    try:
+        raise Refusal(corpus, "verb/direct-object filter removed every commit")
+    with refusing(corpus):  # the split sizes exceed the corpus
         split = split_dataset(kept, config.valid_size, config.test_size, config.seed)
-    except ValueError as exc:  # the split sizes exceed the corpus
-        raise PipelineError(f"{corpus}: {exc}") from exc
     if not split.train:
-        raise PipelineError(f"{corpus}: split left an empty training set")
+        raise Refusal(corpus, "split left an empty training set")
 
     write_split_files(split, config.split_dir)
     src_vocab = build_vocab([item.source for item in split.train], cap=config.src_vocab_cap)
@@ -189,7 +181,7 @@ def _load_split(config: PipelineConfig) -> DatasetSplit:
     except (FileNotFoundError, NotADirectoryError) as exc:
         raise _not_found(exc.filename, "split file", "prepare") from exc
     if not split.train:
-        raise PipelineError(f"{split_paths(config.split_dir, 'train')[0]}: training split is empty")
+        raise Refusal(split_paths(config.split_dir, "train")[0], "training split is empty")
     return split
 
 
@@ -204,19 +196,18 @@ def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
     Returns the run's checkpoints (see checkpoint_paths).  With resume, it
     continues from the last of them; without, or with none, training starts
     from fresh parameters and an empty checkpoint set.  A last checkpoint
-    of another shape or seed (see load_checkpoint) is a CheckpointError, and
-    one that train refuses (see ResumeError) a PipelineError naming it;
-    either leaves the checkpoints and the log as they were."""
+    of another shape or seed (see load_checkpoint), or without the optimizer
+    state train continues from, is a Refusal naming it that leaves the
+    checkpoints and the log as they were."""
     split = _load_split(config)
     src_vocab, tgt_vocab = _load_vocabs(config)
     existing = checkpoint_paths(config.checkpoint_dir) if resume else []
     run = (*model_dims(config, len(src_vocab), len(tgt_vocab)), config.seed)
     resume_from = load_checkpoint(existing[-1], run) if existing else None
-    try:
-        train(split, src_vocab, tgt_vocab, config, checkpoint_dir=config.checkpoint_dir,
-              log_path=config.train_log_path, resume_from=resume_from)
-    except ResumeError as exc:
-        raise PipelineError(f"{existing[-1]}: {exc}") from exc
+    if resume_from is not None and resume_from.optimizer_state is None:
+        raise Refusal(existing[-1], "cannot resume from a checkpoint without optimizer state")
+    train(split, src_vocab, tgt_vocab, config, checkpoint_dir=config.checkpoint_dir,
+          log_path=config.train_log_path, resume_from=resume_from)
     return checkpoint_paths(config.checkpoint_dir)
 
 
@@ -242,8 +233,8 @@ def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple
     hypothesis is EOS alone.
 
     Returns (exit_code, output line); never both a message and a warning.
-    A missing vocabulary, QA model or checkpoint set is a PipelineError
-    naming the stage that writes it (see _not_found); the checkpoints are
+    A missing vocabulary, QA model or checkpoint set is a Refusal naming
+    the stage that writes it (see _not_found); the checkpoints are
     the last ensemble_size of the training run (see checkpoint_paths).
     """
     src_vocab, tgt_vocab = _load_vocabs(config)
@@ -271,7 +262,7 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
     """
     split = _load_split(config)
     if not split.test:
-        raise PipelineError(f"{split_paths(config.split_dir, 'test')[0]}: test split is empty")
+        raise Refusal(split_paths(config.split_dir, "test")[0], "test split is empty")
     references = [item.target for item in split.test]
     source_lengths = [len(item.source) for item in split.test]
 
@@ -314,18 +305,16 @@ def cmd_evaluate(config: PipelineConfig, smoke_identity: bool = False) -> str:
 def cmd_qa(config: PipelineConfig, subaction: str, gold_path: str) -> str:
     """QA gate actions: fit and save a model, cross-validate, or report."""
     if subaction not in ("train", "crossval", "report"):
-        raise PipelineError(f"unknown qa subaction {subaction!r}")
+        raise ValueError(f"unknown qa subaction {subaction!r}")
     gold = qa.load_gold_jsonl(_existing(gold_path, "gold set"))
     if not gold:
-        raise PipelineError(f"{gold_path}: gold set is empty")
+        raise Refusal(gold_path, "gold set is empty")
     hyper = qa.QaHyper(seed=config.seed)
-    try:  # too few records, or one label only: a fault of the gold set
+    with refusing(gold_path):  # too few records, or one label only: a fault of the gold set
         if subaction == "train":
             model = qa.train_svm(gold, hyper)
         else:
             result = qa.cross_validate(gold, k=10, seed=config.seed, hyper=hyper)
-    except ValueError as exc:
-        raise PipelineError(f"{gold_path}: {exc}") from exc
     if subaction == "train":
         qa.save_qa_model(model, config.qa_model_path)
         return f"saved QA model for {len(gold)} records to {config.qa_model_path}\n"
@@ -407,6 +396,8 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         print(cmd_qa(config, args.subaction, args.gold), end="")  # the one command left: qa
         return EXIT_OK
-    except Exception as exc:  # uniform error contract: message on stderr, exit 1
-        print(f"error: {exc}", file=sys.stderr)
+    except (Refusal, OSError, FloatingPointError) as exc:  # refused input, OS error, diverged run
+        named = isinstance(exc, OSError) and exc.filename is not None
+        print(f"error: {exc.filename}: {exc.strerror}" if named else f"error: {exc}",
+              file=sys.stderr)
         return EXIT_ERROR

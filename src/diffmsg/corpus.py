@@ -7,13 +7,14 @@ placeholder, drops merge/rollback commits and oversized diffs, tokenizes
 on whitespace and punctuation (CamelCase is never split), enforces
 maximum sequence lengths, and finally produces seeded train/valid/test
 splits and frequency-capped vocabularies.  It also holds what the other
-stages share: read_json_object, the one reader of every JSON input, with
-its schema_problem key, type and range check, and atomic_write, the one
-writer of every artifact.
+stages share: Refusal, the one error of a refused input; read_json_object,
+the one reader of every JSON input, with its schema_problem check; and
+atomic_write, the one writer of every artifact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import json
@@ -68,8 +69,23 @@ _PREFIX_CHARS_PER_TOKEN = 8
 MERGE_ROLLBACK_PREFIXES = ("merge", "revert", "rollback", "roll back")
 
 
-class CorpusFormatError(ValueError):
-    """Malformed input corpus (bad record, duplicate id, missing field)."""
+class Refusal(ValueError):
+    """An input or artifact that cannot be used: the file at path (or the
+    source a text came from) and the reason, as the text "<path>: <reason>"."""
+
+    def __init__(self, path: str | Path, reason: str) -> None:
+        super().__init__(f"{path}: {reason}")
+        self.path, self.reason = path, reason
+
+
+@contextlib.contextmanager
+def refusing(path: str | Path) -> Iterator[None]:
+    """Raise a ValueError from the block, which a library function raises
+    for its arguments and which names no file, as a Refusal naming path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise Refusal(path, str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -210,67 +226,66 @@ class Checked:
             raise ValueError(problem)
 
 
-def read_json_object(data: str | bytes, schema: dict, where: str,
-                     error: type[Exception], version: int | None = None) -> dict:
-    """Parse data (text, or bytes that must be UTF-8) as a JSON object that
-    matches schema (see schema_problem) and, given a version, holds it as
-    the integer "format_version"; anything else raises
-    error("<where>: <problem>")."""
+def read_json_object(data: str | bytes, schema: dict, path: str | Path,
+                     version: int | None = None, where: str | None = None) -> dict:
+    """Parse data (text, or bytes that must be UTF-8) read from path, at where
+    in it ("line 3"), as a JSON object that matches schema (see schema_problem)
+    and, given a version, holds it as the integer "format_version"; anything
+    else is a Refusal of path, its reason "[<where>: ]<problem>"."""
+    at = "" if where is None else f"{where}: "
     try:
         obj = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON, or not UTF-8
-        raise error(f"{where}: invalid JSON: {exc}") from exc
+        raise Refusal(path, f"{at}invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise error(f"{where}: not a JSON object")
+        raise Refusal(path, f"{at}not a JSON object")
     found = obj.get("format_version")
     if version is not None and (type(found), found) != (int, version):
-        raise error(f"{where}: format version {found} != {version}")
+        raise Refusal(path, f"{at}format version {found} != {version}")
     if (problem := schema_problem(obj, schema)) is not None:
-        raise error(f"{where}: {problem}")
+        raise Refusal(path, f"{at}{problem}")
     return obj
 
 
 def read_text_lines(path: str | Path) -> io.StringIO:
     """A UTF-8 text file to iterate over by line, with the line ends open()
-    reads; a byte that is not UTF-8 is a CorpusFormatError naming the file
-    and the line."""
+    reads; a byte that is not UTF-8 is a Refusal naming the line."""
     data = Path(path).read_bytes()
     try:
         return io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise CorpusFormatError(f"{path}: line {line}: not UTF-8: {exc}") from exc
+        raise Refusal(path, f"line {line}: not UTF-8: {exc}") from exc
 
 
 def read_jsonl(path: str | Path, schema: dict) -> Iterator[tuple[str, dict]]:
-    """Yield ("<path>: line <n>", object) for each non-blank line of a JSON-lines file.
+    """Yield ("line <n>", object) for each non-blank line of a JSON-lines file.
 
     Bytes that are not UTF-8 decode to U+FFFD.  A line that read_json_object
-    refuses is a CorpusFormatError naming the line and the problem.
+    refuses is a Refusal naming the line and the problem.
     """
     with open(path, encoding="utf-8", errors="replace") as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.strip():
-                where = f"{path}: line {lineno}"
-                yield where, read_json_object(line, schema, where, CorpusFormatError)
+                where = f"line {lineno}"
+                yield where, read_json_object(line, schema, path, where=where)
 
 
 def ingest_jsonl(path: str | Path) -> list[Commit]:
     """Read one commit per line from a JSON-lines file (see read_jsonl).
 
     Each line must be an object whose "diff" and "message" are strings and
-    whose "id" is a non-empty string or an integer.  Raises
-    CorpusFormatError naming the line and the key for a malformed record,
-    and for a duplicate id.
+    whose "id" is a non-empty string or an integer.  A Refusal names the
+    line and the key of a malformed record, and a duplicate id.
     """
     commits: list[Commit] = []
     seen: set[str] = set()
     for where, record in read_jsonl(path, Schema({"id": str | int, "diff": str, "message": str})):
         commit_id = str(record["id"])
         if not commit_id:
-            raise CorpusFormatError(f"{where}: empty id")
+            raise Refusal(path, f"{where}: empty id")
         if commit_id in seen:
-            raise CorpusFormatError(f"{where}: duplicate id {commit_id!r}")
+            raise Refusal(path, f"{where}: duplicate id {commit_id!r}")
         seen.add(commit_id)
         commits.append(Commit(commit_id, record["diff"], record["message"]))
     return commits
@@ -294,7 +309,7 @@ def _git(repo: Path, *args: str) -> subprocess.CompletedProcess:
             errors="replace",
         )
     except FileNotFoundError as exc:
-        raise CorpusFormatError(f"{repo}: git is not installed or not on PATH") from exc
+        raise Refusal(repo, "git is not installed or not on PATH") from exc
 
 
 def ingest_git(repo_path: str | Path) -> list[Commit]:
@@ -304,22 +319,22 @@ def ingest_git(repo_path: str | Path) -> list[Commit]:
     against its first parent, so merges are ingested too (apply_filters
     drops them later).  Output that is not UTF-8 decodes to U+FFFD.  A
     repository with no commits gives []; a revision git cannot read fails
-    the whole ingest as a CorpusFormatError carrying git's stderr.
+    the whole ingest as a Refusal carrying git's stderr.
     """
     repo = Path(repo_path)
     if not repo.is_dir():
-        raise CorpusFormatError(f"{repo}: not a directory")
+        raise Refusal(repo, "not a directory")
     head = _git(repo, "rev-parse", "--verify", "-q", "HEAD")
     if head.returncode == 1:  # a repository with no commits yet
         return []
     if head.returncode != 0:
-        raise CorpusFormatError(f"{repo}: not a git repository")
+        raise Refusal(repo, "not a git repository")
     log = _git(
         repo, "log", "--reverse", "-p", "--diff-merges=first-parent",
         "--format=%x00%H%x01%P%x01%B%x00",
     )
     if log.returncode != 0:
-        raise CorpusFormatError(f"{repo}: git log failed: {log.stderr.strip()}")
+        raise Refusal(repo, f"git log failed: {log.stderr.strip()}")
     stream = log.stdout
     headers = list(_GIT_HEADER_RE.finditer(stream))
     ends = [header.start() for header in headers[1:]] + [len(stream)]
@@ -509,14 +524,14 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         """Read a file written by save (see read_text_lines); a token listed
-        twice, or spelled like a special symbol, is a CorpusFormatError
-        naming the line."""
+        twice, or spelled like a special symbol, is a Refusal naming the
+        line."""
         id_to_token = list(SPECIALS)
         token_to_id = {token: i for i, token in enumerate(id_to_token)}
         for lineno, line in enumerate(read_text_lines(path), start=1):
             token = line.rstrip("\n")
             if token in token_to_id:
-                raise CorpusFormatError(f"{path}: line {lineno}: duplicate token {token!r}")
+                raise Refusal(path, f"line {lineno}: duplicate token {token!r}")
             token_to_id[token] = len(id_to_token)
             id_to_token.append(token)
         return cls(token_to_id, id_to_token)
@@ -628,14 +643,15 @@ def write_split_files(split: DatasetSplit, out_dir: str | Path) -> None:
 def read_split_files(split_dir: str | Path, seed: int) -> DatasetSplit:
     """Read the files write_split_files wrote; ids are "<part>-<line index>".
 
-    A source/target pair that is not line-aligned is a CorpusFormatError.
+    A source/target pair that is not line-aligned is a Refusal of the target.
     """
     parts: dict[str, list[PreparedCommit]] = {}
     for part in SPLIT_PARTS:
         src_path, tgt_path = split_paths(split_dir, part)
         sources, targets = read_sequences(src_path), read_sequences(tgt_path)
         if len(sources) != len(targets):
-            raise CorpusFormatError(f"{src_path}, {tgt_path}: files are not line-aligned")
+            raise Refusal(tgt_path, f"files are not line-aligned: {len(targets)} lines against "
+                                    f"{len(sources)} in {src_path}")
         parts[part] = [
             PreparedCommit(f"{part}-{i}", src, tgt)
             for i, (src, tgt) in enumerate(zip(sources, targets))

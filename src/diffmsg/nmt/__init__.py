@@ -14,7 +14,6 @@ from .model import (
 )
 from .training import (
     Checkpoint,
-    CheckpointError,
     adadelta_update,
     checkpoint_paths,
     init_optimizer_state,
@@ -27,7 +26,6 @@ __all__ = [
     "Hyperparams",
     "ModelParams",
     "Checkpoint",
-    "CheckpointError",
     "adadelta_update",
     "batch_loss",
     "beam_search",

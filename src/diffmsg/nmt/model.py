@@ -156,11 +156,11 @@ class ModelParams:
         """This layout over another buffer, such as a gradient or an accumulator."""
         return ModelParams.from_flat(flat, *self.dims)
 
-    def assert_finite(self, where: str) -> None:
-        """Raise FloatingPointError naming where and the first non-finite tensor."""
-        if not np.isfinite(self.flat).all():
-            name = next(n for n, t in self.tensors().items() if not np.isfinite(t).all())
-            raise FloatingPointError(f"{where}: non-finite values in parameter {name}")
+    def non_finite(self) -> str | None:
+        """The name of the first tensor holding a non-finite value, or None."""
+        if np.isfinite(self.flat).all():
+            return None
+        return next(n for n, t in self.tensors().items() if not np.isfinite(t).all())
 
 
 def empty_aligned(*shape: int) -> Array:

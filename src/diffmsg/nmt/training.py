@@ -28,7 +28,7 @@ from typing import Annotated
 import numpy as np
 
 from .. import bleu
-from ..corpus import (DatasetSplit, Schema, Vocabulary, atomic_write, field_types,
+from ..corpus import (DatasetSplit, Refusal, Schema, Vocabulary, atomic_write, field_types,
                       read_json_object)
 from .decoding import beam_search
 from .model import (
@@ -60,14 +60,6 @@ class OptimizerState:
 
     grad_sq: Array
     update_sq: Array
-
-
-class CheckpointError(RuntimeError):
-    """Unreadable, truncated, or incompatible checkpoint file."""
-
-
-class ResumeError(ValueError):
-    """A checkpoint train refuses to resume from; the caller names the file."""
 
 
 def init_optimizer_state(params: ModelParams) -> OptimizerState:
@@ -166,22 +158,22 @@ def load_checkpoint(
     blocks of N = param_count(*dims) float64 values, three with optimizer
     state and one without, and must be exactly that long.  run, if given,
     is the caller's values of the leading RUN_KEYS, its model (see
-    model_dims) and seed; the first key the file differs on is a
-    CheckpointError naming both values.  Every array is a view into one
-    writable buffer read from the file, aligned by empty_aligned.  With
-    out, a writable C-contiguous (N,) float64 array such as a row of a
-    stacked ensemble's (else a ValueError), only the parameter block, which
-    comes first in the payload, is read, into out.
+    model_dims) and seed; the first key the file differs on is refused
+    naming both values.  Any fault of the file is a Refusal of path.  Every
+    array is a view into one writable buffer read from the file, aligned by
+    empty_aligned.  With out, a writable C-contiguous (N,) float64 array such
+    as a row of a stacked ensemble's (else a ValueError), only the parameter
+    block, which comes first in the payload, is read, into out.
     """
     with open(path, "rb") as handle:
         header_line = handle.readline(HEADER_LIMIT)
         if len(header_line) == HEADER_LIMIT and not header_line.endswith(b"\n"):
-            raise CheckpointError(f"{path}: header: no line end in the first {HEADER_LIMIT} bytes")
-        header = read_json_object(header_line, _HEADER_KEYS, f"{path}: header", CheckpointError,
-                                  CHECKPOINT_FORMAT_VERSION)
+            raise Refusal(path, f"header: no line end in the first {HEADER_LIMIT} bytes")
+        header = read_json_object(header_line, _HEADER_KEYS, path, CHECKPOINT_FORMAT_VERSION,
+                                  "header")
         found = tuple(header[key] for key in DIM_KEYS)
         if problem := _run_problem((*found, header["seed"]), run or ()):
-            raise CheckpointError(f"{path}: {problem}")
+            raise Refusal(path, problem)
         size = param_count(*found)
         if out is not None and not (out.dtype == np.float64 and out.shape == (size,)
                                     and out.flags.c_contiguous and out.flags.writeable):
@@ -192,18 +184,16 @@ def load_checkpoint(
         expected = 8 * size * (3 if header["has_optimizer_state"] else 1)
         if present != expected:
             what = "truncated payload" if present < expected else "payload too long"
-            raise CheckpointError(f"{path}: {what} ({present} bytes, {expected} by the header)")
+            raise Refusal(path, f"{what} ({present} bytes, {expected} by the header)")
         blocks = 3 if header["has_optimizer_state"] and out is None else 1
         payload = empty_aligned(size * blocks) if out is None else out
         if handle.readinto(payload) != payload.nbytes:
-            raise CheckpointError(f"{path}: truncated payload")
+            raise Refusal(path, "truncated payload")
     flat, *state = (payload[size * k : size * (k + 1)] for k in range(blocks))
     params = ModelParams.from_flat(flat, *found)
-    for block, where in zip((params, *map(params.like, state)), ("", ": grad_sq", ": update_sq")):
-        try:  # no training step writes one, so the file is damaged
-            block.assert_finite(f"{path}{where}")
-        except FloatingPointError as exc:
-            raise CheckpointError(str(exc)) from None
+    for block, where in zip((params, *map(params.like, state)), ("", "grad_sq: ", "update_sq: ")):
+        if name := block.non_finite():  # no training step writes one, so the file is damaged
+            raise Refusal(path, f"{where}non-finite values in parameter {name}")
     return Checkpoint(
         params=params,
         optimizer_state=OptimizerState(*state) if state else None,
@@ -227,6 +217,13 @@ def _truncate_log(path: Path, minibatch_index: int) -> None:
         end = line.end()
     if end < len(data):
         atomic_write(path, [data[:end]])
+
+
+def _check_finite(state: Checkpoint) -> None:
+    """Raise FloatingPointError naming the minibatch and the first non-finite tensor, if any."""
+    if name := state.params.non_finite():
+        raise FloatingPointError(
+            f"after minibatch {state.minibatch_index}: non-finite values in parameter {name}")
 
 
 def _epoch_order(seed: int, epoch: int, n: int) -> list[int]:
@@ -267,7 +264,7 @@ def train(
     The state is one Checkpoint, resume_from if given, else a fresh one;
     resume_from must carry optimizer state and the shape and seed (which
     orders every epoch) that hyper and the vocabularies give (see
-    _run_problem), or the run is refused with a ResumeError before anything
+    _run_problem), or the run is refused with a ValueError before anything
     is written.  Each source is read as source_ids builds it.  The state is
     updated in place, its buffers with it, and written every
     hyper.checkpoint_every minibatches and when training stops, as
@@ -294,10 +291,10 @@ def train(
         params = init_params(hyper, len(src_vocab), len(tgt_vocab))
         state = Checkpoint(params, init_optimizer_state(params), 0, None, seed=hyper.seed)
     elif resume_from.optimizer_state is None:
-        raise ResumeError("cannot resume from a checkpoint without optimizer state")
+        raise ValueError("cannot resume from a checkpoint without optimizer state")
     elif problem := _run_problem((*resume_from.params.dims, resume_from.seed),
                                  (*model_dims(hyper, len(src_vocab), len(tgt_vocab)), hyper.seed)):
-        raise ResumeError(f"cannot resume from a checkpoint whose {problem}")
+        raise ValueError(f"cannot resume from a checkpoint whose {problem}")
     else:
         state = resume_from
 
@@ -319,7 +316,7 @@ def train(
     order: list[int] = []
 
     try:
-        state.params.assert_finite(f"after minibatch {state.minibatch_index}")
+        _check_finite(state)
         for index in range(state.minibatch_index, limit):
             if state.stall > hyper.patience:
                 break
@@ -333,7 +330,7 @@ def train(
             del cache  # free the activations before the update's buffers
             adadelta_update(state.params, grads, state.optimizer_state)
             state.minibatch_index = index + 1
-            state.params.assert_finite(f"after minibatch {state.minibatch_index}")
+            _check_finite(state)
             state.window_loss_sum += loss
             state.window_loss_count += 1
 

@@ -22,7 +22,7 @@ import numpy as np
 from .bow import BagOfWords, Document, row_sums
 from .corpus import (
     Checked,
-    CorpusFormatError,
+    Refusal,
     Schema,
     TokenSequence,
     atomic_write,
@@ -46,6 +46,14 @@ def floor_median(scores: list[int] | tuple[int, ...]) -> int:
     return (ordered[mid - 1] + ordered[mid]) // 2
 
 
+def _scores_problem(scores: list[int] | tuple[int, ...]) -> str | None:
+    """Why scores cannot be a gold record's (one to three, each in [0, 7]), or None."""
+    if not 1 <= len(scores) <= 3:
+        return f"expected 1-3 scores, got {len(scores)}"
+    return next((f"scores must be in [0, 7], got {score}" for score in scores
+                 if not 0 <= score <= 7), None)
+
+
 @dataclass(frozen=True)
 class GoldRecord:
     """A scored diff from the human study."""
@@ -54,11 +62,8 @@ class GoldRecord:
     scores: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= len(self.scores) <= 3:
-            raise ValueError(f"expected 1-3 scores, got {len(self.scores)}")
-        for score in self.scores:
-            if not 0 <= score <= 7:
-                raise ValueError(f"scores must be in [0, 7], got {score}")
+        if problem := _scores_problem(self.scores):
+            raise ValueError(problem)
 
     @property
     def median_score(self) -> int:
@@ -73,17 +78,15 @@ def load_gold_jsonl(path: str | Path) -> list[GoldRecord]:
     """Read gold records ({"id", "diff", "scores"}) from a JSON-lines file.
 
     "diff" must be a string and "scores" a list of integers; a bad record
-    is a CorpusFormatError naming the line and the key.  Diffs are
-    tokenized with the same source pipeline the generator uses; bytes that
-    are not UTF-8 decode to U+FFFD.
+    is a Refusal naming the line and the key.  Diffs are tokenized with the
+    same source pipeline the generator uses; bytes that are not UTF-8
+    decode to U+FFFD.
     """
     records: list[GoldRecord] = []
     for where, raw in read_jsonl(path, Schema({"diff": str, "scores": list[int]})):
-        tokens = preprocess_source(raw["diff"])
-        try:
-            records.append(GoldRecord(diff=tokens, scores=tuple(raw["scores"])))
-        except ValueError as exc:  # a score count or range
-            raise CorpusFormatError(f"{where}: key 'scores': {exc}") from exc
+        if problem := _scores_problem(raw["scores"]):
+            raise Refusal(path, f"{where}: key 'scores': {problem}")
+        records.append(GoldRecord(diff=preprocess_source(raw["diff"]), scores=tuple(raw["scores"])))
     return records
 
 
@@ -320,10 +323,6 @@ def save_qa_model(model: QaModel, path: str | Path) -> None:
     atomic_write(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
-class QaModelError(ValueError):
-    """Unreadable or inconsistent QA model file."""
-
-
 # every key of a saved QA model but "format_version"
 _MODEL_KEYS = Schema({"feature_vocab": dict[str, int], "idf": list[float],
                       "weights": list[float], "bias": float})
@@ -335,18 +334,15 @@ def load_qa_model(path: str | Path) -> QaModel:
     Checks the format version, every key and its type (see
     corpus.read_json_object), and that feature_vocab, idf and weights
     agree: one idf and one weight per feature, with the feature indices
-    exactly 0..n-1.  Any mismatch is a QaModelError naming the file and key.
+    exactly 0..n-1.  Any mismatch is a Refusal naming the file and key.
     """
-    payload = read_json_object(Path(path).read_bytes(), _MODEL_KEYS, str(path), QaModelError,
-                               QA_MODEL_FORMAT_VERSION)
+    payload = read_json_object(Path(path).read_bytes(), _MODEL_KEYS, path, QA_MODEL_FORMAT_VERSION)
     vocab, idf, weights = payload["feature_vocab"], payload["idf"], payload["weights"]
     if not len(vocab) == len(idf) == len(weights):
-        raise QaModelError(
-            f"{path}: keys 'feature_vocab', 'idf' and 'weights' hold {len(vocab)}, {len(idf)} "
-            f"and {len(weights)} entries, not one per feature"
-        )
+        raise Refusal(path, f"keys 'feature_vocab', 'idf' and 'weights' hold {len(vocab)}, "
+                            f"{len(idf)} and {len(weights)} entries, not one per feature")
     if sorted(vocab.values()) != list(range(len(vocab))):
-        raise QaModelError(f"{path}: key 'feature_vocab' indices are not exactly 0..{len(vocab) - 1}")
+        raise Refusal(path, f"key 'feature_vocab' indices are not exactly 0..{len(vocab) - 1}")
     return QaModel(
         feature_vocab=vocab,
         idf=np.asarray(idf, dtype=np.float64),

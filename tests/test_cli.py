@@ -23,7 +23,6 @@ from diffmsg.cli import (
     EXIT_WARNING,
     WARNING_TEXT,
     PipelineConfig,
-    PipelineError,
     cmd_evaluate,
     cmd_generate,
     cmd_prepare,
@@ -35,10 +34,11 @@ from diffmsg.corpus import (
     EOS_ID,
     ID_PLACEHOLDER,
     FilterConfig,
+    Refusal,
     field_types,
 )
-from diffmsg.nmt import CheckpointError, Hyperparams, load_checkpoint, save_checkpoint
-from diffmsg.nmt.training import CHECKPOINT_FORMAT_VERSION
+from diffmsg.nmt import Hyperparams, load_checkpoint, save_checkpoint
+from diffmsg.nmt.training import CHECKPOINT_FORMAT_VERSION, adadelta_update
 from diffmsg.qa import QA_MODEL_FORMAT_VERSION, QaHyper, QaModel, save_qa_model
 
 
@@ -111,7 +111,7 @@ class TestConfig:
         assert restored == config
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(PipelineError, match="unknown config keys"):
+        with pytest.raises(Refusal, match="unknown config keys"):
             PipelineConfig.from_json('{"bogus_knob": 1}')
 
     def test_every_hyperparameter_is_a_config_field_with_the_same_default(self):
@@ -154,12 +154,12 @@ class TestConfig:
         assert getattr(PipelineConfig.from_json(json.dumps({key: edge})), key) == edge
         value = past + out * beyond
         message = f"config: {key} must be {' and '.join(bounds)}, got {value!r}"
-        with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(Refusal, match=f"^{re.escape(message)}$"):
             PipelineConfig.from_json(json.dumps({key: value}))
 
     def test_negative_seed_is_a_named_error(self, tmp_path, capsys):
         # prepare ran with it, and train failed in numpy without naming the key
-        with pytest.raises(PipelineError, match="^config: seed must be >= 0, got -1$"):
+        with pytest.raises(Refusal, match="^config: seed must be >= 0, got -1$"):
             PipelineConfig.from_json('{"seed": -1}')
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**dataclasses.asdict(toy_config(tmp_path)), "seed": -1}))
@@ -278,12 +278,12 @@ class TestPrepare:
         ]
         write_corpus(tmp_path / "corpus.jsonl", lines)
         config = toy_config(tmp_path, max_diff_bytes=10)
-        with pytest.raises(PipelineError, match="diff_too_large"):
+        with pytest.raises(Refusal, match="diff_too_large"):
             cmd_prepare(config)
 
     def test_requires_exactly_one_input(self, tmp_path):
         config = dataclasses.replace(toy_config(tmp_path), git_repo="somewhere")
-        with pytest.raises(PipelineError, match="exactly one"):
+        with pytest.raises(Refusal, match="exactly one"):
             cmd_prepare(config)
 
     def test_emitted_lengths_respect_limits(self, tmp_path):
@@ -306,11 +306,11 @@ class TestTrainCommand:
 
     def test_missing_splits_error(self, tmp_path):
         config = toy_config(tmp_path)
-        with pytest.raises(PipelineError, match="prepare"):
+        with pytest.raises(Refusal, match="prepare"):
             cmd_train(config)
         config.split_dir.parent.mkdir()
         config.split_dir.write_text("")  # a file where the split directory belongs
-        with pytest.raises(PipelineError, match="split file not found; run prepare first$"):
+        with pytest.raises(Refusal, match="split file not found; run prepare first$"):
             cmd_train(config)
 
     def test_zero_max_minibatches_rejected(self, tmp_path):
@@ -363,7 +363,7 @@ class TestOneModel:
         cmd_train(config)
         before = work_files(config)
         last = config.checkpoint_dir / "checkpoint_00000002.ckpt"
-        with pytest.raises(CheckpointError, match=(
+        with pytest.raises(Refusal, match=(
                 f"^{re.escape(str(last))}: {key} is {getattr(config, key)}, .* give 8$")):
             cmd_train(dataclasses.replace(config, max_minibatches=4, **{key: 8}), resume=True)
         assert work_files(config) == before
@@ -374,7 +374,7 @@ class TestOneModel:
         cmd_prepare(config)
         cmd_train(config)
         other = dataclasses.replace(config, hidden_dim=8)
-        with pytest.raises(CheckpointError,
+        with pytest.raises(Refusal,
                            match=r"checkpoint_\d{8}\.ckpt: hidden_dim is 5, .* give 8$"):
             if command == "evaluate":
                 cmd_evaluate(other)
@@ -428,7 +428,7 @@ class TestGenerate:
         config = toy_config(tmp_path)
         cmd_prepare(config)
         cmd_train(config)
-        with pytest.raises(PipelineError, match="QA model"):
+        with pytest.raises(Refusal, match="QA model"):
             cmd_generate(config, "diff", with_qa=True)
 
     def test_gate_counts_tokens_past_the_decoded_prefix(self, tmp_path):
@@ -484,7 +484,7 @@ class TestGenerate:
     def test_missing_checkpoints_error(self, tmp_path):
         config = toy_config(tmp_path)
         cmd_prepare(config)
-        with pytest.raises(PipelineError, match="checkpoint"):
+        with pytest.raises(Refusal, match="checkpoint"):
             cmd_generate(config, "diff", with_qa=False)
 
     def test_overfit_model_reproduces_training_message(self, tmp_path):
@@ -544,7 +544,7 @@ class TestEvaluate:
     def test_missing_test_split_error(self, tmp_path):
         config = toy_config(tmp_path, test_size=0)
         cmd_prepare(config)
-        with pytest.raises(PipelineError, match="test split"):
+        with pytest.raises(Refusal, match="test split"):
             cmd_evaluate(config, smoke_identity=True)
 
     def test_empty_training_split_is_refused_before_decoding(self, tmp_path):
@@ -553,7 +553,7 @@ class TestEvaluate:
         for side in ("src", "tgt"):
             (config.split_dir / f"train.{side}.txt").write_text("")
         named = f"{config.split_dir / 'train.src.txt'}: training split is empty"
-        with pytest.raises(PipelineError, match=f"^{re.escape(named)}$"):
+        with pytest.raises(Refusal, match=f"^{re.escape(named)}$"):
             cmd_evaluate(config)
 
 
@@ -598,7 +598,7 @@ class TestQaCommand:
 
     def test_unknown_subaction_is_refused_before_the_gold_set_is_read(self, tmp_path):
         config = toy_config(tmp_path)
-        with pytest.raises(PipelineError, match="^unknown qa subaction 'bogus'$"):
+        with pytest.raises(ValueError, match="^unknown qa subaction 'bogus'$"):
             cmd_qa(config, "bogus", str(tmp_path / "absent.jsonl"))
 
     def test_single_class_gold_errors(self, tmp_path):
@@ -606,7 +606,7 @@ class TestQaCommand:
         lines = [json.dumps({"id": str(i), "diff": "x y", "scores": [0]}) for i in range(12)]
         gold.write_text("\n".join(lines) + "\n")
         config = toy_config(tmp_path)
-        with pytest.raises(PipelineError, match=f"^{re.escape(str(gold))}: .* both"):
+        with pytest.raises(Refusal, match=f"^{re.escape(str(gold))}: .* both"):
             cmd_qa(config, "crossval", str(gold))
 
 
@@ -729,6 +729,56 @@ class TestMainExitCodes:
         assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {path}: config not found\n"
 
+    def test_an_os_error_names_its_file_first(self, tmp_path, capsys):
+        # a regular file where the work dir belongs
+        work = tmp_path / "wfile"
+        work.write_text("")
+        path, _ = self._config_file(tmp_path, work_dir=str(work))
+        assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {work / 'splits'}: Not a directory\n"
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["generate"]], ids=["evaluate", "generate"])
+    def test_a_directory_named_like_a_checkpoint_is_named(self, tmp_path, capsys, command):
+        path, config = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert main(["--config", str(path), "train"]) == EXIT_OK
+        directory = config.checkpoint_dir / "checkpoint_99999999.ckpt"
+        directory.mkdir()
+        diff_file = tmp_path / "one.diff"
+        diff_file.write_text("+ helper_2 ( x )")
+        capsys.readouterr()
+        diff = ["--diff", str(diff_file)] if command == ["generate"] else []
+        assert main(["--config", str(path), *command, *diff]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {directory}: Is a directory\n"
+
+    def test_a_diverged_training_run_names_the_minibatch_and_tensor(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        path, _ = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        steps = []
+
+        def diverging(params, grads, optimizer_state):
+            adadelta_update(params, grads, optimizer_state)
+            steps.append(1)
+            if len(steps) == 3:
+                params.out_b[0] = np.nan
+        monkeypatch.setattr("diffmsg.nmt.training.adadelta_update", diverging)
+        capsys.readouterr()
+        assert main(["--config", str(path), "train"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: after minibatch 3: non-finite values in parameter out_b\n")
+
+    def test_a_bug_inside_a_command_propagates(self, tmp_path, monkeypatch):
+        # main reports refused inputs, OSErrors and a diverged run; anything else is a bug,
+        # even where a library ValueError becomes a refusal of the corpus
+        path, _ = self._config_file(tmp_path)
+
+        def broken(*args):
+            raise TypeError("a bug")
+        monkeypatch.setattr("diffmsg.cli.split_dataset", broken)
+        with pytest.raises(TypeError, match="^a bug$"):
+            main(["--config", str(path), "prepare"])
+
     def test_prepare_then_train_then_generate(self, tmp_path, capsys):
         path, config = self._config_file(tmp_path)
         assert main(["--config", str(path), "prepare"]) == EXIT_OK
@@ -838,7 +888,7 @@ class TestMainExitCodes:
         first = checkpoints[-config.ensemble_size:][0]
         named = f"{first}: header: format version 3 != {CHECKPOINT_FORMAT_VERSION}"
         for out in (None, np.empty(checkpoint.params.flat.size)):
-            with pytest.raises(CheckpointError, match=f"^{re.escape(named)}$"):
+            with pytest.raises(Refusal, match=f"^{re.escape(named)}$"):
                 load_checkpoint(first, out=out)
         diff_file = tmp_path / "one.diff"
         diff_file.write_text("+ helper_2 ( x )")

@@ -26,9 +26,9 @@ from diffmsg.corpus import (
     UNK,
     UNK_ID,
     Commit,
-    CorpusFormatError,
     FilterConfig,
     PreparedCommit,
+    Refusal,
     Vocabulary,
     REMOVAL_REASONS,
     apply_filters,
@@ -135,20 +135,20 @@ class TestIngestJsonl:
             + json.dumps({"id": "b", "message": "m"})
             + "\n"
         )
-        with pytest.raises(CorpusFormatError, match="line 2"):
+        with pytest.raises(Refusal, match="line 2"):
             ingest_jsonl(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         record = json.dumps({"id": "a", "diff": "d", "message": "m"})
         path.write_text(record + "\n" + record + "\n")
-        with pytest.raises(CorpusFormatError, match="duplicate"):
+        with pytest.raises(Refusal, match="duplicate"):
             ingest_jsonl(path)
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"id": "a", "diff": "d", "message": "m"}\nnot json\n')
-        with pytest.raises(CorpusFormatError, match="line 2"):
+        with pytest.raises(Refusal, match="line 2"):
             ingest_jsonl(path)
 
     @pytest.mark.parametrize(
@@ -164,7 +164,7 @@ class TestIngestJsonl:
         path = tmp_path / "typed.jsonl"
         good = json.dumps({"id": "ok", "diff": "d", "message": "m"})
         path.write_text(good + "\n" + json.dumps(record) + "\n")
-        with pytest.raises(CorpusFormatError, match=f"typed.jsonl: line 2: key '{key}' must be"):
+        with pytest.raises(Refusal, match=f"typed.jsonl: line 2: key '{key}' must be"):
             ingest_jsonl(path)
 
     def test_integer_id_is_read_as_its_digits(self, tmp_path):
@@ -419,24 +419,24 @@ class TestIngestGit:
         repo = _make_repo(tmp_path, 3)
         blob = _git(repo, "rev-parse", "HEAD~1:file.txt").decode().strip()
         (repo / ".git" / "objects" / blob[:2] / blob[2:]).unlink()
-        with pytest.raises(CorpusFormatError, match="git log failed: .*" + blob):
+        with pytest.raises(Refusal, match="git log failed: .*" + blob):
             ingest_git(repo)
 
     def test_missing_git_is_named(self, tmp_path, monkeypatch):
         empty = tmp_path / "empty"
         empty.mkdir()
         monkeypatch.setenv("PATH", str(empty))
-        with pytest.raises(CorpusFormatError, match="git is not installed or not on PATH"):
+        with pytest.raises(Refusal, match="git is not installed or not on PATH"):
             ingest_git(tmp_path)
 
     def test_non_repo_directory_errors(self, tmp_path):
         plain = tmp_path / "plain"
         plain.mkdir()
-        with pytest.raises(CorpusFormatError, match="not a git repository"):
+        with pytest.raises(Refusal, match="not a git repository"):
             ingest_git(plain)
 
     def test_missing_directory_errors(self, tmp_path):
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(Refusal):
             ingest_git(tmp_path / "nope")
 
 
@@ -827,14 +827,14 @@ class TestBuildVocab:
     def test_load_rejects_duplicate_token(self, tmp_path, lines, lineno, token):
         path = tmp_path / "vocab.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(CorpusFormatError) as info:
+        with pytest.raises(Refusal) as info:
             Vocabulary.load(path)
         assert str(info.value) == f"{path}: line {lineno}: duplicate token {token!r}"
 
     def test_load_names_the_line_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_bytes(b"a\nb\n\xff\xfe\n")
-        with pytest.raises(CorpusFormatError) as info:
+        with pytest.raises(Refusal) as info:
             Vocabulary.load(path)
         assert str(info.value).startswith(f"{path}: line 3: not UTF-8: ")
 
@@ -905,13 +905,13 @@ class TestSequenceFiles:
         write_split_files(split_dataset(_pairs(6), valid=1, test=1, seed=0), tmp_path)
         with open(tmp_path / "valid.tgt.txt", "a", encoding="utf-8") as handle:
             handle.write("extra\n")
-        with pytest.raises(CorpusFormatError, match="valid.tgt.txt: files are not line-aligned"):
+        with pytest.raises(Refusal, match="valid.tgt.txt: files are not line-aligned"):
             read_split_files(tmp_path, seed=0)
 
     def test_sequence_file_names_the_line_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "seqs.txt"
         path.write_bytes("a b\ncaf\u00e9\n".encode() + b"c \xe9 d\n")
-        with pytest.raises(CorpusFormatError) as info:
+        with pytest.raises(Refusal) as info:
             read_sequences(path)
         assert str(info.value).startswith(f"{path}: line 3: not UTF-8: ")
 

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffmsg.corpus import EOS_ID, START_ID
+from diffmsg.corpus import EOS_ID, START_ID, Refusal
 from diffmsg.nmt import (
     Checkpoint,
-    CheckpointError,
     Hyperparams,
     beam_search,
     decoder_step,
@@ -349,14 +348,14 @@ class TestParameterOnlyLoad:
         path = full_checkpoint(tmp_path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2] if cut == "half" else data[:-cut])
-        with pytest.raises(CheckpointError, match="truncated"):
+        with pytest.raises(Refusal, match="truncated"):
             load_params_only(path)
 
     def test_foreign_files_rejected(self, tmp_path):
         path = tmp_path / "foreign.ckpt"
         for data in (b"\x00\x01 not a checkpoint\n more", b'{"format": 2}\n', b"[2]\n", b""):
             path.write_bytes(data)
-            with pytest.raises(CheckpointError):
+            with pytest.raises(Refusal):
                 load_params_only(path)
 
     @pytest.mark.parametrize("key", ["embed_dim", "hidden_dim", "src_vocab_size",
@@ -366,5 +365,5 @@ class TestParameterOnlyLoad:
         dims = {"embed_dim": 3, "hidden_dim": 4, "src_vocab_size": 9, "tgt_vocab_size": 8}
         assert load_params_only(path, tuple(dims.values())).optimizer_state is None
         dims[key] = 2
-        with pytest.raises(CheckpointError, match=f": {key} is .* give 2$"):
+        with pytest.raises(Refusal, match=f": {key} is .* give 2$"):
             load_params_only(path, tuple(dims.values()))

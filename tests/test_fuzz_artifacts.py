@@ -3,7 +3,8 @@
 One tiny work dir is built once.  Each example copies it, damages one file
 (an artifact of the work dir or an input), runs the commands that read them
 through main(), and checks the exit-code contract: 0, 1 or 2, and on 1 an
-error that names a file under the work dir or an input.  A non-finite value
+error "error: <path>: <reason>" whose path (a Refusal's, or an OSError's
+file) is the damaged file, an input, or a file under the work dir.  A non-finite value
 in a checkpoint, or another seed in its header, must be refused, naming the
 checkpoint, by every command that reads it.
 """
@@ -12,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -20,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffmsg.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNING, PipelineConfig, PipelineError, main
+from diffmsg.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNING, PipelineConfig, main
+from diffmsg.corpus import Refusal
 from diffmsg.nmt.model import DIM_KEYS
 from test_cli import edit_checkpoint_header, toy_corpus_lines, write_corpus, write_gold
 
@@ -121,14 +124,17 @@ def test_a_damaged_file_is_a_named_error_or_a_warning(pristine, data):
     with inside(work):
         try:  # a damaged work_dir moves the files the commands read
             work_dir = PipelineConfig.load("config.json").work_dir
-        except PipelineError:
+        except Refusal:
             work_dir = CONFIG["work_dir"]
-        named = tuple(f"error: {path}: " for path in INPUTS) + (f"error: {work_dir}/",)
         for command in COMMANDS:
             code, err = run(["--config", "config.json", *command])
             assert code in (EXIT_OK, EXIT_ERROR, EXIT_WARNING), (name, kind, command, err)
             if code == EXIT_ERROR:
-                assert err.startswith(named), (name, kind, command, err)
+                line = re.fullmatch(r"error: (.+?): .+\n", err, re.S)
+                assert line, (name, kind, command, err)
+                named = Path(line[1])
+                assert named in {Path(name), *map(Path, INPUTS)} or named.is_relative_to(work_dir), (
+                    name, kind, command, err)
             if command in readers:
                 assert code == EXIT_ERROR and err.startswith(f"error: {name}: "), (
                     name, kind, command, err)

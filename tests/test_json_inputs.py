@@ -1,14 +1,14 @@
 """Every JSON input goes through corpus.read_json_object: a bad one is
-refused as its reader's own error class, naming the file (and the line of a
-JSON-lines file) and the problem."""
+refused as a Refusal, naming the file (and the line of a JSON-lines file)
+and the problem."""
 
 import pytest
 
-from diffmsg.cli import PipelineConfig, PipelineError
-from diffmsg.corpus import CorpusFormatError, ingest_jsonl
-from diffmsg.nmt import CheckpointError, load_checkpoint
+from diffmsg.cli import PipelineConfig
+from diffmsg.corpus import Refusal, ingest_jsonl
+from diffmsg.nmt import load_checkpoint
 from diffmsg.nmt.training import CHECKPOINT_FORMAT_VERSION
-from diffmsg.qa import QA_MODEL_FORMAT_VERSION, QaModelError, load_gold_jsonl, load_qa_model
+from diffmsg.qa import QA_MODEL_FORMAT_VERSION, load_gold_jsonl, load_qa_model
 
 CORPUS_LINE = b'{"id": "a", "diff": "d", "message": "m"}\n'
 GOLD_LINE = b'{"id": "a", "diff": "d", "scores": [1]}\n'
@@ -16,16 +16,16 @@ GOLD_LINE = b'{"id": "a", "diff": "d", "scores": [1]}\n'
 # reader -> (file name, load, error class, format version or None, the file
 # around one JSON text, where the message names after the path)
 INPUTS = {
-    "config": ("config.json", PipelineConfig.load, PipelineError, None,
+    "config": ("config.json", PipelineConfig.load, Refusal, None,
                lambda text: text, ""),
-    "corpus_line": ("corpus.jsonl", ingest_jsonl, CorpusFormatError, None,
+    "corpus_line": ("corpus.jsonl", ingest_jsonl, Refusal, None,
                     lambda text: CORPUS_LINE + text + b"\n", ": line 2"),
-    "gold_line": ("gold.jsonl", load_gold_jsonl, CorpusFormatError, None,
+    "gold_line": ("gold.jsonl", load_gold_jsonl, Refusal, None,
                   lambda text: GOLD_LINE + text + b"\n", ": line 2"),
-    "checkpoint_header": ("model.ckpt", load_checkpoint, CheckpointError,
+    "checkpoint_header": ("model.ckpt", load_checkpoint, Refusal,
                           CHECKPOINT_FORMAT_VERSION, lambda text: text + b"\n" + bytes(64),
                           ": header"),
-    "qa_model": ("qa_model.json", load_qa_model, QaModelError, QA_MODEL_FORMAT_VERSION,
+    "qa_model": ("qa_model.json", load_qa_model, Refusal, QA_MODEL_FORMAT_VERSION,
                  lambda text: text, ""),
 }
 

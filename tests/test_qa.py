@@ -10,12 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diffmsg.bow import BagOfWords
-from diffmsg.corpus import CorpusFormatError, preprocess_source, source_counts
+from diffmsg.corpus import Refusal, preprocess_source, source_counts
 from diffmsg.qa import (
     GoldRecord,
     QaHyper,
     QaModel,
-    QaModelError,
     cross_validate,
     floor_median,
     load_gold_jsonl,
@@ -379,7 +378,7 @@ class TestModelIO:
             "weight_beyond_float_range"])
     def test_inconsistent_model_is_a_named_error(self, tmp_path, edit, message):
         path = self._edited(tmp_path, edit)
-        with pytest.raises(QaModelError, match=message) as info:
+        with pytest.raises(Refusal, match=message) as info:
             load_qa_model(path)
         assert str(info.value).startswith(f"{path}: ")
 
@@ -419,7 +418,7 @@ class TestGoldFile:
     def test_wrong_type_names_line_and_key(self, tmp_path, field, key):
         path = tmp_path / "gold.jsonl"
         path.write_text('{"id": "a", "diff": "x", "scores": [0]}\n{"id": "b", ' + field + "}\n")
-        with pytest.raises(CorpusFormatError, match=f"gold.jsonl: line 2: key '{key}' must be"):
+        with pytest.raises(Refusal, match=f"gold.jsonl: line 2: key '{key}' must be"):
             load_gold_jsonl(path)
 
     def test_non_utf8_byte_decodes_to_replacement_character(self, tmp_path):

@@ -1,7 +1,9 @@
 """Source rules no behaviour test would see broken, and reruns under two hash seeds."""
 
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import diffmsg
 from diffmsg.cli import EXIT_ERROR, PipelineConfig, _build_parser, main
 from diffmsg.corpus import field_types
 from diffmsg.nmt.training import CHECKPOINT_FORMAT_VERSION
@@ -33,6 +36,29 @@ def test_one_module_does_it(pattern, home):
     assert {path for path, _ in src_lines(pattern)} <= {f"src/diffmsg/{home}"}
 
 
+def top_level(source, name):
+    """The top-level statement of source that defines name, through the next one."""
+    return re.search(rf"^(class|def) {name}\b.*?(\n[a-z@][^\n]*|\Z)", source, re.M | re.S).group()
+
+
+def test_main_catches_no_bug():
+    # a refusal, an OSError or a diverged run is an exit-1 error; any other exception is a bug
+    # and propagates, so no handler catches everything but atomic_write's, which re-raises
+    assert src_lines(r"except Exception\b") == []
+    corpus = (ROOT / "src/diffmsg/corpus.py").read_text(encoding="utf-8")
+    assert [path for path, _ in src_lines(r"except BaseException\b")] == ["src/diffmsg/corpus.py"]
+    assert "except BaseException" in top_level(corpus, "atomic_write")
+
+
+def test_refusal_is_the_one_exception_class():
+    names = ["diffmsg", *(info.name for info in pkgutil.walk_packages(diffmsg.__path__, "diffmsg."))]
+    modules = list(map(importlib.import_module, names))
+    defined = {f"{module.__name__}.{name}" for module in modules
+               for name, value in vars(module).items() if isinstance(value, type)
+               and issubclass(value, BaseException) and value.__module__ == module.__name__}
+    assert defined == {"diffmsg.corpus.Refusal"}
+
+
 def test_type_hints_keep_the_annotated_ranges():
     assert [(path, line.lstrip(" ")) for path, line in src_lines("get_type_hints")] == [
         ("src/diffmsg/corpus.py", "return typing.get_type_hints(cls, include_extras=True)")]
@@ -41,8 +67,7 @@ def test_type_hints_keep_the_annotated_ranges():
 def test_a_dataclass_checks_its_fields_only_in_checked():
     assert [path for path, _ in src_lines(r"schema_problem\(vars\(")] == ["src/diffmsg/corpus.py"]
     corpus = (ROOT / "src/diffmsg/corpus.py").read_text(encoding="utf-8")
-    # the class, through the next line that starts a top-level statement
-    checked = re.search(r"^class Checked\b.*?(\n[a-z@][^\n]*|\Z)", corpus, re.M | re.S).group()
+    checked = top_level(corpus, "Checked")
     assert sum("schema_problem(vars(" in line for line in checked.splitlines()) == 1
 
 
