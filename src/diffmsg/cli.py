@@ -11,6 +11,7 @@ input (corpus.Refusal), an OSError or a diverged run; any other exception is a b
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -61,7 +62,8 @@ class PipelineConfig(Hyperparams):
 
     The model and training fields, the filter limits and the seed are the
     inherited Hyperparams fields.  Building one checks them all (see
-    corpus.Checked) and the split sizes (see check_part_size)."""
+    corpus.Checked), the split sizes (see check_part_size) and that at most
+    one corpus is set; prepare refuses a config that sets none."""
 
     # input corpus: exactly one of these
     corpus_jsonl: str | None = None
@@ -81,6 +83,8 @@ class PipelineConfig(Hyperparams):
         super().__post_init__()
         for name in ("valid_size", "test_size"):
             check_part_size(getattr(self, name), name)
+        if self.corpus_jsonl and self.git_repo:
+            raise ValueError("must set exactly one of corpus_jsonl or git_repo, not both")
 
     @classmethod
     def from_json(cls, text: str | bytes, source: str = "config") -> "PipelineConfig":
@@ -130,7 +134,7 @@ def cmd_prepare(config: PipelineConfig) -> dict:
     lengths of what each stage kept; returns the report.  A Refusal names a
     missing corpus, or the corpus and the stage that emptied it.
     """
-    if bool(config.corpus_jsonl) == bool(config.git_repo):
+    if not (config.corpus_jsonl or config.git_repo):
         raise Refusal("config", "must set exactly one of corpus_jsonl or git_repo")
     corpus = config.corpus_jsonl or config.git_repo  # named by each error below
     commits = (ingest_jsonl(_existing(corpus, "corpus")) if config.corpus_jsonl
@@ -196,16 +200,14 @@ def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
     Returns the run's checkpoints (see checkpoint_paths).  With resume, it
     continues from the last of them; without, or with none, training starts
     from fresh parameters and an empty checkpoint set.  A last checkpoint
-    of another shape or seed (see load_checkpoint), or without the optimizer
-    state train continues from, is a Refusal naming it that leaves the
-    checkpoints and the log as they were."""
+    that load_checkpoint refuses, one of another shape or seed among them,
+    is a Refusal naming it that leaves the checkpoints and the log as they
+    were."""
     split = _load_split(config)
     src_vocab, tgt_vocab = _load_vocabs(config)
     existing = checkpoint_paths(config.checkpoint_dir) if resume else []
     run = (*model_dims(config, len(src_vocab), len(tgt_vocab)), config.seed)
     resume_from = load_checkpoint(existing[-1], run) if existing else None
-    if resume_from is not None and resume_from.optimizer_state is None:
-        raise Refusal(existing[-1], "cannot resume from a checkpoint without optimizer state")
     train(split, src_vocab, tgt_vocab, config, checkpoint_dir=config.checkpoint_dir,
           log_path=config.train_log_path, resume_from=resume_from)
     return checkpoint_paths(config.checkpoint_dir)
@@ -386,8 +388,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{len(paths)} checkpoint(s) in {config.checkpoint_dir}")
             return EXIT_OK
         if args.command == "generate":
-            raw = _existing(args.diff, "diff").read_bytes() if args.diff else sys.stdin.buffer.read()
-            diff_text = raw.decode("utf-8", errors="replace")
+            with (_existing(args.diff, "diff").open("rb") if args.diff
+                  else contextlib.nullcontext(sys.stdin.buffer)) as handle:
+                # decoding never shortens the text, so one byte past the cap is over it
+                diff_text = handle.read(config.max_diff_bytes + 1).decode("utf-8", errors="replace")
             code, line = cmd_generate(config, diff_text, with_qa=args.with_qa)
             print(line)
             return code

@@ -3,16 +3,17 @@
 Training reshuffles the pairs every epoch with a deterministically derived
 per-epoch RNG, validates by greedy-decode corpus BLEU, saves checkpoints
 on a fixed minibatch schedule, and early-stops when validation BLEU stops
-improving.  A Checkpoint is the whole training state: train updates one
-in place and writes it as it stands.  Checkpoints are a versioned binary container: one JSON header
-line (dims, vocab sizes, seed and the early-stopping state) followed by
-the raw float64 parameter buffer and, for training state, the two Adadelta
-accumulators in the same layout, so identical runs produce identical
-bytes.  The header carries the best validation BLEU, the stall count and
-the loss window not yet logged, so a resumed run logs, checkpoints and
-stops exactly as an uninterrupted one.  Checkpoints are written through
-corpus.atomic_write, and loading checks every header key and the payload
-length the dims give before reading the payload, and every value it reads.
+improving.  A Checkpoint is the whole training state, and so is every
+checkpoint file: train updates one in place and writes it as it stands.
+A file is a versioned binary container: one JSON header line (dims, vocab
+sizes, seed and the early-stopping state) followed by the raw float64
+parameter buffer and the two Adadelta accumulators in the same layout, so
+identical runs produce identical bytes.  The header carries the best
+validation BLEU, the stall count and the loss window not yet logged, so a
+resumed run logs, checkpoints and stops exactly as an uninterrupted one.
+Checkpoints are written through corpus.atomic_write, and loading checks
+every header key and the payload length the dims give before reading the
+payload, and every value it reads.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .model import (
     source_ids,
 )
 
-CHECKPOINT_FORMAT_VERSION = 5
+CHECKPOINT_FORMAT_VERSION = 6
 
 ADADELTA_BLOCK = 1 << 15  # coordinates per block of adadelta_update, 256 KB each
 ADADELTA_RHO, ADADELTA_EPS = 0.95, 1e-6  # ADADELTA's decay and epsilon (Zeiler, arXiv 1212.5701)
@@ -110,11 +111,10 @@ class Checkpoint:
 
 
 # The header is one JSON object: the Checkpoint fields but the buffers,
-# then the keys that fix the payload's layout, and "format_version".
+# then the dims, which fix the payload's layout, and "format_version".
 _STATE_KEYS = {key: kind for key, kind in field_types(Checkpoint).items()
                if key not in ("params", "optimizer_state")}
-_PAYLOAD_KEYS = {**dict.fromkeys(DIM_KEYS, Annotated[int, ">= 1"]), "has_optimizer_state": bool}
-_HEADER_KEYS = Schema({**_STATE_KEYS, **_PAYLOAD_KEYS})
+_HEADER_KEYS = Schema({**_STATE_KEYS, **dict.fromkeys(DIM_KEYS, Annotated[int, ">= 1"])})
 RUN_KEYS = (*DIM_KEYS, "seed")
 
 
@@ -126,24 +126,19 @@ def _run_problem(found: tuple[int, ...], expected: tuple[int, ...]) -> str | Non
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
-    """Write a checkpoint through atomic_write, so path never holds a
-    partial file.
+    """Write a checkpoint, which must carry its optimizer state, through
+    atomic_write, so path never holds a partial file.
 
     The payload is the parameter buffer, then the optimizer state's two
     accumulators, each written straight from its array."""
-    params = checkpoint.params
-    blocks = [params.flat]
-    state = checkpoint.optimizer_state
-    if state is not None:
-        blocks += [state.grad_sq, state.update_sq]
+    params, state = checkpoint.params, checkpoint.optimizer_state
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         **{key: getattr(checkpoint, key) for key in _STATE_KEYS},
         **dict(zip(DIM_KEYS, params.dims)),
-        "has_optimizer_state": state is not None,
     }
     header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    atomic_write(path, [header_line, *(block.data for block in blocks)])
+    atomic_write(path, [header_line, params.flat.data, state.grad_sq.data, state.update_sq.data])
 
 
 def load_checkpoint(
@@ -155,8 +150,8 @@ def load_checkpoint(
     that every value read is finite.
 
     The header is one line of at most HEADER_LIMIT bytes.  The payload is
-    blocks of N = param_count(*dims) float64 values, three with optimizer
-    state and one without, and must be exactly that long.  run, if given,
+    three blocks of N = param_count(*dims) float64 values, the parameters
+    and the two accumulators, and must be exactly that long.  run, if given,
     is the caller's values of the leading RUN_KEYS, its model (see
     model_dims) and seed; the first key the file differs on is refused
     naming both values.  Any fault of the file is a Refusal of path.  Every
@@ -181,11 +176,11 @@ def load_checkpoint(
                              f"({size},), not {out.dtype} of shape {out.shape}, C-contiguous "
                              f"{out.flags.c_contiguous}, writable {out.flags.writeable}")
         present = os.fstat(handle.fileno()).st_size - len(header_line)
-        expected = 8 * size * (3 if header["has_optimizer_state"] else 1)
+        expected = 8 * size * 3
         if present != expected:
             what = "truncated payload" if present < expected else "payload too long"
             raise Refusal(path, f"{what} ({present} bytes, {expected} by the header)")
-        blocks = 3 if header["has_optimizer_state"] and out is None else 1
+        blocks = 3 if out is None else 1
         payload = empty_aligned(size * blocks) if out is None else out
         if handle.readinto(payload) != payload.nbytes:
             raise Refusal(path, "truncated payload")

@@ -282,8 +282,14 @@ class TestPrepare:
             cmd_prepare(config)
 
     def test_requires_exactly_one_input(self, tmp_path):
-        config = dataclasses.replace(toy_config(tmp_path), git_repo="somewhere")
-        with pytest.raises(Refusal, match="exactly one"):
+        # both is refused when the config is built, neither by prepare, the one command that
+        # reads a corpus
+        with pytest.raises(ValueError, match="^must set exactly one of corpus_jsonl or git_repo, "
+                                             "not both$"):
+            dataclasses.replace(toy_config(tmp_path), git_repo="somewhere")
+        config = dataclasses.replace(toy_config(tmp_path), corpus_jsonl=None)
+        with pytest.raises(Refusal, match="^config: must set exactly one of corpus_jsonl or "
+                                          "git_repo$"):
             cmd_prepare(config)
 
     def test_emitted_lengths_respect_limits(self, tmp_path):
@@ -644,13 +650,22 @@ def write_format_4(path):
 
 
 def edit_checkpoint_header(path, **changes):
-    """Rewrite the header of the checkpoint at path with changes; one whose
-    has_optimizer_state they set to false keeps only its parameter block."""
+    """Rewrite the header of the checkpoint at path with changes."""
     header, payload = path.read_bytes().split(b"\n", 1)
-    if changes.get("has_optimizer_state") is False:
-        payload = payload[: len(payload) // 3]
     header = {**json.loads(header), **changes}
     path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+
+def cut_to_parameters(path):
+    """Rewrite the checkpoint at path in the parameters-only layout format 5
+    allowed: its payload cut to the parameter block, its header flagging
+    has_optimizer_state false, a key no later format reads.  Returns the
+    problem a load now reports."""
+    header, payload = path.read_bytes().split(b"\n", 1)
+    header = {**json.loads(header), "has_optimizer_state": False}
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
+                     + payload[: len(payload) // 3])
+    return f"truncated payload ({len(payload) // 3} bytes, {len(payload)} by the header)"
 
 
 class TestMainExitCodes:
@@ -804,6 +819,36 @@ class TestMainExitCodes:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
         assert main(["--config", str(path), "generate"]) == code
         assert capsys.readouterr().out == from_file.out
+
+    @pytest.mark.parametrize("source", ["stdin", "file"])
+    def test_generate_reads_one_byte_past_the_cap(self, tmp_path, capsys, monkeypatch, source):
+        # a diff over max_diff_bytes gets the warning however large it is, so no more is read;
+        # the cut falls inside the last character, whose replacement keeps the text over the cap
+        path, _ = self._config_file(tmp_path, max_diff_bytes=100)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        raw = b"+ x" * 33 + " \u00e9".encode("utf-8") + b" + y" * 1000
+        reads = []
+
+        class BoundedReads(io.BytesIO):
+            def read(self, size=-1):
+                assert size is not None and size >= 0, "an unbounded read"
+                reads.append(size)
+                return super().read(size)
+
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(BoundedReads(raw)))
+            argv = []
+        else:
+            diff_file = tmp_path / "big.diff"
+            diff_file.write_bytes(raw)
+            real_open = Path.open
+            monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs: BoundedReads(raw)
+                                if self == diff_file else real_open(self, *args, **kwargs))
+            argv = ["--diff", str(diff_file)]
+        capsys.readouterr()
+        assert main(["--config", str(path), "generate", *argv]) == EXIT_WARNING
+        assert capsys.readouterr().out == WARNING_TEXT + "\n"
+        assert reads == [101]
 
     def test_non_utf8_corpus_and_gold_are_decoded_with_replacement(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -1055,17 +1100,18 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == f"error: {named.format(last=last)}\n"
         assert work_files(config) == before
 
-    @pytest.mark.parametrize("change, problem", [
-        ({"has_optimizer_state": False}, "cannot resume from a checkpoint without optimizer state"),
-        ({"seed": 8}, "seed is 8, but this run's config and vocabularies give 7"),
-    ], ids=["no_optimizer_state", "seed"])
-    def test_a_refused_resume_names_the_checkpoint(self, tmp_path, capsys, change, problem):
+    @pytest.mark.parametrize("kind", ["no_optimizer_state", "seed"])
+    def test_a_refused_resume_names_the_checkpoint(self, tmp_path, capsys, kind):
         path, config = self._config_file(tmp_path, max_minibatches=2)
         assert main(["--config", str(path), "prepare"]) == EXIT_OK
         assert main(["--config", str(path), "train"]) == EXIT_OK
         path.write_text(json.dumps({**dataclasses.asdict(config), "max_minibatches": 4}))
         last = config.checkpoint_dir / "checkpoint_00000002.ckpt"
-        edit_checkpoint_header(last, **change)
+        if kind == "seed":
+            edit_checkpoint_header(last, seed=8)
+            problem = "seed is 8, but this run's config and vocabularies give 7"
+        else:
+            problem = cut_to_parameters(last)
         before = work_files(config)
         capsys.readouterr()
         assert main(["--config", str(path), "train", "--resume"]) == EXIT_ERROR
@@ -1109,6 +1155,25 @@ class TestMainExitCodes:
             f"error: {last}: seed is 7, but this run's config and vocabularies give 8\n")
         assert work_files(config) == before
 
+    @pytest.mark.parametrize("command", [["evaluate"], ["generate"]], ids=["evaluate", "generate"])
+    def test_a_checkpoint_without_optimizer_state_names_the_checkpoint(self, tmp_path, capsys,
+                                                                       command):
+        # the parameters-only layout is no checkpoint, though these commands read only the
+        # parameter block
+        path, config = self._config_file(tmp_path, max_minibatches=2)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        assert main(["--config", str(path), "train"]) == EXIT_OK
+        last = config.checkpoint_dir / "checkpoint_00000002.ckpt"
+        problem = cut_to_parameters(last)
+        diff_file = tmp_path / "one.diff"
+        diff_file.write_text("+ helper_2 ( x )")
+        before = work_files(config)
+        capsys.readouterr()
+        diff = ["--diff", str(diff_file)] if command == ["generate"] else []
+        assert main(["--config", str(path), *command, *diff]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {last}: {problem}\n"
+        assert work_files(config) == before
+
     @pytest.mark.parametrize("text, named", [
         ("[1]", "JSON object"),
         ('{"embed_dim": true}', "'embed_dim' must be int, got True"),
@@ -1132,13 +1197,15 @@ class TestMainExitCodes:
         ('{"valid_size": 4.0}', "valid_size fraction must be in [0, 1], got 4.0"),
         ('{"test_size": -1}', "test_size count must be >= 0, got -1"),
         ('{"valid_size": 1.5}', "valid_size fraction must be in [0, 1], got 1.5"),
+        ('{"corpus_jsonl": "c.jsonl", "git_repo": "."}',
+         "must set exactly one of corpus_jsonl or git_repo, not both"),
     ], ids=["not_an_object", "bool_for_int", "fails_validate", "adadelta_rho_default",
             "qa_epochs_zero", "qa_lambda_zero", "qa_lambda_negative", "qa_lambda_infinite",
             "qa_lambda_nan", "adadelta_eps_nan", "adadelta_eps_infinite", "valid_size_nan",
             "valid_size_infinite", "valid_size_negative_infinite", "max_diff_bytes_zero",
             "src_vocab_cap_zero",
             "tgt_vocab_cap_negative", "valid_fraction_above_one", "test_count_negative",
-            "valid_fraction_one_and_a_half"])
+            "valid_fraction_one_and_a_half", "both_corpora"])
     def test_bad_config_is_a_named_error(self, tmp_path, capsys, monkeypatch, text, named):
         monkeypatch.chdir(tmp_path)  # where the default work_dir would be made
         path = tmp_path / "config.json"

@@ -5,8 +5,8 @@ One tiny work dir is built once.  Each example copies it, damages one file
 through main(), and checks the exit-code contract: 0, 1 or 2, and on 1 an
 error "error: <path>: <reason>" whose path (a Refusal's, or an OSError's
 file) is the damaged file, an input, or a file under the work dir.  A non-finite value
-in a checkpoint, or another seed in its header, must be refused, naming the
-checkpoint, by every command that reads it.
+in a checkpoint, another seed in its header, or a payload cut to its parameter
+block must be refused, naming the checkpoint, by every command that reads it.
 """
 
 import contextlib
@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 from diffmsg.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNING, PipelineConfig, main
 from diffmsg.corpus import Refusal
 from diffmsg.nmt.model import DIM_KEYS
-from test_cli import edit_checkpoint_header, toy_corpus_lines, write_corpus, write_gold
+from test_cli import (cut_to_parameters, edit_checkpoint_header, toy_corpus_lines, write_corpus,
+                      write_gold)
 
 # paths are relative to the run's directory, so a damaged work_dir stays inside it
 CONFIG = {"corpus_jsonl": "corpus.jsonl", "work_dir": "work", "valid_size": 4, "test_size": 4,
@@ -80,9 +81,10 @@ def damage(path, data):
     raw = path.read_bytes()
     kinds = ["empty", "cut", "flip", "append"]
     if path.suffix == ".ckpt":
-        kinds += ["no_optimizer_state", "seed", "dim", "non_finite"]
+        kinds += ["parameters_only", "seed", "dim", "non_finite"]
     kind = data.draw(st.sampled_from(kinds))
     readers = []
+    resumer = [COMMANDS[0]] if path.name == LAST_CHECKPOINT else []  # reads the whole file
     if kind == "empty":
         path.write_bytes(b"")
     elif kind == "cut":
@@ -93,11 +95,12 @@ def damage(path, data):
         path.write_bytes(raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1 :])
     elif kind == "append":
         path.write_bytes(raw + data.draw(st.sampled_from([b"\xff", b"\x80\x00", b"\xc3("])))
-    elif kind == "no_optimizer_state":
-        edit_checkpoint_header(path, has_optimizer_state=False)
+    elif kind == "parameters_only":
+        cut_to_parameters(path)
+        readers = [*DECODERS, *resumer]
     elif kind == "seed":
         edit_checkpoint_header(path, seed=data.draw(st.integers(0, 99).filter(lambda s: s != 7)))
-        readers = [*DECODERS, *([COMMANDS[0]] if path.name == LAST_CHECKPOINT else ())]
+        readers = [*DECODERS, *resumer]
     elif kind == "dim":
         key = data.draw(st.sampled_from(DIM_KEYS))
         edit_checkpoint_header(path, **{key: data.draw(st.integers(1, 99))})
@@ -106,8 +109,7 @@ def damage(path, data):
         at = 8 * data.draw(st.integers(0, len(payload) // 8 - 1))
         value = np.float64(data.draw(st.sampled_from([np.nan, np.inf, -np.inf])))
         path.write_bytes(header + b"\n" + payload[:at] + value.tobytes() + payload[at + 8 :])
-        readers = [*(DECODERS if at < len(payload) // 3 else ()),
-                   *([COMMANDS[0]] if path.name == LAST_CHECKPOINT else ())]
+        readers = [*(DECODERS if at < len(payload) // 3 else ()), *resumer]
     return kind, readers
 
 

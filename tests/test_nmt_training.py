@@ -516,6 +516,18 @@ class TestCheckpointIO:
         with pytest.raises(Refusal, match="version"):
             load_checkpoint(path)
 
+    def test_version_5_file_rejected(self, tmp_path):
+        # the same payload, the header also stating has_optimizer_state, which a version 5 file
+        # could set to false and then hold the parameter block alone
+        path = saved_checkpoint(tmp_path)
+        rewrite_header(path, lambda header: header.update(format_version=5,
+                                                          has_optimizer_state=True))
+        size = tiny_params()[0].flat.size
+        for out in (None, np.empty(size)):
+            with pytest.raises(Refusal, match=f"^{re.escape(str(path))}: header: format "
+                                              f"version 5 != {training.CHECKPOINT_FORMAT_VERSION}$"):
+                load_checkpoint(path, out=out)
+
     def test_version_1_file_rejected(self, tmp_path):
         # the layout before the GRU gates were fused: one tensor per gate
         params, _ = tiny_params()
@@ -564,10 +576,7 @@ class TestCheckpointIO:
                 load_checkpoint(path, out=out)
             assert str(path) in str(info.value)
 
-    @pytest.mark.parametrize(
-        "key", ["embed_dim", "hidden_dim", "src_vocab_size", "tgt_vocab_size",
-                "has_optimizer_state"],
-    )
+    @pytest.mark.parametrize("key", sorted(training._HEADER_KEYS))
     def test_missing_header_key_rejected(self, tmp_path, key):
         path = saved_checkpoint(tmp_path)
         rewrite_header(path, lambda header: header.pop(key))
@@ -666,10 +675,10 @@ class TestCheckpointIO:
     def test_out_of_range_header_key_rejected(self, tmp_path, key, value, message):
         # the payload's length agrees with the value, so only its range refuses it
         header, _ = saved_checkpoint(tmp_path).read_bytes().split(b"\n", 1)
-        header = {**json.loads(header), key: value, "has_optimizer_state": False}
+        header = {**json.loads(header), key: value}
         size = param_count(*(header[k] for k in DIM_KEYS))
         path = tmp_path / "crafted.ckpt"
-        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8 * size))
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(3 * 8 * size))
         with pytest.raises(Refusal, match=f"^{re.escape(str(path))}: header: {message}$"):
             load_checkpoint(path)
 
@@ -715,7 +724,7 @@ class TestCheckpointIO:
     def test_dims_mismatch_rejected(self, tmp_path, key):
         params, _ = tiny_params(src_vocab=10, tgt_vocab=9)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(Checkpoint(params, None, 0, None, seed=3), path)
+        save_checkpoint(Checkpoint(params, init_optimizer_state(params), 0, None, seed=3), path)
         dims = dict(zip([*DIM_KEYS, "seed"], (4, 5, 10, 9, 3)))
         assert load_checkpoint(path, tuple(dims.values())).params.flat.size == params.flat.size
         dims[key] += 1
@@ -781,18 +790,15 @@ checkpoint_dims = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1,
 
 class TestCheckpointRoundTripProperty:
     @settings(max_examples=40, deadline=None)
-    @given(dims=checkpoint_dims, with_state=st.booleans(), data=st.data())
-    def test_bits_round_trip_and_every_cut_fails(self, dims, with_state, data):
+    @given(dims=checkpoint_dims, data=st.data())
+    def test_bits_round_trip_and_every_cut_fails(self, dims, data):
         embed, hidden, src_vocab, tgt_vocab = dims
         params = init_params(Hyperparams(embed_dim=embed, hidden_dim=hidden), src_vocab, tgt_vocab)
+        state = init_optimizer_state(params)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        params.flat[:] = rng.standard_normal(params.flat.size) * 10.0 ** rng.integers(
-            -300, 300, params.flat.size)
-        state = None
-        if with_state:
-            state = init_optimizer_state(params)
-            state.grad_sq[:] = rng.random(params.flat.size)
-            state.update_sq[:] = rng.random(params.flat.size)
+        for buffer in (params.flat, state.grad_sq, state.update_sq):
+            buffer[:] = rng.standard_normal(buffer.size) * 10.0 ** rng.integers(
+                -300, 300, buffer.size)
         checkpoint = Checkpoint(params, state, data.draw(st.integers(0, 10**6), label="index"),
                                 data.draw(st.none() | st.floats(0, 100), label="bleu"))
         with tempfile.TemporaryDirectory() as tmp:
@@ -805,11 +811,8 @@ class TestCheckpointRoundTripProperty:
                 assert (loaded.minibatch_index, loaded.validation_bleu) == (
                     checkpoint.minibatch_index, checkpoint.validation_bleu)
             assert light.optimizer_state is None
-            if with_state:
-                assert full.optimizer_state.grad_sq.tobytes() == state.grad_sq.tobytes()
-                assert full.optimizer_state.update_sq.tobytes() == state.update_sq.tobytes()
-            else:
-                assert full.optimizer_state is None
+            assert full.optimizer_state.grad_sq.tobytes() == state.grad_sq.tobytes()
+            assert full.optimizer_state.update_sq.tobytes() == state.update_sq.tobytes()
 
             blob = path.read_bytes()
             block = 8 * params.flat.size

@@ -14,7 +14,7 @@ import pytest
 import diffmsg
 from diffmsg.cli import EXIT_ERROR, PipelineConfig, _build_parser, main
 from diffmsg.corpus import field_types
-from diffmsg.nmt.training import CHECKPOINT_FORMAT_VERSION
+from diffmsg.nmt.training import _HEADER_KEYS, CHECKPOINT_FORMAT_VERSION
 from diffmsg.qa import QA_MODEL_FORMAT_VERSION
 from test_cli import toy_corpus_lines, write_corpus, write_gold
 
@@ -91,6 +91,16 @@ def test_readme_documents_the_formats_written():
     lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
     assert f"### Checkpoint format (version {CHECKPOINT_FORMAT_VERSION})" in lines
     assert f"### QA model format (version {QA_MODEL_FORMAT_VERSION})" in lines
+
+
+def test_readme_lists_every_checkpoint_header_key():
+    # the list "- `key`, `key`: meaning" after "Header keys:" under "### Checkpoint format"
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Checkpoint format", 1)[1].split("Header keys:", 1)[1]
+    bullets = section.strip("\n").split("\n\n", 1)[0]
+    listed = [key for bullet in re.findall(r"^- ((?:`\w+`(?:, )?)+):", bullets, re.M)
+              for key in re.findall(r"`(\w+)`", bullet)]
+    assert sorted(listed) == sorted({*_HEADER_KEYS, "format_version"})
 
 
 def test_readme_tables_every_config_key_with_its_default():
