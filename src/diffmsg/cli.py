@@ -6,6 +6,11 @@ warning stands in for one (the diff is over max_diff_bytes or holds no
 source token, the quality gate flagged it, or the model gave an empty
 message), 1 for any error, a usage error included.  main reports a refused
 input (corpus.Refusal), an OSError or a diverged run; any other exception is a bug and propagates.
+
+A process keeps one loaded run, the vocabularies, the QA model and the
+stacked ensemble its last loads read, and reuses each while its files are
+unchanged (see _reuse), so in-process callers such as a service that calls
+cmd_generate per request read them once.
 """
 
 from __future__ import annotations
@@ -13,10 +18,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
+import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Annotated
+from typing import Annotated, TypeVar
 
 from . import bleu, qa
 from .corpus import (
@@ -126,6 +134,53 @@ def _existing(path: str | Path, what: str, stage: str | None = None) -> Path:
     return Path(path)
 
 
+# A file whose ctime is less than this before a load began may still change
+# within one filesystem timestamp tick and keep its stat (git's racy-clean
+# rule), so that load is never reused.
+RACY_WINDOW_NS = 1_000_000_000
+
+# The loaded run: for each kind of artifact, the key of its last kept load
+# and what that load returned (see _reuse).  cmd_prepare, cmd_train and
+# cmd_qa train drop it before they write, so an old ensemble is not held
+# through training.
+_loaded: dict[str, tuple[tuple, object]] = {}
+
+T = TypeVar("T")
+
+
+def _file_identity(path: Path) -> tuple[int, ...] | None:
+    """(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns) of path, or None
+    if it cannot be stat'ed."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _reuse(kind: str, paths: Sequence[Path], run: tuple, load: Callable[[], T]) -> T:
+    """load(), or what the kept load of kind returned if it read the same
+    resolved paths for the same run (model dims and seed), with every
+    file's identity (see _file_identity) unchanged.
+
+    The files are stat'ed before load reads them.  A load is kept only if
+    every file could be stat'ed and its ctime is at least RACY_WINDOW_NS
+    before the load began.  A load that raises is not kept, and a miss
+    drops the kept load before it loads, so two ensembles are never held."""
+    began = time.time_ns()
+    identities = tuple(map(_file_identity, paths))
+    key = (tuple(Path(path).resolve() for path in paths), run, identities)
+    kept = _loaded.get(kind)
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    _loaded.pop(kind, None)
+    value = load()
+    if all(identity is not None and identity[4] <= began - RACY_WINDOW_NS
+           for identity in identities):
+        _loaded[kind] = (key, value)
+    return value
+
+
 def cmd_prepare(config: PipelineConfig) -> dict:
     """Ingest -> preprocess -> filter -> V-DO -> split -> vocabularies.
 
@@ -134,6 +189,7 @@ def cmd_prepare(config: PipelineConfig) -> dict:
     lengths of what each stage kept; returns the report.  A Refusal names a
     missing corpus, or the corpus and the stage that emptied it.
     """
+    _loaded.clear()
     if not (config.corpus_jsonl or config.git_repo):
         raise Refusal("config", "must set exactly one of corpus_jsonl or git_repo")
     corpus = config.corpus_jsonl or config.git_repo  # named by each error below
@@ -190,8 +246,9 @@ def _load_split(config: PipelineConfig) -> DatasetSplit:
 
 
 def _load_vocabs(config: PipelineConfig) -> tuple[Vocabulary, Vocabulary]:
-    return tuple(Vocabulary.load(_existing(path, "vocabulary", "prepare"))
-                 for path in (config.src_vocab_path, config.tgt_vocab_path))
+    paths = (config.src_vocab_path, config.tgt_vocab_path)
+    return _reuse("vocabs", paths, (), lambda: tuple(
+        Vocabulary.load(_existing(path, "vocabulary", "prepare")) for path in paths))
 
 
 def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
@@ -202,7 +259,9 @@ def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
     from fresh parameters and an empty checkpoint set.  A last checkpoint
     that load_checkpoint refuses, one of another shape or seed among them,
     is a Refusal naming it that leaves the checkpoints and the log as they
-    were."""
+    were.  It first drops the loaded run (see _reuse); the checkpoint it
+    resumes from is a writable load of its own."""
+    _loaded.clear()
     split = _load_split(config)
     src_vocab, tgt_vocab = _load_vocabs(config)
     existing = checkpoint_paths(config.checkpoint_dir) if resume else []
@@ -217,15 +276,31 @@ def _load_ensemble(config: PipelineConfig, src_vocab: Vocabulary,
                    tgt_vocab: Vocabulary) -> ModelParams:
     """The last ensemble_size checkpoints of the run as one stacked model:
     load_checkpoint checks each one's shape and seed and reads its parameters
-    into a row of one (M, N) buffer."""
+    into a row of one (M, N) buffer, read-only once loaded."""
     paths = checkpoint_paths(config.checkpoint_dir)[-config.ensemble_size:]
     if not paths:
         raise _not_found(config.checkpoint_dir, "checkpoints", "train")
     dims = model_dims(config, len(src_vocab), len(tgt_vocab))
-    flat = empty_aligned(len(paths), param_count(*dims))
-    for path, row in zip(paths, flat):
-        load_checkpoint(path, (*dims, config.seed), out=row)
-    return ModelParams.from_flat(flat, *dims)
+
+    def load() -> ModelParams:
+        flat = empty_aligned(len(paths), param_count(*dims))
+        for path, row in zip(paths, flat):
+            load_checkpoint(path, (*dims, config.seed), out=row)
+        flat.flags.writeable = False
+        return ModelParams.from_flat(flat, *dims)
+
+    return _reuse("ensemble", paths, (*dims, config.seed), load)
+
+
+def _load_qa_model(config: PipelineConfig) -> qa.QaModel:
+    """The QA model of qa train, its arrays read-only."""
+
+    def load() -> qa.QaModel:
+        model = qa.load_qa_model(_existing(config.qa_model_path, "QA model", "qa train"))
+        model.idf.flags.writeable = model.weights.flags.writeable = False
+        return model
+
+    return _reuse("qa", [config.qa_model_path], (), load)
 
 
 def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple[int, str]:
@@ -238,14 +313,15 @@ def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple
     A missing vocabulary, QA model or checkpoint set is a Refusal naming
     the stage that writes it (see _not_found); the checkpoints are
     the last ensemble_size of the training run (see checkpoint_paths).
+    Each artifact is reused from the loaded run while its files are
+    unchanged (see _reuse).
     """
     src_vocab, tgt_vocab = _load_vocabs(config)
     if diff_too_large(diff_text, config) or not (
             tokens := preprocess_source(diff_text, config.max_source_len)):
         return EXIT_WARNING, WARNING_TEXT
     if with_qa:
-        model = qa.load_qa_model(_existing(config.qa_model_path, "QA model", "qa train"))
-        is_bad, _ = qa.predict(source_counts(diff_text), model)
+        is_bad, _ = qa.predict(source_counts(diff_text), _load_qa_model(config))
         if is_bad:
             return EXIT_WARNING, WARNING_TEXT
     ensemble = _load_ensemble(config, src_vocab, tgt_vocab)
@@ -314,6 +390,7 @@ def cmd_qa(config: PipelineConfig, subaction: str, gold_path: str) -> str:
     hyper = qa.QaHyper(seed=config.seed)
     with refusing(gold_path):  # too few records, or one label only: a fault of the gold set
         if subaction == "train":
+            _loaded.clear()
             model = qa.train_svm(gold, hyper)
         else:
             result = qa.cross_validate(gold, k=10, seed=config.seed, hyper=hyper)

@@ -126,12 +126,15 @@ def _run_problem(found: tuple[int, ...], expected: tuple[int, ...]) -> str | Non
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
-    """Write a checkpoint, which must carry its optimizer state, through
-    atomic_write, so path never holds a partial file.
+    """Write a checkpoint through atomic_write, so path never holds a
+    partial file; one without optimizer state is a ValueError, raised
+    before anything is written.
 
     The payload is the parameter buffer, then the optimizer state's two
     accumulators, each written straight from its array."""
     params, state = checkpoint.params, checkpoint.optimizer_state
+    if state is None:
+        raise ValueError("cannot save a checkpoint without optimizer state")
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         **{key: getattr(checkpoint, key) for key in _STATE_KEYS},

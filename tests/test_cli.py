@@ -1,5 +1,6 @@
 """End-to-end tests for the pipeline commands and the CLI contract."""
 
+import collections
 import dataclasses
 import io
 import json
@@ -10,12 +11,14 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffmsg import cli, qa
 from diffmsg.bow import BagOfWords
 from diffmsg.cli import (
     EXIT_ERROR,
@@ -35,9 +38,11 @@ from diffmsg.corpus import (
     ID_PLACEHOLDER,
     FilterConfig,
     Refusal,
+    Vocabulary,
+    atomic_write,
     field_types,
 )
-from diffmsg.nmt import Hyperparams, load_checkpoint, save_checkpoint
+from diffmsg.nmt import Hyperparams, checkpoint_paths, load_checkpoint, save_checkpoint
 from diffmsg.nmt.training import CHECKPOINT_FORMAT_VERSION, adadelta_update
 from diffmsg.qa import QA_MODEL_FORMAT_VERSION, QaHyper, QaModel, save_qa_model
 
@@ -1220,3 +1225,180 @@ class TestMainExitCodes:
         path.write_text('{"valid_size": 4, "src_vocab_cap": null}')
         config = PipelineConfig.load(path)
         assert (config.valid_size, config.src_vocab_cap) == (4, None)
+
+
+DECODED, GATED = "+ helper_1 ( x )", "zomg_marker_1 plain_3"  # the gold set's QA model flags GATED
+
+
+def trained_run(tmp_path):
+    """A config whose run is prepared and trained, with the QA model of write_gold."""
+    config = toy_config(tmp_path)
+    cmd_prepare(config)
+    cmd_train(config)
+    write_gold(tmp_path / "gold.jsonl")
+    cmd_qa(config, "train", str(tmp_path / "gold.jsonl"))
+    return config
+
+
+def count_loads(monkeypatch):
+    """Counts by (loader, file name) of the checkpoint, vocabulary and QA
+    model loads from now on."""
+    counts = collections.Counter()
+
+    def spy(name, load):
+        def counted(path, *args, **kwargs):
+            counts[name, Path(path).name] += 1
+            return load(path, *args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(cli, "load_checkpoint", spy("checkpoint", cli.load_checkpoint))
+    monkeypatch.setattr(Vocabulary, "load", spy("vocabulary", Vocabulary.load))
+    monkeypatch.setattr(qa, "load_qa_model", spy("qa", qa.load_qa_model))
+    return counts
+
+
+def generate_outcome(config, diff):
+    """cmd_generate's (exit code, line) with the gate, a Refusal as (EXIT_ERROR, its text)."""
+    try:
+        return cmd_generate(config, diff, with_qa=True)
+    except Refusal as exc:
+        return EXIT_ERROR, str(exc)
+
+
+def replace_newest_checkpoint(config, tmp_path):
+    # a same-size copy whose first parameter is NaN, through atomic_write
+    path = checkpoint_paths(config.checkpoint_dir)[-1]
+    header, payload = path.read_bytes().split(b"\n", 1)
+    atomic_write(path, [header, b"\n", np.float64(np.nan).tobytes(), payload[8:]])
+
+
+def append_to_newest_checkpoint(config, tmp_path):
+    with open(checkpoint_paths(config.checkpoint_dir)[-1], "ab") as handle:
+        handle.write(b"\0")
+
+
+def resume(config, tmp_path):
+    cmd_train(dataclasses.replace(config, max_minibatches=6), resume=True)
+
+
+def prepare_again(config, tmp_path):
+    cmd_prepare(dataclasses.replace(config, tgt_vocab_cap=5))
+
+
+def retrain_qa(config, tmp_path):
+    gold = tmp_path / "gold.jsonl"
+    flipped = [{**record, "scores": [7 - record["scores"][0]]}
+               for record in map(json.loads, gold.read_text().splitlines())]
+    gold.write_text("".join(json.dumps(record) + "\n" for record in flipped))
+    cmd_qa(config, "train", str(gold))
+
+
+class TestLoadedRun:
+    def test_unchanged_artifacts_are_read_once(self, tmp_path, monkeypatch):
+        config = trained_run(tmp_path)
+        monkeypatch.setattr(cli, "RACY_WINDOW_NS", 0)  # files just written may be reused
+        loads = count_loads(monkeypatch)
+        first = cmd_generate(config, DECODED, with_qa=True)
+        assert first[0] == EXIT_OK
+        assert cmd_generate(config, DECODED, with_qa=True) == first
+        cmd_evaluate(config)
+        checkpoints = checkpoint_paths(config.checkpoint_dir)
+        assert len(checkpoints) == 2
+        assert loads == {("checkpoint", path.name): 1 for path in checkpoints} | {
+            ("vocabulary", "vocab.src.txt"): 1, ("vocabulary", "vocab.tgt.txt"): 1,
+            ("qa", "qa_model.json"): 1}
+
+    @pytest.mark.parametrize("change, reread, refused", [
+        (replace_newest_checkpoint, "checkpoint", True),
+        (append_to_newest_checkpoint, "checkpoint", True), (resume, "checkpoint", False),
+        (prepare_again, "vocabulary", True), (retrain_qa, "qa", False),
+    ], ids=["checkpoint_replaced", "checkpoint_appended", "resumed", "prepared_again",
+            "qa_retrained"])
+    def test_a_changed_artifact_is_read_again(self, tmp_path, monkeypatch, change, reread,
+                                              refused):
+        config = trained_run(tmp_path)
+        monkeypatch.setattr(cli, "RACY_WINDOW_NS", 0)
+        loads = count_loads(monkeypatch)
+        before = [cmd_generate(config, diff, with_qa=True) for diff in (DECODED, GATED)]
+        kept = loads.copy()
+        assert [cmd_generate(config, diff, with_qa=True) for diff in (DECODED, GATED)] == before
+        assert loads == kept
+        change(config, tmp_path)
+        after = [generate_outcome(config, diff) for diff in (DECODED, GATED)]
+        assert sum(n for (name, _), n in loads.items() if name == reread) > sum(
+            n for (name, _), n in kept.items() if name == reread)
+        cli._loaded.clear()  # what a fresh process reads
+        assert [generate_outcome(config, diff) for diff in (DECODED, GATED)] == after
+        assert (after[0][0] == EXIT_ERROR) == refused
+
+    @pytest.mark.parametrize("write", [
+        lambda config, gold: cmd_prepare(config),
+        lambda config, gold: cmd_train(config, resume=True),
+        lambda config, gold: cmd_qa(config, "train", gold),
+    ], ids=["prepare", "train", "qa_train"])
+    def test_a_writer_drops_the_loaded_ensemble(self, tmp_path, monkeypatch, write):
+        # so the last ensemble is not held while the command builds the next run
+        config = trained_run(tmp_path)
+        monkeypatch.setattr(cli, "RACY_WINDOW_NS", 0)
+        cmd_generate(config, DECODED, with_qa=True)
+        assert {"vocabs", "qa", "ensemble"} <= set(cli._loaded)
+        write(config, str(tmp_path / "gold.jsonl"))
+        assert "ensemble" not in cli._loaded
+
+    def test_a_file_damaged_in_place_right_after_a_load_is_refused(self, tmp_path):
+        assert cli.RACY_WINDOW_NS == 1_000_000_000
+        config = trained_run(tmp_path)
+        assert cmd_generate(config, DECODED, with_qa=False)[0] == EXIT_OK
+        path = checkpoint_paths(config.checkpoint_dir)[-1]
+        with open(path, "r+b") as handle:  # the first parameter, at the same size
+            handle.seek(len(handle.readline()))
+            handle.write(np.float64(np.nan).tobytes())
+        named = f"{path}: non-finite values in parameter "
+        with pytest.raises(Refusal, match=f"^{re.escape(named)}"):
+            cmd_generate(config, DECODED, with_qa=False)
+
+    @pytest.mark.parametrize("since, age, reused", [(min, -1, False), (max, 0, True)],
+                             ids=["inside", "past"])
+    def test_a_load_is_reused_once_its_files_are_past_the_window(self, tmp_path, monkeypatch,
+                                                                   since, age, reused):
+        # each load begins RACY_WINDOW_NS + age after the oldest or the newest file changed
+        config = trained_run(tmp_path)
+        changed = since(os.stat(path).st_ctime_ns for path in Path(config.work_dir).rglob("*"))
+        clock = changed + cli.RACY_WINDOW_NS + age
+        monkeypatch.setattr(cli, "time", SimpleNamespace(time_ns=lambda: clock))
+        loads = count_loads(monkeypatch)
+        cmd_generate(config, DECODED, with_qa=True)
+        first = loads.copy()
+        cmd_generate(config, DECODED, with_qa=True)
+        assert loads == (first if reused else first + first)
+
+    def test_reused_buffers_are_read_only(self, tmp_path, monkeypatch):
+        config = trained_run(tmp_path)
+        monkeypatch.setattr(cli, "RACY_WINDOW_NS", 0)
+        ensemble = cli._load_ensemble(config, *cli._load_vocabs(config))
+        model = cli._load_qa_model(config)
+        assert cli._load_ensemble(config, *cli._load_vocabs(config)) is ensemble
+        assert cli._load_qa_model(config) is model
+        for array in (ensemble.flat, *ensemble.tensors().values(), model.idf, model.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_in_process_calls_print_what_a_process_prints(self, tmp_path, capsys, monkeypatch):
+        config = trained_run(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dataclasses.asdict(config)))
+        monkeypatch.setattr(cli, "RACY_WINDOW_NS", 0)
+        loads = count_loads(monkeypatch)
+        src = Path(__file__).resolve().parents[1] / "src"
+        for name, diff in (("decoded", DECODED), ("gated", GATED), ("empty", "")):
+            (tmp_path / f"{name}.diff").write_text(diff)
+            for gate in ([], ["--with-qa"]):
+                argv = ["--config", str(path), "generate", "--diff", str(tmp_path / f"{name}.diff"),
+                        *gate]
+                run = subprocess.run([sys.executable, "-m", "diffmsg", *argv], capture_output=True,
+                                     text=True, env={**os.environ, "PYTHONPATH": str(src)})
+                for call in range(2):
+                    kept = loads.copy()
+                    assert (main(argv), capsys.readouterr().out) == (run.returncode, run.stdout)
+                    if call:
+                        assert loads == kept

@@ -495,6 +495,13 @@ class TestCheckpointIO:
         if block:  # a load into out reads the parameter block alone
             load_checkpoint(path, out=np.empty(params.flat.size))
 
+    def test_saving_without_optimizer_state_is_refused_before_writing(self, tmp_path):
+        params, _ = tiny_params()
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="^cannot save a checkpoint without optimizer state$"):
+            save_checkpoint(Checkpoint(params, None, 0, None), path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_truncated_file_rejected(self, tmp_path):
         params, _ = tiny_params()
         checkpoint = Checkpoint(params, init_optimizer_state(params), 0, None)

@@ -27,11 +27,12 @@ def src_lines(pattern):  # (path from the repo root, line) of each src/ line pat
 
 
 # corpus.read_json_object is the one JSON reader; nmt.training names, lists
-# and resets the checkpoint files, and reads every checkpoint payload
+# and resets the checkpoint files, and reads every checkpoint payload; cli's
+# loaded run is the one cache keyed on a file's identity
 @pytest.mark.parametrize("pattern, home", [
     (r"json\.load", "corpus.py"), (r"checkpoint_[*{]", "nmt/training.py"),
-    (r"readinto|np\.fromfile|np\.memmap", "nmt/training.py"),
-], ids=["json_reader", "checkpoint_namer", "checkpoint_reader"])
+    (r"readinto|np\.fromfile|np\.memmap", "nmt/training.py"), (r"st_ctime_ns", "cli.py"),
+], ids=["json_reader", "checkpoint_namer", "checkpoint_reader", "file_identity"])
 def test_one_module_does_it(pattern, home):
     assert {path for path, _ in src_lines(pattern)} <= {f"src/diffmsg/{home}"}
 
