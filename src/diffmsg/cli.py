@@ -24,7 +24,7 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Annotated, TypeVar
+from typing import TypeVar
 
 from . import bleu, qa
 from .corpus import (
@@ -81,9 +81,6 @@ class PipelineConfig(Hyperparams):
     # split sizes: int counts or float fractions
     valid_size: float = 0.1
     test_size: float = 0.1
-    # vocabulary caps (None = keep everything)
-    src_vocab_cap: Annotated[int | None, ">= 1"] = 50_000
-    tgt_vocab_cap: Annotated[int | None, ">= 1"] = None
     # target-side verb/direct-object filter
     vdo_filter: bool = True
 
@@ -159,9 +156,9 @@ def _file_identity(path: Path) -> tuple[int, ...] | None:
 
 
 def _reuse(kind: str, paths: Sequence[Path], run: tuple, load: Callable[[], T]) -> T:
-    """load(), or what the kept load of kind returned if it read the same
-    resolved paths for the same run (model dims and seed), with every
-    file's identity (see _file_identity) unchanged.
+    """load(), or what the kept load of kind returned if it read files of
+    the same identities (see _file_identity), which name each file, in the
+    same order, for the same run (model dims and seed).
 
     The files are stat'ed before load reads them.  A load is kept only if
     every file could be stat'ed and its ctime is at least RACY_WINDOW_NS
@@ -169,7 +166,7 @@ def _reuse(kind: str, paths: Sequence[Path], run: tuple, load: Callable[[], T]) 
     drops the kept load before it loads, so two ensembles are never held."""
     began = time.time_ns()
     identities = tuple(map(_file_identity, paths))
-    key = (tuple(Path(path).resolve() for path in paths), run, identities)
+    key = (run, identities)
     kept = _loaded.get(kind)
     if kept is not None and kept[0] == key:
         return kept[1]
@@ -179,6 +176,9 @@ def _reuse(kind: str, paths: Sequence[Path], run: tuple, load: Callable[[], T]) 
            for identity in identities):
         _loaded[kind] = (key, value)
     return value
+
+
+SRC_VOCAB_CAP = 50_000  # prepare keeps this many source tokens, and every target token
 
 
 def cmd_prepare(config: PipelineConfig) -> dict:
@@ -211,8 +211,8 @@ def cmd_prepare(config: PipelineConfig) -> dict:
         raise Refusal(corpus, "split left an empty training set")
 
     write_split_files(split, config.split_dir)
-    src_vocab = build_vocab([item.source for item in split.train], cap=config.src_vocab_cap)
-    tgt_vocab = build_vocab([item.target for item in split.train], cap=config.tgt_vocab_cap)
+    src_vocab = build_vocab([item.source for item in split.train], cap=SRC_VOCAB_CAP)
+    tgt_vocab = build_vocab([item.target for item in split.train])
     src_vocab.save(config.src_vocab_path)
     tgt_vocab.save(config.tgt_vocab_path)
 
@@ -272,12 +272,15 @@ def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
     return checkpoint_paths(config.checkpoint_dir)
 
 
+ENSEMBLE_SIZE = 4  # generate and evaluate decode this many last checkpoints as one model
+
+
 def _load_ensemble(config: PipelineConfig, src_vocab: Vocabulary,
                    tgt_vocab: Vocabulary) -> ModelParams:
-    """The last ensemble_size checkpoints of the run as one stacked model:
+    """The last ENSEMBLE_SIZE checkpoints of the run as one stacked model:
     load_checkpoint checks each one's shape and seed and reads its parameters
     into a row of one (M, N) buffer, read-only once loaded."""
-    paths = checkpoint_paths(config.checkpoint_dir)[-config.ensemble_size:]
+    paths = checkpoint_paths(config.checkpoint_dir)[-ENSEMBLE_SIZE:]
     if not paths:
         raise _not_found(config.checkpoint_dir, "checkpoints", "train")
     dims = model_dims(config, len(src_vocab), len(tgt_vocab))
@@ -312,7 +315,7 @@ def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple
     Returns (exit_code, output line); never both a message and a warning.
     A missing vocabulary, QA model or checkpoint set is a Refusal naming
     the stage that writes it (see _not_found); the checkpoints are
-    the last ensemble_size of the training run (see checkpoint_paths).
+    the last ENSEMBLE_SIZE of the training run (see checkpoint_paths).
     Each artifact is reused from the loaded run while its files are
     unchanged (see _reuse).
     """

@@ -79,13 +79,14 @@ class Refusal(ValueError):
 
 
 @contextlib.contextmanager
-def refusing(path: str | Path) -> Iterator[None]:
+def refusing(path: str | Path, where: str = "") -> Iterator[None]:
     """Raise a ValueError from the block, which a library function raises
-    for its arguments and which names no file, as a Refusal naming path."""
+    for its arguments and which names no file, as a Refusal naming path,
+    its reason prefixed by where (say "line 3: key 'scores': ")."""
     try:
         yield
     except ValueError as exc:
-        raise Refusal(path, str(exc)) from exc
+        raise Refusal(path, where + str(exc)) from exc
 
 
 @dataclass(frozen=True)

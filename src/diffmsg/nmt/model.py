@@ -61,7 +61,6 @@ class Hyperparams(FilterConfig):
     max_epochs: Annotated[int, ">= 1"] = 100
     max_minibatches: Annotated[int, ">= 1"] = 50_000
     patience: Annotated[int, ">= 0"] = 10
-    ensemble_size: Annotated[int, ">= 1"] = 4
     beam_width: Annotated[int, ">= 1"] = 5
     seed: Annotated[int, ">= 0"] = 1234
 

@@ -29,6 +29,7 @@ from .corpus import (
     preprocess_source,
     read_json_object,
     read_jsonl,
+    refusing,
 )
 
 QA_MODEL_FORMAT_VERSION = 2
@@ -46,24 +47,19 @@ def floor_median(scores: list[int] | tuple[int, ...]) -> int:
     return (ordered[mid - 1] + ordered[mid]) // 2
 
 
-def _scores_problem(scores: list[int] | tuple[int, ...]) -> str | None:
-    """Why scores cannot be a gold record's (one to three, each in [0, 7]), or None."""
-    if not 1 <= len(scores) <= 3:
-        return f"expected 1-3 scores, got {len(scores)}"
-    return next((f"scores must be in [0, 7], got {score}" for score in scores
-                 if not 0 <= score <= 7), None)
-
-
 @dataclass(frozen=True)
 class GoldRecord:
-    """A scored diff from the human study."""
+    """A scored diff from the human study: one to three scores, each in [0, 7]."""
 
     diff: TokenSequence
     scores: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if problem := _scores_problem(self.scores):
-            raise ValueError(problem)
+        if not 1 <= len(self.scores) <= 3:
+            raise ValueError(f"expected 1-3 scores, got {len(self.scores)}")
+        for score in self.scores:
+            if not 0 <= score <= 7:
+                raise ValueError(f"scores must be in [0, 7], got {score}")
 
     @property
     def median_score(self) -> int:
@@ -84,9 +80,9 @@ def load_gold_jsonl(path: str | Path) -> list[GoldRecord]:
     """
     records: list[GoldRecord] = []
     for where, raw in read_jsonl(path, Schema({"diff": str, "scores": list[int]})):
-        if problem := _scores_problem(raw["scores"]):
-            raise Refusal(path, f"{where}: key 'scores': {problem}")
-        records.append(GoldRecord(diff=preprocess_source(raw["diff"]), scores=tuple(raw["scores"])))
+        diff = preprocess_source(raw["diff"])
+        with refusing(path, f"{where}: key 'scores': "):  # GoldRecord checks the scores
+            records.append(GoldRecord(diff=diff, scores=tuple(raw["scores"])))
     return records
 
 

@@ -80,7 +80,6 @@ def toy_config(tmp_path, name="work", **overrides):
         max_epochs=2,
         max_minibatches=4,
         patience=10,
-        ensemble_size=4,
         beam_width=2,
         seed=7,
     )
@@ -98,7 +97,7 @@ def bound_edge(kind, bound):
     """(the value of type kind at the admitted edge of bound, the first
     value past it, the way out: -1 below a lower bound, +1 above an upper one)."""
     op, number = bound.split()
-    is_int = kind in (int, int | None)
+    is_int = kind is int
     limit = int(number) if is_int else float(number)
     out = -1 if op.startswith(">") else 1
 
@@ -111,7 +110,7 @@ def bound_edge(kind, bound):
 
 class TestConfig:
     def test_json_roundtrip(self, tmp_path):
-        config = toy_config(tmp_path, src_vocab_cap=123, vdo_filter=False)
+        config = toy_config(tmp_path, beam_width=3, vdo_filter=False)
         restored = PipelineConfig.from_json(json.dumps(dataclasses.asdict(config)))
         assert restored == config
 
@@ -134,8 +133,8 @@ class TestConfig:
     ], ids=["prepare", "train", "generate", "evaluate", "qa"])
     def test_every_command_checks_a_config_built_in_code(self, tmp_path, command):
         # the config checks itself when built, so no command ever runs with it
-        with pytest.raises(ValueError, match="^ensemble_size must be >= 1, got 0$"):
-            command(dataclasses.replace(toy_config(tmp_path), ensemble_size=0))
+        with pytest.raises(ValueError, match="^beam_width must be >= 1, got 0$"):
+            command(dataclasses.replace(toy_config(tmp_path), beam_width=0))
         assert not Path(toy_config(tmp_path).work_dir).exists()
 
     def test_the_bounded_fields(self):
@@ -144,9 +143,8 @@ class TestConfig:
             "max_diff_bytes": (">= 1",), "embed_dim": (">= 1",), "hidden_dim": (">= 1",),
             "minibatch_size": (">= 1",), "validate_every": (">= 1",),
             "checkpoint_every": (">= 1",), "max_epochs": (">= 1",),
-            "max_minibatches": (">= 1",), "patience": (">= 0",), "ensemble_size": (">= 1",),
-            "beam_width": (">= 1",), "seed": (">= 0",), "src_vocab_cap": (">= 1",),
-            "tgt_vocab_cap": (">= 1",),
+            "max_minibatches": (">= 1",), "patience": (">= 0",), "beam_width": (">= 1",),
+            "seed": (">= 0",),
         }
 
     @given(st.sampled_from([(key, kind, bounds, bound)
@@ -226,6 +224,21 @@ class TestPrepare:
             a = (Path(config_a.work_dir) / rel).read_bytes()
             b = (Path(config_b.work_dir) / rel).read_bytes()
             assert a == b, rel
+
+    def test_the_source_vocabulary_keeps_the_cap_most_frequent_tokens(self, tmp_path,
+                                                                        monkeypatch):
+        monkeypatch.setattr(cli, "SRC_VOCAB_CAP", 5)
+        config = toy_config(tmp_path)
+        cmd_prepare(config)
+        counts = {side: collections.Counter(
+            token for line in (config.split_dir / f"train.{side}.txt").read_text().splitlines()
+            for token in line.split(" ")) for side in ("src", "tgt")}
+        kept = config.src_vocab_path.read_text().splitlines()
+        assert len(kept) == 5 < len(counts["src"])
+        dropped = counts["src"].keys() - set(kept)
+        assert min(counts["src"][token] for token in kept) >= max(
+            counts["src"][token] for token in dropped)
+        assert sorted(config.tgt_vocab_path.read_text().splitlines()) == sorted(counts["tgt"])
 
     def test_git_repo_prepares_the_same_files_as_its_jsonl_corpus(self, tmp_path):
         repo = tmp_path / "repo"
@@ -455,14 +468,6 @@ class TestGenerate:
         code, line = cmd_generate(config, prefix + " helper_2", with_qa=True)
         assert code == EXIT_OK
         assert (code, line) == cmd_generate(config, prefix, with_qa=False)
-
-    def test_zero_ensemble_size_is_a_named_error(self, tmp_path):
-        # a config built in code skips from_json; paths[-0:] took every checkpoint
-        config = toy_config(tmp_path)
-        cmd_prepare(config)
-        cmd_train(config)
-        with pytest.raises(ValueError, match="^ensemble_size must be >= 1, got 0$"):
-            cmd_generate(dataclasses.replace(config, ensemble_size=0), "+ helper_1 ( x )", False)
 
     def test_diff_over_max_diff_bytes_gets_the_warning(self, tmp_path):
         # one size rule for prepare and generate: UTF-8 bytes, not characters
@@ -935,7 +940,7 @@ class TestMainExitCodes:
         for checkpoint_path in checkpoints:
             checkpoint = load_checkpoint(checkpoint_path)
             write_format_3(checkpoint, checkpoint_path)
-        first = checkpoints[-config.ensemble_size:][0]
+        first = checkpoints[-cli.ENSEMBLE_SIZE:][0]
         named = f"{first}: header: format version 3 != {CHECKPOINT_FORMAT_VERSION}"
         for out in (None, np.empty(checkpoint.params.flat.size)):
             with pytest.raises(Refusal, match=f"^{re.escape(named)}$"):
@@ -954,7 +959,7 @@ class TestMainExitCodes:
         checkpoints = sorted(config.checkpoint_dir.glob("checkpoint_*.ckpt"))
         for checkpoint_path in checkpoints:
             write_format_4(checkpoint_path)
-        first = checkpoints[-config.ensemble_size:][0]
+        first = checkpoints[-cli.ENSEMBLE_SIZE:][0]
         capsys.readouterr()
         assert main(["--config", str(path), "evaluate"]) == EXIT_ERROR
         assert capsys.readouterr().err == (
@@ -1182,9 +1187,9 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("text, named", [
         ("[1]", "JSON object"),
         ('{"embed_dim": true}', "'embed_dim' must be int, got True"),
-        ('{"ensemble_size": 0}', "ensemble_size must be >= 1, got 0"),
-        # Adadelta's constants and the QA gate's QaHyper values are no config keys, whatever
-        # their value
+        ('{"beam_width": 0}', "beam_width must be >= 1, got 0"),
+        # Adadelta's constants, the QA gate's QaHyper values, the vocabulary caps and the
+        # ensemble size are no config keys, whatever their value
         ('{"adadelta_rho": 0.95}', "unknown config keys: adadelta_rho"),
         ('{"qa_epochs": 0}', "unknown config keys: qa_epochs"),
         ('{"qa_lambda": 0}', "unknown config keys: qa_lambda"),
@@ -1197,8 +1202,11 @@ class TestMainExitCodes:
         ('{"valid_size": Infinity}', "key 'valid_size' must be float, got inf"),
         ('{"valid_size": -Infinity}', "key 'valid_size' must be float, got -inf"),
         ('{"max_diff_bytes": 0}', "max_diff_bytes must be >= 1, got 0"),
-        ('{"src_vocab_cap": 0}', "src_vocab_cap must be >= 1, got 0"),
-        ('{"tgt_vocab_cap": -3}', "tgt_vocab_cap must be >= 1, got -3"),
+        ('{"src_vocab_cap": 0}', "unknown config keys: src_vocab_cap"),
+        ('{"tgt_vocab_cap": -3}', "unknown config keys: tgt_vocab_cap"),
+        ('{"src_vocab_cap": 50000}', "unknown config keys: src_vocab_cap"),
+        ('{"tgt_vocab_cap": null}', "unknown config keys: tgt_vocab_cap"),
+        ('{"ensemble_size": 4}', "unknown config keys: ensemble_size"),
         ('{"valid_size": 4.0}', "valid_size fraction must be in [0, 1], got 4.0"),
         ('{"test_size": -1}', "test_size count must be >= 0, got -1"),
         ('{"valid_size": 1.5}', "valid_size fraction must be in [0, 1], got 1.5"),
@@ -1208,9 +1216,9 @@ class TestMainExitCodes:
             "qa_epochs_zero", "qa_lambda_zero", "qa_lambda_negative", "qa_lambda_infinite",
             "qa_lambda_nan", "adadelta_eps_nan", "adadelta_eps_infinite", "valid_size_nan",
             "valid_size_infinite", "valid_size_negative_infinite", "max_diff_bytes_zero",
-            "src_vocab_cap_zero",
-            "tgt_vocab_cap_negative", "valid_fraction_above_one", "test_count_negative",
-            "valid_fraction_one_and_a_half", "both_corpora"])
+            "src_vocab_cap_zero", "tgt_vocab_cap_negative", "src_vocab_cap_default",
+            "tgt_vocab_cap_default", "ensemble_size_default", "valid_fraction_above_one",
+            "test_count_negative", "valid_fraction_one_and_a_half", "both_corpora"])
     def test_bad_config_is_a_named_error(self, tmp_path, capsys, monkeypatch, text, named):
         monkeypatch.chdir(tmp_path)  # where the default work_dir would be made
         path = tmp_path / "config.json"
@@ -1222,9 +1230,9 @@ class TestMainExitCodes:
 
     def test_int_accepted_where_a_float_is(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text('{"valid_size": 4, "src_vocab_cap": null}')
+        path.write_text('{"valid_size": 4, "git_repo": null}')
         config = PipelineConfig.load(path)
-        assert (config.valid_size, config.src_vocab_cap) == (4, None)
+        assert (config.valid_size, config.git_repo) == (4, None)
 
 
 DECODED, GATED = "+ helper_1 ( x )", "zomg_marker_1 plain_3"  # the gold set's QA model flags GATED
@@ -1282,7 +1290,9 @@ def resume(config, tmp_path):
 
 
 def prepare_again(config, tmp_path):
-    cmd_prepare(dataclasses.replace(config, tgt_vocab_cap=5))
+    # six more commits bring new tokens into both vocabularies
+    write_corpus(tmp_path / "corpus.jsonl", toy_corpus_lines(30))
+    cmd_prepare(config)
 
 
 def retrain_qa(config, tmp_path):
@@ -1344,6 +1354,18 @@ class TestLoadedRun:
         assert {"vocabs", "qa", "ensemble"} <= set(cli._loaded)
         write(config, str(tmp_path / "gold.jsonl"))
         assert "ensemble" not in cli._loaded
+
+    def test_a_hardlinked_copy_of_the_run_is_the_same_load(self, tmp_path, monkeypatch):
+        # the loaded run keys on each file's identity, which a hard link shares, not its path
+        config = trained_run(tmp_path)
+        copy = dataclasses.replace(config, work_dir=str(tmp_path / "copy"))
+        shutil.copytree(config.work_dir, copy.work_dir, copy_function=os.link)
+        monkeypatch.setattr(cli, "RACY_WINDOW_NS", 0)
+        loads = count_loads(monkeypatch)
+        first = cmd_generate(config, DECODED, with_qa=True)
+        kept = loads.copy()
+        assert cmd_generate(copy, DECODED, with_qa=True) == first
+        assert loads == kept
 
     def test_a_file_damaged_in_place_right_after_a_load_is_refused(self, tmp_path):
         assert cli.RACY_WINDOW_NS == 1_000_000_000

@@ -35,7 +35,7 @@ CONFIG = {"corpus_jsonl": "corpus.jsonl", "work_dir": "work", "valid_size": 4, "
 INPUTS = ("config.json", "gold.jsonl", "diff.txt")
 COMMANDS = (["train", "--resume"], ["evaluate"], ["generate", "--diff", "diff.txt"],
             ["generate", "--with-qa", "--diff", "diff.txt"], ["qa", "crossval", "--gold", "gold.jsonl"])
-# the commands that read the parameters of every checkpoint (ensemble_size is 4), and the
+# the commands that read the parameters of every checkpoint (cli.ENSEMBLE_SIZE is 4), and the
 # one that reads the whole of the last
 DECODERS = COMMANDS[1:4]
 LAST_CHECKPOINT = "checkpoint_00000004.ckpt"

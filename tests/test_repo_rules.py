@@ -13,7 +13,7 @@ import pytest
 
 import diffmsg
 from diffmsg.cli import EXIT_ERROR, PipelineConfig, _build_parser, main
-from diffmsg.corpus import field_types
+from diffmsg.corpus import Refusal, field_types
 from diffmsg.nmt.training import _HEADER_KEYS, CHECKPOINT_FORMAT_VERSION
 from diffmsg.qa import QA_MODEL_FORMAT_VERSION
 from test_cli import toy_corpus_lines, write_corpus, write_gold
@@ -111,6 +111,20 @@ def test_readme_tables_every_config_key_with_its_default():
     assert dict(rows) == {key: json.dumps(getattr(PipelineConfig(), key))
                           for key in field_types(PipelineConfig)}
     assert len(rows) == len(field_types(PipelineConfig))
+
+
+def test_readme_keys_a_config_may_no_longer_set_stay_dropped():
+    # the sentence "A config that still sets `key`, ... or `key` exits 1 ..." under "### Config"
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    config_section = readme.split("### Config", 1)[1]
+    sentence = re.search(r"A config\s+that\s+still\s+sets\s(.*?)\sexits\s+1", config_section,
+                         re.S).group(1)
+    dropped = re.findall(r"`(\w+)`", sentence)
+    assert dropped
+    for key in dropped:
+        assert key not in field_types(PipelineConfig)
+        with pytest.raises(Refusal, match=f"^config: unknown config keys: {key}$"):
+            PipelineConfig.from_json(json.dumps({key: 1}))
 
 
 PIPELINE = """import sys
