@@ -30,6 +30,7 @@ from . import bleu, qa
 from .corpus import (
     DatasetSplit,
     Refusal,
+    Schema,
     Vocabulary,
     apply_filters,
     atomic_write,
@@ -37,7 +38,6 @@ from .corpus import (
     check_part_size,
     diff_too_large,
     field_types,
-    ingest_git,
     ingest_jsonl,
     preprocess_source,
     read_json_object,
@@ -59,6 +59,8 @@ EXIT_WARNING = 2
 
 WARNING_TEXT = "WARNING: unable to generate a reliable commit message for this diff."
 
+_ANY_OBJECT = Schema({})  # a config file is any JSON object; from_json checks its keys
+
 
 def _in_work_dir(name: str) -> property:
     return property(lambda self: Path(self.work_dir) / name, doc=f"work_dir / {name!r}")
@@ -70,12 +72,11 @@ class PipelineConfig(Hyperparams):
 
     The model and training fields, the filter limits and the seed are the
     inherited Hyperparams fields.  Building one checks them all (see
-    corpus.Checked), the split sizes (see check_part_size) and that at most
-    one corpus is set; prepare refuses a config that sets none."""
+    corpus.Checked) and the split sizes (see check_part_size); prepare
+    refuses a config that sets no corpus."""
 
-    # input corpus: exactly one of these
+    # input corpus, which only prepare reads
     corpus_jsonl: str | None = None
-    git_repo: str | None = None
     # artifact directory
     work_dir: str = "work"
     # split sizes: int counts or float fractions
@@ -88,15 +89,13 @@ class PipelineConfig(Hyperparams):
         super().__post_init__()
         for name in ("valid_size", "test_size"):
             check_part_size(getattr(self, name), name)
-        if self.corpus_jsonl and self.git_repo:
-            raise ValueError("must set exactly one of corpus_jsonl or git_repo, not both")
 
     @classmethod
     def from_json(cls, text: str | bytes, source: str = "config") -> "PipelineConfig":
         """Parse a config object (see read_json_object); a key that is
         unknown, mistyped or out of range is a Refusal naming source and
         the key."""
-        data = read_json_object(text, {}, source)
+        data = read_json_object(text, _ANY_OBJECT, source)
         unknown = set(data) - set(field_types(cls))
         if unknown:
             raise Refusal(source, f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -190,11 +189,9 @@ def cmd_prepare(config: PipelineConfig) -> dict:
     missing corpus, or the corpus and the stage that emptied it.
     """
     _loaded.clear()
-    if not (config.corpus_jsonl or config.git_repo):
-        raise Refusal("config", "must set exactly one of corpus_jsonl or git_repo")
-    corpus = config.corpus_jsonl or config.git_repo  # named by each error below
-    commits = (ingest_jsonl(_existing(corpus, "corpus")) if config.corpus_jsonl
-               else ingest_git(corpus))
+    if not (corpus := config.corpus_jsonl):  # named by each error below
+        raise Refusal("config", "must set corpus_jsonl")
+    commits = ingest_jsonl(_existing(corpus, "corpus"))
     if not commits:
         raise Refusal(corpus, "ingest produced no commits")
 

@@ -1,15 +1,15 @@
 """Corpus ingestion, preprocessing, filtering, and dataset splitting.
 
 Raw commits (a diff plus its message) come in as line-delimited JSON
-records or straight from a local git repository.  The pipeline keeps the
-first sentence of each message, replaces issue/commit ids with a
-placeholder, drops merge/rollback commits and oversized diffs, tokenizes
-on whitespace and punctuation (CamelCase is never split), enforces
-maximum sequence lengths, and finally produces seeded train/valid/test
-splits and frequency-capped vocabularies.  It also holds what the other
-stages share: Refusal, the one error of a refused input; read_json_object,
-the one reader of every JSON input, with its schema_problem check; and
-atomic_write, the one writer of every artifact.
+records.  The pipeline keeps the first sentence of each message, replaces
+issue/commit ids with a placeholder, drops merge/rollback commits and
+oversized diffs, tokenizes on whitespace and punctuation (CamelCase is
+never split), enforces maximum sequence lengths, and finally produces
+seeded train/valid/test splits and frequency-capped vocabularies.  It
+also holds what the other stages share: Refusal, the one error of a
+refused input; read_json_object, the one reader of every JSON input,
+with its schema_problem check; and atomic_write, the one writer of every
+artifact.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import random
 import re
 import reprlib
 import string
-import subprocess
 import types
 import typing
 from collections import Counter
@@ -199,14 +198,11 @@ class Schema(dict):
         return Schema(field_types(cls))
 
 
-def schema_problem(obj: dict, schema: dict) -> str | None:
-    """Describe the first key of schema ({key: annotation}) that obj lacks,
-    holds with a value its annotation does not admit (see _JSON_TYPES; a
-    float must be finite), or holds out of the annotation's range (see
-    _rule), or return None.  A plain dict's rules are built on every call,
-    a Schema's were built with it."""
-    rules = schema.rules if isinstance(schema, Schema) else Schema(schema).rules
-    for key, admits, name, in_range, bounds in rules:
+def schema_problem(obj: dict, schema: Schema) -> str | None:
+    """Describe the first key of schema that obj lacks, holds with a value
+    its annotation does not admit (see _JSON_TYPES; a float must be finite),
+    or holds out of the annotation's range (see _rule), or return None."""
+    for key, admits, name, in_range, bounds in schema.rules:
         if key not in obj:
             return f"lacks {key!r}"
         value = obj[key]
@@ -227,7 +223,7 @@ class Checked:
             raise ValueError(problem)
 
 
-def read_json_object(data: str | bytes, schema: dict, path: str | Path,
+def read_json_object(data: str | bytes, schema: Schema, path: str | Path,
                      version: int | None = None, where: str | None = None) -> dict:
     """Parse data (text, or bytes that must be UTF-8) read from path, at where
     in it ("line 3"), as a JSON object that matches schema (see schema_problem)
@@ -259,7 +255,7 @@ def read_text_lines(path: str | Path) -> io.StringIO:
         raise Refusal(path, f"line {line}: not UTF-8: {exc}") from exc
 
 
-def read_jsonl(path: str | Path, schema: dict) -> Iterator[tuple[str, dict]]:
+def read_jsonl(path: str | Path, schema: Schema) -> Iterator[tuple[str, dict]]:
     """Yield ("line <n>", object) for each non-blank line of a JSON-lines file.
 
     Bytes that are not UTF-8 decode to U+FFFD.  A line that read_json_object
@@ -272,6 +268,9 @@ def read_jsonl(path: str | Path, schema: dict) -> Iterator[tuple[str, dict]]:
                 yield where, read_json_object(line, schema, path, where=where)
 
 
+_COMMIT_KEYS = Schema({"id": str | int, "diff": str, "message": str})
+
+
 def ingest_jsonl(path: str | Path) -> list[Commit]:
     """Read one commit per line from a JSON-lines file (see read_jsonl).
 
@@ -281,7 +280,7 @@ def ingest_jsonl(path: str | Path) -> list[Commit]:
     """
     commits: list[Commit] = []
     seen: set[str] = set()
-    for where, record in read_jsonl(path, Schema({"id": str | int, "diff": str, "message": str})):
+    for where, record in read_jsonl(path, _COMMIT_KEYS):
         commit_id = str(record["id"])
         if not commit_id:
             raise Refusal(path, f"{where}: empty id")
@@ -289,63 +288,6 @@ def ingest_jsonl(path: str | Path) -> list[Commit]:
             raise Refusal(path, f"{where}: duplicate id {commit_id!r}")
         seen.add(commit_id)
         commits.append(Commit(commit_id, record["diff"], record["message"]))
-    return commits
-
-
-# A commit's header in the ingest_git stream: NUL, hash (SHA-1 or SHA-256),
-# parents and raw message between \x01s, NUL.  A text diff may hold NUL
-# bytes, but not this pattern.
-_GIT_HEADER_RE = re.compile(
-    r"\x00([0-9a-f]{40}(?:[0-9a-f]{24})?)\x01([0-9a-f ]*)\x01([^\x00]*)\x00"
-)
-
-
-def _git(repo: Path, *args: str) -> subprocess.CompletedProcess:
-    # Text mode reads \r\n and a lone \r as \n.
-    try:
-        return subprocess.run(
-            ["git", "-C", str(repo), *args],
-            capture_output=True,
-            encoding="utf-8",
-            errors="replace",
-        )
-    except FileNotFoundError as exc:
-        raise Refusal(repo, "git is not installed or not on PATH") from exc
-
-
-def ingest_git(repo_path: str | Path) -> list[Commit]:
-    """Read every non-root commit of a local git repository, oldest first.
-
-    One `git log -p` stream gives each commit's raw message and its diff
-    against its first parent, so merges are ingested too (apply_filters
-    drops them later).  Output that is not UTF-8 decodes to U+FFFD.  A
-    repository with no commits gives []; a revision git cannot read fails
-    the whole ingest as a Refusal carrying git's stderr.
-    """
-    repo = Path(repo_path)
-    if not repo.is_dir():
-        raise Refusal(repo, "not a directory")
-    head = _git(repo, "rev-parse", "--verify", "-q", "HEAD")
-    if head.returncode == 1:  # a repository with no commits yet
-        return []
-    if head.returncode != 0:
-        raise Refusal(repo, "not a git repository")
-    log = _git(
-        repo, "log", "--reverse", "-p", "--diff-merges=first-parent",
-        "--format=%x00%H%x01%P%x01%B%x00",
-    )
-    if log.returncode != 0:
-        raise Refusal(repo, f"git log failed: {log.stderr.strip()}")
-    stream = log.stdout
-    headers = list(_GIT_HEADER_RE.finditer(stream))
-    ends = [header.start() for header in headers[1:]] + [len(stream)]
-    commits: list[Commit] = []
-    for header, end in zip(headers, ends):
-        commit_hash, parents, message = header.groups()
-        if parents:  # a root commit has no parent to diff against
-            # Newlines separate a header from its diff; no diff starts with one.
-            diff = stream[header.end() : end].lstrip("\n")
-            commits.append(Commit(commit_hash, diff, message))
     return commits
 
 

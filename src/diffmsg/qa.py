@@ -70,6 +70,9 @@ class GoldRecord:
         return self.median_score <= BAD_SCORE_MAX
 
 
+_GOLD_KEYS = Schema({"diff": str, "scores": list[int]})
+
+
 def load_gold_jsonl(path: str | Path) -> list[GoldRecord]:
     """Read gold records ({"id", "diff", "scores"}) from a JSON-lines file.
 
@@ -79,7 +82,7 @@ def load_gold_jsonl(path: str | Path) -> list[GoldRecord]:
     decode to U+FFFD.
     """
     records: list[GoldRecord] = []
-    for where, raw in read_jsonl(path, Schema({"diff": str, "scores": list[int]})):
+    for where, raw in read_jsonl(path, _GOLD_KEYS):
         diff = preprocess_source(raw["diff"])
         with refusing(path, f"{where}: key 'scores': "):  # GoldRecord checks the scores
             records.append(GoldRecord(diff=diff, scores=tuple(raw["scores"])))

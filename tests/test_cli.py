@@ -240,46 +240,6 @@ class TestPrepare:
             counts["src"][token] for token in dropped)
         assert sorted(config.tgt_vocab_path.read_text().splitlines()) == sorted(counts["tgt"])
 
-    def test_git_repo_prepares_the_same_files_as_its_jsonl_corpus(self, tmp_path):
-        repo = tmp_path / "repo"
-        repo.mkdir()
-
-        def git(*args):
-            env = dict(os.environ, GIT_AUTHOR_NAME="t", GIT_AUTHOR_EMAIL="t@example.com",
-                       GIT_COMMITTER_NAME="t", GIT_COMMITTER_EMAIL="t@example.com")
-            return subprocess.run(["git", "-C", str(repo), *args], check=True,
-                                  capture_output=True, encoding="utf-8", env=env).stdout
-
-        git("init", "-q")
-        lines = []
-        for i in range(25):
-            (repo / f"file_{i % 5}.java").write_text(f"helper_{i} ( x )\n")
-            git("add", "-A")
-            git("commit", "-q", "-m", f"add helper_{i} to file_{i % 5}")
-            if i:  # the root commit has no diff to learn from
-                record = {
-                    "id": git("rev-parse", "HEAD").strip(),
-                    "diff": git("diff", "HEAD~1", "HEAD"),
-                    "message": git("log", "-1", "--format=format:%B"),
-                }
-                lines.append(json.dumps(record))
-        write_corpus(tmp_path / "repo.jsonl", lines)
-        from_git = toy_config(tmp_path, name="from_git", corpus_jsonl=None, git_repo=str(repo))
-        from_jsonl = toy_config(
-            tmp_path, name="from_jsonl", corpus_jsonl=str(tmp_path / "repo.jsonl")
-        )
-        report = cmd_prepare(from_git)
-        assert report == cmd_prepare(from_jsonl)
-        assert report["ingested"] == 24 and report["train"] == 16
-        for rel in [
-            "splits/train.src.txt", "splits/train.tgt.txt", "splits/valid.src.txt",
-            "splits/valid.tgt.txt", "splits/test.src.txt", "splits/test.tgt.txt",
-            "vocab.src.txt", "vocab.tgt.txt", "prepare_report.json",
-        ]:
-            a = (Path(from_git.work_dir) / rel).read_bytes()
-            b = (Path(from_jsonl.work_dir) / rel).read_bytes()
-            assert a == b, rel
-
     def test_vdo_on_keeps_no_more_than_off(self, tmp_path):
         lines = toy_corpus_lines(16)
         lines.append(json.dumps({"id": "x", "diff": "some diff", "message": "weird subject line"}))
@@ -299,16 +259,15 @@ class TestPrepare:
         with pytest.raises(Refusal, match="diff_too_large"):
             cmd_prepare(config)
 
-    def test_requires_exactly_one_input(self, tmp_path):
-        # both is refused when the config is built, neither by prepare, the one command that
-        # reads a corpus
-        with pytest.raises(ValueError, match="^must set exactly one of corpus_jsonl or git_repo, "
-                                             "not both$"):
-            dataclasses.replace(toy_config(tmp_path), git_repo="somewhere")
+    def test_requires_exactly_one_input(self, tmp_path, capsys):
+        # a config without a corpus builds, as generate and evaluate read none, but prepare,
+        # the one command that reads a corpus, refuses it before it makes the work dir
         config = dataclasses.replace(toy_config(tmp_path), corpus_jsonl=None)
-        with pytest.raises(Refusal, match="^config: must set exactly one of corpus_jsonl or "
-                                          "git_repo$"):
-            cmd_prepare(config)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dataclasses.asdict(config)))
+        assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: config: must set corpus_jsonl\n"
+        assert not Path(config.work_dir).exists()
 
     def test_emitted_lengths_respect_limits(self, tmp_path):
         config = toy_config(tmp_path)
@@ -1210,8 +1169,8 @@ class TestMainExitCodes:
         ('{"valid_size": 4.0}', "valid_size fraction must be in [0, 1], got 4.0"),
         ('{"test_size": -1}', "test_size count must be >= 0, got -1"),
         ('{"valid_size": 1.5}', "valid_size fraction must be in [0, 1], got 1.5"),
-        ('{"corpus_jsonl": "c.jsonl", "git_repo": "."}',
-         "must set exactly one of corpus_jsonl or git_repo, not both"),
+        # nor is git_repo: the corpus is a JSON-lines file
+        ('{"corpus_jsonl": "c.jsonl", "git_repo": "."}', "unknown config keys: git_repo"),
     ], ids=["not_an_object", "bool_for_int", "fails_validate", "adadelta_rho_default",
             "qa_epochs_zero", "qa_lambda_zero", "qa_lambda_negative", "qa_lambda_infinite",
             "qa_lambda_nan", "adadelta_eps_nan", "adadelta_eps_infinite", "valid_size_nan",
@@ -1230,9 +1189,9 @@ class TestMainExitCodes:
 
     def test_int_accepted_where_a_float_is(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text('{"valid_size": 4, "git_repo": null}')
+        path.write_text('{"valid_size": 4, "corpus_jsonl": null}')
         config = PipelineConfig.load(path)
-        assert (config.valid_size, config.git_repo) == (4, None)
+        assert (config.valid_size, config.corpus_jsonl) == (4, None)
 
 
 DECODED, GATED = "+ helper_1 ( x )", "zomg_marker_1 plain_3"  # the gold set's QA model flags GATED

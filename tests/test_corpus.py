@@ -1,23 +1,18 @@
 """Tests for corpus ingestion, preprocessing, filtering, and splitting."""
 
-import dataclasses
 import json
 import math
-import os
 import random
 import re
 import string
-import subprocess
 import sys
 import typing
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import diffmsg
 from diffmsg.corpus import (
     EOS_ID,
     ID_PLACEHOLDER,
@@ -29,13 +24,13 @@ from diffmsg.corpus import (
     FilterConfig,
     PreparedCommit,
     Refusal,
+    Schema,
     Vocabulary,
     REMOVAL_REASONS,
     apply_filters,
     build_vocab,
     diff_too_large,
     extract_first_sentence,
-    ingest_git,
     ingest_jsonl,
     is_merge_or_rollback,
     preprocess_source,
@@ -221,223 +216,25 @@ class TestSchemaProblem:
     @given(st.sampled_from(_ANNOTATIONS), _JSON_VALUES)
     @settings(max_examples=600)
     def test_agrees_with_the_rule(self, annotation, value):
-        problem = schema_problem({"k": value}, {"k": annotation})
+        problem = schema_problem({"k": value}, Schema({"k": annotation}))
         assert (problem is None) == oracle_admits(value, annotation), problem
         if problem is not None:
             assert problem.startswith("key 'k' must be ")
 
     def test_names_the_first_bad_key_with_a_short_value(self):
-        schema = {"a": int, "b": list[float], "c": str}
+        schema = Schema({"a": int, "b": list[float], "c": str})
         assert schema_problem({"a": 1, "b": [0.5] * 100, "c": "x"}, schema) is None
         assert schema_problem({"a": 1, "c": 2}, schema) == "lacks 'b'"
         problem = schema_problem({"a": 1, "b": [math.nan] * 100, "c": 2}, schema)
         assert problem == "key 'b' must be list[float], got [nan, nan, nan, nan, nan, nan, ...]"
 
     def test_a_range_is_checked_after_the_type_and_admits_none(self):
-        schema = {"rate": typing.Annotated[float, "> 0", "< 1"],
-                  "cap": typing.Annotated[int | None, ">= 1"]}
+        schema = Schema({"rate": typing.Annotated[float, "> 0", "< 1"],
+                         "cap": typing.Annotated[int | None, ">= 1"]})
         assert schema_problem({"rate": 0.5, "cap": None}, schema) is None
         assert schema_problem({"rate": 1, "cap": 1}, schema) == "rate must be > 0 and < 1, got 1"
         assert schema_problem({"rate": "1", "cap": 1}, schema) == "key 'rate' must be float, got '1'"
         assert schema_problem({"rate": 0.5, "cap": 0}, schema) == "cap must be >= 1, got 0"
-
-
-def _git(repo, *args, input=None):
-    env = {
-        "GIT_AUTHOR_NAME": "t",
-        "GIT_AUTHOR_EMAIL": "t@example.com",
-        "GIT_COMMITTER_NAME": "t",
-        "GIT_COMMITTER_EMAIL": "t@example.com",
-        "GIT_AUTHOR_DATE": "2020-01-01T00:00:00",
-        "GIT_COMMITTER_DATE": "2020-01-01T00:00:00",
-    }
-    return subprocess.run(
-        ["git", "-C", str(repo), *args], check=True, capture_output=True, env=env, input=input
-    ).stdout
-
-
-def _make_repo(tmp_path, n_commits):
-    repo = tmp_path / "repo"
-    repo.mkdir()
-    subprocess.run(["git", "init", "-q", str(repo)], check=True, capture_output=True)
-    for i in range(n_commits):
-        (repo / "file.txt").write_text(f"content {i}\n")
-        _git(repo, "add", "file.txt")
-        _git(repo, "commit", "-q", "-m", f"Change number {i}")
-    return repo
-
-
-def _commit_all(repo, message: bytes, *options):
-    """Commit the work tree; --cleanup=verbatim keeps the message's whitespace and CRs."""
-    _git(repo, "add", "-A")
-    _git(repo, *options, "commit", "-q", "--allow-empty", "--cleanup=verbatim", "-F", "-",
-         input=message)
-
-
-def _commit_raw(repo, message: bytes):
-    """Commit the work tree with a message stored as given; git commit would
-    re-encode a message that is not UTF-8 from Latin-1."""
-    _git(repo, "add", "-A")
-    tree = _git(repo, "write-tree").strip()
-    parent = _git(repo, "rev-parse", "HEAD").strip()
-    person = b"t <t@example.com> 1577836800 +0000"
-    header = b"tree %s\nparent %s\nauthor %s\ncommitter %s\n\n" % (tree, parent, person, person)
-    commit = _git(repo, "hash-object", "-t", "commit", "-w", "--stdin", input=header + message)
-    _git(repo, "update-ref", "HEAD", commit.strip())
-
-
-def _make_edge_case_repo(tmp_path):
-    """A rename, a mode change, a binary file, an empty commit, a non-fast-forward
-    merge, Latin-1 file and message bytes, CRLF and lone-CR text, and a text
-    file with a NUL byte past git's 8000-byte binary probe."""
-    repo = tmp_path / "edge"
-    repo.mkdir()
-    subprocess.run(["git", "init", "-q", str(repo)], check=True, capture_output=True)
-    (repo / "file.txt").write_text("base\n")
-    _commit_all(repo, b"Initial commit\n")
-    (repo / "file.txt").write_text("base\nmore\n")
-    _commit_all(repo, b"Add a second line\n\nWith a body.\n")
-    _git(repo, "mv", "file.txt", "renamed.txt")
-    _commit_all(repo, b"Rename the file\n")
-    (repo / "renamed.txt").chmod(0o755)
-    _commit_all(repo, b"Make the file executable\n")
-    (repo / "blob.bin").write_bytes(b"\x00\x01\x02binary\xff")
-    _commit_all(repo, b"Add a binary blob\n")
-    _commit_all(repo, b"Record an empty commit\n")
-    (repo / "latin1.txt").write_bytes(b"caf\xe9\n")
-    _commit_raw(repo, b"Add caf\xe9 notes\n")
-    (repo / "latin1.txt").write_bytes(b"caf\xe9\nna\xefve\n")
-    _commit_all(repo, b"Fix na\xefve spelling\n", "-c", "i18n.commitEncoding=ISO-8859-1")
-    (repo / "crlf.txt").write_bytes(b"one\r\ntwo\r\n")
-    (repo / "lone_cr.txt").write_bytes(b"a\rb\n")
-    _commit_all(repo, b"Tidy up\rthe line endings\r\n")
-    (repo / "nul.txt").write_bytes(b"line\n" * 2000 + b"nul\x00here\n")
-    _commit_all(repo, b"Add a text file with a NUL\n")
-    _git(repo, "checkout", "-q", "-b", "side")
-    (repo / "side.txt").write_text("side\n")
-    _commit_all(repo, b"Add a side file\n")
-    _git(repo, "checkout", "-q", "-")
-    (repo / "main.txt").write_text("main\n")
-    _commit_all(repo, b"Add a main file\n")
-    _git(repo, "merge", "-q", "--no-ff", "--no-edit", "side")
-    (repo / "main.txt").write_text("main\nlast\n")
-    _commit_all(repo, b"Extend the main file\n")
-    return repo
-
-
-def _reference_ingest(repo):
-    """One `git diff <first parent> <commit>` per commit, as text read with
-    universal newlines and U+FFFD for bytes that are not UTF-8."""
-
-    def git(*args):
-        return subprocess.run(
-            ["git", "-C", str(repo), *args],
-            check=True, capture_output=True, encoding="utf-8", errors="replace",
-        ).stdout
-
-    commits = []
-    for commit_hash in git("rev-list", "--reverse", "HEAD").split():
-        parents = git("rev-parse", f"{commit_hash}^@").split()
-        if parents:
-            message = git("log", "-1", "--format=format:%B", commit_hash)
-            diff = git("diff", parents[0], commit_hash)
-            commits.append(Commit(commit_hash, diff, message))
-    return commits
-
-
-class TestIngestGit:
-    def test_two_commits_yield_one(self, tmp_path):
-        repo = _make_repo(tmp_path, 2)
-        commits = ingest_git(repo)
-        assert len(commits) == 1
-        assert "content 1" in commits[0].diff_text
-
-    def test_linear_history_of_five_yields_four(self, tmp_path):
-        repo = _make_repo(tmp_path, 5)
-        commits = ingest_git(repo)
-        assert len(commits) == 4
-        assert [c.message_text.strip() for c in commits] == [
-            f"Change number {i}" for i in range(1, 5)
-        ]
-
-    def test_edge_cases_match_one_git_diff_per_commit(self, tmp_path):
-        repo = _make_edge_case_repo(tmp_path)
-        commits = ingest_git(repo)
-        assert commits == _reference_ingest(repo)
-        assert len(commits) == 13  # every commit but the root
-        by_message = {extract_first_sentence(c.message_text): c for c in commits}
-        assert "rename from file.txt" in by_message["Rename the file"].diff_text
-        assert "new mode 100755" in by_message["Make the file executable"].diff_text
-        assert "Binary files" in by_message["Add a binary blob"].diff_text
-        assert by_message["Record an empty commit"].diff_text == ""
-        assert "caf\ufffd" in by_message["Add caf\ufffd notes"].diff_text
-        assert "Fix na\u00efve spelling" in by_message
-        assert "Tidy up" in by_message
-        assert "\x00" in by_message["Add a text file with a NUL"].diff_text
-        merge = next(c for c in commits if c.message_text.startswith("Merge"))
-        assert "side.txt" in merge.diff_text and "main.txt" not in merge.diff_text
-        assert not any("\r" in c.diff_text + c.message_text for c in commits)
-
-    def test_at_most_two_git_processes(self, tmp_path, monkeypatch):
-        repo = _make_repo(tmp_path, 20)
-        calls = []
-        real_run = subprocess.run
-
-        def counting_run(*args, **kwargs):
-            calls.append(args)
-            return real_run(*args, **kwargs)
-
-        monkeypatch.setattr(subprocess, "run", counting_run)
-        assert len(ingest_git(repo)) == 19
-        assert len(calls) <= 2
-
-    def test_non_utf8_locale_reads_the_same_commits(self, tmp_path):
-        repo = _make_edge_case_repo(tmp_path)
-        script = (
-            "import dataclasses, json, sys\n"
-            "from diffmsg.corpus import ingest_git\n"
-            "print(json.dumps([dataclasses.astuple(c) for c in ingest_git(sys.argv[1])]))\n"
-        )
-
-        def ingest_under(**locale):
-            env = dict(os.environ, PYTHONPATH=str(Path(diffmsg.__file__).parents[1]), **locale)
-            proc = subprocess.run(
-                [sys.executable, "-c", script, str(repo)], capture_output=True, env=env
-            )
-            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-            return json.loads(proc.stdout)
-
-        ascii_locale = ingest_under(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
-        assert ascii_locale == ingest_under(LC_ALL="C.UTF-8", PYTHONUTF8="1")
-        assert ascii_locale == [list(dataclasses.astuple(c)) for c in ingest_git(repo)]
-
-    def test_repository_without_commits_yields_none(self, tmp_path):
-        subprocess.run(["git", "init", "-q", str(tmp_path)], check=True, capture_output=True)
-        assert ingest_git(tmp_path) == []
-
-    def test_unreadable_revision_fails_the_whole_ingest(self, tmp_path):
-        repo = _make_repo(tmp_path, 3)
-        blob = _git(repo, "rev-parse", "HEAD~1:file.txt").decode().strip()
-        (repo / ".git" / "objects" / blob[:2] / blob[2:]).unlink()
-        with pytest.raises(Refusal, match="git log failed: .*" + blob):
-            ingest_git(repo)
-
-    def test_missing_git_is_named(self, tmp_path, monkeypatch):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        monkeypatch.setenv("PATH", str(empty))
-        with pytest.raises(Refusal, match="git is not installed or not on PATH"):
-            ingest_git(tmp_path)
-
-    def test_non_repo_directory_errors(self, tmp_path):
-        plain = tmp_path / "plain"
-        plain.mkdir()
-        with pytest.raises(Refusal, match="not a git repository"):
-            ingest_git(plain)
-
-    def test_missing_directory_errors(self, tmp_path):
-        with pytest.raises(Refusal):
-            ingest_git(tmp_path / "nope")
 
 
 def oracle_first_sentence(message_text):

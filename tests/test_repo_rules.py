@@ -51,6 +51,11 @@ def test_main_catches_no_bug():
     assert "except BaseException" in top_level(corpus, "atomic_write")
 
 
+def test_no_subprocess():
+    # prepare reads the config and the corpus file alone; no stage runs another program
+    assert src_lines(r"\bsubprocess\b") == []
+
+
 def test_refusal_is_the_one_exception_class():
     names = ["diffmsg", *(info.name for info in pkgutil.walk_packages(diffmsg.__path__, "diffmsg."))]
     modules = list(map(importlib.import_module, names))
