@@ -24,7 +24,7 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TypeVar
+from typing import Annotated, TypeVar
 
 from . import bleu, qa
 from .corpus import (
@@ -35,7 +35,6 @@ from .corpus import (
     apply_filters,
     atomic_write,
     build_vocab,
-    check_part_size,
     diff_too_large,
     field_types,
     ingest_jsonl,
@@ -72,23 +71,15 @@ class PipelineConfig(Hyperparams):
 
     The model and training fields, the filter limits and the seed are the
     inherited Hyperparams fields.  Building one checks them all (see
-    corpus.Checked) and the split sizes (see check_part_size); prepare
-    refuses a config that sets no corpus."""
+    corpus.Checked); prepare refuses a config that sets no corpus."""
 
     # input corpus, which only prepare reads
     corpus_jsonl: str | None = None
     # artifact directory
     work_dir: str = "work"
-    # split sizes: int counts or float fractions
-    valid_size: float = 0.1
-    test_size: float = 0.1
-    # target-side verb/direct-object filter
-    vdo_filter: bool = True
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for name in ("valid_size", "test_size"):
-            check_part_size(getattr(self, name), name)
+    # split sizes in pairs: the paper's validation and test sets of its 32K-pair corpus
+    valid_size: Annotated[int, ">= 0"] = 3000
+    test_size: Annotated[int, ">= 0"] = 3000
 
     @classmethod
     def from_json(cls, text: str | bytes, source: str = "config") -> "PipelineConfig":
@@ -199,7 +190,7 @@ def cmd_prepare(config: PipelineConfig) -> dict:
     if not filtered:
         reasons = ", ".join(f"{k}={v}" for k, v in removed.items() if v)
         raise Refusal(corpus, f"preprocessing filters removed every commit ({reasons})")
-    kept = filter_corpus(filtered, default_lexicon()) if config.vdo_filter else filtered
+    kept = filter_corpus(filtered, default_lexicon())
     if not kept:
         raise Refusal(corpus, "verb/direct-object filter removed every commit")
     with refusing(corpus):  # the split sizes exceed the corpus
@@ -217,7 +208,6 @@ def cmd_prepare(config: PipelineConfig) -> dict:
         "ingested": len(commits),
         "removed": removed,
         "after_filters": len(filtered),
-        "vdo_filter_enabled": config.vdo_filter,
         "vdo_removed": len(filtered) - len(kept),
         "after_vdo": len(kept),
         "train": len(split.train),

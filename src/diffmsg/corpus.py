@@ -513,46 +513,20 @@ class DatasetSplit:
     seed: int
 
 
-def check_part_size(requested: int | float, name: str) -> None:
-    """Raise ValueError naming name unless requested is a float fraction in
-    [0, 1] or an int count >= 0."""
-    if isinstance(requested, bool) or requested is None:
-        raise ValueError(f"{name} must be an int count or float fraction")
-    if isinstance(requested, float):
-        if not 0.0 <= requested <= 1.0:
-            raise ValueError(f"{name} fraction must be in [0, 1], got {requested}")
-    elif requested < 0:
-        raise ValueError(f"{name} count must be >= 0, got {requested}")
-
-
-def _part_size(requested: int | float, total: int, name: str) -> int:
-    check_part_size(requested, name)
-    return int(requested * total + 1e-9) if isinstance(requested, float) else requested
-
-
-def split_dataset(
-    pairs: list[PreparedCommit],
-    valid: int | float,
-    test: int | float,
-    seed: int,
-) -> DatasetSplit:
+def split_dataset(pairs: list[PreparedCommit], valid: int, test: int, seed: int) -> DatasetSplit:
     """Seeded uniform shuffle, then contiguous test/valid/train slices.
 
-    valid and test are absolute counts (int) or fractions (float) of the
-    corpus; train takes the remainder.  Deterministic for a fixed seed.
+    valid and test are counts of pairs; train takes the remainder.
+    Deterministic for a fixed seed.
     """
     total = len(pairs)
-    valid_n = _part_size(valid, total, "valid")
-    test_n = _part_size(test, total, "test")
-    if valid_n + test_n > total:
-        raise ValueError(
-            f"requested valid={valid_n} + test={test_n} exceeds corpus size {total}"
-        )
+    if valid + test > total:
+        raise ValueError(f"requested valid={valid} + test={test} exceeds corpus size {total}")
     order = list(pairs)
     random.Random(seed).shuffle(order)
-    test_part = order[:test_n]
-    valid_part = order[test_n : test_n + valid_n]
-    train_part = order[test_n + valid_n :]
+    test_part = order[:test]
+    valid_part = order[test : test + valid]
+    train_part = order[test + valid :]
     return DatasetSplit(train=train_part, valid=valid_part, test=test_part, seed=seed)
 
 

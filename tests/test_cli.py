@@ -110,7 +110,7 @@ def bound_edge(kind, bound):
 
 class TestConfig:
     def test_json_roundtrip(self, tmp_path):
-        config = toy_config(tmp_path, beam_width=3, vdo_filter=False)
+        config = toy_config(tmp_path, beam_width=3)
         restored = PipelineConfig.from_json(json.dumps(dataclasses.asdict(config)))
         assert restored == config
 
@@ -144,7 +144,7 @@ class TestConfig:
             "minibatch_size": (">= 1",), "validate_every": (">= 1",),
             "checkpoint_every": (">= 1",), "max_epochs": (">= 1",),
             "max_minibatches": (">= 1",), "patience": (">= 0",), "beam_width": (">= 1",),
-            "seed": (">= 0",),
+            "seed": (">= 0",), "valid_size": (">= 0",), "test_size": (">= 0",),
         }
 
     @given(st.sampled_from([(key, kind, bounds, bound)
@@ -240,14 +240,15 @@ class TestPrepare:
             counts["src"][token] for token in dropped)
         assert sorted(config.tgt_vocab_path.read_text().splitlines()) == sorted(counts["tgt"])
 
-    def test_vdo_on_keeps_no_more_than_off(self, tmp_path):
+    def test_prepare_removes_a_non_vdo_subject(self, tmp_path):
         lines = toy_corpus_lines(16)
         lines.append(json.dumps({"id": "x", "diff": "some diff", "message": "weird subject line"}))
         write_corpus(tmp_path / "corpus.jsonl", lines)
-        on = cmd_prepare(toy_config(tmp_path, name="on", vdo_filter=True))
-        off = cmd_prepare(toy_config(tmp_path, name="off", vdo_filter=False))
-        assert on["after_vdo"] <= off["after_vdo"]
-        assert off["vdo_removed"] == 0
+        config = toy_config(tmp_path)
+        report = cmd_prepare(config)
+        assert (report["vdo_removed"], report["after_vdo"]) == (1, report["after_filters"] - 1)
+        kept = [config.split_dir / f"{part}.tgt.txt" for part in ("train", "valid", "test")]
+        assert all("weird subject line" not in path.read_text() for path in kept)
 
     def test_every_diff_too_large_names_size_filter(self, tmp_path):
         lines = [
@@ -678,12 +679,6 @@ class TestMainExitCodes:
         assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {path}: unknown config keys: vdo_lexicon_path\n"
         assert not Path(config.work_dir).exists()
-
-    def test_prepare_with_the_vdo_filter_off_removes_nothing(self, tmp_path, capsys):
-        path, _ = self._config_file(tmp_path, vdo_filter=False)
-        assert main(["--config", str(path), "prepare"]) == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
-        assert (report["vdo_filter_enabled"], report["vdo_removed"]) == (False, 0)
 
     @pytest.mark.parametrize("key, what", [("corpus_jsonl", "corpus")])
     def test_missing_prepare_input_fails_before_ingest(self, tmp_path, capsys, monkeypatch,
@@ -1157,18 +1152,23 @@ class TestMainExitCodes:
         ('{"qa_lambda": NaN}', "unknown config keys: qa_lambda"),
         ('{"adadelta_eps": NaN}', "unknown config keys: adadelta_eps"),
         ('{"adadelta_eps": Infinity}', "unknown config keys: adadelta_eps"),
-        ('{"valid_size": NaN}', "key 'valid_size' must be float, got nan"),
-        ('{"valid_size": Infinity}', "key 'valid_size' must be float, got inf"),
-        ('{"valid_size": -Infinity}', "key 'valid_size' must be float, got -inf"),
+        ('{"valid_size": NaN}', "key 'valid_size' must be int, got nan"),
+        ('{"valid_size": Infinity}', "key 'valid_size' must be int, got inf"),
+        ('{"valid_size": -Infinity}', "key 'valid_size' must be int, got -inf"),
         ('{"max_diff_bytes": 0}', "max_diff_bytes must be >= 1, got 0"),
         ('{"src_vocab_cap": 0}', "unknown config keys: src_vocab_cap"),
         ('{"tgt_vocab_cap": -3}', "unknown config keys: tgt_vocab_cap"),
         ('{"src_vocab_cap": 50000}', "unknown config keys: src_vocab_cap"),
         ('{"tgt_vocab_cap": null}', "unknown config keys: tgt_vocab_cap"),
         ('{"ensemble_size": 4}', "unknown config keys: ensemble_size"),
-        ('{"valid_size": 4.0}', "valid_size fraction must be in [0, 1], got 4.0"),
-        ('{"test_size": -1}', "test_size count must be >= 0, got -1"),
-        ('{"valid_size": 1.5}', "valid_size fraction must be in [0, 1], got 1.5"),
+        # a split size is a count of pairs, not a fraction of the corpus
+        ('{"valid_size": 4.0}', "key 'valid_size' must be int, got 4.0"),
+        ('{"test_size": -1}', "test_size must be >= 0, got -1"),
+        ('{"valid_size": 1.5}', "key 'valid_size' must be int, got 1.5"),
+        ('{"valid_size": 0.1}', "key 'valid_size' must be int, got 0.1"),
+        ('{"valid_size": true}', "key 'valid_size' must be int, got True"),
+        # the verb/direct-object filter always runs
+        ('{"vdo_filter": false}', "unknown config keys: vdo_filter"),
         # nor is git_repo: the corpus is a JSON-lines file
         ('{"corpus_jsonl": "c.jsonl", "git_repo": "."}', "unknown config keys: git_repo"),
     ], ids=["not_an_object", "bool_for_int", "fails_validate", "adadelta_rho_default",
@@ -1177,7 +1177,8 @@ class TestMainExitCodes:
             "valid_size_infinite", "valid_size_negative_infinite", "max_diff_bytes_zero",
             "src_vocab_cap_zero", "tgt_vocab_cap_negative", "src_vocab_cap_default",
             "tgt_vocab_cap_default", "ensemble_size_default", "valid_fraction_above_one",
-            "test_count_negative", "valid_fraction_one_and_a_half", "both_corpora"])
+            "test_count_negative", "valid_fraction_one_and_a_half", "valid_fraction",
+            "valid_size_bool", "vdo_filter_off", "both_corpora"])
     def test_bad_config_is_a_named_error(self, tmp_path, capsys, monkeypatch, text, named):
         monkeypatch.chdir(tmp_path)  # where the default work_dir would be made
         path = tmp_path / "config.json"
@@ -1188,10 +1189,16 @@ class TestMainExitCodes:
         assert not Path(PipelineConfig.work_dir).exists()
 
     def test_int_accepted_where_a_float_is(self, tmp_path):
+        # the config holds no float, so a QA model's "bias" stands in for one
+        path = tmp_path / "qa_model.json"
+        path.write_text(json.dumps({"format_version": qa.QA_MODEL_FORMAT_VERSION,
+                                    "feature_vocab": {"a": 0}, "idf": [1.0], "weights": [0.5],
+                                    "bias": 0}))
+        bias = qa.load_qa_model(path).bias
+        assert (type(bias), bias) == (float, 0.0)
         path = tmp_path / "config.json"
-        path.write_text('{"valid_size": 4, "corpus_jsonl": null}')
-        config = PipelineConfig.load(path)
-        assert (config.valid_size, config.corpus_jsonl) == (4, None)
+        path.write_text('{"corpus_jsonl": null}')
+        assert PipelineConfig.load(path).corpus_jsonl is None
 
 
 DECODED, GATED = "+ helper_1 ( x )", "zomg_marker_1 plain_3"  # the gold set's QA model flags GATED

@@ -7,6 +7,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,14 @@ def test_a_dataclass_checks_its_fields_only_in_checked():
     corpus = (ROOT / "src/diffmsg/corpus.py").read_text(encoding="utf-8")
     checked = top_level(corpus, "Checked")
     assert sum("schema_problem(vars(" in line for line in checked.splitlines()) == 1
+
+
+def test_the_config_holds_only_paths_and_bounded_ints():
+    # one form per value, so corpus.Checked is the config's only check
+    for key, annotation in field_types(PipelineConfig).items():
+        bounded = typing.get_origin(annotation) is typing.Annotated
+        assert annotation in (str, str | None) or (bounded and annotation.__origin__ is int), key
+    assert "src/diffmsg/cli.py" not in {path for path, _ in src_lines(r"def __post_init__\b")}
 
 
 def test_every_setting_comes_from_the_config():
