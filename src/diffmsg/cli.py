@@ -174,19 +174,18 @@ SRC_VOCAB_CAP = 50_000  # prepare keeps this many source tokens, and every targe
 def cmd_prepare(config: PipelineConfig) -> dict:
     """Ingest -> preprocess -> filter -> V-DO -> split -> vocabularies.
 
-    The corpus file is resolved before any ingest.  Writes split files,
-    vocabulary files, and a JSON funnel report whose counts are the
-    lengths of what each stage kept; returns the report.  A Refusal names a
-    missing corpus, or the corpus and the stage that emptied it.
+    The corpus file is resolved, then streamed through the filters one raw
+    commit at a time.  Writes split files, vocabulary files, and a JSON
+    funnel report: the commits read, then what each stage kept; returns the
+    report.  A Refusal names a missing corpus, or the corpus and the stage
+    that emptied it; nothing is written before the split.
     """
     _loaded.clear()
     if not (corpus := config.corpus_jsonl):  # named by each error below
         raise Refusal("config", "must set corpus_jsonl")
-    commits = ingest_jsonl(_existing(corpus, "corpus"))
-    if not commits:
+    filtered, removed, ingested = apply_filters(ingest_jsonl(_existing(corpus, "corpus")), config)
+    if not ingested:
         raise Refusal(corpus, "ingest produced no commits")
-
-    filtered, removed = apply_filters(commits, config)
     if not filtered:
         reasons = ", ".join(f"{k}={v}" for k, v in removed.items() if v)
         raise Refusal(corpus, f"preprocessing filters removed every commit ({reasons})")
@@ -205,7 +204,7 @@ def cmd_prepare(config: PipelineConfig) -> dict:
     tgt_vocab.save(config.tgt_vocab_path)
 
     report = {
-        "ingested": len(commits),
+        "ingested": ingested,
         "removed": removed,
         "after_filters": len(filtered),
         "vdo_removed": len(filtered) - len(kept),

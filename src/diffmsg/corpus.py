@@ -271,24 +271,26 @@ def read_jsonl(path: str | Path, schema: Schema) -> Iterator[tuple[str, dict]]:
 _COMMIT_KEYS = Schema({"id": str | int, "diff": str, "message": str})
 
 
-def ingest_jsonl(path: str | Path) -> list[Commit]:
-    """Read one commit per line from a JSON-lines file (see read_jsonl).
+def _commit(path: str | Path, where: str, record: dict, seen: set[str]) -> Commit:
+    """record's Commit, its id added to seen; an empty or seen id is refused."""
+    commit_id = str(record["id"])
+    if not commit_id:
+        raise Refusal(path, f"{where}: empty id")
+    if commit_id in seen:
+        raise Refusal(path, f"{where}: duplicate id {commit_id!r}")
+    seen.add(commit_id)
+    return Commit(commit_id, record["diff"], record["message"])
+
+
+def ingest_jsonl(path: str | Path) -> Iterator[Commit]:
+    """The commits of a JSON-lines file, one per line, read as consumed (see read_jsonl).
 
     Each line must be an object whose "diff" and "message" are strings and
     whose "id" is a non-empty string or an integer.  A Refusal names the
     line and the key of a malformed record, and a duplicate id.
     """
-    commits: list[Commit] = []
     seen: set[str] = set()
-    for where, record in read_jsonl(path, _COMMIT_KEYS):
-        commit_id = str(record["id"])
-        if not commit_id:
-            raise Refusal(path, f"{where}: empty id")
-        if commit_id in seen:
-            raise Refusal(path, f"{where}: duplicate id {commit_id!r}")
-        seen.add(commit_id)
-        commits.append(Commit(commit_id, record["diff"], record["message"]))
-    return commits
+    return (_commit(path, where, record, seen) for where, record in read_jsonl(path, _COMMIT_KEYS))
 
 
 def extract_first_sentence(message_text: str) -> str:
@@ -406,17 +408,18 @@ def diff_too_large(diff_text: str, cfg: FilterConfig) -> bool:
 
 
 def apply_filters(
-    commits: list[Commit], cfg: FilterConfig = FilterConfig()
-) -> tuple[list[PreparedCommit], dict[str, int]]:
-    """Preprocess commits and keep only the ones that pass every filter.
+    commits: Iterable[Commit], cfg: FilterConfig = FilterConfig()
+) -> tuple[list[PreparedCommit], dict[str, int], int]:
+    """Preprocess commits as they stream in; keep those that pass every filter.
 
     Checks run in REMOVAL_REASONS order; length limits are inclusive.
-    Returns the kept commits, in input order, and the number removed for
-    each reason, keyed in REMOVAL_REASONS order.
+    Returns the kept commits, in input order, the number removed for each
+    reason, keyed in REMOVAL_REASONS order, and the number of commits read.
     """
     removed = dict.fromkeys(REMOVAL_REASONS, 0)
     kept: list[PreparedCommit] = []
-    for commit in commits:
+    read = 0
+    for read, commit in enumerate(commits, start=1):
         if is_merge_or_rollback(commit.message_text):
             removed["merge_or_rollback"] += 1
             continue
@@ -438,7 +441,7 @@ def apply_filters(
             removed["target_empty"] += 1
             continue
         kept.append(PreparedCommit(commit.id, source, target))
-    return kept, removed
+    return kept, removed, read
 
 
 @dataclass

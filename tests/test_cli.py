@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -269,6 +270,28 @@ class TestPrepare:
         assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
         assert capsys.readouterr().err == "error: config: must set corpus_jsonl\n"
         assert not Path(config.work_dir).exists()
+
+    def test_peak_memory_does_not_follow_the_large_diffs_read(self, tmp_path):
+        # prepare holds one raw commit at a time: twelve more 1 MB diffs, each
+        # removed as source_too_long, leave its traced peak within 2 MiB
+        def peak(large):
+            lines = toy_corpus_lines(300)
+            for k in range(large):
+                big = json.dumps({"id": f"big{k}", "diff": "x " * 524_288, "message": "add x"})
+                lines.insert(k * len(lines) // large, big)
+            write_corpus(tmp_path / f"corpus{large}.jsonl", lines)
+            config = toy_config(tmp_path, name=f"work{large}",
+                                corpus_jsonl=str(tmp_path / f"corpus{large}.jsonl"))
+            tracemalloc.start()
+            try:
+                report = cmd_prepare(config)
+                peak_bytes = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report["removed"]["source_too_long"] == large
+            assert report["ingested"] == 300 + large
+            return peak_bytes
+        assert peak(16) - peak(4) < 2 * 2**20
 
     def test_emitted_lengths_respect_limits(self, tmp_path):
         config = toy_config(tmp_path)
@@ -1021,6 +1044,28 @@ class TestMainExitCodes:
         path, config = self._config_file(tmp_path)
         assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {config.corpus_jsonl}: line 3: empty id\n"
+
+    @pytest.mark.parametrize("last, problem", [
+        ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (None, "duplicate id 'c0'"),
+    ], ids=["not_json", "duplicate_id"])
+    def test_refused_last_line_leaves_a_prepared_run_as_it_was(self, tmp_path, capsys, last,
+                                                                problem):
+        # the corpus streams through the filters, and nothing is written
+        # before the split, so a line refused after a 1 MB diff writes nothing
+        path, config = self._config_file(tmp_path)
+        assert main(["--config", str(path), "prepare"]) == EXIT_OK
+        work = Path(config.work_dir)
+        before = {p: p.read_bytes() for p in work.rglob("*") if p.is_file()}
+        lines = toy_corpus_lines()
+        lines.append(json.dumps({"id": "big", "diff": "x " * 524_288, "message": "add x"}))
+        lines.append(lines[0] if last is None else last)
+        write_corpus(Path(config.corpus_jsonl), lines)
+        capsys.readouterr()
+        assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {config.corpus_jsonl}: line {len(lines)}: {problem}\n")
+        assert {p: p.read_bytes() for p in work.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("record, problem", [
         (None, "gold set is empty"),

@@ -100,7 +100,7 @@ class TestIngestJsonl:
             {"id": "c", "diff": "d3", "message": "m3"},
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        commits = ingest_jsonl(path)
+        commits = list(ingest_jsonl(path))
         assert [c.id for c in commits] == ["a", "b", "c"]
         assert commits[0].diff_text == "d1"
         assert commits[0].message_text == "m1"
@@ -111,7 +111,7 @@ class TestIngestJsonl:
             b'{"id": "a", "diff": "+ caf\xe9 ( x )", "message": "Fix caf\xe9"}\n'
             b'{"id": "b", "diff": "d2", "message": "m2"}\n'
         )
-        commits = ingest_jsonl(path)
+        commits = list(ingest_jsonl(path))
         assert [c.id for c in commits] == ["a", "b"]
         assert commits[0].diff_text == "+ caf\ufffd ( x )"
         assert commits[0].message_text == "Fix caf\ufffd"
@@ -120,7 +120,7 @@ class TestIngestJsonl:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert ingest_jsonl(path) == []
+        assert list(ingest_jsonl(path)) == []
 
     def test_missing_diff_field_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -131,20 +131,28 @@ class TestIngestJsonl:
             + "\n"
         )
         with pytest.raises(Refusal, match="line 2"):
-            ingest_jsonl(path)
+            list(ingest_jsonl(path))
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         record = json.dumps({"id": "a", "diff": "d", "message": "m"})
         path.write_text(record + "\n" + record + "\n")
         with pytest.raises(Refusal, match="duplicate"):
-            ingest_jsonl(path)
+            list(ingest_jsonl(path))
+
+    def test_a_line_is_read_when_the_stream_reaches_it(self, tmp_path):
+        path = tmp_path / "tail.jsonl"
+        path.write_text('{"id": "a", "diff": "d", "message": "m"}\nnot json\n')
+        commits = ingest_jsonl(path)
+        assert next(commits).id == "a"
+        with pytest.raises(Refusal, match="line 2: invalid JSON"):
+            next(commits)
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"id": "a", "diff": "d", "message": "m"}\nnot json\n')
         with pytest.raises(Refusal, match="line 2"):
-            ingest_jsonl(path)
+            list(ingest_jsonl(path))
 
     @pytest.mark.parametrize(
         "record, key",
@@ -160,7 +168,7 @@ class TestIngestJsonl:
         good = json.dumps({"id": "ok", "diff": "d", "message": "m"})
         path.write_text(good + "\n" + json.dumps(record) + "\n")
         with pytest.raises(Refusal, match=f"typed.jsonl: line 2: key '{key}' must be"):
-            ingest_jsonl(path)
+            list(ingest_jsonl(path))
 
     def test_integer_id_is_read_as_its_digits(self, tmp_path):
         path = tmp_path / "int_id.jsonl"
@@ -170,7 +178,7 @@ class TestIngestJsonl:
     def test_byte_size_counts_utf8_bytes(self, tmp_path):
         path = tmp_path / "utf8.jsonl"
         path.write_text(json.dumps({"id": "a", "diff": "café", "message": "m"}) + "\n")
-        (commit,) = ingest_jsonl(path)
+        (commit,) = list(ingest_jsonl(path))
         # e-acute is two bytes: five in all, and the cap is inclusive
         assert not diff_too_large(commit.diff_text, FilterConfig(max_diff_bytes=5))
         assert diff_too_large(commit.diff_text, FilterConfig(max_diff_bytes=4))
@@ -450,41 +458,41 @@ class TestApplyFilters:
     def test_source_too_long_boundary(self):
         cfg = FilterConfig(max_source_len=100)
         long_diff = " ".join(f"tok{i}" for i in range(101))
-        kept, removed = apply_filters([make_commit(diff=long_diff)], cfg)
+        kept, removed, _ = apply_filters([make_commit(diff=long_diff)], cfg)
         assert kept == []
         assert removed["source_too_long"] == 1
 
     @pytest.mark.parametrize("diff", ["", " \n\t "], ids=["empty", "whitespace"])
     def test_diff_without_a_token_removed(self, diff):
-        kept, removed = apply_filters([make_commit(diff=diff), make_commit("c2")])
+        kept, removed, _ = apply_filters([make_commit(diff=diff), make_commit("c2")])
         assert [commit.id for commit in kept] == ["c2"]
         assert removed["source_empty"] == 1
         assert sum(removed.values()) == 1
 
     def test_target_boundary_inclusive(self):
         msg = " ".join(f"w{i}" for i in range(30))
-        kept, _ = apply_filters([make_commit(message=msg)])
+        kept, _, _ = apply_filters([make_commit(message=msg)])
         assert len(kept) == 1
         assert len(kept[0].target) == 30
 
     def test_source_boundary_inclusive(self):
         diff = " ".join(f"tok{i}" for i in range(100))
-        kept, _ = apply_filters([make_commit(diff=diff)])
+        kept, _, _ = apply_filters([make_commit(diff=diff)])
         assert len(kept) == 1
 
     def test_merge_removed(self):
-        kept, removed = apply_filters([make_commit(message="Merge branch dev")])
+        kept, removed, _ = apply_filters([make_commit(message="Merge branch dev")])
         assert kept == []
         assert removed["merge_or_rollback"] == 1
 
     def test_oversized_diff_removed(self):
         cfg = FilterConfig(max_diff_bytes=10)
-        kept, removed = apply_filters([make_commit(diff="x" * 11)], cfg)
+        kept, removed, _ = apply_filters([make_commit(diff="x" * 11)], cfg)
         assert kept == []
         assert removed["diff_too_large"] == 1
 
     def test_empty_target_removed(self):
-        kept, removed = apply_filters([make_commit(message="")])
+        kept, removed, _ = apply_filters([make_commit(message="")])
         assert kept == []
         assert removed["target_empty"] == 1
 
@@ -496,14 +504,14 @@ class TestApplyFilters:
             make_commit("d", message=""),
             make_commit("e", message="Fix crash in parser"),
         ]
-        kept, removed = apply_filters(commits)
-        assert len(kept) == 2
+        kept, removed, read = apply_filters(iter(commits))
+        assert (len(kept), read) == (2, len(commits))
         assert list(removed) == list(REMOVAL_REASONS)
         assert sum(removed.values()) == len(commits) - len(kept) == 3
 
     def test_kept_order_preserved(self):
         commits = [make_commit(c, message=f"Fix thing {c}") for c in "abc"]
-        kept, _ = apply_filters(commits)
+        kept, _, _ = apply_filters(commits)
         assert [k.id for k in kept] == ["a", "b", "c"]
 
     def test_kept_respects_limits_always(self):
@@ -512,7 +520,7 @@ class TestApplyFilters:
             make_commit(str(i), diff="a b c d e f g"[: 2 * i + 1], message="Fix a bug now ok"[: i + 4])
             for i in range(8)
         ]
-        kept, _ = apply_filters(commits, cfg)
+        kept, _, _ = apply_filters(commits, cfg)
         for item in kept:
             assert len(item.source) <= 5
             assert len(item.target) <= 3
@@ -532,7 +540,7 @@ class TestApplyFilters:
             commits.append(make_commit(f"c{i}", diff=diff, message=f"Fix thing {i}"))
         commits.append(make_commit("hex", diff=" ".join(["deadbeef1"] * count)))
         cfg = FilterConfig(max_source_len=100)
-        kept, removed = apply_filters(commits, cfg)
+        kept, removed, _ = apply_filters(commits, cfg)
         for commit in commits:
             assert len(oracle_tokenize(strip_commit_ids(commit.diff_text))) == count
         assert len(oracle_tokenize(commits[39].diff_text)) < count
@@ -551,7 +559,7 @@ class TestApplyFilters:
             for i in range(200)
         ]
         cfg = FilterConfig(max_source_len=100)
-        kept, removed = apply_filters(commits, cfg)
+        kept, removed, _ = apply_filters(commits, cfg)
         full_lengths = [len(oracle_tokenize(strip_commit_ids(c.diff_text))) for c in commits]
         assert removed["source_too_long"] == sum(n > 100 for n in full_lengths)
         assert 0 < len(kept) < len(commits)

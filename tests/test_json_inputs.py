@@ -18,7 +18,7 @@ GOLD_LINE = b'{"id": "a", "diff": "d", "scores": [1]}\n'
 INPUTS = {
     "config": ("config.json", PipelineConfig.load, Refusal, None,
                lambda text: text, ""),
-    "corpus_line": ("corpus.jsonl", ingest_jsonl, Refusal, None,
+    "corpus_line": ("corpus.jsonl", lambda path: list(ingest_jsonl(path)), Refusal, None,
                     lambda text: CORPUS_LINE + text + b"\n", ": line 2"),
     "gold_line": ("gold.jsonl", load_gold_jsonl, Refusal, None,
                   lambda text: GOLD_LINE + text + b"\n", ": line 2"),
