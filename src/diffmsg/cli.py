@@ -2,7 +2,7 @@
 
 Subcommands: prepare, train, generate, evaluate, qa train|crossval|report.
 Exit codes are a stable contract: 0 for success with a message, 2 when the
-warning stands in for one (the diff is over max_diff_bytes or holds no
+warning stands in for one (the diff is over corpus.MAX_DIFF_BYTES or holds no
 source token, the quality gate flagged it, or the model gave an empty
 message), 1 for any error, a usage error included.  main reports a refused
 input (corpus.Refusal), an OSError or a diverged run; any other exception is a bug and propagates.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Annotated, TypeVar
 
-from . import bleu, qa
+from . import bleu, corpus, qa
 from .corpus import (
     DatasetSplit,
     Refusal,
@@ -306,7 +306,7 @@ def cmd_generate(config: PipelineConfig, diff_text: str, with_qa: bool) -> tuple
     unchanged (see _reuse).
     """
     src_vocab, tgt_vocab = _load_vocabs(config)
-    if diff_too_large(diff_text, config) or not (
+    if diff_too_large(diff_text) or not (
             tokens := preprocess_source(diff_text, config.max_source_len)):
         return EXIT_WARNING, WARNING_TEXT
     if with_qa:
@@ -457,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
             with (_existing(args.diff, "diff").open("rb") if args.diff
                   else contextlib.nullcontext(sys.stdin.buffer)) as handle:
                 # decoding never shortens the text, so one byte past the cap is over it
-                diff_text = handle.read(config.max_diff_bytes + 1).decode("utf-8", errors="replace")
+                diff_text = handle.read(corpus.MAX_DIFF_BYTES + 1).decode("utf-8", errors="replace")
             code, line = cmd_generate(config, diff_text, with_qa=args.with_qa)
             print(line)
             return code

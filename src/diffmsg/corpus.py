@@ -377,7 +377,6 @@ class FilterConfig(Checked):
 
     max_source_len: Annotated[int, ">= 1"] = 100
     max_target_len: Annotated[int, ">= 1"] = 30
-    max_diff_bytes: Annotated[int, ">= 1"] = 1_048_576
 
 
 # Removal reasons, in the order the checks run; the first failing check
@@ -401,10 +400,13 @@ class PreparedCommit:
     target: TokenSequence
 
 
-def diff_too_large(diff_text: str, cfg: FilterConfig) -> bool:
+MAX_DIFF_BYTES = 1_048_576  # the largest diff kept or decoded, in UTF-8 bytes
+
+
+def diff_too_large(diff_text: str) -> bool:
     """The size rule, for prepare and generate alike: the diff's UTF-8
-    encoding is over cfg.max_diff_bytes."""
-    return len(diff_text.encode("utf-8")) > cfg.max_diff_bytes
+    encoding is over MAX_DIFF_BYTES."""
+    return len(diff_text.encode("utf-8")) > MAX_DIFF_BYTES
 
 
 def apply_filters(
@@ -423,7 +425,7 @@ def apply_filters(
         if is_merge_or_rollback(commit.message_text):
             removed["merge_or_rollback"] += 1
             continue
-        if diff_too_large(commit.diff_text, cfg):
+        if diff_too_large(commit.diff_text):
             removed["diff_too_large"] += 1
             continue
         source = preprocess_source(commit.diff_text, cfg.max_source_len)

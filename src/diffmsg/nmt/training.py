@@ -71,12 +71,11 @@ def adadelta_update(
     params: ModelParams,
     grads: ModelParams,
     optimizer_state: OptimizerState,
-    rho: float = ADADELTA_RHO,
-    eps: float = ADADELTA_EPS,
 ) -> None:
     """One Adadelta step, in place, on the whole parameter buffer.
 
-    Per coordinate: E[g^2] <- rho E[g^2] + (1-rho) g^2, the update is
+    Per coordinate, with rho = ADADELTA_RHO and eps = ADADELTA_EPS:
+    E[g^2] <- rho E[g^2] + (1-rho) g^2, the update is
     -(sqrt(E[dx^2]+eps) / sqrt(E[g^2]+eps)) g, and E[dx^2] accumulates the
     squared update with the same decay.  The buffer is updated in blocks of
     ADADELTA_BLOCK coordinates, so each temporary stays in cache.
@@ -85,11 +84,11 @@ def adadelta_update(
         block = slice(lo, lo + ADADELTA_BLOCK)
         g, acc_grad_sq, acc_update_sq = (
             a[block] for a in (grads.flat, optimizer_state.grad_sq, optimizer_state.update_sq))
-        acc_grad_sq *= rho
-        acc_grad_sq += (1.0 - rho) * g * g
-        delta = -np.sqrt(acc_update_sq + eps) / np.sqrt(acc_grad_sq + eps) * g
-        acc_update_sq *= rho
-        acc_update_sq += (1.0 - rho) * delta * delta
+        acc_grad_sq *= ADADELTA_RHO
+        acc_grad_sq += (1.0 - ADADELTA_RHO) * g * g
+        delta = -np.sqrt(acc_update_sq + ADADELTA_EPS) / np.sqrt(acc_grad_sq + ADADELTA_EPS) * g
+        acc_update_sq *= ADADELTA_RHO
+        acc_update_sq += (1.0 - ADADELTA_RHO) * delta * delta
         params.flat[block] += delta
 
 

@@ -36,6 +36,7 @@ QA_MODEL_FORMAT_VERSION = 2
 
 BAD_SCORE_MAX = 1   # median score <= 1 is "bad"
 GOOD_SCORE_MIN = 6  # median score >= 6 counts as "good" in the cost metric
+L2_LAMBDA = 1e-4    # the SVM's regularization weight lambda (see train_svm)
 
 
 def floor_median(scores: list[int] | tuple[int, ...]) -> int:
@@ -124,7 +125,6 @@ def _margins(weights: np.ndarray, bias: float, rows: Rows) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QaHyper(Checked):
-    l2_lambda: Annotated[float, "> 0"] = 1e-4
     epochs: Annotated[int, ">= 1"] = 20
     seed: int = 0
 
@@ -151,8 +151,7 @@ def _schedule(n: int, hyper: QaHyper) -> list[int]:
 
 
 def _fit(
-    index: BagOfWords, train: list[int], labels: list[float], positions: list[int],
-    l2_lambda: float,
+    index: BagOfWords, train: list[int], labels: list[float], positions: list[int]
 ) -> tuple[np.ndarray, np.ndarray, float, Rows]:
     """Hinge-loss SGD on the documents `train` of index, in that order.
 
@@ -179,7 +178,7 @@ def _fit(
     for d in train:
         values = row_values[indptr[d] : indptr[d + 1]]
         examples.append((features[indptr[d] : indptr[d + 1]], values,
-                         (labels[d] / l2_lambda) * values, labels[d]))
+                         (labels[d] / L2_LAMBDA) * values, labels[d]))
 
     scaled = np.zeros(len(idf))
     bias = 0.0
@@ -187,21 +186,21 @@ def _fit(
         indices, values, step, y = examples[i]
         if y * (values.dot(scaled[indices]) / (done or 1) + bias) < 1.0:
             scaled[indices] += step
-            bias += y / (l2_lambda * (done + 1))
+            bias += y / (L2_LAMBDA * (done + 1))
     return idf, scaled / len(positions), bias, rows
 
 
 def train_svm(gold: list[GoldRecord], hyper: QaHyper = QaHyper()) -> QaModel:
     """Hinge-loss SGD on (lambda/2)||w||^2 + mean hinge, y = +1 for bad.
 
-    Per-example step size 1/(lambda * t); the example order is reshuffled
-    each epoch with the seeded RNG, so training is deterministic.  The bias
-    is trained but not regularized.
+    Per-example step size 1/(lambda * t), lambda = L2_LAMBDA; the example
+    order is reshuffled each epoch with the seeded RNG, so training is
+    deterministic.  The bias is trained but not regularized.
     """
     index = BagOfWords([record.diff for record in gold])
     labels = [1.0 if record.is_bad else -1.0 for record in gold]
     positions = _schedule(len(gold), hyper)
-    idf, weights, bias, _ = _fit(index, list(range(len(gold))), labels, positions, hyper.l2_lambda)
+    idf, weights, bias, _ = _fit(index, list(range(len(gold))), labels, positions)
     return QaModel(index.ids, idf, weights, bias)
 
 
@@ -264,7 +263,7 @@ def cross_validate(
     for held_out in folds:
         held_set = set(held_out)
         train = [i for i in order if i not in held_set]
-        _, weights, bias, rows = _fit(index, train, labels, schedules[len(train)], hyper.l2_lambda)
+        _, weights, bias, rows = _fit(index, train, labels, schedules[len(train)])
         margins[held_out] = _margins(weights, bias, rows)[held_out]
 
     predictions = [margin > 0.0 for margin in margins.tolist()]

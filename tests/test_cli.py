@@ -37,6 +37,7 @@ from diffmsg.cli import (
 from diffmsg.corpus import (
     EOS_ID,
     ID_PLACEHOLDER,
+    MAX_DIFF_BYTES,
     FilterConfig,
     Refusal,
     Vocabulary,
@@ -141,7 +142,7 @@ class TestConfig:
     def test_the_bounded_fields(self):
         assert {key: bounds for key, _, bounds in BOUNDED} == {
             "max_source_len": (">= 1",), "max_target_len": (">= 1",),
-            "max_diff_bytes": (">= 1",), "embed_dim": (">= 1",), "hidden_dim": (">= 1",),
+            "embed_dim": (">= 1",), "hidden_dim": (">= 1",),
             "minibatch_size": (">= 1",), "validate_every": (">= 1",),
             "checkpoint_every": (">= 1",), "max_epochs": (">= 1",),
             "max_minibatches": (">= 1",), "patience": (">= 0",), "beam_width": (">= 1",),
@@ -251,13 +252,14 @@ class TestPrepare:
         kept = [config.split_dir / f"{part}.tgt.txt" for part in ("train", "valid", "test")]
         assert all("weird subject line" not in path.read_text() for path in kept)
 
-    def test_every_diff_too_large_names_size_filter(self, tmp_path):
+    def test_every_diff_too_large_names_size_filter(self, tmp_path, monkeypatch):
         lines = [
             json.dumps({"id": str(i), "diff": "x " * 40, "message": f"add thing_{i} here"})
             for i in range(6)
         ]
         write_corpus(tmp_path / "corpus.jsonl", lines)
-        config = toy_config(tmp_path, max_diff_bytes=10)
+        monkeypatch.setattr("diffmsg.corpus.MAX_DIFF_BYTES", 10)
+        config = toy_config(tmp_path)
         with pytest.raises(Refusal, match="diff_too_large"):
             cmd_prepare(config)
 
@@ -452,7 +454,7 @@ class TestGenerate:
         assert code == EXIT_OK
         assert (code, line) == cmd_generate(config, prefix, with_qa=False)
 
-    def test_diff_over_max_diff_bytes_gets_the_warning(self, tmp_path):
+    def test_diff_over_max_diff_bytes_gets_the_warning(self, tmp_path, monkeypatch):
         # one size rule for prepare and generate: UTF-8 bytes, not characters
         # (e-acute is two), inclusive; generate applies it before the QA gate
         at_cap = "+ helper_1 ( caf\u00e9 ) " + "\u00e9" * 60
@@ -461,8 +463,10 @@ class TestGenerate:
         for name, diff in (("at_cap", at_cap), ("over", over)):
             lines.append(json.dumps({"id": name, "diff": diff, "message": f"add {name} here"}))
         write_corpus(tmp_path / "corpus.jsonl", lines)
-        config = toy_config(tmp_path, max_diff_bytes=len(at_cap.encode("utf-8")))
-        assert len(over) < config.max_diff_bytes
+        cap = len(at_cap.encode("utf-8"))
+        monkeypatch.setattr("diffmsg.corpus.MAX_DIFF_BYTES", cap)
+        config = toy_config(tmp_path)
+        assert len(over) < cap
         report = cmd_prepare(config)
         assert report["removed"]["diff_too_large"] == 1
         assert report["after_filters"] == report["ingested"] - 1
@@ -473,11 +477,12 @@ class TestGenerate:
         vocab = BagOfWords([["anything"]]).ids
         never_bad = QaModel(vocab, np.ones(len(vocab)), np.zeros(len(vocab)), bias=-1.0)
         save_qa_model(never_bad, config.qa_model_path)
-        no_cap = dataclasses.replace(config, max_diff_bytes=FilterConfig().max_diff_bytes)
         for with_qa in (False, True):
             code, line = cmd_generate(config, at_cap, with_qa)
             assert code == EXIT_OK and line != WARNING_TEXT
-            assert (code, line) == cmd_generate(no_cap, over, with_qa)
+            with monkeypatch.context() as default_cap:
+                default_cap.setattr("diffmsg.corpus.MAX_DIFF_BYTES", MAX_DIFF_BYTES)
+                assert (code, line) == cmd_generate(config, over, with_qa)
             assert cmd_generate(config, over, with_qa) == (EXIT_WARNING, WARNING_TEXT)
 
     def test_missing_checkpoints_error(self, tmp_path):
@@ -809,9 +814,10 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("source", ["stdin", "file"])
     def test_generate_reads_one_byte_past_the_cap(self, tmp_path, capsys, monkeypatch, source):
-        # a diff over max_diff_bytes gets the warning however large it is, so no more is read;
+        # a diff over MAX_DIFF_BYTES gets the warning however large it is, so no more is read;
         # the cut falls inside the last character, whose replacement keeps the text over the cap
-        path, _ = self._config_file(tmp_path, max_diff_bytes=100)
+        monkeypatch.setattr("diffmsg.corpus.MAX_DIFF_BYTES", 100)
+        path, _ = self._config_file(tmp_path)
         assert main(["--config", str(path), "prepare"]) == EXIT_OK
         raw = b"+ x" * 33 + " \u00e9".encode("utf-8") + b" + y" * 1000
         reads = []
@@ -1187,8 +1193,8 @@ class TestMainExitCodes:
         ("[1]", "JSON object"),
         ('{"embed_dim": true}', "'embed_dim' must be int, got True"),
         ('{"beam_width": 0}', "beam_width must be >= 1, got 0"),
-        # Adadelta's constants, the QA gate's QaHyper values, the vocabulary caps and the
-        # ensemble size are no config keys, whatever their value
+        # Adadelta's constants, the QA gate's QaHyper values, the diff-size cap, the
+        # vocabulary caps and the ensemble size are no config keys, whatever their value
         ('{"adadelta_rho": 0.95}', "unknown config keys: adadelta_rho"),
         ('{"qa_epochs": 0}', "unknown config keys: qa_epochs"),
         ('{"qa_lambda": 0}', "unknown config keys: qa_lambda"),
@@ -1200,7 +1206,8 @@ class TestMainExitCodes:
         ('{"valid_size": NaN}', "key 'valid_size' must be int, got nan"),
         ('{"valid_size": Infinity}', "key 'valid_size' must be int, got inf"),
         ('{"valid_size": -Infinity}', "key 'valid_size' must be int, got -inf"),
-        ('{"max_diff_bytes": 0}', "max_diff_bytes must be >= 1, got 0"),
+        ('{"max_diff_bytes": 0}', "unknown config keys: max_diff_bytes"),
+        ('{"max_diff_bytes": 1048576}', "unknown config keys: max_diff_bytes"),
         ('{"src_vocab_cap": 0}', "unknown config keys: src_vocab_cap"),
         ('{"tgt_vocab_cap": -3}', "unknown config keys: tgt_vocab_cap"),
         ('{"src_vocab_cap": 50000}', "unknown config keys: src_vocab_cap"),
@@ -1220,10 +1227,10 @@ class TestMainExitCodes:
             "qa_epochs_zero", "qa_lambda_zero", "qa_lambda_negative", "qa_lambda_infinite",
             "qa_lambda_nan", "adadelta_eps_nan", "adadelta_eps_infinite", "valid_size_nan",
             "valid_size_infinite", "valid_size_negative_infinite", "max_diff_bytes_zero",
-            "src_vocab_cap_zero", "tgt_vocab_cap_negative", "src_vocab_cap_default",
-            "tgt_vocab_cap_default", "ensemble_size_default", "valid_fraction_above_one",
-            "test_count_negative", "valid_fraction_one_and_a_half", "valid_fraction",
-            "valid_size_bool", "vdo_filter_off", "both_corpora"])
+            "max_diff_bytes_default", "src_vocab_cap_zero", "tgt_vocab_cap_negative",
+            "src_vocab_cap_default", "tgt_vocab_cap_default", "ensemble_size_default",
+            "valid_fraction_above_one", "test_count_negative", "valid_fraction_one_and_a_half",
+            "valid_fraction", "valid_size_bool", "vdo_filter_off", "both_corpora"])
     def test_bad_config_is_a_named_error(self, tmp_path, capsys, monkeypatch, text, named):
         monkeypatch.chdir(tmp_path)  # where the default work_dir would be made
         path = tmp_path / "config.json"

@@ -175,13 +175,15 @@ class TestIngestJsonl:
         path.write_text(json.dumps({"id": 7, "diff": "d", "message": "m"}) + "\n")
         assert [commit.id for commit in ingest_jsonl(path)] == ["7"]
 
-    def test_byte_size_counts_utf8_bytes(self, tmp_path):
+    def test_byte_size_counts_utf8_bytes(self, tmp_path, monkeypatch):
         path = tmp_path / "utf8.jsonl"
         path.write_text(json.dumps({"id": "a", "diff": "café", "message": "m"}) + "\n")
         (commit,) = list(ingest_jsonl(path))
         # e-acute is two bytes: five in all, and the cap is inclusive
-        assert not diff_too_large(commit.diff_text, FilterConfig(max_diff_bytes=5))
-        assert diff_too_large(commit.diff_text, FilterConfig(max_diff_bytes=4))
+        monkeypatch.setattr("diffmsg.corpus.MAX_DIFF_BYTES", 5)
+        assert not diff_too_large(commit.diff_text)
+        monkeypatch.setattr("diffmsg.corpus.MAX_DIFF_BYTES", 4)
+        assert diff_too_large(commit.diff_text)
 
 
 # Every kind of annotation schema_problem supports.
@@ -485,9 +487,9 @@ class TestApplyFilters:
         assert kept == []
         assert removed["merge_or_rollback"] == 1
 
-    def test_oversized_diff_removed(self):
-        cfg = FilterConfig(max_diff_bytes=10)
-        kept, removed, _ = apply_filters([make_commit(diff="x" * 11)], cfg)
+    def test_oversized_diff_removed(self, monkeypatch):
+        monkeypatch.setattr("diffmsg.corpus.MAX_DIFF_BYTES", 10)
+        kept, removed, _ = apply_filters([make_commit(diff="x" * 11)])
         assert kept == []
         assert removed["diff_too_large"] == 1
 

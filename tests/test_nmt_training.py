@@ -49,12 +49,12 @@ class TestAdadelta:
         state = init_optimizer_state(params)
         # warm the accumulators with one real step
         batch = [([4, EOS_ID], [4, EOS_ID])]
-        adadelta_update(params, gradients(batch, params), state, 0.95, 1e-6)
+        adadelta_update(params, gradients(batch, params), state)
         before = {k: v.copy() for k, v in params.tensors().items()}
         acc_before = {k: (g.copy(), u.copy()) for k, (g, u) in per_tensor(params, state).items()}
 
         zeros = params.like(np.zeros_like(params.flat))
-        adadelta_update(params, zeros, state, 0.95, 1e-6)
+        adadelta_update(params, zeros, state)
         by_name = per_tensor(params, state)
         for name, tensor in params.tensors().items():
             np.testing.assert_array_equal(tensor, before[name])
@@ -68,7 +68,7 @@ class TestAdadelta:
         state = init_optimizer_state(params)
         ones = params.like(np.ones_like(params.flat))
         before = {k: v.copy() for k, v in params.tensors().items()}
-        adadelta_update(params, ones, state, 0.95, 1e-6)
+        adadelta_update(params, ones, state)
         expected_delta = -math.sqrt(1e-6) / math.sqrt(0.05 + 1e-6)
         for name, tensor in params.tensors().items():
             np.testing.assert_allclose(tensor - before[name], expected_delta, rtol=1e-12)
@@ -78,7 +78,7 @@ class TestAdadelta:
         state = init_optimizer_state(params)
         grads = params.like(np.full_like(params.flat, 0.37))
         before = {k: v.copy() for k, v in params.tensors().items()}
-        adadelta_update(params, grads, state, 0.9, 1e-6)
+        adadelta_update(params, grads, state)
         deltas = [np.unique(np.round(t - before[k], 15)) for k, t in params.tensors().items()]
         for delta in deltas:
             assert delta.size == 1
@@ -90,7 +90,7 @@ class TestAdadelta:
         batch = [([4, 6, 5, EOS_ID], [4, 5, 6, EOS_ID])]
         initial = batch_loss(batch, params)
         for _ in range(50):
-            adadelta_update(params, gradients(batch, params), state, 0.95, 1e-6)
+            adadelta_update(params, gradients(batch, params), state)
         final = batch_loss(batch, params)
         assert final < 0.5 * initial
 
@@ -116,10 +116,10 @@ class TestBlockedAdadelta:
         grad_sq, update_sq = rng.random(size) * 1e-4, rng.random(size) * 1e-6
         g[::97] = 0.0
         want = [flat.copy(), g, grad_sq.copy(), update_sq.copy()]
-        whole_buffer_adadelta(*want, 0.95, 1e-6)
+        whole_buffer_adadelta(*want, training.ADADELTA_RHO, training.ADADELTA_EPS)
         params, grads = SimpleNamespace(flat=flat), SimpleNamespace(flat=g)
         state = training.OptimizerState(grad_sq, update_sq)
-        adadelta_update(params, grads, state, 0.95, 1e-6)
+        adadelta_update(params, grads, state)
         for got, expected in zip((flat, g, grad_sq, update_sq), want):
             assert np.array_equal(got, expected)
 
@@ -465,7 +465,7 @@ class TestCheckpointIO:
         params, hyper = tiny_params()
         state = init_optimizer_state(params)
         batch = [([4, 6, EOS_ID], [5, 4, EOS_ID])]
-        adadelta_update(params, gradients(batch, params), state, 0.9, 1e-6)
+        adadelta_update(params, gradients(batch, params), state)
         checkpoint = Checkpoint(params, state, minibatch_index=1, validation_bleu=12.5, seed=3)
         path = tmp_path / "model.ckpt"
         save_checkpoint(checkpoint, path)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from diffmsg import qa
 from diffmsg.bow import BagOfWords
 from diffmsg.corpus import Refusal, preprocess_source, source_counts
 from diffmsg.qa import (
@@ -88,10 +89,10 @@ def oracle_train_svm(gold, hyper):
         rng.shuffle(order)
         for i in order:
             t += 1
-            eta = 1.0 / (hyper.l2_lambda * t)
+            eta = 1.0 / (qa.L2_LAMBDA * t)
             indices, values, y = examples[i]
             margin = y * (weights[indices] @ values + bias)
-            weights *= 1.0 - eta * hyper.l2_lambda
+            weights *= 1.0 - eta * qa.L2_LAMBDA
             if margin < 1.0:
                 weights[indices] += eta * y * values
                 bias += eta * y
@@ -191,8 +192,7 @@ class TestTrainSvm:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"epochs": 0}, "epochs must be >= 1, got 0"),
-        ({"l2_lambda": 0.0}, "l2_lambda must be > 0, got 0.0"),
-    ], ids=["no_epochs", "no_regularization"])
+    ], ids=["no_epochs"])
     def test_untrainable_hyperparameters_rejected(self, overrides, message):
         # with no epochs the model was all zeros and never flagged a diff;
         # such a QaHyper refuses to be built, so neither function gets one
@@ -505,13 +505,16 @@ class TestCrossValidatePinned:
         # a third of the records bad and a third not, so every fold trains on both
         gold = [GoldRecord(r.diff, (0,) if i % 3 == 0 else (7,) if i % 3 == 1 else r.scores)
                 for i, r in enumerate(noisy_gold(n, seed=seed))]
-        hyper = QaHyper(l2_lambda=l2_lambda, epochs=epochs, seed=seed + 1)
-        result = cross_validate(gold, k=k, seed=seed, hyper=hyper)
-        oracle = np.zeros(n)
-        for f, held_out in enumerate(result.fold_indices):
-            train = [gold[i] for g, fold in enumerate(result.fold_indices) if g != f for i in fold]
-            model = oracle_train_svm(train, hyper)
-            oracle[held_out] = [predict(gold[i].diff, model)[1] for i in held_out]
+        hyper = QaHyper(epochs=epochs, seed=seed + 1)
+        with pytest.MonkeyPatch.context() as patch:  # the form holds for any lambda
+            patch.setattr(qa, "L2_LAMBDA", l2_lambda)
+            result = cross_validate(gold, k=k, seed=seed, hyper=hyper)
+            oracle = np.zeros(n)
+            for f, held_out in enumerate(result.fold_indices):
+                train = [gold[i] for g, fold in enumerate(result.fold_indices) if g != f
+                         for i in fold]
+                model = oracle_train_svm(train, hyper)
+                oracle[held_out] = [predict(gold[i].diff, model)[1] for i in held_out]
         assume(np.all(np.abs(oracle) > 1e-9))
         largest = np.max(np.abs(oracle))
         assert np.max(np.abs(np.array(result.margins) - oracle)) <= 1e-12 * largest

@@ -14,7 +14,7 @@ import pytest
 
 import diffmsg
 from diffmsg.cli import EXIT_ERROR, PipelineConfig, _build_parser, main
-from diffmsg.corpus import Refusal, field_types
+from diffmsg.corpus import MAX_DIFF_BYTES, Refusal, field_types
 from diffmsg.nmt.training import _HEADER_KEYS, CHECKPOINT_FORMAT_VERSION
 from diffmsg.qa import QA_MODEL_FORMAT_VERSION
 from test_cli import toy_corpus_lines, write_corpus, write_gold
@@ -139,6 +139,14 @@ def test_readme_keys_a_config_may_no_longer_set_stay_dropped():
         assert key not in field_types(PipelineConfig)
         with pytest.raises(Refusal, match=f"^config: unknown config keys: {key}$"):
             PipelineConfig.from_json(json.dumps({key: 1}))
+
+
+def test_the_diff_cap_is_the_one_the_benchmark_assumes():
+    # messy sizes its largest diffs just under and just over benchmarks/workloads.py's cap, and
+    # run.py checks that funnel, so a changed cap fails here and not as a wrong benchmark run
+    workloads = (ROOT / "benchmarks/workloads.py").read_text(encoding="utf-8")
+    (assumed,) = re.findall(r"^MAX_DIFF_BYTES = ([\d_]+)", workloads, re.M)
+    assert int(assumed) == MAX_DIFF_BYTES
 
 
 PIPELINE = """import sys
