@@ -50,7 +50,7 @@ from .corpus import (
 from .nmt import (Hyperparams, ModelParams, beam_search, checkpoint_paths, ensemble_decode,
                   load_checkpoint, source_ids, train)
 from .nmt.model import empty_aligned, model_dims, param_count
-from .vdo import default_lexicon, filter_corpus
+from .vdo import filter_corpus
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -71,10 +71,11 @@ class PipelineConfig(Hyperparams):
 
     The model and training fields, the filter limits and the seed are the
     inherited Hyperparams fields.  Building one checks them all (see
-    corpus.Checked); prepare refuses a config that sets no corpus."""
+    corpus.Checked).  Its own fields are two paths with defaults, the
+    corpus and the work dir, and the two split sizes."""
 
     # input corpus, which only prepare reads
-    corpus_jsonl: str | None = None
+    corpus_jsonl: str = "corpus.jsonl"
     # artifact directory
     work_dir: str = "work"
     # split sizes in pairs: the paper's validation and test sets of its 32K-pair corpus
@@ -181,15 +182,14 @@ def cmd_prepare(config: PipelineConfig) -> dict:
     that emptied it; nothing is written before the split.
     """
     _loaded.clear()
-    if not (corpus := config.corpus_jsonl):  # named by each error below
-        raise Refusal("config", "must set corpus_jsonl")
+    corpus = config.corpus_jsonl  # named by each error below
     filtered, removed, ingested = apply_filters(ingest_jsonl(_existing(corpus, "corpus")), config)
     if not ingested:
         raise Refusal(corpus, "ingest produced no commits")
     if not filtered:
         reasons = ", ".join(f"{k}={v}" for k, v in removed.items() if v)
         raise Refusal(corpus, f"preprocessing filters removed every commit ({reasons})")
-    kept = filter_corpus(filtered, default_lexicon())
+    kept = filter_corpus(filtered)
     if not kept:
         raise Refusal(corpus, "verb/direct-object filter removed every commit")
     with refusing(corpus):  # the split sizes exceed the corpus

@@ -74,7 +74,6 @@ class Refusal(ValueError):
 
     def __init__(self, path: str | Path, reason: str) -> None:
         super().__init__(f"{path}: {reason}")
-        self.path, self.reason = path, reason
 
 
 @contextlib.contextmanager

@@ -39,12 +39,9 @@ from .model import Array, ModelParams, decoder_step_batch, encode_sources
 MAX_STEP_ELEMENTS = 1 << 19
 
 
-def greedy_decode(
-    params: ModelParams, source_ids: list[int], max_len: int, start_id: int = START_ID,
-    eos_id: int = EOS_ID,
-) -> list[int]:
+def greedy_decode(params: ModelParams, source_ids: list[int], max_len: int) -> list[int]:
     """Argmax decoding with a single model; EOS is not included."""
-    return beam_search([params], [source_ids], 1, max_len, start_id, eos_id)[0]
+    return beam_search([params], [source_ids], 1, max_len)[0]
 
 
 def ensemble_decode(

@@ -454,7 +454,6 @@ def loss_forward(
     src_mask: Array,
     tgt_ids: Array,
     tgt_mask: Array,
-    start_id: int = START_ID,
 ) -> tuple[float, dict]:
     """Teacher-forced forward pass; mean per-sequence NLL over the batch.
 
@@ -470,7 +469,7 @@ def loss_forward(
     s0 = init_decoder_state_batch(params, annotations)
 
     prev_ids = np.concatenate(
-        [np.full((batch, 1), start_id, dtype=tgt_ids.dtype), tgt_ids[:, :-1]], axis=1
+        [np.full((batch, 1), START_ID, dtype=tgt_ids.dtype), tgt_ids[:, :-1]], axis=1
     )
     ey = params.tgt_emb[prev_ids.T]                                # (T, B, E), time-major
     xw = ey @ dec.w[:e]                                            # each step adds its context
@@ -653,25 +652,19 @@ def decoder_step(
     return s_new[0, 0, 0], probs[0, 0, 0]
 
 
-def _batch_forward(
-    batch: list[tuple[list[int], list[int]]], params: ModelParams, start_id: int
-) -> tuple[float, dict]:
+def _batch_forward(batch: list[tuple[list[int], list[int]]], params: ModelParams) -> tuple[float, dict]:
     for source, target in batch:
         _check_ids(source, params.src_vocab_size, "source")
-        _check_ids([start_id, *target], params.tgt_vocab_size, "target")
+        _check_ids([START_ID, *target], params.tgt_vocab_size, "target")
     padded = pad_batch([s for s, _ in batch], [t for _, t in batch])
-    return loss_forward(params, *padded, start_id=start_id)
+    return loss_forward(params, *padded)
 
 
-def batch_loss(
-    batch: list[tuple[list[int], list[int]]], params: ModelParams, start_id: int = START_ID
-) -> float:
+def batch_loss(batch: list[tuple[list[int], list[int]]], params: ModelParams) -> float:
     """Mean per-sequence loss of a batch (the quantity gradients derive)."""
-    return _batch_forward(batch, params, start_id)[0]
+    return _batch_forward(batch, params)[0]
 
 
-def gradients(
-    batch: list[tuple[list[int], list[int]]], params: ModelParams, start_id: int = START_ID
-) -> ModelParams:
+def gradients(batch: list[tuple[list[int], list[int]]], params: ModelParams) -> ModelParams:
     """Exact gradients of the mean per-sequence loss over a padded batch."""
-    return loss_backward(params, _batch_forward(batch, params, start_id)[1])
+    return loss_backward(params, _batch_forward(batch, params)[1])

@@ -93,6 +93,7 @@ def is_vdo(message: TokenSequence, lexicon: frozenset[str]) -> bool:
     return any(t not in PUNCTUATION and verb_stem(t, lexicon) is None for t in window)
 
 
-def filter_corpus(items: list[PreparedCommit], lexicon: frozenset[str]) -> list[PreparedCommit]:
-    """Keep exactly the commits whose target message satisfies is_vdo, in order."""
-    return [item for item in items if is_vdo(item.target, lexicon)]
+def filter_corpus(items: list[PreparedCommit]) -> list[PreparedCommit]:
+    """Keep exactly the commits whose target message satisfies is_vdo over
+    DEFAULT_VERBS, in order."""
+    return [item for item in items if is_vdo(item.target, DEFAULT_VERBS)]

@@ -263,15 +263,14 @@ class TestPrepare:
         with pytest.raises(Refusal, match="diff_too_large"):
             cmd_prepare(config)
 
-    def test_requires_exactly_one_input(self, tmp_path, capsys):
-        # a config without a corpus builds, as generate and evaluate read none, but prepare,
-        # the one command that reads a corpus, refuses it before it makes the work dir
-        config = dataclasses.replace(toy_config(tmp_path), corpus_jsonl=None)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(dataclasses.asdict(config)))
-        assert main(["--config", str(path), "prepare"]) == EXIT_ERROR
-        assert capsys.readouterr().err == "error: config: must set corpus_jsonl\n"
-        assert not Path(config.work_dir).exists()
+    def test_default_corpus_missing_is_named(self, tmp_path, capsys, monkeypatch):
+        # a config that sets no corpus reads corpus.jsonl of the current directory;
+        # where there is none, prepare names that path before it makes the work dir
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text('{"work_dir": "work"}')
+        assert main(["--config", "config.json", "prepare"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: corpus.jsonl: corpus not found\n"
+        assert not Path("work").exists()
 
     def test_peak_memory_does_not_follow_the_large_diffs_read(self, tmp_path):
         # prepare holds one raw commit at a time: twelve more 1 MB diffs, each
@@ -1223,6 +1222,8 @@ class TestMainExitCodes:
         ('{"vdo_filter": false}', "unknown config keys: vdo_filter"),
         # nor is git_repo: the corpus is a JSON-lines file
         ('{"corpus_jsonl": "c.jsonl", "git_repo": "."}', "unknown config keys: git_repo"),
+        # the corpus is a path, with a default; null is not one
+        ('{"corpus_jsonl": null}', "key 'corpus_jsonl' must be str, got None"),
     ], ids=["not_an_object", "bool_for_int", "fails_validate", "adadelta_rho_default",
             "qa_epochs_zero", "qa_lambda_zero", "qa_lambda_negative", "qa_lambda_infinite",
             "qa_lambda_nan", "adadelta_eps_nan", "adadelta_eps_infinite", "valid_size_nan",
@@ -1230,7 +1231,8 @@ class TestMainExitCodes:
             "max_diff_bytes_default", "src_vocab_cap_zero", "tgt_vocab_cap_negative",
             "src_vocab_cap_default", "tgt_vocab_cap_default", "ensemble_size_default",
             "valid_fraction_above_one", "test_count_negative", "valid_fraction_one_and_a_half",
-            "valid_fraction", "valid_size_bool", "vdo_filter_off", "both_corpora"])
+            "valid_fraction", "valid_size_bool", "vdo_filter_off", "both_corpora",
+            "corpus_jsonl_null"])
     def test_bad_config_is_a_named_error(self, tmp_path, capsys, monkeypatch, text, named):
         monkeypatch.chdir(tmp_path)  # where the default work_dir would be made
         path = tmp_path / "config.json"
@@ -1248,9 +1250,6 @@ class TestMainExitCodes:
                                     "bias": 0}))
         bias = qa.load_qa_model(path).bias
         assert (type(bias), bias) == (float, 0.0)
-        path = tmp_path / "config.json"
-        path.write_text('{"corpus_jsonl": null}')
-        assert PipelineConfig.load(path).corpus_jsonl is None
 
 
 DECODED, GATED = "+ helper_1 ( x )", "zomg_marker_1 plain_3"  # the gold set's QA model flags GATED

@@ -441,10 +441,13 @@ class TestDecoderStep:
 
 class TestSequenceLoss:
     def test_certain_model_has_zero_loss(self):
-        # a one-token vocabulary leaves softmax no choice: p = 1, loss = 0
-        params = tiny_params(tgt_vocab=1)
-        loss = batch_loss([([4, EOS_ID], [0, 0, 0])], params, start_id=0)
-        assert loss == pytest.approx(0.0, abs=1e-15)
+        # a lead of 1000 nats leaves the others exp(-1000) = 0 in float64: p = 1, loss = 0
+        params = tiny_params(tgt_vocab=3)  # START_ID is in range
+        params.out_w[:] = 0.0
+        params.out_b[:] = 0.0
+        params.out_b[0] = 1000.0
+        loss = batch_loss([([4, EOS_ID], [0, 0, 0])], params)
+        assert loss == 0.0
 
     def test_uniform_model_analytic_loss(self):
         params = tiny_params(tgt_vocab=5)
@@ -485,17 +488,17 @@ class TestSequenceLoss:
             with pytest.raises(ValueError, match=f"{side} sequence must be non-empty"):
                 kernel(batch, tiny_params())
 
-    @pytest.mark.parametrize("pair, start_id, named", [
-        (([4, EOS_ID], [-1, EOS_ID]), START_ID, r"target id -1 out of range \[0, 5\)"),
-        (([4, EOS_ID], [5, EOS_ID]), START_ID, r"target id 5 out of range \[0, 5\)"),
-        (([-1, EOS_ID], [4, EOS_ID]), START_ID, r"source id -1 out of range \[0, 6\)"),
-        (([6, EOS_ID], [4, EOS_ID]), START_ID, r"source id 6 out of range \[0, 6\)"),
-        (([4, EOS_ID], [4, EOS_ID]), -1, r"target id -1 out of range \[0, 5\)"),
+    @pytest.mark.parametrize("pair, tgt_vocab, named", [
+        (([4, EOS_ID], [-1, EOS_ID]), 5, r"target id -1 out of range \[0, 5\)"),
+        (([4, EOS_ID], [5, EOS_ID]), 5, r"target id 5 out of range \[0, 5\)"),
+        (([-1, EOS_ID], [4, EOS_ID]), 5, r"source id -1 out of range \[0, 6\)"),
+        (([6, EOS_ID], [4, EOS_ID]), 5, r"source id 6 out of range \[0, 6\)"),
+        (([4, EOS_ID], [1, 0]), 2, rf"target id {START_ID} out of range \[0, 2\)"),
     ], ids=["negative_target", "target_of_vocab_size", "negative_source", "source_of_vocab_size",
             "negative_start"])
-    def test_out_of_range_id_rejected(self, pair, start_id, named):
+    def test_out_of_range_id_rejected(self, pair, tgt_vocab, named):
         # unchecked, -1 would read the last embedding row and V would be a
-        # bare IndexError
+        # bare IndexError; START_ID, the first input of every target, is checked too
         for kernel in (batch_loss, gradients):
             with pytest.raises(ValueError, match=named):
-                kernel([pair], tiny_params(), start_id=start_id)
+                kernel([pair], tiny_params(tgt_vocab=tgt_vocab))

@@ -82,7 +82,7 @@ def test_the_config_holds_only_paths_and_bounded_ints():
     # one form per value, so corpus.Checked is the config's only check
     for key, annotation in field_types(PipelineConfig).items():
         bounded = typing.get_origin(annotation) is typing.Annotated
-        assert annotation in (str, str | None) or (bounded and annotation.__origin__ is int), key
+        assert annotation is str or (bounded and annotation.__origin__ is int), key
     assert "src/diffmsg/cli.py" not in {path for path, _ in src_lines(r"def __post_init__\b")}
 
 

@@ -114,29 +114,29 @@ class TestFilterCorpus:
 
     def test_all_vdo_ratio_one(self):
         pairs = self._pairs(["Fix the race condition", "add missing tests now"])
-        kept = filter_corpus(pairs, LEX)
+        kept = filter_corpus(pairs)
         assert kept == pairs
         assert len(kept) == len(pairs) == 2
 
     def test_empty_corpus(self):
-        assert filter_corpus([], LEX) == []
+        assert filter_corpus([]) == []
 
     def test_mixed_corpus(self):
         pairs = self._pairs(["adds support for 9 inch tablet screens", "7807cb6 ca7a229"])
-        kept = filter_corpus(pairs, LEX)
+        kept = filter_corpus(pairs)
         assert len(kept) == 1 and kept[0] == pairs[0]
         assert len(pairs) - len(kept) == 1
 
     def test_idempotent(self):
         pairs = self._pairs([s for s, _ in VDO_FIXTURE])
-        kept = filter_corpus(pairs, LEX)
-        assert filter_corpus(kept, LEX) == kept
+        kept = filter_corpus(pairs)
+        assert filter_corpus(kept) == kept
 
     def test_per_pair_independence(self):
         pairs = self._pairs([s for s, _ in VDO_FIXTURE[:10]])
         full_verdicts = {id(p): is_vdo(p.target, LEX) for p in pairs}
         for drop in range(len(pairs)):
             subset = [p for i, p in enumerate(pairs) if i != drop]
-            kept = filter_corpus(subset, LEX)
+            kept = filter_corpus(subset)
             assert kept == [p for p in subset if full_verdicts[id(p)]]
 
