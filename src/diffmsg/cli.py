@@ -240,21 +240,18 @@ def _load_vocabs(config: PipelineConfig) -> tuple[Vocabulary, Vocabulary]:
 def cmd_train(config: PipelineConfig, resume: bool = False) -> list[Path]:
     """Train on the prepared splits; write checkpoints and the training log.
 
-    Returns the run's checkpoints (see checkpoint_paths).  With resume, it
-    continues from the last of them; without, or with none, training starts
-    from fresh parameters and an empty checkpoint set.  A last checkpoint
-    that load_checkpoint refuses, one of another shape or seed among them,
-    is a Refusal naming it that leaves the checkpoints and the log as they
-    were.  It first drops the loaded run (see _reuse); the checkpoint it
-    resumes from is a writable load of its own."""
+    Returns the run's checkpoints (see checkpoint_paths).  With resume,
+    train continues from the last of them; without, or with none, training
+    starts from fresh parameters and an empty checkpoint set.  A last
+    checkpoint that load_checkpoint refuses, one of another shape or seed
+    among them, is a Refusal naming it that leaves the checkpoints and the
+    log as they were.  It first drops the loaded run (see _reuse), so no
+    ensemble is held through training."""
     _loaded.clear()
     split = _load_split(config)
     src_vocab, tgt_vocab = _load_vocabs(config)
-    existing = checkpoint_paths(config.checkpoint_dir) if resume else []
-    run = (*model_dims(config, len(src_vocab), len(tgt_vocab)), config.seed)
-    resume_from = load_checkpoint(existing[-1], run) if existing else None
     train(split, src_vocab, tgt_vocab, config, checkpoint_dir=config.checkpoint_dir,
-          log_path=config.train_log_path, resume_from=resume_from)
+          log_path=config.train_log_path, resume=resume)
     return checkpoint_paths(config.checkpoint_dir)
 
 

@@ -140,10 +140,20 @@ def _finite(values: Iterable) -> bool:
         return False
 
 
+def _encodable(value: object) -> bool:
+    """value is not a str that UTF-8 cannot encode: one with a lone
+    surrogate, which a JSON "\\udXXX" escape outside a pair decodes to."""
+    try:  # a non-ASCII str is not empty, and neither is its encoding
+        return type(value) is not str or value.isascii() or bool(value.encode("utf-8"))
+    except UnicodeEncodeError:
+        return False
+
+
 def _admits(annotation: object) -> Callable[[object], bool]:
     """The test that a value matches annotation: a key of _JSON_TYPES, a
     union of them (float only in float | None), or list[X] or dict[str, X]
-    of one (a JSON object's keys are strings)."""
+    of one (a JSON object's keys are strings).  A float must be finite and
+    a str UTF-8 encodable (see _encodable)."""
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if origin in (list, dict):
         kinds = _JSON_TYPES[args[-1]]
@@ -152,12 +162,13 @@ def _admits(annotation: object) -> Callable[[object], bool]:
             if type(value) is not origin:
                 return False
             items = value.values() if origin is dict else value
-            return set(map(type, items)) <= kinds and (float not in kinds or _finite(items))
+            return (set(map(type, items)) <= kinds and (float not in kinds or _finite(items))
+                    and (str not in kinds or all(map(_encodable, items))))
         return each
     members = args if origin in (types.UnionType, typing.Union) else (annotation,)
     kinds = set().union(*(_JSON_TYPES[member] for member in members))
     if float not in kinds:
-        return lambda value: type(value) in kinds
+        return lambda value: type(value) in kinds and _encodable(value)
     return lambda value: type(value) in kinds and (value is None or _finite((value,)))
 
 
@@ -199,8 +210,8 @@ class Schema(dict):
 
 def schema_problem(obj: dict, schema: Schema) -> str | None:
     """Describe the first key of schema that obj lacks, holds with a value
-    its annotation does not admit (see _JSON_TYPES; a float must be finite),
-    or holds out of the annotation's range (see _rule), or return None."""
+    its annotation does not admit (see _admits), or holds out of the
+    annotation's range (see _rule), or return None."""
     for key, admits, name, in_range, bounds in schema.rules:
         if key not in obj:
             return f"lacks {key!r}"

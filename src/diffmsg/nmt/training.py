@@ -114,14 +114,7 @@ class Checkpoint:
 _STATE_KEYS = {key: kind for key, kind in field_types(Checkpoint).items()
                if key not in ("params", "optimizer_state")}
 _HEADER_KEYS = Schema({**_STATE_KEYS, **dict.fromkeys(DIM_KEYS, Annotated[int, ">= 1"])})
-RUN_KEYS = (*DIM_KEYS, "seed")
-
-
-def _run_problem(found: tuple[int, ...], expected: tuple[int, ...]) -> str | None:
-    """The first of RUN_KEYS, a model's shape and the seed of its split, on
-    which found differs from the expected run, with both values; or None."""
-    return next((f"{key} is {have}, but this run's config and vocabularies give {want}"
-                 for key, have, want in zip(RUN_KEYS, found, expected) if have != want), None)
+RUN_KEYS = (*DIM_KEYS, "seed")  # a model's shape and the seed of its split
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
@@ -169,8 +162,10 @@ def load_checkpoint(
         header = read_json_object(header_line, _HEADER_KEYS, path, CHECKPOINT_FORMAT_VERSION,
                                   "header")
         found = tuple(header[key] for key in DIM_KEYS)
-        if problem := _run_problem((*found, header["seed"]), run or ()):
-            raise Refusal(path, problem)
+        for key, have, want in zip(RUN_KEYS, (*found, header["seed"]), run or ()):
+            if have != want:
+                raise Refusal(path, f"{key} is {have}, but this run's config and vocabularies "
+                                    f"give {want}")
         size = param_count(*found)
         if out is not None and not (out.dtype == np.float64 and out.shape == (size,)
                                     and out.flags.c_contiguous and out.flags.writeable):
@@ -216,13 +211,6 @@ def _truncate_log(path: Path, minibatch_index: int) -> None:
         atomic_write(path, [data[:end]])
 
 
-def _check_finite(state: Checkpoint) -> None:
-    """Raise FloatingPointError naming the minibatch and the first non-finite tensor, if any."""
-    if name := state.params.non_finite():
-        raise FloatingPointError(
-            f"after minibatch {state.minibatch_index}: non-finite values in parameter {name}")
-
-
 def _epoch_order(seed: int, epoch: int, n: int) -> list[int]:
     # Derived, not chained: lets a resumed run regenerate any epoch's order.
     order = list(range(n))
@@ -254,27 +242,27 @@ def train(
     hyper: Hyperparams,
     checkpoint_dir: str | Path | None = None,
     log_path: str | Path | None = None,
-    resume_from: Checkpoint | None = None,
+    resume: bool = False,
 ) -> list[Checkpoint]:
     """Minibatch Adadelta training; returns [state], the final training state.
 
-    The state is one Checkpoint, resume_from if given, else a fresh one;
-    resume_from must carry optimizer state and the shape and seed (which
-    orders every epoch) that hyper and the vocabularies give (see
-    _run_problem), or the run is refused with a ValueError before anything
-    is written.  Each source is read as source_ids builds it.  The state is
-    updated in place, its buffers with it, and written every
-    hyper.checkpoint_every minibatches and when training stops, as
-    checkpoint_<minibatch index, 8 digits>.ckpt in checkpoint_dir; a run
-    that does not resume first removes the checkpoints listed there (see
-    checkpoint_paths), as it truncates the log.  Validation runs every
-    hyper.validate_every minibatches on greedy decodes of the validation
-    split (skipped if it is empty); training stops after hyper.patience
-    consecutive non-improving validations, or at the epoch/minibatch limits.
-    Before each checkpoint the log is flushed to disk.  On resume, the log
-    lines past the checkpoint are dropped first, so the log ends as an
-    unbroken run's does.  Resuming a run that has already stopped trains and
-    writes nothing.
+    The state is one Checkpoint.  With resume, it is the last checkpoint in
+    checkpoint_dir (see checkpoint_paths), which load_checkpoint reads
+    against the shape and seed (which orders every epoch) that hyper and the
+    vocabularies give, so a file it refuses is a Refusal of that file, raised
+    before anything is written.  Without resume, or with no checkpoint to
+    resume from, the state is fresh, and the checkpoints listed there are
+    removed first, as the log is truncated.  Each source is read as
+    source_ids builds it.  The state is updated in place, its buffers with
+    it, and written every hyper.checkpoint_every minibatches and when
+    training stops, as checkpoint_<minibatch index, 8 digits>.ckpt in
+    checkpoint_dir.  Validation runs every hyper.validate_every minibatches
+    on greedy decodes of the validation split (skipped if it is empty);
+    training stops after hyper.patience consecutive non-improving
+    validations, or at the epoch/minibatch limits.  Before each checkpoint
+    the log is flushed to disk.  On resume, the log lines past the
+    checkpoint are dropped first, so the log ends as an unbroken run's does.
+    Resuming a run that has already stopped trains and writes nothing.
     """
     if not split.train:
         raise ValueError("training split is empty")
@@ -284,28 +272,24 @@ def train(
     valid_pairs = [(source_ids(src_vocab, item.source, hyper), list(item.target))
                    for item in split.valid]
 
-    if resume_from is None:
+    ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
+    existing = checkpoint_paths(ckpt_dir) if ckpt_dir is not None else []
+    resumed = resume and bool(existing)
+    if resumed:
+        run = (*model_dims(hyper, len(src_vocab), len(tgt_vocab)), hyper.seed)
+        state = load_checkpoint(existing[-1], run)
+    else:
         params = init_params(hyper, len(src_vocab), len(tgt_vocab))
         state = Checkpoint(params, init_optimizer_state(params), 0, None, seed=hyper.seed)
-    elif resume_from.optimizer_state is None:
-        raise ValueError("cannot resume from a checkpoint without optimizer state")
-    elif problem := _run_problem((*resume_from.params.dims, resume_from.seed),
-                                 (*model_dims(hyper, len(src_vocab), len(tgt_vocab)), hyper.seed)):
-        raise ValueError(f"cannot resume from a checkpoint whose {problem}")
-    else:
-        state = resume_from
-
-    ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    if ckpt_dir is not None and resume_from is None:
-        for path in checkpoint_paths(ckpt_dir):  # a fresh run's set holds only its own
+        for path in existing:  # a fresh run's set holds only its own
             path.unlink()
     log_handle = None
     if log_path is not None:
         Path(log_path).parent.mkdir(parents=True, exist_ok=True)
-        if resume_from is not None:
+        if resumed:
             _truncate_log(Path(log_path), state.minibatch_index)
         # append only when resuming, so a rerun reproduces identical artifacts
-        log_handle = open(log_path, "a" if resume_from is not None else "w", encoding="utf-8")
+        log_handle = open(log_path, "a" if resumed else "w", encoding="utf-8")
 
     n, size = len(train_pairs), hyper.minibatch_size
     batches_per_epoch = (n + size - 1) // size
@@ -313,7 +297,6 @@ def train(
     order: list[int] = []
 
     try:
-        _check_finite(state)
         for index in range(state.minibatch_index, limit):
             if state.stall > hyper.patience:
                 break
@@ -327,7 +310,9 @@ def train(
             del cache  # free the activations before the update's buffers
             adadelta_update(state.params, grads, state.optimizer_state)
             state.minibatch_index = index + 1
-            _check_finite(state)
+            if name := state.params.non_finite():  # name the minibatch and the first such tensor
+                raise FloatingPointError(f"after minibatch {state.minibatch_index}: non-finite "
+                                         f"values in parameter {name}")
             state.window_loss_sum += loss
             state.window_loss_count += 1
 

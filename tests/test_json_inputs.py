@@ -4,7 +4,7 @@ and the problem."""
 
 import pytest
 
-from diffmsg.cli import PipelineConfig
+from diffmsg.cli import PipelineConfig, cmd_prepare
 from diffmsg.corpus import Refusal, ingest_jsonl
 from diffmsg.nmt import load_checkpoint
 from diffmsg.nmt.training import CHECKPOINT_FORMAT_VERSION
@@ -61,3 +61,47 @@ def test_bad_json_input_is_the_readers_named_error(tmp_path, reader, case):
         load(path)
     assert type(info.value) is error
     assert str(info.value).startswith(f"{path}{at}: {problem}")
+
+
+LONE_SURROGATE = rb"add \ud800 z"  # the JSON escape of half a UTF-16 pair, alone
+
+
+def prepare(path):
+    """cmd_prepare of the corpus at path, which must write nothing."""
+    work = path.parent / "work"
+    try:
+        cmd_prepare(PipelineConfig(corpus_jsonl=str(path), work_dir=str(work), valid_size=0,
+                                   test_size=0))
+    finally:
+        assert not work.exists()
+
+
+# input -> (file name, load, the file around the string, where and key named)
+SURROGATE_INPUTS = {
+    "corpus_diff": ("corpus.jsonl", prepare,
+                    CORPUS_LINE + b'{"id": "b", "diff": "%s", "message": "add x"}\n',
+                    ": line 2", "diff"),
+    "corpus_message": ("corpus.jsonl", prepare,
+                       CORPUS_LINE + b'{"id": "b", "diff": "+ x", "message": "%s"}\n',
+                       ": line 2", "message"),
+    "gold_diff": ("gold.jsonl", load_gold_jsonl,
+                  GOLD_LINE + b'{"id": "b", "diff": "%s", "scores": [1]}\n', ": line 2", "diff"),
+    "config": ("config.json", PipelineConfig.load, b'{"work_dir": "%s"}', "", "work_dir"),
+}
+
+
+@pytest.mark.parametrize("name", SURROGATE_INPUTS)
+def test_lone_surrogate_is_refused_naming_the_key(tmp_path, name):
+    file_name, load, text, at, key = SURROGATE_INPUTS[name]
+    path = tmp_path / file_name
+    path.write_bytes(text % LONE_SURROGATE)
+    with pytest.raises(Refusal) as info:
+        load(path)
+    assert str(info.value) == f"{path}{at}: key {key!r} must be str, got 'add \\ud800 z'"
+
+
+def test_a_surrogate_pair_is_one_character(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(CORPUS_LINE + rb'{"id": "b", "diff": "+ x", "message": "add \ud83d\ude00"}'
+                     + b"\n")
+    assert [commit.message_text for commit in ingest_jsonl(path)] == ["m", "add \U0001f600"]

@@ -207,11 +207,11 @@ class TestTrain:
         split = toy_split()
         src, tgt = build_vocabs(split)
         hyper = toy_hyper(checkpoint_every=3, max_minibatches=3)
-        first = train(split, src, tgt, hyper)
+        first = train(split, src, tgt, hyper, checkpoint_dir=tmp_path)
         assert first[-1].minibatch_index == 3
 
         hyper_more = toy_hyper(checkpoint_every=3, max_minibatches=6)
-        resumed = train(split, src, tgt, hyper_more, resume_from=first[-1])
+        resumed = train(split, src, tgt, hyper_more, checkpoint_dir=tmp_path, resume=True)
         assert resumed[-1].minibatch_index == 6
 
         # a straight 6-minibatch run must agree bit-for-bit with the resumed one
@@ -225,11 +225,11 @@ class TestTrain:
         train(split, src, tgt, toy_hyper(max_minibatches=4), checkpoint_dir=tmp_path,
               log_path=tmp_path / "log")
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-        with pytest.raises(ValueError, match="^cannot resume from a checkpoint whose seed is 11, "
-                                             "but this run's config and vocabularies give 99$"):
+        path = tmp_path / "checkpoint_00000004.ckpt"
+        with pytest.raises(Refusal, match=f"^{re.escape(str(path))}: seed is 11, but this run's "
+                                          f"config and vocabularies give 99$"):
             train(split, src, tgt, toy_hyper(max_minibatches=8, seed=99), checkpoint_dir=tmp_path,
-                  log_path=tmp_path / "log",
-                  resume_from=load_checkpoint(tmp_path / "checkpoint_00000004.ckpt"))
+                  log_path=tmp_path / "log", resume=True)
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("key, overrides, found, given", [
@@ -245,37 +245,48 @@ class TestTrain:
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         if key == "tgt_vocab_size":
             tgt = build_vocabs(toy_split(16))[1]
-        with pytest.raises(ValueError, match=f"^cannot resume from a checkpoint whose {key} is "
-                                             f"{found}, but this run's config and vocabularies "
-                                             f"give {given}$"):
-            train(split, src, tgt, toy_hyper(max_minibatches=8, **overrides),
-                  checkpoint_dir=tmp_path, log_path=tmp_path / "log",
-                  resume_from=load_checkpoint(tmp_path / "checkpoint_00000004.ckpt"))
-        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
-
-    def test_resume_without_optimizer_state_is_refused(self, tmp_path):
-        split = toy_split()
-        src, tgt = build_vocabs(split)
-        train(split, src, tgt, toy_hyper(max_minibatches=4), checkpoint_dir=tmp_path,
-              log_path=tmp_path / "log")
-        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         path = tmp_path / "checkpoint_00000004.ckpt"
-        params_only = load_checkpoint(path, out=np.empty(load_checkpoint(path).params.flat.size))
-        assert params_only.optimizer_state is None
-        with pytest.raises(ValueError, match="^cannot resume from a checkpoint without optimizer "
-                                             "state$"):
-            train(split, src, tgt, toy_hyper(max_minibatches=8), checkpoint_dir=tmp_path,
-                  log_path=tmp_path / "log", resume_from=params_only)
+        with pytest.raises(Refusal, match=f"^{re.escape(str(path))}: {key} is {found}, but this "
+                                          f"run's config and vocabularies give {given}$"):
+            train(split, src, tgt, toy_hyper(max_minibatches=8, **overrides),
+                  checkpoint_dir=tmp_path, log_path=tmp_path / "log", resume=True)
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
-    def test_resume_trains_the_checkpoint_in_place(self, tmp_path):
+    @pytest.mark.parametrize("where", ["no_directory", "empty_directory"])
+    def test_resume_without_a_checkpoint_is_a_fresh_run(self, tmp_path, where):
         split = toy_split()
         src, tgt = build_vocabs(split)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(train(split, src, tgt, toy_hyper(max_minibatches=3))[-1], path)
-        ckpt = load_checkpoint(path)
-        before = ckpt.params.flat.copy()
-        resumed = train(split, src, tgt, toy_hyper(max_minibatches=6), resume_from=ckpt)[-1]
+        written = {}
+        for resume in (False, True):
+            run = tmp_path / str(resume)
+            ckpt_dir = run / "ckpt" if where == "empty_directory" else None
+            if ckpt_dir is not None:
+                ckpt_dir.mkdir(parents=True)
+            state = train(split, src, tgt, toy_hyper(max_minibatches=6), checkpoint_dir=ckpt_dir,
+                          log_path=run / "log", resume=resume)[-1]
+            files = {path.relative_to(run): path.read_bytes() for path in run.rglob("*")
+                     if path.is_file()}
+            written[resume] = files, state.params.flat
+        assert state.minibatch_index == 6
+        assert written[True][0] == written[False][0]
+        assert len(written[True][0]) == (1 if where == "no_directory" else 3)
+        np.testing.assert_array_equal(written[True][1], written[False][1])
+
+    def test_resume_trains_the_checkpoint_in_place(self, tmp_path, monkeypatch):
+        split = toy_split()
+        src, tgt = build_vocabs(split)
+        train(split, src, tgt, toy_hyper(max_minibatches=3), checkpoint_dir=tmp_path)
+        load, loaded = training.load_checkpoint, []
+
+        def capturing(path, run):
+            checkpoint = load(path, run)
+            loaded.append((checkpoint, checkpoint.params.flat.copy()))
+            return checkpoint
+
+        monkeypatch.setattr(training, "load_checkpoint", capturing)
+        resumed = train(split, src, tgt, toy_hyper(max_minibatches=6), checkpoint_dir=tmp_path,
+                        resume=True)[-1]
+        [(ckpt, before)] = loaded
         assert resumed.params.flat is ckpt.params.flat
         assert resumed.optimizer_state is ckpt.optimizer_state
         assert resumed.minibatch_index == 6 and not np.array_equal(ckpt.params.flat, before)
@@ -305,7 +316,7 @@ class TestTrain:
             first = train(split, src, tgt, dataclasses.replace(hyper, max_minibatches=cut),
                           checkpoint_dir=run, log_path=run / "log")
             resumed = train(split, src, tgt, hyper, checkpoint_dir=run, log_path=run / "log",
-                            resume_from=load_checkpoint(run / f"checkpoint_{cut:08d}.ckpt"))
+                            resume=True)
             assert first[-1].minibatch_index == cut
             assert resumed[-1].minibatch_index == stop, f"cut at {cut}"
             assert (run / "log").read_text() == log, f"cut at {cut}"
@@ -334,8 +345,7 @@ class TestTrain:
             with pytest.raises(RuntimeError, match="killed"):
                 train(split, src, tgt, hyper, checkpoint_dir=run, log_path=run / "log")
         assert "minibatch=5 " in (run / "log").read_text()
-        train(split, src, tgt, hyper, checkpoint_dir=run, log_path=run / "log",
-              resume_from=load_checkpoint(run / "checkpoint_00000004.ckpt"))
+        train(split, src, tgt, hyper, checkpoint_dir=run, log_path=run / "log", resume=True)
         assert (run / "log").read_bytes() == (whole / "log").read_bytes()
         assert sorted(p.name for p in run.iterdir()) == sorted(p.name for p in whole.iterdir())
 
@@ -350,8 +360,7 @@ class TestTrain:
               checkpoint_dir=run, log_path=run / "log")
         with open(run / "log", "a", encoding="utf-8") as handle:
             handle.write("minibatch=5 loss=1.2")
-        train(split, src, tgt, hyper, checkpoint_dir=run, log_path=run / "log",
-              resume_from=load_checkpoint(run / "checkpoint_00000004.ckpt"))
+        train(split, src, tgt, hyper, checkpoint_dir=run, log_path=run / "log", resume=True)
         assert (run / "log").read_bytes() == (whole / "log").read_bytes()
 
     def test_resume_without_a_log_writes_only_the_lines_past_the_checkpoint(self, tmp_path):
@@ -364,8 +373,7 @@ class TestTrain:
         train(split, src, tgt, dataclasses.replace(hyper, max_minibatches=4),
               checkpoint_dir=run, log_path=run / "log")
         (run / "log").unlink()
-        train(split, src, tgt, hyper, checkpoint_dir=run, log_path=run / "log",
-              resume_from=load_checkpoint(run / "checkpoint_00000004.ckpt"))
+        train(split, src, tgt, hyper, checkpoint_dir=run, log_path=run / "log", resume=True)
         assert (run / "log").read_text() == "".join(whole[4:])
 
     def test_log_on_disk_holds_every_line_before_each_checkpoint(self, tmp_path, monkeypatch):
@@ -412,9 +420,8 @@ class TestTrain:
         first = train(split, src, tgt, hyper, checkpoint_dir=tmp_path, log_path=log)[-1]
         assert first.minibatch_index == (3 if stop == "minibatch_limit" else 4)
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-        last = tmp_path / f"checkpoint_{first.minibatch_index:08d}.ckpt"
         resumed = train(split, src, tgt, hyper, checkpoint_dir=tmp_path, log_path=log,
-                        resume_from=load_checkpoint(last))[-1]
+                        resume=True)[-1]
         assert resumed.minibatch_index == first.minibatch_index
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
@@ -764,16 +771,6 @@ class TestCheckpointIO:
 
 
 class TestNonFiniteState:
-    def test_nan_in_resumed_checkpoint_names_minibatch_and_tensor(self, tmp_path):
-        split = toy_split()
-        src, tgt = build_vocabs(split)
-        train(split, src, tgt, toy_hyper(max_minibatches=4), checkpoint_dir=tmp_path)
-        path = tmp_path / "checkpoint_00000004.ckpt"
-        checkpoint = load_checkpoint(path)
-        checkpoint.params.att_v[2] = np.nan  # load_checkpoint refuses one read from a file
-        with pytest.raises(FloatingPointError, match=r"after minibatch 4: .* parameter att_v$"):
-            train(split, src, tgt, toy_hyper(max_minibatches=8), resume_from=checkpoint)
-
     def test_nan_gradient_names_minibatch_and_tensor(self, monkeypatch):
         split = toy_split()
         src, tgt = build_vocabs(split)
